@@ -50,6 +50,13 @@ class ConvLayer:
     """Valid-region convolution with odd kernel extents, then activation.
 
     kernels: [out_channels, in_channels, 2*delta+1, 2*gamma+1]
+
+    Computed as im2col + one GEMM. The column matrix is laid out
+    [C*kh*kw, H'*W'*N], batch innermost, so that every im2col copy and
+    col2im add runs over W'*N contiguous elements. Outputs and input
+    gradients are [N, C, H, W] views of [C, H, W, N] memory; elementwise
+    ops downstream keep that layout, so the backward pass reads it back
+    without a copy.
     """
 
     def __init__(self, kernels, bias, activation="relu"):
@@ -81,24 +88,39 @@ class ConvLayer:
         kh, kw = self.kernels.shape[2:]
         if x.shape[2] < kh or x.shape[3] < kw:
             raise ShapeError(f"input {x.shape[2:]} smaller than kernel {(kh, kw)}")
-        cols = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [N,C,H',W',kh,kw]
-        pre = np.einsum("nchwij,ocij->nohw", cols, self.kernels, optimize=True)
-        pre += self.bias[None, :, None, None]
+        N, C, H, W = x.shape
+        O = self.out_channels
+        Ho, Wo = H - kh + 1, W - kw + 1
+        xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # [C,H,W,N]; free if already so
+        win = sliding_window_view(xt, (kh, kw), axis=(1, 2))  # [C,H',W',N,kh,kw]
+        cols = win.transpose(0, 4, 5, 1, 2, 3).reshape(C * kh * kw, Ho * Wo * N)
+        pre = self.kernels.reshape(O, -1) @ cols  # [O, H'*W'*N]
+        pre += self.bias[:, None]
+        pre = pre.reshape(O, Ho, Wo, N).transpose(3, 0, 1, 2)
         out = _act_forward(self.activation, pre)
-        self._cache = (x, cols, pre, out)
+        self._cache = (x.shape, cols, pre, out)
         return out
 
-    def backward_batch(self, dout):
-        x, cols, pre, out = self._cache
-        kh, kw = self.kernels.shape[2:]
+    def backward_batch(self, dout, *, input_grad=True):
+        """Parameter gradients into self.grads; returns dL/dx, or None when
+        input_grad is False (an input nothing differentiates, such as the
+        image)."""
+        (N, C, H, W), cols, pre, out = self._cache
+        O, _, kh, kw = self.kernels.shape
         dpre = _act_backward(self.activation, pre, out, dout)
-        self.grads["kernels"] = np.einsum("nchwij,nohw->ocij", cols, dpre, optimize=True)
-        self.grads["bias"] = dpre.sum(axis=(0, 2, 3))
-        # dx: full correlation of dpre with kernels flipped in both spatial axes
-        pad = np.pad(dpre, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        pcols = sliding_window_view(pad, (kh, kw), axis=(2, 3))  # [N,O,H,W,kh,kw]
-        flipped = self.kernels[:, :, ::-1, ::-1]
-        return np.einsum("nohwij,ocij->nchw", pcols, flipped, optimize=True)
+        dpre = dpre.transpose(1, 2, 3, 0).reshape(O, -1)  # [O, H'*W'*N]
+        self.grads["kernels"] = (dpre @ cols.T).reshape(self.kernels.shape)
+        self.grads["bias"] = dpre.sum(axis=1)
+        if not input_grad:
+            return None
+        # col2im: scatter-add each kernel tap's columns back onto the input
+        Ho, Wo = pre.shape[2:]
+        dcols = (self.kernels.reshape(O, -1).T @ dpre).reshape(C, kh, kw, Ho, Wo, N)
+        dx = np.zeros((C, H, W, N))
+        for i in range(kh):
+            for j in range(kw):
+                dx[:, i:i + Ho, j:j + Wo] += dcols[:, i, j]
+        return dx.transpose(3, 0, 1, 2)
 
 
 class DenseLayer:
@@ -138,30 +160,33 @@ class MaxPool2x2:
     def __init__(self):
         self._cache = None
 
+    @staticmethod
+    def _windows(x):
+        """The four strided views of the 2x2 windows, in row-major order."""
+        H2, W2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+        return [x[:, :, i:H2:2, j:W2:2] for i in (0, 1) for j in (0, 1)]
+
     def forward_batch(self, x):
-        N, C, H, W = x.shape
-        H2, W2 = H // 2, W // 2
-        if H2 < 1 or W2 < 1:  # too small to pool: pass through
-            self._cache = (x.shape, None)
+        if x.shape[2] < 2 or x.shape[3] < 2:  # too small to pool: pass through
+            self._cache = (x, None)
             return x
-        win = x[:, :, : H2 * 2, : W2 * 2].reshape(N, C, H2, 2, W2, 2)
-        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(N, C, H2, W2, 4)
-        idx = np.argmax(win, axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        a, b, c, d = self._windows(x)
+        out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+        # one mask per position; the first position equal to the max wins
+        first = a == out
+        second = (b == out) & ~first
+        taken = first | second
+        third = (c == out) & ~taken
+        self._cache = (x, (first, second, third, ~(taken | third)))
         return out
 
     def backward_batch(self, dout):
-        (N, C, H, W), idx = self._cache
-        if idx is None:
+        x, masks = self._cache
+        if masks is None:
             return dout
-        H2, W2 = H // 2, W // 2
-        dwin = np.zeros((N, C, H2, W2, 4))
-        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-        dx = np.zeros((N, C, H, W))
-        dx[:, :, : H2 * 2, : W2 * 2] = (
-            dwin.reshape(N, C, H2, W2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, H2 * 2, W2 * 2)
-        )
+        dx = np.zeros_like(x)  # in x's memory layout, which the conv below reads
+        for view, mask in zip(self._windows(dx), masks):
+            np.multiply(dout, mask, out=view)
         return dx
 
 
@@ -473,9 +498,13 @@ class Model:
         dh = None
         for b in range(len(self.convs) - 1, -1, -1):
             dpool = gap_backward_batch(dtaps[b], spatial[b]) if dtaps[b] is not None else 0.0
-            dh = dpool if dh is None else dh + dpool
+            if dh is None:
+                dh = dpool
+            else:
+                dh += dpool  # in place: keeps the conv gradient's memory layout
             dh = self.pools[b].backward_batch(dh)
-            dh = self.convs[b].backward_batch(dh)
+            # nothing reads the gradient with respect to the image
+            dh = self.convs[b].backward_batch(dh, input_grad=b > 0)
 
         grads = {}
         for b, conv in enumerate(self.convs):

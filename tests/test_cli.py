@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kpff
 from kpff import hooks
 from kpff.checkpoint import load_checkpoint, save_checkpoint
 from kpff.cli import main
@@ -143,6 +149,24 @@ def test_crossval_deterministic_bytes(tmp_path):
         run_cli("crossval", "--methods", "add", "--seed", "2", "--out", str(out), *FAST)
     for name in ("report.csv", "summary.json", "folds.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_crossval_bytes_independent_of_blas_threads(tmp_path):
+    # 16x16 images at batch 50 make the first conv's GEMMs (6 x 9 x 9800)
+    # big enough for a threaded BLAS to split them
+    src = str(Path(kpff.__file__).resolve().parents[1])
+    args = ["crossval", "--methods", "none,kpff", "--seed", "3", "--per-class", "25",
+            "--image-size", "16", "--max-epochs", "2", "--val-interval", "1"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "kpff.cli", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    for name in ("report.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_crossval_unknown_method(tmp_path):

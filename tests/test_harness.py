@@ -1,13 +1,19 @@
+import os
+import resource
+
 import numpy as np
 import pytest
 
 from kpff.config import RunConfig
+from kpff.data import make_folds
 from kpff.harness import (
     comparison_table,
     crossval,
+    load_dataset,
     report_csv,
     resolve_method,
     summary_json,
+    train_run,
 )
 
 FAST_CFG = RunConfig(seed=4, per_class=5, image_size=8, channels=(3, 4),
@@ -61,3 +67,31 @@ def test_report_embeds_config_and_seed():
     assert report["seed"] == FAST_CFG.seed
     assert "lr = 0.003" in report["config"]
     assert len(report["config_hash"]) == 16
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds train_run pins are glibc's")
+def test_training_steps_reuse_heap_pages():
+    # criterion-6 shapes: 16x16 images, channels 6,12, batches of 50 and 30.
+    # Under glibc's default thresholds each step gave its few MiB of
+    # temporaries back to the OS and faulted them in again, about 130 page
+    # faults per step; with the thresholds pinned a warm run takes almost none.
+    cfg = RunConfig(seed=0, per_class=25, image_size=16, channels=(6, 12),
+                    max_epochs=10, lr=3e-3, dropout_p=0.1, batch_size=50,
+                    val_interval=10)
+    dataset = load_dataset(cfg)
+    plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
+    images, labels = dataset.stacked()
+    args = (cfg, images, labels, plan.train_indices(0), plan.folds[0], "kpff", 0)
+    train_run(*args)  # warm: the heap grows to the working set once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_run(*args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    steps = cfg.max_epochs * 2
+    assert faults < 5 * steps, f"{faults} minor page faults over {steps} training steps"

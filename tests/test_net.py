@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kpff.net import (
     ConvLayer,
@@ -107,6 +108,126 @@ def test_conv_backward_finite_difference():
             assert abs(gflat[k] - num) / max(1e-12, abs(gflat[k]) + abs(num)) < 1e-6
 
 
+# --- im2col + GEMM conv against the einsum code it replaced --------------------
+
+U = np.finfo(np.float64).eps / 2  # unit roundoff
+
+
+def gamma(n):
+    """Higham's gamma_n = n*u / (1 - n*u): any summation order of n float64
+    products is within gamma_n * sum|products| of the exact dot product."""
+    return n * U / (1 - n * U)
+
+
+def conv_ref_forward(x, kernels, bias):
+    """Pre-activation of the einsum convolution (reference)."""
+    kh, kw = kernels.shape[2:]
+    cols = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [N,C,H',W',kh,kw]
+    pre = np.einsum("nchwij,ocij->nohw", cols, kernels, optimize=True)
+    return pre + bias[None, :, None, None]
+
+
+def conv_ref_backward(x, kernels, dpre):
+    """(dkernels, dbias, dx) of the einsum convolution (reference): the
+    kernel gradient over the forward windows, and dx as the full
+    correlation of dpre with the kernels flipped in both spatial axes."""
+    kh, kw = kernels.shape[2:]
+    cols = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    dkernels = np.einsum("nchwij,nohw->ocij", cols, dpre, optimize=True)
+    pad = np.pad(dpre, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    pcols = sliding_window_view(pad, (kh, kw), axis=(2, 3))  # [N,O,H,W,kh,kw]
+    dx = np.einsum("nohwij,ocij->nchw", pcols, kernels[:, :, ::-1, ::-1], optimize=True)
+    return dkernels, dpre.sum(axis=(0, 2, 3)), dx
+
+
+def conv_oracle_transpose(dout, kernels, in_shape):
+    """dL/dx of conv_oracle: its six loops with the accumulation reversed,
+    scattering each output gradient back onto the input window it read."""
+    C, H, W = in_shape
+    O, _, kh, kw = kernels.shape
+    dx = np.zeros(in_shape)
+    for o in range(O):
+        for i in range(dout.shape[1]):
+            for j in range(dout.shape[2]):
+                for c in range(C):
+                    for u in range(kh):
+                        for v in range(kw):
+                            dx[c, i + u, j + v] += kernels[o, c, u, v] * dout[o, i, j]
+    return dx
+
+
+def batch_innermost(a):
+    """The same logical [N,C,H,W] array stored as [C,H,W,N] memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+CONV_SHAPES = [  # N, C, H, W, O, kh, kw
+    (3, 2, 6, 6, 3, 3, 3),
+    (2, 3, 7, 5, 4, 3, 1),
+    (1, 1, 9, 9, 2, 5, 3),
+    (50, 6, 7, 7, 12, 3, 3),  # the reference model's second conv
+]
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, batch_innermost])
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv_matches_einsum_reference(shape, layout):
+    N, C, H, W, O, kh, kw = shape
+    s = Stream(sum(shape))
+    x = s.uniform(size=(N, C, H, W), low=-1, high=1)
+    kernels = s.uniform(size=(O, C, kh, kw), low=-1, high=1)
+    bias = s.uniform(size=(O,), low=-1, high=1)
+    dout = s.uniform(size=(N, O, H - kh + 1, W - kw + 1), low=-1, high=1)
+    layer = ConvLayer(kernels, bias, "identity")
+    out = layer.forward_batch(layout(x))
+    dx = layer.backward_batch(layout(dout))
+
+    # Each result is a sum of L products (the bias counts as one); two
+    # summation orders differ by at most 2*gamma_L times the sum of |products|.
+    ak = np.abs(kernels)
+    ref = conv_ref_forward(x, kernels, bias)
+    tol = 2 * gamma(C * kh * kw + 1) * conv_ref_forward(np.abs(x), ak, np.abs(bias))
+    assert np.all(np.abs(out - ref) <= tol)
+    rdk, rdb, rdx = conv_ref_backward(x, kernels, dout)
+    adk, adb, adx = conv_ref_backward(np.abs(x), ak, np.abs(dout))
+    positions = N * (H - kh + 1) * (W - kw + 1)
+    assert np.all(np.abs(layer.grads["kernels"] - rdk) <= 2 * gamma(positions) * adk)
+    assert np.all(np.abs(layer.grads["bias"] - rdb) <= 2 * gamma(positions) * adb)
+    assert np.all(np.abs(dx - rdx) <= 2 * gamma(O * kh * kw) * adx)
+
+
+def test_conv_input_grad_matches_naive_loop_transpose():
+    s = Stream(17)
+    x = s.uniform(size=(2, 2, 6, 5), low=-1, high=1)
+    kernels = s.uniform(size=(3, 2, 3, 3), low=-1, high=1)
+    dout = s.uniform(size=(2, 3, 4, 3), low=-1, high=1)
+    layer = ConvLayer(kernels, np.zeros(3), "identity")
+    layer.forward_batch(x)
+    dx = layer.backward_batch(dout)
+    for n in range(2):
+        want = conv_oracle_transpose(dout[n], kernels, x.shape[1:])
+        bound = 2 * gamma(kernels[:, 0].size) * conv_oracle_transpose(
+            np.abs(dout[n]), np.abs(kernels), x.shape[1:])
+        assert np.all(np.abs(dx[n] - want) <= bound)
+
+
+def test_conv_backward_without_input_grad():
+    s = Stream(23)
+    x = s.uniform(size=(4, 1, 8, 8), low=-1, high=1)
+    layer = ConvLayer(s.uniform(size=(3, 1, 3, 3), low=-1, high=1),
+                      s.uniform(size=(3,), low=-1, high=1), "relu")
+    dout = s.uniform(size=(4, 3, 6, 6), low=-1, high=1)
+    layer.forward_batch(x)
+    assert layer.backward_batch(dout) is not None
+    full = {k: v.copy() for k, v in layer.grads.items()}
+    layer.forward_batch(x)
+    assert layer.backward_batch(dout, input_grad=False) is None
+    for k in full:
+        assert np.array_equal(layer.grads[k], full[k])
+    with pytest.raises(TypeError):  # keyword-only
+        layer.backward_batch(dout, False)
+
+
 def test_gap_examples():
     assert global_average_pool(from_array(np.full((3, 4, 4), 2.5))).tolist() == [2.5] * 3
     x = from_array([[[1.0, 2.0], [3.0, 4.0]]])
@@ -124,6 +245,62 @@ def test_maxpool_forward_backward():
     assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == 4
     dx = pool.backward_batch(np.ones((1, 1, 1, 1)))
     assert dx[0, 0, 1, 1] == 1 and dx.sum() == 1  # odd row/col dropped
+
+
+# --- mask max-pool against the argmax code it replaced -------------------------
+
+
+def pool_ref_forward(x):
+    """argmax / take_along_axis 2x2 max pool (reference): (out, window index)."""
+    N, C, H, W = x.shape
+    H2, W2 = H // 2, W // 2
+    win = x[:, :, : H2 * 2, : W2 * 2].reshape(N, C, H2, 2, W2, 2)
+    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(N, C, H2, W2, 4)
+    idx = np.argmax(win, axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def pool_ref_backward(shape, idx, dout):
+    """put_along_axis backward of pool_ref_forward (reference)."""
+    N, C, H, W = shape
+    H2, W2 = H // 2, W // 2
+    dwin = np.zeros((N, C, H2, W2, 4))
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+    dx = np.zeros((N, C, H, W))
+    dx[:, :, : H2 * 2, : W2 * 2] = (
+        dwin.reshape(N, C, H2, W2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, H2 * 2, W2 * 2)
+    )
+    return dx
+
+
+def _pool_inputs():
+    s = Stream(31)
+    relu = np.maximum(s.uniform(size=(3, 2, 8, 8), low=-1, high=0.1), 0.0)
+    blocks = s.uniform(size=(2, 3, 3, 4), low=-1, high=1)
+    return {
+        "random": s.uniform(size=(3, 2, 8, 8), low=-1, high=1),
+        "relu_zero_ties": relu,
+        "all_equal_windows": np.repeat(np.repeat(blocks, 2, axis=2), 2, axis=3),
+        "constant": np.full((2, 2, 4, 6), 0.5),
+        "odd_trailing": s.uniform(size=(2, 3, 7, 9), low=-1, high=1),
+    }
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, batch_innermost])
+@pytest.mark.parametrize("case", sorted(_pool_inputs()))
+def test_maxpool_matches_argmax_reference(case, layout):
+    x = _pool_inputs()[case]
+    pool = MaxPool2x2()
+    out = pool.forward_batch(layout(x))
+    want, idx = pool_ref_forward(x)
+    assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+    dout = Stream(37).uniform(size=want.shape, low=-1, high=1)
+    dx = pool.backward_batch(layout(dout))
+    # equal value for value; a position the max did not take holds dout*0,
+    # whose zero carries the sign of dout
+    assert np.array_equal(dx, pool_ref_backward(x.shape, idx, dout))
+    if case == "relu_zero_ties":
+        assert np.sum(want == 0.0) > want.size // 2  # the ties are exercised
 
 
 def test_softmax_uniform_logits():

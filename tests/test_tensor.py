@@ -104,7 +104,16 @@ def test_scale_distributes_over_add(a_vals, data, factor):
     a, b = from_array(a_vals), from_array(b_vals)
     lhs = scale(elementwise_add(a, b), factor).data
     rhs = elementwise_add(scale(a, factor), scale(b, factor)).data
-    assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-9)
+    # Each side is within gamma_2 = 2u/(1-2u) of factor*(a+b), relative to
+    # |factor|*(|a|+|b|), not to the result, which cancellation can make
+    # arbitrarily small (a=997969.9999999999, b=-997931.0, factor=17.0).
+    # The sides then differ by at most 2*gamma_2 < 2.5 eps of that.
+    # A multiply that underflows errs by up to half a subnormal spacing
+    # instead: three on the two sides, two more computing the bound.
+    eps = np.finfo(np.float64).eps
+    bound = abs(factor) * (np.abs(a.data) + np.abs(b.data)) * (2.5 * eps)
+    bound += 4 * np.finfo(np.float64).smallest_subnormal
+    assert np.all(np.abs(lhs - rhs) <= bound)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
