@@ -5,6 +5,7 @@ parameter: name length u32, name bytes (utf-8), rank u32, extents (u32
 each), little-endian float64 payload in row-major order.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -29,26 +30,40 @@ def save_checkpoint(path, params):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; ValueError names the path and the byte offset of a
+    bad magic, version, truncation or trailing bytes."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    version, count = struct.unpack_from("<II", buf, 4)
+    pos = 4
+
+    def take(size, what):
+        nonlocal pos
+        if pos + size > len(buf):
+            raise ValueError(f"{path}: truncated at byte {pos}: {what} needs {size} bytes, "
+                             f"{len(buf) - pos} left")
+        pos += size
+        return buf[pos - size:pos]
+
+    def u32s(count, what):
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    version, count = u32s(2, "header")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
     params = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        name = buf[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}I", buf, pos)
-        pos += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).reshape(shape).copy()
-        pos += 8 * n
-        params[name] = arr
+        (nlen,) = u32s(1, "name length")
+        at = pos
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: name at byte {at} is not utf-8: {exc}") from None
+        (rank,) = u32s(1, f"rank of {name!r}")
+        shape = u32s(rank, f"shape of {name!r}")
+        payload = take(8 * math.prod(shape), f"values of {name!r}")
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after byte {pos}")
     return params

@@ -5,6 +5,9 @@ overridable by CLI flags. Defaults follow the reference training recipe
 
 from dataclasses import dataclass, fields, replace
 import hashlib
+import math
+
+from .net import check_image_size
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,26 @@ class RunConfig:
     folds: int = 5
 
     def __post_init__(self):
+        for f in ("lr", "weight_decay", "kpff_noise"):
+            if not math.isfinite(getattr(self, f)):
+                raise ValueError(f"{f} must be finite, got {getattr(self, f)}")
         for f in ("lr", "batch_size", "max_epochs", "val_interval", "folds",
                   "image_size", "num_classes", "per_class"):
             if getattr(self, f) <= 0:
                 raise ValueError(f"{f} must be positive, got {getattr(self, f)}")
+        for f in ("weight_decay", "kpff_noise"):
+            if getattr(self, f) < 0:
+                raise ValueError(f"{f} must be non-negative, got {getattr(self, f)}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be at least 2, got {self.folds}")
+        if not self.channels or any(ch <= 0 for ch in self.channels):
+            raise ValueError(f"channels must be a non-empty list of positive counts, "
+                             f"got {self.channels}")
+        if not self.data_dir:  # image_size sizes the synthetic images only
+            try:
+                check_image_size(self.image_size, len(self.channels))
+            except ValueError as exc:
+                raise ValueError(f"image_size: {exc} (channels {self.channels})") from None
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0,1), got {self.dropout_p}")
         if self.fusion not in ("none", "add", "concat", "kpff"):

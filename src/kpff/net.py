@@ -52,11 +52,10 @@ class ConvLayer:
     kernels: [out_channels, in_channels, 2*delta+1, 2*gamma+1]
 
     Computed as im2col + one GEMM. The column matrix is laid out
-    [C*kh*kw, H'*W'*N], batch innermost, so that every im2col copy and
-    col2im add runs over W'*N contiguous elements. Outputs and input
-    gradients are [N, C, H, W] views of [C, H, W, N] memory; elementwise
-    ops downstream keep that layout, so the backward pass reads it back
-    without a copy.
+    [C*kh*kw, H'*W'*N], batch innermost, so that every im2col copy runs
+    over W'*N contiguous elements. Outputs and input gradients are
+    [N, C, H, W] views of [C, H, W, N] memory; elementwise ops downstream
+    keep that layout, so the backward pass reads it back without a copy.
     """
 
     def __init__(self, kernels, bias, activation="relu"):
@@ -98,7 +97,10 @@ class ConvLayer:
         pre += self.bias[:, None]
         pre = pre.reshape(O, Ho, Wo, N).transpose(3, 0, 1, 2)
         out = _act_forward(self.activation, pre)
-        self._cache = (x.shape, cols, pre, out)
+        # backward reads pre and out only for the activation's derivative;
+        # the identity needs neither, so they are not kept alive for it
+        kept = (None, None) if self.activation == "identity" else (pre, out)
+        self._cache = (x.shape, cols) + kept
         return out
 
     def backward_batch(self, dout, *, input_grad=True):
@@ -113,13 +115,20 @@ class ConvLayer:
         self.grads["bias"] = dpre.sum(axis=1)
         if not input_grad:
             return None
-        # col2im: scatter-add each kernel tap's columns back onto the input
-        Ho, Wo = pre.shape[2:]
-        dcols = (self.kernels.reshape(O, -1).T @ dpre).reshape(C, kh, kw, Ho, Wo, N)
+        # col2im: scatter-add each kernel tap's columns back onto the input.
+        # The GEMM runs tap-major, so each tap's block is contiguous; numpy
+        # adds into a strided window several times slower than it copies
+        # one, so each window is copied out, added to, and copied back.
+        Ho, Wo = dout.shape[2:]
+        taps = self.kernels.transpose(2, 3, 1, 0).reshape(kh * kw * C, O)
+        dcols = (taps @ dpre).reshape(kh, kw, C, Ho, Wo, N)
         dx = np.zeros((C, H, W, N))
         for i in range(kh):
             for j in range(kw):
-                dx[:, i:i + Ho, j:j + Wo] += dcols[:, i, j]
+                window = dx[:, i:i + Ho, j:j + Wo]
+                acc = dcols[i, j]
+                acc += window.copy()
+                window[...] = acc
         return dx.transpose(3, 0, 1, 2)
 
 
@@ -155,39 +164,59 @@ class DenseLayer:
 
 class MaxPool2x2:
     """2x2 max pooling, stride 2; odd trailing rows/columns are dropped.
-    Ties take the first window position (row-major), deterministically."""
+    Ties take the first window position (row-major), deterministically.
+
+    The forward pass copies the four window positions out into one
+    contiguous [4, C, H/2, W/2, N] array, batch innermost, and the backward
+    pass copies the gradient back in one go: numpy runs elementwise ops on
+    strided views several times slower than it copies them, so every op in
+    between runs on contiguous memory. The output is an [N, C, H/2, W/2]
+    view of [C, H/2, W/2, N] memory, like the conv outputs.
+    """
 
     def __init__(self):
         self._cache = None
 
     @staticmethod
-    def _windows(x):
-        """The four strided views of the 2x2 windows, in row-major order."""
-        H2, W2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
-        return [x[:, :, i:H2:2, j:W2:2] for i in (0, 1) for j in (0, 1)]
+    def _split_windows(t):
+        """[C, H, W, N] -> the [C, H/2, 2, W/2, 2, N] view of its 2x2 windows."""
+        C, H, W, N = t.shape
+        return t[:, :H // 2 * 2, :W // 2 * 2].reshape(C, H // 2, 2, W // 2, 2, N)
+
+    @staticmethod
+    def _tie_masks(win, out):
+        """One mask per window position; the first position equal to the max wins."""
+        first = win[0] == out
+        second = (win[1] == out) & ~first
+        taken = first | second
+        third = (win[2] == out) & ~taken
+        return first, second, third, ~(taken | third)
 
     def forward_batch(self, x):
         if x.shape[2] < 2 or x.shape[3] < 2:  # too small to pool: pass through
-            self._cache = (x, None)
+            self._cache = (x.shape, None, None)
             return x
-        a, b, c, d = self._windows(x)
-        out = np.maximum(np.maximum(a, b), np.maximum(c, d))
-        # one mask per position; the first position equal to the max wins
-        first = a == out
-        second = (b == out) & ~first
-        taken = first | second
-        third = (c == out) & ~taken
-        self._cache = (x, (first, second, third, ~(taken | third)))
-        return out
+        N, C, H, W = x.shape
+        win = self._split_windows(x.transpose(1, 2, 3, 0)).transpose(2, 4, 0, 1, 3, 5)
+        win = win.copy().reshape(4, C, H // 2, W // 2, N)  # a copy even where x is laid out so
+        out = np.maximum(np.maximum(win[0], win[1]), np.maximum(win[2], win[3]))
+        self._cache = (x.shape, win, out)  # the masks are built by backward_batch, if it runs
+        return out.transpose(3, 0, 1, 2)
 
     def backward_batch(self, dout):
-        x, masks = self._cache
-        if masks is None:
+        """dL/dx. Consumes the forward pass's cache: the window copy is
+        overwritten with the gradient, so a second call needs a new forward."""
+        (N, C, H, W), win, out = self._cache
+        if win is None:
             return dout
-        dx = np.zeros_like(x)  # in x's memory layout, which the conv below reads
-        for view, mask in zip(self._windows(dx), masks):
-            np.multiply(dout, mask, out=view)
-        return dx
+        self._cache = None
+        masks = self._tie_masks(win, out)  # all four, before win is overwritten
+        for k, mask in enumerate(masks):
+            np.multiply(dout.transpose(1, 2, 3, 0), mask, out=win[k])
+        # odd trailing rows/columns get no gradient; every other value is written
+        dx = (np.zeros if H % 2 or W % 2 else np.empty)((C, H, W, N))
+        self._split_windows(dx)[...] = win.reshape(2, 2, C, H // 2, W // 2, N).transpose(2, 3, 0, 4, 1, 5)
+        return dx.transpose(3, 0, 1, 2)
 
 
 def gap_batch(x):  # [N,C,H,W] -> [N,C]
@@ -195,8 +224,11 @@ def gap_batch(x):  # [N,C,H,W] -> [N,C]
 
 
 def gap_backward_batch(dout, spatial_shape):
+    """dL/dx of gap_batch: a read-only broadcast view, [N,C,H,W] over
+    batch-innermost [C,H,W,N] memory like the conv outputs it joins."""
     H, W = spatial_shape
-    return np.repeat(np.repeat(dout[:, :, None, None], H, axis=2), W, axis=3) / (H * W)
+    per_position = np.divide(dout.T, H * W, order="C")[:, None, None, :]  # [C,1,1,N]
+    return np.broadcast_to(per_position, (dout.shape[1], H, W, dout.shape[0])).transpose(3, 0, 1, 2)
 
 
 def dropout_batch(x, p, train, rng_stream):
@@ -259,7 +291,13 @@ def dropout(x: Tensor, p: float, mode: str, rng_stream) -> Tensor:
 
 
 class OptimizerState:
-    """SGD or Adam with coupled weight decay (decay added to the gradient)."""
+    """SGD or Adam with coupled weight decay (decay added to the gradient).
+
+    One step gathers the trainable gradients into one flat vector, runs the
+    update there, and subtracts each parameter's slice in place. The update
+    is elementwise, so every value is the per-array formula's bit for bit.
+    Adam's moments are flat too; self.m / self.v map each name to its view.
+    """
 
     def __init__(self, method="adam", lr=1e-4, weight_decay=0.0,
                  beta1=0.9, beta2=0.999, eps=1e-8):
@@ -271,34 +309,61 @@ class OptimizerState:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {}
         self.v = {}
+        self._flat_m = self._flat_v = None
+        self._layout = None  # ((name, shape), ...) of the flat moments
         self.step_count = 0
+
+    def _moments(self, params, names):
+        """The flat moment vectors laid out by names. A new layout keeps the
+        moments each name already has; new names start at zero."""
+        layout = tuple((name, params[name].shape) for name in names)
+        if layout != self._layout:
+            total = sum(params[name].size for name in names)
+            self._flat_m, self._flat_v = np.zeros(total), np.zeros(total)
+            for flat, moments in ((self._flat_m, self.m), (self._flat_v, self.v)):
+                start = 0
+                for name, shape in layout:
+                    view = flat[start:start + params[name].size].reshape(shape)
+                    if name in moments:
+                        view[...] = moments[name]
+                    moments[name] = view
+                    start += view.size
+            self._layout = layout
+        return self._flat_m, self._flat_v
 
     def apply(self, params, grads, frozen=()):
         """Update the parameter arrays in place. params/grads: name -> array."""
         self.step_count += 1
         t = self.step_count
-        for name, theta in params.items():
-            if name in frozen:
-                continue
-            g = grads[name]
-            if g.shape != theta.shape:
-                raise ShapeError(f"grad shape {g.shape} != param shape {theta.shape} for {name}")
-            if self.weight_decay != 0.0:
-                g = g + self.weight_decay * theta
-            if self.method == "sgd":
-                theta -= self.lr * g
-                continue
-            if name not in self.m:
-                self.m[name] = np.zeros_like(theta)
-                self.v[name] = np.zeros_like(theta)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+        names = [name for name in params if name not in frozen]
+        for name in names:
+            if grads[name].shape != params[name].shape:
+                raise ShapeError(f"grad shape {grads[name].shape} != param shape "
+                                 f"{params[name].shape} for {name}")
+        if not names:
+            return
+        g = np.concatenate([grads[name].ravel() for name in names])
+        if self.weight_decay != 0.0:
+            g += self.weight_decay * np.concatenate([params[name].ravel() for name in names])
+        if self.method == "sgd":
+            step = self.lr * g
+        else:
+            m, v = self._moments(params, names)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
             if injected_bug() == "adam-bias":
-                m_hat, v_hat = self.m[name], self.v[name]
+                m_hat, v_hat = m, v
             else:
-                m_hat = self.m[name] / (1 - self.beta1 ** t)
-                v_hat = self.v[name] / (1 - self.beta2 ** t)
-            theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                m_hat = m / (1 - self.beta1 ** t)
+                v_hat = v / (1 - self.beta2 ** t)
+            step = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        start = 0
+        for name in names:
+            theta = params[name]
+            theta -= step[start:start + theta.size].reshape(theta.shape)
+            start += theta.size
 
 
 def optimizer_step(state: OptimizerState, params: Tensor, grads: Tensor) -> Tensor:
@@ -316,10 +381,51 @@ def optimizer_step(state: OptimizerState, params: Tensor, grads: Tensor) -> Tens
 FUSION_METHODS = ("none", "add", "concat", "kpff")
 
 
+def check_image_size(image_size, n_blocks):
+    """Raise ShapeError unless every conv of an n_blocks Model has an output
+    on image_size x image_size inputs (3x3 valid conv, then 2x2 pool; a
+    side of 1 passes through the pool)."""
+    size = image_size
+    for _ in range(n_blocks):
+        size -= 2
+        if size < 1:
+            raise ShapeError(f"image size {image_size} too small for {n_blocks} blocks")
+        size = max(size // 2, 1)
+
+
+def _pool_crop(conv, x):
+    """x cut to the rows and columns whose conv outputs the 2x2 pool reads:
+    an odd last output row or column is never computed. An output too small
+    to pool passes through the pool whole, so it is left whole."""
+    kh, kw = conv.kernels.shape[2:]
+    Ho, Wo = x.shape[2] - kh + 1, x.shape[3] - kw + 1
+    if Ho < 2 or Wo < 2:
+        return x
+    return x[:, :, :Ho // 2 * 2 + kh - 1, :Wo // 2 * 2 + kw - 1]
+
+
+def _block_output_grad(dx, shape, dgap):
+    """dL/d(block output): the next conv's input gradient dx, zero on the
+    rows and columns _pool_crop cut away, plus the GAP tap's gradient (or
+    None)."""
+    if dx.shape != shape:
+        full = np.zeros(shape[1:] + shape[:1]).transpose(3, 0, 1, 2)  # dx's layout
+        full[:, :, :dx.shape[2], :dx.shape[3]] = dx
+        dx = full
+    if dgap is not None:
+        dx += dgap  # in place: keeps the conv gradient's memory layout
+    return dx
+
+
 class Model:
-    """Small CNN: per block (conv 3x3 valid + 2x2 maxpool), a global-average
-    -pooled tap after each block, projections to a common width, the fusion
-    stage, dropout, and a dense classifier head."""
+    """Small CNN: per block (conv 3x3 valid, 2x2 maxpool, activation), a
+    global-average-pooled tap after each block, projections to a common
+    width, the fusion stage, dropout, and a dense classifier head.
+
+    The activation runs after the pool, on a quarter of the values. Every
+    activation here is monotone non-decreasing, so max(f(a), f(b)) =
+    f(max(a, b)) and the outputs are those of conv -> activation -> pool;
+    docs/gradients.md gives the one case where gradients can differ."""
 
     def __init__(self, seed, in_channels=1, image_size=16, channels=(6, 12),
                  activation="relu", fusion="kpff", num_classes=4,
@@ -335,23 +441,19 @@ class Model:
             bound = 1.0 / np.sqrt(fan_in)
             return s.uniform(size=shape, low=-bound, high=bound)
 
+        check_image_size(image_size, len(channels))
         self.convs = []
         self.pools = []
-        size = image_size
         prev = in_channels
         for b, ch in enumerate(channels):
             fan_in = prev * 9
             conv = ConvLayer(
                 init(f"conv{b}.kernels", (ch, prev, 3, 3), fan_in),
                 init(f"conv{b}.bias", (ch,), fan_in),
-                activation,
+                "identity",  # the activation follows the pool
             )
             self.convs.append(conv)
             self.pools.append(MaxPool2x2())
-            size = size - 2
-            if size < 1:
-                raise ShapeError(f"image size {image_size} too small for {len(channels)} blocks")
-            size = max(size // 2, 1)
             prev = ch
 
         n_taps = len(channels)
@@ -388,7 +490,8 @@ class Model:
             init("head.bias", (num_classes,), head_in),
             "identity",
         )
-        self._cache = None
+        self._blocks = None
+        self._dropout_mask = None
 
     # --- parameter registry ------------------------------------------------
 
@@ -460,19 +563,36 @@ class Model:
                 dprojected.append(dp)
         return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
 
-    def forward_batch(self, x, train=False, dropout_stream=None):
+    def _blocks_forward(self, x):
+        """The conv blocks; returns the GAP tap of each."""
         taps = []
-        spatial = []
+        self._blocks = []  # (pooled, activated) per block
         h = x
         for conv, pool in zip(self.convs, self.pools):
-            h = conv.forward_batch(h)
-            h = pool.forward_batch(h)
-            spatial.append(h.shape[2:])
+            pooled = pool.forward_batch(conv.forward_batch(_pool_crop(conv, h)))
+            h = _act_forward(self.activation, pooled)
+            self._blocks.append((pooled, h))
             taps.append(gap_batch(h))
-        fused = self._fuse(taps)
+        return taps
+
+    def _blocks_backward(self, dtaps):
+        """Conv gradients from the taps' gradients (None for a tap nothing read)."""
+        dx = None  # gradient with respect to the input of block b + 1
+        for b in range(len(self.convs) - 1, -1, -1):
+            pooled, h = self._blocks[b]
+            dh = gap_backward_batch(dtaps[b], h.shape[2:]) if dtaps[b] is not None else None
+            if dx is not None:
+                dh = _block_output_grad(dx, h.shape, dh)
+            dh = _act_backward(self.activation, pooled, h, dh)
+            dh = self.pools[b].backward_batch(dh)
+            # nothing reads the gradient with respect to the image
+            dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
+
+    def forward_batch(self, x, train=False, dropout_stream=None):
+        fused = self._fuse(self._blocks_forward(x))
         dropped, mask = dropout_batch(fused, self.dropout_p, train, dropout_stream)
         logits = self.head.forward_batch(dropped)
-        self._cache = (spatial, mask)
+        self._dropout_mask = mask
         return logits
 
     def forward_backward(self, x, labels, train=True, dropout_stream=None):
@@ -487,24 +607,12 @@ class Model:
         acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
         dlogits /= x.shape[0]
 
-        spatial, mask = self._cache
         if self.fusion == "kpff":
             self.grad_fusion_ws[:] = 0.0
         dfused = self.head.backward_batch(dlogits)
-        if mask is not None:
-            dfused = dfused * mask
-        dtaps = self._fuse_backward(dfused)
-
-        dh = None
-        for b in range(len(self.convs) - 1, -1, -1):
-            dpool = gap_backward_batch(dtaps[b], spatial[b]) if dtaps[b] is not None else 0.0
-            if dh is None:
-                dh = dpool
-            else:
-                dh += dpool  # in place: keeps the conv gradient's memory layout
-            dh = self.pools[b].backward_batch(dh)
-            # nothing reads the gradient with respect to the image
-            dh = self.convs[b].backward_batch(dh, input_grad=b > 0)
+        if self._dropout_mask is not None:
+            dfused = dfused * self._dropout_mask
+        self._blocks_backward(self._fuse_backward(dfused))
 
         grads = {}
         for b, conv in enumerate(self.convs):

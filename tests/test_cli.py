@@ -216,3 +216,30 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
+    return path, path.read_bytes()
+
+
+def test_checkpoint_truncated_names_path_and_offset(tmp_path):
+    path, data = _checkpoint_bytes(tmp_path)
+    # header, first name length, name, rank, shape, payload, second record
+    for cut in (6, 12, 14, 17, 21, 30, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=r"truncated at byte \d+") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+    # 12 header bytes; "w": name length 4, name 1, rank 4, shape 8, then its values
+    path.write_bytes(data[:33])
+    with pytest.raises(ValueError, match=r"truncated at byte 29: values of 'w' needs 48 bytes, 4 left"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, data = _checkpoint_bytes(tmp_path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match=f"1 trailing bytes after byte {len(data)}"):
+        load_checkpoint(path)

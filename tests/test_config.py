@@ -22,7 +22,7 @@ def test_defaults_match_recipe():
 
 
 def test_roundtrip_identity():
-    cfg = RunConfig(seed=7, fusion="add", lr=0.003, channels=(4, 8, 16),
+    cfg = RunConfig(seed=7, fusion="add", lr=0.003, channels=(4, 8, 16), image_size=32,
                     freeze_fusion=True, kpff_noise=0.01)
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg
@@ -73,3 +73,46 @@ def test_load_config_file(tmp_path):
 
 def test_hash_changes_with_config():
     assert config_hash(RunConfig(seed=1)) != config_hash(RunConfig(seed=2))
+
+
+@pytest.mark.parametrize("field", ["lr", "weight_decay", "kpff_noise"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validation_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["weight_decay", "kpff_noise"])
+def test_validation_rejects_negative_decay_and_noise(field):
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+        RunConfig(**{field: -1e-4})
+    RunConfig(**{field: 0.0})
+
+
+def test_validation_rejects_one_fold():
+    with pytest.raises(ValueError, match="^folds must be at least 2"):
+        RunConfig(folds=1)
+    RunConfig(folds=2)
+
+
+@pytest.mark.parametrize("channels", [(), (6, 0), (-3,)])
+def test_validation_rejects_bad_channels(channels):
+    with pytest.raises(ValueError, match="^channels must be"):
+        RunConfig(channels=channels)
+
+
+def test_validation_rejects_image_too_small_for_channels():
+    # 16 -> 14 -> 7 -> 5 -> 2 -> 0: a third 3x3 conv has no output
+    RunConfig(image_size=16, channels=(2, 2))
+    with pytest.raises(ValueError, match="^image_size"):
+        RunConfig(image_size=16, channels=(2, 2, 2))
+    RunConfig(image_size=3, channels=(6,))
+    with pytest.raises(ValueError, match="^image_size"):
+        RunConfig(image_size=2, channels=(6,))
+    # image_size sizes the synthetic data only; a data directory sets its own
+    RunConfig(image_size=16, channels=(2, 2, 2), data_dir="images")
+
+
+def test_validation_through_config_text():
+    with pytest.raises(ValueError, match="^lr must be finite"):
+        parse_config_text("lr = nan")

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from kpff import hooks
 from kpff.net import (
     ConvLayer,
     DenseLayer,
     MaxPool2x2,
     Model,
     OptimizerState,
+    _act_backward,
+    _act_forward,
+    _block_output_grad,
+    _pool_crop,
     conv_forward,
     dropout,
     dropout_batch,
+    gap_backward_batch,
     gap_batch,
     global_average_pool,
     optimizer_step,
@@ -463,3 +469,350 @@ def test_model_loss_helper_consistent():
     x, labels = _toy_batch(seed=2, size=10)
     loss, _, _ = model.forward_backward(x, labels, train=False)
     assert model_loss(model, x, labels) == pytest.approx(loss, rel=1e-15)
+
+
+# --- conv -> pool -> activation against conv -> activation -> pool -------------
+
+class ConvActPoolModel(Model):
+    """Model with its blocks in the earlier order (reference): each conv
+    applies the activation to its whole output, then the pool runs. With
+    crop=True every conv reads only what the pool reads, as Model's do;
+    with crop=False it reads its whole input."""
+
+    def __init__(self, *args, crop=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.crop = crop
+        for conv in self.convs:
+            conv.activation = self.activation
+
+    def _blocks_forward(self, x):
+        taps, self._shapes = [], []
+        h = x
+        for conv, pool in zip(self.convs, self.pools):
+            h = pool.forward_batch(conv.forward_batch(_pool_crop(conv, h) if self.crop else h))
+            self._shapes.append(h.shape)
+            taps.append(gap_batch(h))
+        return taps
+
+    def _blocks_backward(self, dtaps):
+        dx = None
+        for b in range(len(self.convs) - 1, -1, -1):
+            dh = gap_backward_batch(dtaps[b], self._shapes[b][2:]) if dtaps[b] is not None else None
+            if dx is not None:
+                dh = _block_output_grad(dx, self._shapes[b], dh)
+            dh = self.pools[b].backward_batch(dh)
+            dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
+
+
+def _run_both(kwargs, x, labels, crop, tweak=None):
+    out = []
+    for cls, extra in ((Model, {}), (ConvActPoolModel, {"crop": crop})):
+        model = cls(**kwargs, **extra)
+        if tweak is not None:
+            tweak(model)
+        loss, _, grads = model.forward_backward(x, labels, train=False)
+        out.append((loss, grads))
+    return out
+
+
+def _assert_same_bits(a, b):
+    (loss_a, grads_a), (loss_b, grads_b) = a, b
+    assert loss_a == loss_b
+    assert grads_a.keys() == grads_b.keys()
+    for name in grads_a:
+        assert np.ascontiguousarray(grads_a[name]).tobytes() == \
+            np.ascontiguousarray(grads_b[name]).tobytes(), name
+
+
+def _special_windows(model):
+    """Conv channel 0 all negative and tied, channel 1 exactly zero, the
+    rest random kernels over a piecewise-constant image (ties of any sign)."""
+    k0 = model.convs[0]
+    k0.kernels[0] = 0.0
+    k0.bias[0] = -0.5
+    k0.kernels[1] = 0.0
+    k0.bias[1] = 0.0
+    k1 = model.convs[1]
+    k1.kernels[0] = 0.0
+    k1.bias[0] = -0.25
+
+
+def _blocky_images(n, size, seed):
+    cells = Stream(seed).uniform(size=(n, 1, size // 2, size // 2), low=-1, high=1)
+    return np.round(np.repeat(np.repeat(cells, 2, axis=2), 2, axis=3), 1)
+
+
+# image sizes: 14 crops nothing (12 -> 6 -> 4 -> 2); 16 and 20 give the
+# second conv a 5x5 and a 7x7 output; 8 leaves it 1x1, which passes through
+@pytest.mark.parametrize("image_size", [14, 16, 20, 8])
+@pytest.mark.parametrize("activation", ["identity", "relu", "leaky_relu"])
+@pytest.mark.parametrize("special", [False, True])
+def test_pool_then_activation_matches_reference_bit_for_bit(activation, image_size, special):
+    kwargs = dict(seed=4, image_size=image_size, channels=(3, 4), activation=activation,
+                  fusion="kpff", num_classes=3, dropout_p=0.0, kpff_noise=0.1)
+    if special:
+        x = _blocky_images(6, image_size, seed=image_size)
+    else:
+        x = Stream(image_size).uniform(size=(6, 1, image_size, image_size), low=-1, high=1)
+    labels = np.arange(6) % 3
+    tweak = _special_windows if special else None
+    new, ref = _run_both(kwargs, x, labels, crop=True, tweak=tweak)
+    _assert_same_bits(new, ref)
+    if image_size in (14, 8):  # nothing to crop: the earlier model exactly
+        _, ref_whole = _run_both(kwargs, x, labels, crop=False, tweak=tweak)
+        _assert_same_bits(new, ref_whole)
+
+
+def _block_both(activation, pre, dout):
+    """(new, reference) (output, dL/dpre) of one block after its conv:
+    pool -> activation against activation -> pool."""
+    pool = MaxPool2x2()
+    pooled = pool.forward_batch(pre)
+    out = _act_forward(activation, pooled)
+    dpre = pool.backward_batch(_act_backward(activation, pooled, out, dout))
+    ref_pool = MaxPool2x2()
+    act = _act_forward(activation, pre)
+    ref_out = ref_pool.forward_batch(act)
+    ref_dpre = _act_backward(activation, pre, act, ref_pool.backward_batch(dout))
+    return (out, dpre), (ref_out, ref_dpre)
+
+
+def _first_max(values):
+    """Per 2x2 window, the row-major index of the first maximal position."""
+    N, C, H, W = values.shape
+    win = values.reshape(N, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return np.argmax(win.reshape(N, C, H // 2, W // 2, 4), axis=-1)
+
+
+def test_sigmoid_gradients_differ_only_on_rounded_ties():
+    # The outputs always agree: the rounded sigmoid is monotone, so the max
+    # of the activations is the activation of the max. The gradient reaches
+    # the first position holding the max of the pre-activations here, and
+    # the first position holding the max of the activations in the
+    # reference. Those differ exactly where two different pre-activations
+    # round to the same sigmoid value, the max, and the smaller comes first.
+    s = Stream(41)
+    pre = s.uniform(size=(3, 2, 8, 8), low=-4, high=4)
+    pre[0, 0, 0, :2] = [0.1, np.nextafter(0.1, 1.0)]  # sigmoid rounds both to one value
+    pre[0, 0, 1, :2] = -50.0
+    pre[1, 1, 2:4, 2:4] = [[37.0, 38.0], [39.0, 40.0]]  # all round to 1.0
+    pre[2, 0, 4:6, 4:6] = [[0.5, 0.5], [-1.0, 0.5]]  # an exact tie: no difference
+    dout = s.uniform(size=(3, 2, 4, 4), low=-1, high=1)
+    (out, dpre), (ref_out, ref_dpre) = _block_both("sigmoid", pre, dout)
+    assert out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
+
+    sig = _act_forward("sigmoid", pre)
+    moved = _first_max(pre) != _first_max(sig)
+    assert moved.sum() == 2 and moved[0, 0, 0, 0] and moved[1, 1, 1, 1]
+    same = np.repeat(np.repeat(~moved, 2, axis=2), 2, axis=3)
+    assert np.array_equal(dpre[same], ref_dpre[same])
+    assert not np.array_equal(dpre[~same], ref_dpre[~same])
+    # in a moved window the same gradient value lands on another position
+    assert dpre[0, 0, 0, 1] == ref_dpre[0, 0, 0, 0] != 0.0
+    assert dpre[0, 0, 0, 0] == ref_dpre[0, 0, 0, 1] == 0.0
+
+
+def test_leaky_relu_rounded_ties_follow_the_same_rule():
+    # Where 0.01 * x has a coarser spacing than x (x in [-2, -1.5625),
+    # 0.01 * x in [-0.02, -2**-6)), 0.01 * x can round two adjacent doubles
+    # to one value; such a pair in one window moves the gradient as for the
+    # sigmoid. Random inputs essentially never hold one.
+    a = float.fromhex("-0x1.bfffffffffffep+0")  # -1.7499999999999996
+    b = np.nextafter(a, 0.0)
+    assert 0.01 * a == 0.01 * b
+    pre = np.full((1, 1, 2, 2), -3.0)
+    pre[0, 0, 0] = [a, b]
+    dout = np.array([[[[0.75]]]])
+    (out, dpre), (ref_out, ref_dpre) = _block_both("leaky_relu", pre, dout)
+    assert out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
+    assert dpre[0, 0, 0, 1] == ref_dpre[0, 0, 0, 0] == 0.0075
+    assert dpre[0, 0, 0, 0] == ref_dpre[0, 0, 0, 1] == 0.0
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu", "leaky_relu", "sigmoid"])
+def test_block_order_agrees_without_rounded_ties(activation):
+    s = Stream(43)
+    pre = s.uniform(size=(4, 3, 6, 8), low=-2, high=2)
+    pre[:, 0] = np.round(pre[:, 0])  # exact ties, zeros and all-negative windows
+    pre[:, 1] = -np.abs(pre[:, 1])
+    pre[:, 2, :2] = 0.0
+    dout = s.uniform(size=(4, 3, 3, 4), low=-1, high=1)
+    (out, dpre), (ref_out, ref_dpre) = _block_both(activation, pre, dout)
+    assert np.array_equal(_first_max(pre), _first_max(_act_forward(activation, pre))) \
+        or activation == "relu"  # ReLU ties at zero: both routes send a zero
+    assert out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
+    assert np.ascontiguousarray(dpre).tobytes() == np.ascontiguousarray(ref_dpre).tobytes()
+
+
+# --- the crop ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size,cropped", [
+    ((7, 7), (6, 6)),  # 5x5 output -> 4x4
+    ((9, 9), (8, 8)),  # 7x7 output -> 6x6
+    ((8, 9), (8, 8)),  # 6x7 output -> 6x6
+    ((6, 6), (6, 6)),  # even output: nothing to cut
+    ((3, 3), (3, 3)),  # 1x1 output passes through the pool whole
+    ((3, 9), (3, 9)),  # 1x7 output too
+])
+def test_pool_crop_shapes(size, cropped):
+    conv = ConvLayer(np.zeros((2, 3, 3, 3)), np.zeros(2), "identity")
+    x = np.zeros((2, 3) + size)
+    got = _pool_crop(conv, x)
+    assert got.shape == (2, 3) + cropped
+    assert np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("H,W", [(7, 7), (9, 9), (8, 9)])
+def test_crop_matches_whole_conv_on_what_the_pool_reads(H, W):
+    s = Stream(H * W)
+    N, C, O = 5, 3, 4
+    x = batch_innermost(s.uniform(size=(N, C, H, W), low=-1, high=1))
+    kernels = s.uniform(size=(O, C, 3, 3), low=-1, high=1)
+    bias = s.uniform(size=(O,), low=-1, high=1)
+    whole, cut = ConvLayer(kernels, bias, "identity"), ConvLayer(kernels, bias, "identity")
+    full_out = whole.forward_batch(x)
+    out = cut.forward_batch(_pool_crop(cut, x))
+    Ho, Wo = out.shape[2:]
+    assert (Ho, Wo) == ((H - 2) // 2 * 2, (W - 2) // 2 * 2)
+    tol = 2 * gamma(C * 9 + 1) * conv_ref_forward(np.abs(x), np.abs(kernels), np.abs(bias))
+    assert np.all(np.abs(out - full_out[:, :, :Ho, :Wo]) <= tol[:, :, :Ho, :Wo])
+    # the pool never reads what the crop cuts away
+    assert np.array_equal(MaxPool2x2().forward_batch(full_out),
+                          MaxPool2x2().forward_batch(full_out[:, :, :Ho, :Wo]))
+
+    # backward: the whole conv sees zero on the outputs the pool drops
+    dout = s.uniform(size=out.shape, low=-1, high=1)
+    full_dout = np.zeros(full_out.shape)
+    full_dout[:, :, :Ho, :Wo] = dout
+    full_dx = whole.backward_batch(full_dout)
+    dx = _block_output_grad(cut.backward_batch(dout), x.shape, None)
+    assert dx.shape == x.shape
+    assert np.all(dx[:, :, Ho + 2:] == 0.0) and np.all(dx[:, :, :, Wo + 2:] == 0.0)
+    adx = conv_ref_backward(np.abs(x), np.abs(kernels), np.abs(full_dout))[2]
+    assert np.all(np.abs(dx - full_dx) <= 2 * gamma(O * 9) * adx)
+    positions = N * Ho * Wo
+    adk = conv_ref_backward(np.abs(x), np.abs(kernels), np.abs(full_dout))[0]
+    assert np.all(np.abs(cut.grads["kernels"] - whole.grads["kernels"]) <= 2 * gamma(positions) * adk)
+    assert np.all(np.abs(cut.grads["bias"] - whole.grads["bias"])
+                  <= 2 * gamma(positions) * np.abs(dout).sum(axis=(0, 2, 3)))
+
+
+def test_block_output_grad_adds_the_gap_gradient():
+    s = Stream(47)
+    shape = (3, 2, 5, 5)
+    dgap = gap_backward_batch(s.uniform(size=(3, 2), low=-1, high=1), (5, 5))
+    dx = batch_innermost(s.uniform(size=(3, 2, 4, 4), low=-1, high=1))
+    got = _block_output_grad(dx, shape, dgap)
+    want = np.array(dgap)
+    want[:, :, :4, :4] += dx
+    assert np.array_equal(got, want)
+    assert got.transpose(1, 2, 3, 0).flags.c_contiguous  # batch-innermost memory
+    same = batch_innermost(s.uniform(size=shape, low=-1, high=1))
+    assert _block_output_grad(same, shape, None) is same
+
+
+def test_gap_backward_is_a_batch_innermost_broadcast():
+    s = Stream(53)
+    dout = s.uniform(size=(4, 3), low=-1, high=1)
+    got = gap_backward_batch(dout, (5, 3))
+    want = np.repeat(np.repeat(dout[:, :, None, None], 5, axis=2), 3, axis=3) / 15
+    assert np.array_equal(got, want)
+    assert got.strides[0] == 8 and got.strides[2:] == (0, 0)
+    assert not got.flags.writeable
+
+
+# --- forward-only calls build no pool masks ----------------------------------------
+
+
+def test_forward_only_calls_build_no_pool_masks(monkeypatch):
+    calls = []
+    tie_masks = MaxPool2x2._tie_masks
+
+    def counted(win, out):
+        calls.append(out.shape)
+        return tie_masks(win, out)
+
+    monkeypatch.setattr(MaxPool2x2, "_tie_masks", staticmethod(counted))
+    model = Model(seed=2, image_size=12, channels=(3, 4), fusion="concat",
+                  num_classes=3, dropout_p=0.0)
+    x, labels = _toy_batch(seed=2, size=12)
+    model.evaluate(x, labels)
+    model_loss(model, x, labels)
+    assert calls == []
+    model.forward_backward(x, labels, train=False)
+    assert len(calls) == 2  # one per block, in backward
+
+
+# --- the flat optimizer against the per-array formula --------------------------------
+
+
+def per_array_apply(opt, params, grads, frozen=()):
+    """OptimizerState.apply as one update per array (reference)."""
+    opt.step_count += 1
+    t = opt.step_count
+    for name, theta in params.items():
+        if name in frozen:
+            continue
+        g = grads[name]
+        if opt.weight_decay != 0.0:
+            g = g + opt.weight_decay * theta
+        if opt.method == "sgd":
+            theta -= opt.lr * g
+            continue
+        if name not in opt.m:
+            opt.m[name] = np.zeros_like(theta)
+            opt.v[name] = np.zeros_like(theta)
+        opt.m[name] = opt.beta1 * opt.m[name] + (1 - opt.beta1) * g
+        opt.v[name] = opt.beta2 * opt.v[name] + (1 - opt.beta2) * g * g
+        if hooks.injected_bug() == "adam-bias":
+            m_hat, v_hat = opt.m[name], opt.v[name]
+        else:
+            m_hat = opt.m[name] / (1 - opt.beta1 ** t)
+            v_hat = opt.v[name] / (1 - opt.beta2 ** t)
+        theta -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+@pytest.mark.parametrize("method,weight_decay,frozen,bug", [
+    ("adam", 5e-4, (), None),
+    ("adam", 0.0, (), None),
+    ("adam", 5e-4, ("b",), None),
+    ("adam", 5e-4, (), "adam-bias"),
+    ("sgd", 5e-4, (), None),
+    ("sgd", 0.0, ("a", "c"), None),
+])
+def test_flat_optimizer_matches_per_array_formula(method, weight_decay, frozen, bug, monkeypatch):
+    monkeypatch.setattr(hooks, "_injected", bug)
+    s = Stream(59)
+    shapes = {"a": (3, 2, 3, 3), "b": (3,), "c": (4, 5), "d": (1,)}
+    start = {k: s.uniform(size=shp, low=-1, high=1) for k, shp in shapes.items()}
+    flat_params = {k: v.copy() for k, v in start.items()}
+    ref_params = {k: v.copy() for k, v in start.items()}
+    flat_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
+    ref_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
+    for step in range(60):
+        grads = {k: s.uniform(size=shp, low=-1, high=1) * 10.0 ** (step % 5 - 2)
+                 for k, shp in shapes.items()}
+        grads["d"][:] = 0.0  # a gradient that is exactly zero
+        # the frozen set changes at step 30: moments carry over by name
+        step_frozen = frozen if step < 30 else tuple(sorted(set(shapes) - set(frozen)))[:1]
+        flat_opt.apply(flat_params, grads, step_frozen)
+        per_array_apply(ref_opt, ref_params, grads, step_frozen)
+        for k in shapes:
+            assert flat_params[k].tobytes() == ref_params[k].tobytes(), (step, k)
+    for k in ref_opt.m:
+        assert flat_opt.m[k].tobytes() == ref_opt.m[k].tobytes()
+        assert flat_opt.v[k].tobytes() == ref_opt.v[k].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 1, 2, 2), (1, 2, 4, 4), (2, 3, 5, 4)])
+def test_maxpool_leaves_its_input_alone(shape):
+    # backward reuses the forward pass's window copy; it must be a copy even
+    # where x is already laid out window-major
+    x = Stream(61).uniform(size=shape, low=-1, high=1)
+    for layout in (np.ascontiguousarray, batch_innermost):
+        xl = layout(x)
+        pool = MaxPool2x2()
+        out = pool.forward_batch(xl)
+        pool.backward_batch(np.ones(out.shape))
+        assert np.array_equal(xl, x)

@@ -43,3 +43,11 @@ def test_permutation_is_permutation():
     for n in (1, 2, 7, 100):
         p = s.permutation(n)
         assert sorted(p.tolist()) == list(range(n))
+
+
+def test_splitmix64_known_answers():
+    # the first outputs of SplitMix64 (Steele, Lea and Flood 2014) seeded
+    # with 0, as printed by its reference C implementation
+    assert [int(v) for v in Stream(0).raw(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
