@@ -6,21 +6,18 @@ from .tensor import Tensor, zeros, from_array, elementwise_add, scale, matvec
 from .fusion import (
     FusionInputs,
     KpffLayer,
-    Projection,
     fuse_add,
     fuse_concat,
     fusion_inputs,
     kron,
     kpff_forward,
     kpff_backward,
-    project,
     unit_vector,
 )
 from .config import RunConfig
 
 __all__ = [
     "Tensor", "zeros", "from_array", "elementwise_add", "scale", "matvec",
-    "FusionInputs", "KpffLayer", "Projection", "fuse_add", "fuse_concat",
-    "fusion_inputs", "kron", "kpff_forward", "kpff_backward", "project",
-    "unit_vector", "RunConfig",
+    "FusionInputs", "KpffLayer", "fuse_add", "fuse_concat", "fusion_inputs",
+    "kron", "kpff_forward", "kpff_backward", "unit_vector", "RunConfig",
 ]

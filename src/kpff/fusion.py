@@ -114,22 +114,92 @@ def fuse_concat(inputs: FusionInputs) -> Tensor:
     return Tensor((inputs.n * inputs.r,), _freeze(out))
 
 
+# ---------------------------------------------------------------------------
+# the kernel: every kpff forward and backward pass, single-sample or batched,
+# runs through kpff_kernel and kpff_kernel_backward
+
+# Columns per tile of the kernel's loops. At n = 16 a tile's buffers take
+# 512 KiB each, so they stay in a 2 MiB L2.
+BLOCK_TILE = 4096
+
+
+def _tiles(m):
+    return ((start, min(start + BLOCK_TILE, m)) for start in range(0, m, BLOCK_TILE))
+
+
+def _block_sums(A, B):
+    """out[k] = sum_i A[i, k] * B[i] over n rows B[i] of one length m.
+
+    The sum runs in i order from zero, one multiply and one add per term,
+    so every value equals that of a per-block loop bit for bit. Each column
+    tile takes n multiply+add pairs over all n output blocks at once, in
+    place of n^2 per-block ops.
+    """
+    n, m = len(B), B[0].shape[0]
+    out = np.zeros((n, m))
+    prod = np.empty((n, min(m, BLOCK_TILE)))
+    for start, stop in _tiles(m):
+        acc, tmp = out[:, start:stop], prod[:, :stop - start]
+        for i in range(n):
+            np.multiply(A[i][:, None], B[i][start:stop], out=tmp)
+            acc += tmp
+    return out
+
+
+def _row_dots(X, U):
+    """dW[i, b] = X[i] . U[b]: one GEMM per column tile, so the rows X[i]
+    are never copied into one n x m array."""
+    n, m = len(X), X[0].shape[0]
+    dW = np.zeros((n, n))
+    for start, stop in _tiles(m):
+        dW += np.array([x[start:stop] for x in X]) @ U[:, start:stop].T
+    return dW
+
+
+def kpff_kernel(W, X):
+    """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
+
+    W is n x n with row i = w_i; X is n rows x_i of one length m (an [n, m]
+    array or a sequence of vectors). A batch of N samples is m = N*r, each
+    row holding one input's N vectors back to back.
+    """
+    if _COUNTING:
+        _COUNTS["madd"] += W.shape[0] * len(X) * X[0].size
+    return _block_sums(W, X)
+
+
+def kpff_kernel_backward(W, X, U):
+    """(dW, dX) for the upstream gradient U, an [n, m] array whose row b is
+    the gradient of block b of y (0-based, see docs/gradients.md):
+
+      dW[i, b] = U[b] . X[i]           GEMMs, within gamma_m of exact
+      dX[j]    = sum_k W[j, k] U[k]    _block_sums over W^T, in k order
+    """
+    if _COUNTING:
+        _COUNTS["madd"] += 2 * W.shape[0] * U.size
+    bug = injected_bug()
+    dW = _row_dots(X, np.roll(U, -1, axis=0) if bug == "kpff-w" else U)
+    dX = _block_sums(W if bug == "kpff-x" else W.T, U)
+    return dW, dX
+
+
 class KpffLayer:
     """Learnable fusion layer: n weight vectors of length n.
 
-    forward caches its inputs; backward accumulates into grad_ws and
-    returns the gradients w.r.t. the inputs. Not thread-safe across
-    concurrent forward/backward (pure ops in this module are).
+    forward caches its inputs; backward accumulates into grad_ws (row i is
+    dL/dw_i) and returns the gradients w.r.t. the inputs. Not thread-safe
+    across concurrent forward/backward (pure ops in this module are).
     """
 
     def __init__(self, ws):
-        ws = [w if isinstance(w, Tensor) else from_array(w) for w in ws]
+        ws = tuple(w if isinstance(w, Tensor) else from_array(w) for w in ws)
         n = len(ws)
         for w in ws:
             if w.rank != 1 or w.shape[0] != n:
                 raise ShapeError(f"need {n} weight vectors of length {n}, got {w.shape}")
         self.ws = ws
-        self.grad_ws = [np.zeros(n) for _ in range(n)]
+        self.W = _freeze(np.array([w.data for w in ws]).reshape(n, n))  # row i is w_i
+        self.grad_ws = np.zeros((n, n))
         self.cache = None
 
     @property
@@ -149,8 +219,7 @@ class KpffLayer:
         return cls(ws)
 
     def zero_grads(self):
-        for g in self.grad_ws:
-            g[:] = 0.0
+        self.grad_ws[...] = 0.0
 
     def reset(self):
         self.cache = None
@@ -160,17 +229,9 @@ def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> Tensor:
     n, r = inputs.n, inputs.r
     if layer.n != n:
         raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {n}")
-    y = np.zeros(n * r)
-    # block k accumulates sum_i ws[i][k] * xs[i], in i order so the result
-    # is bit-identical to summing kron(w_i, x_i) term by term
-    for k in range(n):
-        blk = y[k * r:(k + 1) * r]
-        for i in range(n):
-            blk += layer.ws[i].data[k] * inputs.xs[i].data
-            if _COUNTING:
-                _COUNTS["madd"] += r
+    y = kpff_kernel(layer.W, [x.data for x in inputs.xs])
     layer.cache = inputs
-    return Tensor((n * r,), _freeze(y))
+    return Tensor((n * r,), _freeze(y.reshape(-1)))
 
 
 def kpff_backward(layer: KpffLayer, upstream: Tensor):
@@ -186,53 +247,7 @@ def kpff_backward(layer: KpffLayer, upstream: Tensor):
     n, r = inputs.n, inputs.r
     if upstream.rank != 1 or upstream.shape[0] != n * r:
         raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
-    up = upstream.data
-
-    for i in range(n):
-        xi = inputs.xs[i].data
-        for b in range(n):
-            blk = (b + 1) % n if injected_bug() == "kpff-w" else b
-            layer.grad_ws[i][b] += float(up[blk * r:(blk + 1) * r] @ xi)
-            if _COUNTING:
-                _COUNTS["madd"] += r
-
-    dxs = []
-    for j in range(n):
-        dx = np.zeros(r)
-        for k in range(n):
-            wjk = layer.ws[k].data[j] if injected_bug() == "kpff-x" else layer.ws[j].data[k]
-            dx += up[k * r:(k + 1) * r] * wjk
-            if _COUNTING:
-                _COUNTS["madd"] += r
-        dxs.append(Tensor((r,), _freeze(dx)))
-    return dxs
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Affine map to the common fusion dimension r: x -> W x + b."""
-
-    weight: Tensor  # r x d_in
-    bias: Tensor  # r
-
-    def __post_init__(self):
-        if self.weight.rank != 2 or self.bias.rank != 1:
-            raise ShapeError("projection needs a rank-2 weight and rank-1 bias")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight rows {self.weight.shape[0]} != bias length {self.bias.shape[0]}"
-            )
-
-    @property
-    def r(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.weight.shape[1]
-
-
-def project(p: Projection, x: Tensor) -> Tensor:
-    if x.rank != 1 or x.shape[0] != p.d_in:
-        raise ShapeError(f"projection expects length {p.d_in}, got {x.shape}")
-    return Tensor((p.r,), _freeze(p.weight.view() @ x.data + p.bias.data))
+    dW, dX = kpff_kernel_backward(layer.W, [x.data for x in inputs.xs],
+                                  upstream.data.reshape(n, r))
+    layer.grad_ws += dW
+    return [Tensor((r,), _freeze(dx)) for dx in dX]

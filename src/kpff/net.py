@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, ShapeError, NonFiniteError, from_array
 from .rng import stream
 from .hooks import injected_bug
+from .fusion import kpff_kernel, kpff_kernel_backward
 
 # ---------------------------------------------------------------------------
 # activations
@@ -245,16 +246,18 @@ def dropout_batch(x, p, train, rng_stream):
 def softmax_ce_batch(logits, labels):
     """Per-sample losses and dloss/dlogits (softmax - onehot), stabilized."""
     labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
+    if labels.dtype.kind not in "iu":
+        raise IndexError(f"labels must be integers, got dtype {labels.dtype}")
+    hot = labels[:, None] == np.arange(logits.shape[1])
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    picked = probs[hot]  # one value per row, unless a label is out of range
+    if picked.size != logits.shape[0]:
         raise IndexError("label out of range")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expo = np.exp(shifted)
-    probs = expo / expo.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    losses = -np.log(probs[np.arange(n), labels])
-    grads = probs.copy()
-    grads[np.arange(n), labels] -= 1.0
-    return losses, grads
+    losses = -np.log(picked)
+    probs -= hot
+    return losses, probs
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +521,6 @@ class Model:
         if self.fusion == "none":
             return taps[-1]
         projected = [p.forward_batch(t) for p, t in zip(self.projections, taps)]
-        self._proj_cache = projected
-        n, r = len(projected), self.r
         if self.fusion == "add":
             acc = projected[0].copy()
             for p in projected[1:]:
@@ -527,13 +528,11 @@ class Model:
             return acc
         if self.fusion == "concat":
             return np.concatenate(projected, axis=1)
-        N = projected[0].shape[0]
-        fused = np.zeros((N, n * r))
-        for k in range(n):
-            blk = fused[:, k * r:(k + 1) * r]
-            for i in range(n):
-                blk += self.fusion_ws[i, k] * projected[i]
-        return fused
+        # block-major [n, N*r]: row i holds projection i's N vectors back to back
+        n, (N, r) = len(projected), projected[0].shape
+        self._kpff_inputs = np.concatenate(projected).reshape(n, N * r)
+        fused = kpff_kernel(self.fusion_ws, self._kpff_inputs)
+        return fused.reshape(n, N, r).transpose(1, 0, 2).reshape(N, n * r)
 
     def _fuse_backward(self, dfused):
         n, r = len(self.convs), self.r
@@ -545,22 +544,11 @@ class Model:
         elif self.fusion == "concat":
             dprojected = [dfused[:, j * r:(j + 1) * r] for j in range(n)]
         else:
-            projected = self._proj_cache
-            for i in range(n):
-                for b in range(n):
-                    blk = (b + 1) % n if injected_bug() == "kpff-w" else b
-                    self.grad_fusion_ws[i, b] += float(
-                        np.sum(dfused[:, blk * r:(blk + 1) * r] * projected[i])
-                    )
-            dprojected = []
-            for j in range(n):
-                dp = np.zeros_like(projected[j])
-                for k in range(n):
-                    wjk = self.fusion_ws[j, k]
-                    if injected_bug() == "kpff-x":
-                        wjk = self.fusion_ws[k, j]
-                    dp += dfused[:, k * r:(k + 1) * r] * wjk
-                dprojected.append(dp)
+            N = dfused.shape[0]
+            upstream = dfused.reshape(N, n, r).transpose(1, 0, 2).reshape(n, N * r)
+            dws, dxs = kpff_kernel_backward(self.fusion_ws, self._kpff_inputs, upstream)
+            self.grad_fusion_ws += dws
+            dprojected = dxs.reshape(n, N, r)
         return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
 
     def _blocks_forward(self, x):

@@ -5,6 +5,8 @@ stream derived from the base seed and a label, so adding one consumer
 never shifts the draws of another.
 """
 
+import math
+
 import numpy as np
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -25,6 +27,15 @@ def _mix(z):
         z *= _MIX2
         z ^= z >> np.uint64(31)
     return z
+
+
+def _count(size) -> int:
+    """Values in a draw of the given size: None is one, an int is itself."""
+    if size is None:
+        return 1
+    if isinstance(size, (int, np.integer)):
+        return int(size)
+    return int(math.prod(size))
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -50,7 +61,7 @@ class Stream:
 
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high) with 53-bit resolution."""
-        n = 1 if size is None else int(np.prod(size))
+        n = _count(size)
         u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         out = low + (high - low) * u
         if size is None:
@@ -59,7 +70,7 @@ class Stream:
 
     def normal(self, size=None, sigma: float = 1.0):
         """Gaussian via Box-Muller on paired uniforms."""
-        n = 1 if size is None else int(np.prod(size))
+        n = _count(size)
         m = (n + 1) // 2
         # shift into (0, 1] so log never sees 0
         u1 = ((self.raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53

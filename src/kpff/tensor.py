@@ -5,6 +5,7 @@ No broadcasting, no views: shape mismatches raise, non-finite results
 raise. Tensors are immutable after construction and safe to share.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,9 @@ class Tensor:
             raise ShapeError(f"rank must be 1..4, got shape {self.shape}")
         if any(int(e) < 1 for e in self.shape):
             raise ShapeError(f"extents must be >= 1, got shape {self.shape}")
-        if int(np.prod(self.shape)) != self.data.size:
+        if math.prod(self.shape) != self.data.size:
             raise ShapeError(
-                f"shape {self.shape} needs {int(np.prod(self.shape))} values, "
+                f"shape {self.shape} needs {math.prod(self.shape)} values, "
                 f"got {self.data.size}"
             )
 
@@ -72,7 +73,7 @@ def zeros(shape) -> Tensor:
     shape = tuple(int(e) for e in shape)
     if any(e < 1 for e in shape):
         raise ShapeError(f"extents must be >= 1, got {shape}")
-    return Tensor(shape, _freeze(np.zeros(int(np.prod(shape)))))
+    return Tensor(shape, _freeze(np.zeros(math.prod(shape))))
 
 
 def elementwise_add(a: Tensor, b: Tensor) -> Tensor:

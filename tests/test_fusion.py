@@ -1,11 +1,15 @@
+import os
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kpff import hooks
 from kpff.fusion import (
+    BLOCK_TILE,
     FusionInputs,
     KpffLayer,
-    Projection,
     count_ops,
     fuse_add,
     fuse_concat,
@@ -13,12 +17,13 @@ from kpff.fusion import (
     kron,
     kpff_backward,
     kpff_forward,
-    project,
+    kpff_kernel,
+    kpff_kernel_backward,
     unit_vector,
 )
 from kpff.gradcheck import finite_diff_grad
 from kpff.rng import Stream
-from kpff.tensor import ShapeError, elementwise_add, from_array, matvec
+from kpff.tensor import ShapeError, elementwise_add, from_array
 
 
 def kron_oracle(a, b):
@@ -305,28 +310,150 @@ def test_forward_madd_count_is_n_squared_r():
         assert counts["copy"] == n * r
 
 
-# --- projection --------------------------------------------------------------
 
 
-def test_project_examples():
-    p = Projection(from_array(np.eye(3)), from_array(np.zeros(3)))
-    x = from_array([1.0, -2.0, 0.5])
-    assert project(p, x).tolist() == x.tolist()
-    p2 = Projection(from_array(np.zeros((3, 3))), from_array([1.0, 2.0, 3.0]))
-    assert project(p2, x).tolist() == [1, 2, 3]
+# --- the kernel against the per-block loops --------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
 
 
-def test_project_matches_matvec_plus_bias():
-    s = Stream(5)
-    w = from_array(s.uniform(size=(4, 6), low=-2, high=2))
-    b = from_array(s.uniform(size=(4,), low=-2, high=2))
-    x = from_array(s.uniform(size=(6,), low=-2, high=2))
-    p = Projection(w, b)
-    expected = elementwise_add(matvec(w, x), b)
-    assert np.allclose(project(p, x).data, expected.data, rtol=1e-15)
+def gamma(m):
+    """Higham's gamma_m = m u / (1 - m u): the relative forward-error bound
+    of an m-term dot product."""
+    return m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
 
 
-def test_project_dimension_mismatch():
-    p = Projection(from_array(np.eye(3)), from_array(np.zeros(3)))
-    with pytest.raises(ShapeError):
-        project(p, from_array([1.0, 2.0]))
+def block_loop_forward(W, X):
+    """The per-block loop the kernel replaced: y block k accumulates
+    w_i[k] * x_i in i order."""
+    n, r = X.shape
+    y = np.zeros(n * r)
+    for k in range(n):
+        blk = y[k * r:(k + 1) * r]
+        for i in range(n):
+            blk += W[i, k] * X[i]
+    return y
+
+
+def block_loop_backward(W, X, U, bug=None):
+    """The per-block loops the kernel replaced, with their hook sites:
+    dw_i[b] is one dot product per (i, b); dx_j accumulates up_k * w_j[k] in
+    k order."""
+    n, r = X.shape
+    dW = np.zeros((n, n))
+    for i in range(n):
+        for b in range(n):
+            blk = (b + 1) % n if bug == "kpff-w" else b
+            dW[i, b] += float(U[blk] @ X[i])
+    dX = np.zeros((n, r))
+    for j in range(n):
+        for k in range(n):
+            wjk = W[k, j] if bug == "kpff-x" else W[j, k]
+            dX[j] += U[k] * wjk
+    return dW, dX
+
+
+def _kernel_case(n, r, seed):
+    s = Stream(seed)
+    W = s.uniform(size=(n, n), low=-2, high=2)
+    X = s.uniform(size=(n, r), low=-2, high=2)
+    U = s.uniform(size=(n, r), low=-2, high=2)
+    layer = KpffLayer(list(W))
+    y = kpff_forward(layer, fusion_inputs(list(X)))
+    dxs = kpff_backward(layer, from_array(U.ravel()))
+    return W, X, U, y.data, layer.grad_ws, np.stack([d.data for d in dxs])
+
+
+def _assert_dw_within_gamma(dw, want, X, U):
+    # both sides are r-term dot products: each is within gamma_r sum|u||x|
+    # of the exact value (Higham, Accuracy and Stability, 3.1)
+    r = X.shape[1]
+    assert np.all(np.abs(dw - want) <= 2 * gamma(r) * (np.abs(X) @ np.abs(U).T))
+
+
+@pytest.mark.parametrize("n,r", [
+    (1, 1), (1, 7), (1, BLOCK_TILE + 1),
+    (3, BLOCK_TILE - 1), (3, BLOCK_TILE), (3, BLOCK_TILE + 1), (3, 2 * BLOCK_TILE + 3),
+    (2, 64), (5, 33),
+])
+def test_kernel_matches_block_loops(n, r):
+    W, X, U, y, dw, dx = _kernel_case(n, r, seed=n * 100_003 + r)
+    want_dw, want_dx = block_loop_backward(W, X, U)
+    assert y.tobytes() == block_loop_forward(W, X).tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+    _assert_dw_within_gamma(dw, want_dw, X, U)
+
+
+@pytest.mark.parametrize("bug", ["kpff-w", "kpff-x"])
+def test_kernel_hooks_match_the_block_loop_hooks(bug, monkeypatch):
+    monkeypatch.setenv("KPFF_TEST_HOOKS", "1")
+    hooks.set_injected_bug(bug)
+    try:
+        W, X, U, _, dw, dx = _kernel_case(3, BLOCK_TILE + 5, seed=41)
+    finally:
+        hooks.set_injected_bug(None)
+    want_dw, want_dx = block_loop_backward(W, X, U, bug=bug)
+    clean_dw, clean_dx = block_loop_backward(W, X, U)
+    assert dx.tobytes() == want_dx.tobytes()
+    _assert_dw_within_gamma(dw, want_dw, X, U)
+    # the hook changes what it targets and nothing else
+    assert (dx.tobytes() == clean_dx.tobytes()) == (bug != "kpff-x")
+    if bug == "kpff-x":
+        _assert_dw_within_gamma(dw, clean_dw, X, U)
+    else:
+        assert np.any(np.abs(dw - clean_dw) > 1e-6)
+
+
+def test_kernel_counts_n_squared_r_per_pass():
+    n, r = 4, BLOCK_TILE + 3
+    W, X, U = np.eye(n), np.ones((n, r)), np.ones((n, r))
+    with count_ops() as counts:
+        kpff_kernel(W, X)
+        assert counts["madd"] == n * n * r
+        kpff_kernel_backward(W, X, U)
+        assert counts["madd"] == 3 * n * n * r
+
+
+def test_kernel_batched_rows_equal_single_samples():
+    # a batch of N samples is one call with m = N*r: row i holds input i's N
+    # vectors back to back, and each sample's blocks equal its own call's
+    s = Stream(7)
+    n, N, r = 3, 5, 4
+    W = s.uniform(size=(n, n), low=-1, high=1)
+    X = s.uniform(size=(n, N, r), low=-1, high=1)
+    U = s.uniform(size=(n, N, r), low=-1, high=1)
+    Y = kpff_kernel(W, X.reshape(n, N * r)).reshape(n, N, r)
+    _, dX = kpff_kernel_backward(W, X.reshape(n, N * r), U.reshape(n, N * r))
+    for t in range(N):
+        assert Y[:, t].tobytes() == kpff_kernel(W, X[:, t]).tobytes()
+        _, dX_t = kpff_kernel_backward(W, X[:, t], U[:, t])
+        assert dX.reshape(n, N, r)[:, t].tobytes() == dX_t.tobytes()
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="heap-page reuse is measured under glibc malloc")
+def test_kernel_calls_reuse_heap_pages():
+    # n=16, r=32768: 4 MiB each for y and the dx blocks. Results are held
+    # until the next call's results replace them, as a caller looping over
+    # calls holds them.
+    n, r, calls = 16, 32768, 10
+    s = Stream(3)
+    layer = KpffLayer(list(s.uniform(size=(n, n), low=-1, high=1)))
+    xs = fusion_inputs(list(s.uniform(size=(n, r), low=-1, high=1)))
+    up = from_array(s.uniform(size=(n * r,), low=-1, high=1))
+    for _ in range(3):  # warm: the heap grows to the working set
+        y = kpff_forward(layer, xs)
+        dxs = kpff_backward(layer, up)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        y = kpff_forward(layer, xs)
+        dxs = kpff_backward(layer, up)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert y.size == n * r and len(dxs) == n
+    assert faults < 5 * calls, f"{faults} minor page faults over {calls} forward+backward calls"

@@ -816,3 +816,130 @@ def test_maxpool_leaves_its_input_alone(shape):
         out = pool.forward_batch(xl)
         pool.backward_batch(np.ones(out.shape))
         assert np.array_equal(xl, x)
+
+
+# --- the kpff kernel in Model against the per-block loops ------------------------------
+
+
+class BlockLoopKpffModel(Model):
+    """Model with the per-block kpff loops that the shared kernel replaced
+    (reference), hook sites included. It keeps the projections and the
+    upstream gradient so that a test can bound fusion.ws."""
+
+    def _fuse(self, taps):
+        if self.fusion != "kpff":
+            return super()._fuse(taps)
+        projected = [p.forward_batch(t) for p, t in zip(self.projections, taps)]
+        self.ref_projected = projected
+        n, r = len(projected), self.r
+        fused = np.zeros((projected[0].shape[0], n * r))
+        for k in range(n):
+            blk = fused[:, k * r:(k + 1) * r]
+            for i in range(n):
+                blk += self.fusion_ws[i, k] * projected[i]
+        return fused
+
+    def _fuse_backward(self, dfused):
+        if self.fusion != "kpff":
+            return super()._fuse_backward(dfused)
+        self.ref_dfused = dfused
+        n, r = len(self.convs), self.r
+        projected = self.ref_projected
+        for i in range(n):
+            for b in range(n):
+                blk = (b + 1) % n if hooks.injected_bug() == "kpff-w" else b
+                self.grad_fusion_ws[i, b] += float(
+                    np.sum(dfused[:, blk * r:(blk + 1) * r] * projected[i])
+                )
+        dprojected = []
+        for j in range(n):
+            dp = np.zeros_like(projected[j])
+            for k in range(n):
+                wjk = self.fusion_ws[j, k]
+                if hooks.injected_bug() == "kpff-x":
+                    wjk = self.fusion_ws[k, j]
+                dp += dfused[:, k * r:(k + 1) * r] * wjk
+            dprojected.append(dp)
+        return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
+
+
+@pytest.mark.parametrize("channels,image_size", [((3, 4), 12), ((3, 4, 5), 20)])
+@pytest.mark.parametrize("bug", [None, "kpff-w", "kpff-x"])
+def test_model_kpff_matches_block_loops(channels, image_size, bug, monkeypatch):
+    monkeypatch.setattr(hooks, "_injected", bug)
+    kwargs = dict(seed=8, image_size=image_size, channels=channels, fusion="kpff",
+                  num_classes=3, dropout_p=0.25, kpff_noise=0.3)
+    x = Stream(14).uniform(size=(7, 1, image_size, image_size), low=-1, high=1)
+    labels = np.arange(7) % 3
+    runs = []
+    for cls in (Model, BlockLoopKpffModel):
+        model = cls(**kwargs)
+        loss, _, grads = model.forward_backward(x, labels, train=True,
+                                                dropout_stream=stream(8, "dropout"))
+        runs.append((model, loss, grads))
+    (_, loss, grads), (ref, ref_loss, ref_grads) = runs
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        if name != "fusion.ws":
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    # fusion.ws: both are sums of N*r products, within gamma_{N r} of exact
+    X = np.stack([p.ravel() for p in ref.ref_projected])
+    n, r = len(channels), ref.r
+    U = ref.ref_dfused.reshape(-1, n, r).transpose(1, 0, 2).reshape(n, -1)
+    if bug == "kpff-w":
+        U = np.roll(U, -1, axis=0)
+    bound = 2 * gamma(X.shape[1]) * (np.abs(X) @ np.abs(U).T)
+    assert np.all(np.abs(grads["fusion.ws"] - ref_grads["fusion.ws"]) <= bound)
+
+
+# --- softmax cross-entropy against the earlier formula ---------------------------------
+
+
+def softmax_ce_reference(logits, labels):
+    """softmax_ce_batch as it was written before: label checks with np.any,
+    fancy indexing, a copy for the gradient (reference)."""
+    labels = np.asarray(labels)
+    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
+        raise IndexError("label out of range")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expo = np.exp(shifted)
+    probs = expo / expo.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    losses = -np.log(probs[np.arange(n), labels])
+    grads = probs.copy()
+    grads[np.arange(n), labels] -= 1.0
+    return losses, grads
+
+
+@pytest.mark.parametrize("rows,classes,scale", [
+    (50, 4, 3.0), (30, 4, 50.0), (1, 7, 1.0), (9, 1, 2.0), (12, 10, 1e-9),
+])
+def test_softmax_ce_batch_matches_reference_bit_for_bit(rows, classes, scale):
+    s = Stream(rows * 31 + classes)
+    logits = s.uniform(size=(rows, classes), low=-1, high=1) * scale
+    logits[0, :] = 0.5  # a row of ties
+    labels = (np.arange(rows) * 7) % classes
+    before = logits.copy()
+    losses, grads = softmax_ce_batch(logits, labels)
+    want_losses, want_grads = softmax_ce_reference(logits, labels)
+    assert losses.tobytes() == want_losses.tobytes()
+    assert grads.tobytes() == want_grads.tobytes()
+    assert logits.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [4, -1, 100])
+def test_softmax_ce_batch_rejects_out_of_range_labels(bad):
+    logits = Stream(5).uniform(size=(6, 4))
+    labels = np.array([0, 1, 2, 3, 0, bad])
+    with pytest.raises(IndexError):
+        softmax_ce_reference(logits, labels)
+    with pytest.raises(IndexError):
+        softmax_ce_batch(logits, labels)
+
+
+def test_softmax_ce_batch_rejects_non_integer_labels():
+    logits = Stream(5).uniform(size=(3, 4))
+    for labels in (np.array([0.0, 1.0, 2.0]), np.array([True, False, True])):
+        with pytest.raises(IndexError):
+            softmax_ce_batch(logits, labels)
