@@ -121,39 +121,51 @@ def fuse_concat(inputs: FusionInputs) -> Tensor:
 # Columns per tile of the kernel's loops. At n = 16 a tile's buffers take
 # 512 KiB each, so they stay in a 2 MiB L2.
 BLOCK_TILE = 4096
+# Bytes between the starts of the accumulator tile and the product tile,
+# modulo a 4 KiB page. `acc += tmp` stores to acc while it loads from tmp;
+# when the two start within a few cache lines of the same offset in a page
+# (two blocks from malloc, a 16-byte header apart, often do) the loads wait
+# on unrelated stores (4K aliasing). At n = 16 the block sums of a tile ran
+# 4-12% slower that way than at half a page apart.
+_PRODUCT_OFFSET = 2048
 
 
 def _tiles(m):
     return ((start, min(start + BLOCK_TILE, m)) for start in range(0, m, BLOCK_TILE))
 
 
-def _block_sums(A, B):
-    """out[k] = sum_i A[i, k] * B[i] over n rows B[i] of one length m.
+class _TileSums:
+    """out[k] = sum_i A[i, k] * B[i], one column tile at a time.
 
-    The sum runs in i order from zero, one multiply and one add per term,
-    so every value equals that of a per-block loop bit for bit. Each column
-    tile takes n multiply+add pairs over all n output blocks at once, in
-    place of n^2 per-block ops.
+    Each tile is summed in i order from zero, one multiply and one add per
+    term, so every value equals that of a per-block loop bit for bit. Over
+    several tiles the sums run in a contiguous accumulator tile that is
+    copied into `out` once, so the output is written once and never zeroed
+    or re-read; a single tile is summed in `out` itself.
     """
-    n, m = len(B), B[0].shape[0]
-    out = np.zeros((n, m))
-    prod = np.empty((n, min(m, BLOCK_TILE)))
-    for start, stop in _tiles(m):
-        acc, tmp = out[:, start:stop], prod[:, :stop - start]
-        for i in range(n):
+
+    def __init__(self, n, m):
+        width = min(m, BLOCK_TILE)
+        self.out = np.empty((n, m))
+        if width == m:
+            self._acc, self._prod = self.out, np.empty((n, width))
+        else:
+            # both tiles in one buffer, so their distance is ours to choose
+            size = n * width
+            gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
+            buf = np.empty(2 * size + gap)
+            self._acc = buf[:size].reshape(n, width)
+            self._prod = buf[size + gap:].reshape(n, width)
+
+    def add_tile(self, A, B, start, stop):
+        acc, tmp = self._acc[:, :stop - start], self._prod[:, :stop - start]
+        np.multiply(A[0][:, None], B[0][start:stop], out=acc)
+        acc += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
+        for i in range(1, len(B)):
             np.multiply(A[i][:, None], B[i][start:stop], out=tmp)
             acc += tmp
-    return out
-
-
-def _row_dots(X, U):
-    """dW[i, b] = X[i] . U[b]: one GEMM per column tile, so the rows X[i]
-    are never copied into one n x m array."""
-    n, m = len(X), X[0].shape[0]
-    dW = np.zeros((n, n))
-    for start, stop in _tiles(m):
-        dW += np.array([x[start:stop] for x in X]) @ U[:, start:stop].T
-    return dW
+        if self._acc is not self.out:
+            self.out[:, start:stop] = acc
 
 
 def kpff_kernel(W, X):
@@ -163,24 +175,39 @@ def kpff_kernel(W, X):
     array or a sequence of vectors). A batch of N samples is m = N*r, each
     row holding one input's N vectors back to back.
     """
+    n, m = len(X), X[0].shape[0]
     if _COUNTING:
-        _COUNTS["madd"] += W.shape[0] * len(X) * X[0].size
-    return _block_sums(W, X)
+        _COUNTS["madd"] += W.shape[0] * n * m
+    sums = _TileSums(n, m)
+    for start, stop in _tiles(m):
+        sums.add_tile(W, X, start, stop)
+    return sums.out
 
 
 def kpff_kernel_backward(W, X, U):
     """(dW, dX) for the upstream gradient U, an [n, m] array whose row b is
     the gradient of block b of y (0-based, see docs/gradients.md):
 
-      dW[i, b] = U[b] . X[i]           GEMMs, within gamma_m of exact
-      dX[j]    = sum_k W[j, k] U[k]    _block_sums over W^T, in k order
+      dW[i, b] = U[b] . X[i]           one GEMM per tile, within gamma_m of exact
+      dX[j]    = sum_k W[j, k] U[k]    tile sums over W^T, in k order
+
+    Both run in one pass over the column tiles, so U is read once.
     """
+    n, m = U.shape
     if _COUNTING:
         _COUNTS["madd"] += 2 * W.shape[0] * U.size
     bug = injected_bug()
-    dW = _row_dots(X, np.roll(U, -1, axis=0) if bug == "kpff-w" else U)
-    dX = _block_sums(W if bug == "kpff-x" else W.T, U)
-    return dW, dX
+    A = W if bug == "kpff-x" else W.T
+    dW = np.zeros((n, n))
+    sums = _TileSums(n, m)
+    for start, stop in _tiles(m):
+        ut = U[:, start:stop]
+        if bug == "kpff-w":
+            ut = np.roll(ut, -1, axis=0)
+        # the rows X[i] are copied one tile at a time, never into one n x m array
+        dW += np.array([x[start:stop] for x in X]) @ ut.T
+        sums.add_tile(A, U, start, stop)
+    return dW, sums.out
 
 
 class KpffLayer:

@@ -384,6 +384,21 @@ def test_kernel_matches_block_loops(n, r):
     _assert_dw_within_gamma(dw, want_dw, X, U)
 
 
+@pytest.mark.parametrize("r", [5, BLOCK_TILE + 5])
+def test_kernel_keeps_the_sign_of_zero_sums(r):
+    # 0 * -x is -0.0; the block loops add it to +0.0 and get +0.0, so the
+    # kernel must start every sum from +0.0 too, on one tile and on several
+    n = 3
+    W = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    X = -np.ones((n, r))
+    X[1] = 0.0
+    y = kpff_kernel(W, X)
+    _, dx = kpff_kernel_backward(W, X, X)
+    assert y.tobytes() == block_loop_forward(W, X).tobytes()
+    assert dx.tobytes() == block_loop_backward(W, X, X)[1].tobytes()
+    assert not np.signbit(y).any() and not np.signbit(dx).any()
+
+
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x"])
 def test_kernel_hooks_match_the_block_loop_hooks(bug, monkeypatch):
     monkeypatch.setenv("KPFF_TEST_HOOKS", "1")
