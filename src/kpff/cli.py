@@ -176,13 +176,15 @@ def cmd_bench(args):
             })
 
     header = (f"{'n':>4} {'r':>6} {'fwd madds':>10} {'n^2*r':>10} {'concat copies':>14} "
-              f"{'t_concat':>10} {'t_kpff_fwd':>11} {'t_kpff_bwd':>11} {'kpff/concat':>11}")
+              f"{'t_add':>10} {'t_concat':>10} {'t_kpff_fwd':>11} {'t_kpff_bwd':>11} "
+              f"{'kpff/concat':>11}")
     print(header)
     for row in rows:
         print(f"{row['n']:>4} {row['r']:>6} {row['kpff_fwd_madds']:>10} "
               f"{row['n'] ** 2 * row['r']:>10} {row['concat_copies']:>14} "
-              f"{row['t_concat_ns']:>9.0f}ns {row['t_kpff_fwd_ns']:>10.0f}ns "
-              f"{row['t_kpff_bwd_ns']:>10.0f}ns {row['kpff_concat_ratio']:>11.2f}")
+              f"{row['t_add_ns']:>9.0f}ns {row['t_concat_ns']:>9.0f}ns "
+              f"{row['t_kpff_fwd_ns']:>10.0f}ns {row['t_kpff_bwd_ns']:>10.0f}ns "
+              f"{row['kpff_concat_ratio']:>11.2f}")
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -104,23 +104,37 @@ def fuse_add(inputs: FusionInputs) -> Tensor:
         acc += x.data
         if _COUNTING:
             _COUNTS["add"] += inputs.r
-    return Tensor((inputs.r,), _freeze(acc))
+    acc.setflags(write=False)
+    return Tensor(acc.shape, acc)
 
 
 def fuse_concat(inputs: FusionInputs) -> Tensor:
     out = np.concatenate([x.data for x in inputs.xs])
     if _COUNTING:
         _COUNTS["copy"] += inputs.n * inputs.r
-    return Tensor((inputs.n * inputs.r,), _freeze(out))
+    out.setflags(write=False)
+    return Tensor(out.shape, out)
 
 
 # ---------------------------------------------------------------------------
 # the kernel: every kpff forward and backward pass, single-sample or batched,
 # runs through kpff_kernel and kpff_kernel_backward
 
-# Columns per tile of the kernel's loops. At n = 16 a tile's buffers take
-# 512 KiB each, so they stay in a 2 MiB L2.
-BLOCK_TILE = 4096
+# Columns per tile of the kernel's loops: about TILE_VALUES values over the
+# n rows, but never fewer than MIN_TILE columns: 16384 at n = 2, 8192 at
+# n = 4, 4096 from n = 8 up. A tile's buffers then take at most 256 KiB
+# each, and a backward tile streams four of them (accumulator, product, the
+# copied X tile and the U tile), 1 MiB, inside a 2 MiB L2. At twice the
+# values those four filled the L2: n = 4, r = 32768 backward ran 8-13%
+# slower than at 4096 columns.
+MIN_TILE = 4096
+TILE_VALUES = 1 << 15
+# Elements in numpy's ufunc buffer while a narrow tile is summed. numpy
+# copies the broadcast operand of `A[i][:, None] * B[i][tile]` through that
+# buffer whenever a few rows fit in it (8192 elements by default), which
+# makes tiles under about 2700 columns multiply three times slower per
+# value. Set only around such a tile, and restored after it.
+_NARROW_BUFSIZE = 256
 # Bytes between the starts of the accumulator tile and the product tile,
 # modulo a 4 KiB page. `acc += tmp` stores to acc while it loads from tmp;
 # when the two start within a few cache lines of the same offset in a page
@@ -128,10 +142,6 @@ BLOCK_TILE = 4096
 # on unrelated stores (4K aliasing). At n = 16 the block sums of a tile ran
 # 4-12% slower that way than at half a page apart.
 _PRODUCT_OFFSET = 2048
-
-
-def _tiles(m):
-    return ((start, min(start + BLOCK_TILE, m)) for start in range(0, m, BLOCK_TILE))
 
 
 class _TileSums:
@@ -145,7 +155,7 @@ class _TileSums:
     """
 
     def __init__(self, n, m):
-        width = min(m, BLOCK_TILE)
+        width = self.width = min(m, max(MIN_TILE, TILE_VALUES // n))
         self.out = np.empty((n, m))
         if width == m:
             self._acc, self._prod = self.out, np.empty((n, width))
@@ -157,7 +167,24 @@ class _TileSums:
             self._acc = buf[:size].reshape(n, width)
             self._prod = buf[size + gap:].reshape(n, width)
 
+    def tiles(self):
+        m, width = self.out.shape[1], self.width
+        return ((start, min(start + width, m)) for start in range(0, m, width))
+
     def add_tile(self, A, B, start, stop):
+        width = stop - start
+        if width >= MIN_TILE or len(self.out) * width < MIN_TILE:
+            # wide tiles are not buffered, and small ones lose less to it than
+            # the scope costs (about 4 us)
+            self._sum(A, B, start, stop)
+            return
+        old = np.setbufsize(_NARROW_BUFSIZE)
+        try:
+            self._sum(A, B, start, stop)
+        finally:
+            np.setbufsize(old)
+
+    def _sum(self, A, B, start, stop):
         acc, tmp = self._acc[:, :stop - start], self._prod[:, :stop - start]
         np.multiply(A[0][:, None], B[0][start:stop], out=acc)
         acc += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
@@ -179,7 +206,7 @@ def kpff_kernel(W, X):
     if _COUNTING:
         _COUNTS["madd"] += W.shape[0] * n * m
     sums = _TileSums(n, m)
-    for start, stop in _tiles(m):
+    for start, stop in sums.tiles():
         sums.add_tile(W, X, start, stop)
     return sums.out
 
@@ -200,7 +227,7 @@ def kpff_kernel_backward(W, X, U):
     A = W if bug == "kpff-x" else W.T
     dW = np.zeros((n, n))
     sums = _TileSums(n, m)
-    for start, stop in _tiles(m):
+    for start, stop in sums.tiles():
         ut = U[:, start:stop]
         if bug == "kpff-w":
             ut = np.roll(ut, -1, axis=0)
@@ -257,8 +284,9 @@ def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> Tensor:
     if layer.n != n:
         raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {n}")
     y = kpff_kernel(layer.W, [x.data for x in inputs.xs])
+    y.setflags(write=False)
     layer.cache = inputs
-    return Tensor((n * r,), _freeze(y.reshape(-1)))
+    return Tensor((n * r,), y.reshape(-1))
 
 
 def kpff_backward(layer: KpffLayer, upstream: Tensor):
@@ -277,4 +305,5 @@ def kpff_backward(layer: KpffLayer, upstream: Tensor):
     dW, dX = kpff_kernel_backward(layer.W, [x.data for x in inputs.xs],
                                   upstream.data.reshape(n, r))
     layer.grad_ws += dW
-    return [Tensor((r,), _freeze(dx)) for dx in dX]
+    dX.setflags(write=False)
+    return [Tensor((r,), dx) for dx in dX]

@@ -1,7 +1,8 @@
 """Test-only fault injection, used to prove the gradient checks have teeth.
 
-Hooks are honored only when KPFF_TEST_HOOKS=1 is set in the environment;
-the CLI refuses --inject-bug otherwise.
+The CLI accepts --inject-bug only when KPFF_TEST_HOOKS=1 is set in the
+environment (`hooks_enabled`). `set_injected_bug` does not check it: a hook
+set in-process is honored whatever the environment.
 """
 
 import os

@@ -23,7 +23,7 @@ class NonFiniteError(TensorError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tensor:
     shape: tuple
     data: np.ndarray  # flat, contiguous, row-major, read-only
@@ -31,7 +31,7 @@ class Tensor:
     def __post_init__(self):
         if not 1 <= len(self.shape) <= 4:
             raise ShapeError(f"rank must be 1..4, got shape {self.shape}")
-        if any(int(e) < 1 for e in self.shape):
+        if min(self.shape) < 1:
             raise ShapeError(f"extents must be >= 1, got shape {self.shape}")
         if math.prod(self.shape) != self.data.size:
             raise ShapeError(

@@ -111,6 +111,9 @@ def test_bench_counts(tmp_path, capsys):
         assert copies == n * r
     out = capsys.readouterr().out
     assert "kpff/concat" in out
+    header, *table = out.splitlines()[:3]
+    assert "t_add" in header.split()
+    assert all(len(line.split()) == 10 for line in table)  # one field per column
 
 
 def test_bench_csv_deterministic(tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kpff import hooks
 from kpff.fusion import (
-    BLOCK_TILE,
+    MIN_TILE,
+    TILE_VALUES,
     FusionInputs,
     KpffLayer,
     count_ops,
@@ -183,6 +184,21 @@ def test_degeneration_properties(n, r, seed):
     assert np.all(y.data[r:] == 0.0)
 
 
+@pytest.mark.parametrize("n,r", [(1, 4), (3, 5), (16, 256)])
+def test_fusion_outputs_are_read_only_and_own_their_memory(n, r):
+    s = Stream(13)
+    layer = KpffLayer([s.uniform(size=(n,), low=-1, high=1) for _ in range(n)])
+    xs = fusion_inputs([s.uniform(size=(r,), low=-1, high=1) for _ in range(n)])
+    up = from_array(s.uniform(size=(n * r,), low=-1, high=1))
+    outs = [fuse_add(xs), fuse_concat(xs), kpff_forward(layer, xs), *kpff_backward(layer, up)]
+    held = [x.data for x in xs.xs] + [up.data, layer.W, layer.grad_ws]
+    for out in outs:
+        assert not out.data.flags.writeable
+        with pytest.raises(ValueError):
+            out.data[0] = 1.0
+        assert not any(np.shares_memory(out.data, a) for a in held)
+
+
 # --- kpff backward ----------------------------------------------------------
 
 
@@ -353,6 +369,17 @@ def block_loop_backward(W, X, U, bug=None):
     return dW, dX
 
 
+def tile_width(n):
+    """Columns per kernel tile at n rows: TILE_VALUES values, at least MIN_TILE
+    columns."""
+    return max(MIN_TILE, TILE_VALUES // n)
+
+
+# narrow tiles (under MIN_TILE columns) of at least MIN_TILE values: summed
+# with a small ufunc buffer
+NARROW_SCOPED = [(16, 256), (4, 1024), (8, 1000)]
+
+
 def _kernel_case(n, r, seed):
     s = Stream(seed)
     W = s.uniform(size=(n, n), low=-2, high=2)
@@ -372,9 +399,11 @@ def _assert_dw_within_gamma(dw, want, X, U):
 
 
 @pytest.mark.parametrize("n,r", [
-    (1, 1), (1, 7), (1, BLOCK_TILE + 1),
-    (3, BLOCK_TILE - 1), (3, BLOCK_TILE), (3, BLOCK_TILE + 1), (3, 2 * BLOCK_TILE + 3),
-    (2, 64), (5, 33),
+    (1, 1), (1, 7), (1, 4097), (1, tile_width(1) + 1), (2, 64), (5, 33),
+    (3, 4095), (3, 4096), (3, 4097), (3, 8195),
+    *[(n, tile_width(n) + d) for n in (2, 3, 16) for d in (-1, 0, 1)],
+    *[(n, 2 * tile_width(n) + 3) for n in (2, 3, 16)],
+    *NARROW_SCOPED,
 ])
 def test_kernel_matches_block_loops(n, r):
     W, X, U, y, dw, dx = _kernel_case(n, r, seed=n * 100_003 + r)
@@ -384,10 +413,11 @@ def test_kernel_matches_block_loops(n, r):
     _assert_dw_within_gamma(dw, want_dw, X, U)
 
 
-@pytest.mark.parametrize("r", [5, BLOCK_TILE + 5])
+@pytest.mark.parametrize("r", [5, 2000, 4101, tile_width(3) + 5])
 def test_kernel_keeps_the_sign_of_zero_sums(r):
     # 0 * -x is -0.0; the block loops add it to +0.0 and get +0.0, so the
-    # kernel must start every sum from +0.0 too, on one tile and on several
+    # kernel must start every sum from +0.0 too, on one small tile, one
+    # narrow tile summed with a small buffer, and several tiles
     n = 3
     W = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     X = -np.ones((n, r))
@@ -400,27 +430,27 @@ def test_kernel_keeps_the_sign_of_zero_sums(r):
 
 
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x"])
-def test_kernel_hooks_match_the_block_loop_hooks(bug, monkeypatch):
-    monkeypatch.setenv("KPFF_TEST_HOOKS", "1")
-    hooks.set_injected_bug(bug)
-    try:
-        W, X, U, _, dw, dx = _kernel_case(3, BLOCK_TILE + 5, seed=41)
-    finally:
-        hooks.set_injected_bug(None)
-    want_dw, want_dx = block_loop_backward(W, X, U, bug=bug)
-    clean_dw, clean_dx = block_loop_backward(W, X, U)
-    assert dx.tobytes() == want_dx.tobytes()
-    _assert_dw_within_gamma(dw, want_dw, X, U)
-    # the hook changes what it targets and nothing else
-    assert (dx.tobytes() == clean_dx.tobytes()) == (bug != "kpff-x")
-    if bug == "kpff-x":
-        _assert_dw_within_gamma(dw, clean_dw, X, U)
-    else:
-        assert np.any(np.abs(dw - clean_dw) > 1e-6)
+def test_kernel_hooks_match_the_block_loop_hooks(bug):
+    for n, r in [(3, tile_width(3) + 5), *NARROW_SCOPED]:
+        hooks.set_injected_bug(bug)
+        try:
+            W, X, U, _, dw, dx = _kernel_case(n, r, seed=41)
+        finally:
+            hooks.set_injected_bug(None)
+        want_dw, want_dx = block_loop_backward(W, X, U, bug=bug)
+        clean_dw, clean_dx = block_loop_backward(W, X, U)
+        assert dx.tobytes() == want_dx.tobytes()
+        _assert_dw_within_gamma(dw, want_dw, X, U)
+        # the hook changes what it targets and nothing else
+        assert (dx.tobytes() == clean_dx.tobytes()) == (bug != "kpff-x")
+        if bug == "kpff-x":
+            _assert_dw_within_gamma(dw, clean_dw, X, U)
+        else:
+            assert np.any(np.abs(dw - clean_dw) > 1e-6)
 
 
 def test_kernel_counts_n_squared_r_per_pass():
-    n, r = 4, BLOCK_TILE + 3
+    n, r = 4, tile_width(4) + 3
     W, X, U = np.eye(n), np.ones((n, r)), np.ones((n, r))
     with count_ops() as counts:
         kpff_kernel(W, X)
@@ -443,6 +473,48 @@ def test_kernel_batched_rows_equal_single_samples():
         assert Y[:, t].tobytes() == kpff_kernel(W, X[:, t]).tobytes()
         _, dX_t = kpff_kernel_backward(W, X[:, t], U[:, t])
         assert dX.reshape(n, N, r)[:, t].tobytes() == dX_t.tobytes()
+
+
+@pytest.fixture
+def bufsize_calls(monkeypatch):
+    """Record every np.setbufsize call, passing each one through."""
+    calls, real = [], np.setbufsize
+
+    def spy(size):
+        calls.append(size)
+        return real(size)
+
+    monkeypatch.setattr(np, "setbufsize", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n,r", NARROW_SCOPED)
+def test_narrow_tiles_restore_the_ufunc_buffer(n, r, bufsize_calls):
+    before = np.getbufsize()
+    _kernel_case(n, r, seed=5)
+    assert np.getbufsize() == before
+    # one scope per pass, each set and then restored
+    assert bufsize_calls == 2 * [bufsize_calls[0], before]
+    assert bufsize_calls[0] < before
+
+
+@pytest.mark.parametrize("n,r", [(2, 64), (2, 1024), (16, 255), (16, tile_width(16))])
+def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls):
+    _kernel_case(n, r, seed=5)
+    assert bufsize_calls == []
+
+
+def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
+    before = np.getbufsize()
+    X = [np.ones(1024), np.ones(1024), np.ones(1000), np.ones(1024)]  # row 2 short
+    with pytest.raises(ValueError):
+        kpff_kernel(np.eye(4), X)
+    # a weight row too many: the dx sums of the tile fail, after its dW GEMM
+    X = np.ones((4, 1024))
+    with pytest.raises(ValueError):
+        kpff_kernel_backward(np.ones((5, 4)), X, X)
+    assert len(bufsize_calls) == 4  # both raised inside a scope
+    assert np.getbufsize() == before
 
 
 def _glibc():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kpff.tensor import (
     NonFiniteError,
     ShapeError,
+    Tensor,
     elementwise_add,
     from_array,
     matvec,
@@ -30,6 +31,27 @@ def test_zeros_rejects_bad_extents():
 def test_rank_bounds():
     with pytest.raises(ShapeError):
         zeros([2, 2, 2, 2, 2])
+
+
+@pytest.mark.parametrize("shape,size", [
+    ((), 1), ((1, 1, 1, 1, 1), 1),  # rank 0 and 5
+    ((0,), 0), ((2, 0), 0), ((-1,), 1), ((3, -1), 3),  # extents below 1
+    ((3,), 4), ((2, 2), 3),  # size mismatch
+])
+def test_constructor_rejects_bad_shapes(shape, size):
+    with pytest.raises(ShapeError):
+        Tensor(shape, np.zeros(size))
+
+
+def test_constructor_accepts_numpy_int_extents():
+    t = Tensor((np.int64(2), np.int64(3)), np.zeros(6))
+    assert t.rank == 2 and t.size == 6 and t.view().shape == (2, 3)
+
+
+def test_tensor_is_frozen():
+    t = zeros([2])
+    with pytest.raises(AttributeError):
+        t.shape = (1, 2)
 
 
 def test_nonfinite_rejected():
