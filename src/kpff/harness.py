@@ -117,7 +117,7 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
             )
             opt.apply(params, grads, frozen)
             epoch_losses.append(loss)
-        loss_curve.append(float(np.mean(epoch_losses)))
+        loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
         if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:
             _, acc = model.evaluate(x_test, y_test)
             val_curve.append((epoch, acc))

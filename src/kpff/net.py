@@ -8,7 +8,6 @@ code with N=1 and take/return Tensor values.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, ShapeError, NonFiniteError, from_array
 from .rng import stream
@@ -92,8 +91,15 @@ class ConvLayer:
         O = self.out_channels
         Ho, Wo = H - kh + 1, W - kw + 1
         xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # [C,H,W,N]; free if already so
-        win = sliding_window_view(xt, (kh, kw), axis=(1, 2))  # [C,H',W',N,kh,kw]
-        cols = win.transpose(0, 4, 5, 1, 2, 3).reshape(C * kh * kw, Ho * Wo * N)
+        # A b50 training step is about half fixed per-call cost, so the step
+        # calls ufuncs, ufunc reductions and ndarray constructors directly:
+        # numpy's Python-level helpers (sliding_window_view, broadcast_to,
+        # ndarray.mean/.sum/.max, np.all, np.argmax, errstate) each spend
+        # microseconds in Python per call. Here the im2col window
+        # [C,kh,kw,H',W',N] is an ndarray over xt with explicit strides.
+        sc, sh, sw, sn = xt.strides
+        win = np.ndarray((C, kh, kw, Ho, Wo, N), xt.dtype, xt, 0, (sc, sh, sw, sh, sw, sn))
+        cols = win.reshape(C * kh * kw, Ho * Wo * N)
         pre = self.kernels.reshape(O, -1) @ cols  # [O, H'*W'*N]
         pre += self.bias[:, None]
         pre = pre.reshape(O, Ho, Wo, N).transpose(3, 0, 1, 2)
@@ -113,7 +119,7 @@ class ConvLayer:
         dpre = _act_backward(self.activation, pre, out, dout)
         dpre = dpre.transpose(1, 2, 3, 0).reshape(O, -1)  # [O, H'*W'*N]
         self.grads["kernels"] = (dpre @ cols.T).reshape(self.kernels.shape)
-        self.grads["bias"] = dpre.sum(axis=1)
+        self.grads["bias"] = np.add.reduce(dpre, axis=1)
         if not input_grad:
             return None
         # col2im: scatter-add each kernel tap's columns back onto the input.
@@ -159,7 +165,7 @@ class DenseLayer:
         x, pre, out = self._cache
         dpre = _act_backward(self.activation, pre, out, dout)
         self.grads["weights"] = dpre.T @ x
-        self.grads["bias"] = dpre.sum(axis=0)
+        self.grads["bias"] = np.add.reduce(dpre, axis=0)
         return dpre @ self.weights
 
 
@@ -221,15 +227,21 @@ class MaxPool2x2:
 
 
 def gap_batch(x):  # [N,C,H,W] -> [N,C]
-    return x.mean(axis=(2, 3))
+    out = np.add.reduce(x, axis=(2, 3))
+    out /= x.shape[2] * x.shape[3]
+    return out
 
 
 def gap_backward_batch(dout, spatial_shape):
     """dL/dx of gap_batch: a read-only broadcast view, [N,C,H,W] over
     batch-innermost [C,H,W,N] memory like the conv outputs it joins."""
     H, W = spatial_shape
-    per_position = np.divide(dout.T, H * W, order="C")[:, None, None, :]  # [C,1,1,N]
-    return np.broadcast_to(per_position, (dout.shape[1], H, W, dout.shape[0])).transpose(3, 0, 1, 2)
+    per_position = np.divide(dout.T, H * W, order="C")  # [C,N]
+    sc, sn = per_position.strides
+    grad = np.ndarray((dout.shape[1], H, W, dout.shape[0]), per_position.dtype,
+                      per_position, 0, (sc, 0, 0, sn))
+    grad.setflags(write=False)
+    return grad.transpose(3, 0, 1, 2)
 
 
 def dropout_batch(x, p, train, rng_stream):
@@ -244,18 +256,27 @@ def dropout_batch(x, p, train, rng_stream):
 
 
 def softmax_ce_batch(logits, labels):
-    """Per-sample losses and dloss/dlogits (softmax - onehot), stabilized."""
+    """Per-sample losses and dloss/dlogits (softmax - onehot), stabilized:
+    the logits are shifted by their row maximum, and a label probability
+    that underflows to 0 still gives a finite loss."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise IndexError(f"labels must be integers, got dtype {labels.dtype}")
     hot = labels[:, None] == np.arange(logits.shape[1])
-    probs = logits - logits.max(axis=1, keepdims=True)
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    probs = logits - top
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    total = np.add.reduce(probs, axis=1, keepdims=True)
+    probs /= total
     picked = probs[hot]  # one value per row, unless a label is out of range
     if picked.size != logits.shape[0]:
         raise IndexError("label out of range")
-    losses = -np.log(picked)
+    if np.count_nonzero(picked) == picked.size:
+        losses = -np.log(picked)
+    else:  # -log(0) is inf; there the loss is log(sum exp(z - max)) - (z_label - max)
+        losses = np.log(total[:, 0]) - (logits[hot] - top[:, 0])
+        kept = picked != 0.0
+        losses[kept] = -np.log(picked[kept])
     probs -= hot
     return losses, probs
 
@@ -382,6 +403,18 @@ def optimizer_step(state: OptimizerState, params: Tensor, grads: Tensor) -> Tens
 # the toy model
 
 FUSION_METHODS = ("none", "add", "concat", "kpff")
+
+
+def _loss_and_accuracy(logits, labels):
+    """Mean loss, top-1 accuracy and per-sample dloss/dlogits of a batch;
+    NonFiniteError if a logit is not finite."""
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
+        raise NonFiniteError("non-finite logits")
+    losses, dlogits = softmax_ce_batch(logits, labels)
+    n = logits.shape[0]
+    loss = float(np.add.reduce(losses)) / n
+    acc = np.count_nonzero(logits.argmax(axis=1) == np.asarray(labels)) / n
+    return loss, acc, dlogits
 
 
 def check_image_size(image_size, n_blocks):
@@ -588,11 +621,7 @@ class Model:
         if x.shape[0] == 0:
             raise ShapeError("empty batch")
         logits = self.forward_batch(x, train=train, dropout_stream=dropout_stream)
-        if not np.all(np.isfinite(logits)):
-            raise NonFiniteError("non-finite logits")
-        losses, dlogits = softmax_ce_batch(logits, labels)
-        loss = float(losses.mean())
-        acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+        loss, acc, dlogits = _loss_and_accuracy(logits, labels)
         dlogits /= x.shape[0]
 
         if self.fusion == "kpff":
@@ -616,7 +645,8 @@ class Model:
         return loss, acc, grads
 
     def evaluate(self, x, labels):
-        logits = self.forward_batch(x, train=False)
-        losses, _ = softmax_ce_batch(logits, labels)
-        acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
-        return float(losses.mean()), acc
+        """Mean loss and top-1 accuracy of a batch, in eval mode."""
+        if x.shape[0] == 0:
+            raise ShapeError("empty batch")
+        loss, acc, _ = _loss_and_accuracy(self.forward_batch(x, train=False), labels)
+        return loss, acc

@@ -9,23 +9,26 @@ import math
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
 def _mix(z):
+    """SplitMix64's finalizer on one value. Scalar uint64 arithmetic warns
+    on wrap-around, so the scope silences it; array arithmetic (Stream.raw)
+    wraps without a warning."""
     z = np.uint64(z)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= z >> _S30
         z *= _MIX1
-        z ^= z >> np.uint64(27)
+        z ^= z >> _S27
         z *= _MIX2
-        z ^= z >> np.uint64(31)
+        z ^= z >> _S31
     return z
 
 
@@ -54,16 +57,28 @@ class Stream:
         self.counter = 0
 
     def raw(self, count: int) -> np.ndarray:
-        ks = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
+        """The next count values: SplitMix64 of seed + k * golden for the
+        counters k, computed in place, wrapping modulo 2**64."""
+        z = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
-        with np.errstate(over="ignore"):
-            return _mix(self.seed + ks * _GOLDEN)
+        z *= _GOLDEN
+        z += self.seed
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+        return z
 
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high) with 53-bit resolution."""
         n = _count(size)
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = low + (high - low) * u
+        bits = self.raw(n)
+        bits >>= _S11
+        out = bits.astype(np.float64)
+        out *= 2.0**-53
+        out *= high - low
+        out += low
         if size is None:
             return float(out[0])
         return out.reshape(size)
@@ -73,8 +88,8 @@ class Stream:
         n = _count(size)
         m = (n + 1) // 2
         # shift into (0, 1] so log never sees 0
-        u1 = ((self.raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self.raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = ((self.raw(m) >> _S11).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (self.raw(m) >> _S11).astype(np.float64) * 2.0**-53
         rad = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([rad * np.cos(2 * np.pi * u2), rad * np.sin(2 * np.pi * u2)])[:n]
         out = sigma * z
@@ -84,8 +99,7 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         # argsort of 64-bit keys; stable sort keeps this deterministic
-        keys = self.raw(n)
-        return np.argsort(keys, kind="stable")
+        return self.raw(n).argsort(kind="stable")
 
 
 def stream(seed: int, label: str) -> Stream:

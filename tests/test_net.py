@@ -1,9 +1,15 @@
+import cProfile
+import os
+import pstats
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from kpff import hooks
 from kpff.net import (
+    FUSION_METHODS,
     ConvLayer,
     DenseLayer,
     MaxPool2x2,
@@ -25,7 +31,7 @@ from kpff.net import (
 )
 from kpff.gradcheck import check_model, finite_diff_grad, model_loss
 from kpff.rng import Stream, stream
-from kpff.tensor import ShapeError, from_array
+from kpff.tensor import NonFiniteError, ShapeError, from_array
 
 
 def conv_oracle(x, kernels, bias):
@@ -943,3 +949,68 @@ def test_softmax_ce_batch_rejects_non_integer_labels():
     for labels in (np.array([0.0, 1.0, 2.0]), np.array([True, False, True])):
         with pytest.raises(IndexError):
             softmax_ce_batch(logits, labels)
+
+
+def test_softmax_ce_batch_underflowed_label_probability_stays_finite():
+    # exp(-1000) underflows to 0, so -log(p) would be inf; the second row
+    # keeps -log(p) bit for bit
+    logits = np.array([[1000.0, 0.0], [0.3, -0.2]])
+    labels = np.array([1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, grads = softmax_ce_batch(logits, labels)
+    assert losses[0] == 1000.0
+    want_losses, want_grads = softmax_ce_reference(logits[1:], labels[1:])
+    assert losses[1:].tobytes() == want_losses.tobytes()
+    assert np.array_equal(grads[0], [1.0, -1.0])
+    assert grads[1:].tobytes() == want_grads.tobytes()
+
+
+# --- evaluation checks its logits like a training step -------------------------------
+
+
+def test_evaluate_rejects_non_finite_logits_and_empty_batches():
+    x, labels = _toy_batch(seed=2, size=12)
+    model = Model(seed=2, image_size=12, channels=(3, 4), fusion="kpff",
+                  num_classes=3, dropout_p=0.0)
+    model.head.bias[1] = np.nan
+    for step in (model.evaluate, model.forward_backward):
+        with pytest.raises(NonFiniteError, match="non-finite logits"):
+            step(x, labels)
+    for step in (model.evaluate, model.forward_backward):
+        with pytest.raises(ShapeError, match="empty batch"):
+            step(x[:0], labels[:0])
+
+
+# --- the training step stays out of numpy's Python-level helpers ----------------------
+
+# numpy modules whose functions wrap a ufunc, reduction or ndarray constructor
+# in Python: ndarray.mean/.sum/.max, np.all/np.argmax/np.argsort, errstate,
+# sliding_window_view and broadcast_to. Each costs microseconds per call.
+NUMPY_PYTHON_HELPERS = ("numpy/_core/_methods.py", "numpy/_core/fromnumeric.py",
+                        "numpy/_core/_ufunc_config.py", "numpy/lib/_stride_tricks_impl.py")
+
+
+def test_training_step_calls_no_numpy_python_helpers():
+    s = Stream(61)
+    x = s.uniform(size=(50, 1, 16, 16))
+    labels = np.arange(50) % 4
+    for fusion in FUSION_METHODS:
+        model = Model(seed=0, image_size=16, channels=(6, 12), fusion=fusion,
+                      num_classes=4, dropout_p=0.1)
+        opt = OptimizerState("adam", lr=3e-3)
+        params = model.params()
+        drop, shuffle = stream(0, "dropout"), stream(0, "shuffle")
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            _, _, grads = model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            opt.apply(params, grads)
+            model.evaluate(x, labels)
+            shuffle.permutation(80)
+        finally:
+            profiler.disable()
+        called = {(path.replace(os.sep, "/"), name) for path, _, name in pstats.Stats(profiler).stats}
+        helpers = sorted(f"{path.rsplit('numpy/', 1)[1]}:{name}" for path, name in called
+                         if path.endswith(NUMPY_PYTHON_HELPERS))
+        assert helpers == [], fusion

@@ -1,4 +1,8 @@
+import math
+import warnings
+
 import numpy as np
+import pytest
 
 from kpff.rng import Stream, derive_seed, stream
 
@@ -51,3 +55,112 @@ def test_splitmix64_known_answers():
     assert [int(v) for v in Stream(0).raw(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
+
+
+# --- the draws as first written, kept as references ----------------------------------
+
+
+class ReferenceStream:
+    """Stream's formulas before raw and uniform worked in place: _mix on a
+    fresh array inside np.errstate, and out-of-place scaling (reference)."""
+
+    GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+    MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+    MIX2 = np.uint64(0x94D049BB133111EB)
+
+    def __init__(self, seed, counter=0):
+        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.counter = counter
+
+    @classmethod
+    def _mix(cls, z):
+        z = np.uint64(z)
+        with np.errstate(over="ignore"):
+            z ^= z >> np.uint64(30)
+            z *= cls.MIX1
+            z ^= z >> np.uint64(27)
+            z *= cls.MIX2
+            z ^= z >> np.uint64(31)
+        return z
+
+    def raw(self, count):
+        ks = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
+        self.counter += count
+        with np.errstate(over="ignore"):
+            return self._mix(self.seed + ks * self.GOLDEN)
+
+    def uniform(self, size=None, low=0.0, high=1.0):
+        n = 1 if size is None else int(math.prod(np.atleast_1d(size)))
+        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        out = low + (high - low) * u
+        return float(out[0]) if size is None else out.reshape(size)
+
+    def normal(self, size=None, sigma=1.0):
+        n = 1 if size is None else int(math.prod(np.atleast_1d(size)))
+        m = (n + 1) // 2
+        u1 = ((self.raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (self.raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        rad = np.sqrt(-2.0 * np.log(u1))
+        z = np.concatenate([rad * np.cos(2 * np.pi * u2), rad * np.sin(2 * np.pi * u2)])[:n]
+        out = sigma * z
+        return float(out[0]) if size is None else out.reshape(size)
+
+    def permutation(self, n):
+        return np.argsort(self.raw(n), kind="stable")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SEEDS = (0, 17, 2**64 - 1)  # the largest seed wraps on the first addition
+COUNTERS = (0, 1, 1200, 2**40 + 3)
+SIZES = (1, 7, 1200, 76800)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("counter", COUNTERS)
+@pytest.mark.parametrize("size", SIZES)
+def test_draws_match_the_reference_formulas(seed, counter, size):
+    draws = (
+        ("raw", (size,), {}),
+        ("uniform", (), {"size": size}),
+        ("uniform", (), {"size": (size, 1), "low": -0.25, "high": 3.0}),
+        ("normal", (), {"size": size, "sigma": 0.5}),
+        ("permutation", (size,), {}),
+    )
+    for name, args, kwargs in draws:
+        got, want = Stream(seed), ReferenceStream(seed, counter)
+        got.counter = counter
+        assert _same_bits(getattr(got, name)(*args, **kwargs),
+                          getattr(want, name)(*args, **kwargs)), name
+        assert got.counter == want.counter, name
+
+
+@pytest.mark.parametrize("counter", COUNTERS)
+def test_scalar_draws_match_the_reference_formulas(counter):
+    for name, kwargs in (("uniform", {"low": -2.0, "high": 5.0}), ("normal", {"sigma": 3.0})):
+        got, want = Stream(29), ReferenceStream(29, counter)
+        got.counter = counter
+        a, b = getattr(got, name)(**kwargs), getattr(want, name)(**kwargs)
+        assert type(a) is float and a == b, name
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (7, 1200), (1200, 7), (0, 5), (600, 76800)])
+def test_raw_draws_split_anywhere(a, b):
+    s = Stream(31)
+    first, second = s.raw(a), s.raw(b)
+    assert np.array_equal(np.concatenate([first, second]), Stream(31).raw(a + b))
+
+
+def test_draws_raise_no_floating_point_error_or_warning():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for seed in SEEDS:
+            s = stream(seed, "dropout/fold0")
+            s.raw(1200)
+            s.uniform(size=(50, 12))
+            s.uniform(low=-1.0, high=1.0)
+            s.normal(size=(7,))
+            s.permutation(80)
