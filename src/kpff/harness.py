@@ -93,8 +93,9 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
         in_channels=images.shape[1], image_size=images.shape[2],
         num_classes=int(labels.max()) + 1,
     )
-    params = model.params()
-    frozen = set(model.fusion_param_names()) if freeze else set()
+    # one entry each: every step updates the trained prefix of the model's
+    # parameter vector, whose gradient forward_backward writes in place
+    params, grads = model.trainable(freeze)
     opt = OptimizerState(cfg.optimizer, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     shuffle_stream = stream(cfg.seed, f"shuffle/fold{fold}")
@@ -112,10 +113,10 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
         epoch_losses = []
         for start in range(0, len(perm), batch):
             sel = perm[start : start + batch]
-            loss, _, grads = model.forward_backward(
+            loss, _, _ = model.forward_backward(
                 x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
             )
-            opt.apply(params, grads, frozen)
+            opt.apply(params, grads)
             epoch_losses.append(loss)
         loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
         if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:

@@ -7,6 +7,8 @@ single-sample ops (conv_forward, global_average_pool, ...) wrap the same
 code with N=1 and take/return Tensor values.
 """
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .tensor import Tensor, ShapeError, NonFiniteError, from_array
@@ -51,6 +53,10 @@ class ConvLayer:
 
     kernels: [out_channels, in_channels, 2*delta+1, 2*gamma+1]
 
+    backward_batch writes the parameter gradients into the arrays of
+    self.grads, allocated here; Model points them at views of its gradient
+    vector.
+
     Computed as im2col + one GEMM. The column matrix is laid out
     [C*kh*kw, H'*W'*N], batch innermost, so that every im2col copy runs
     over W'*N contiguous elements. Outputs and input gradients are
@@ -71,7 +77,7 @@ class ConvLayer:
         self.bias = bias
         self.activation = activation
         self._cache = None
-        self.grads = {}
+        self.grads = {"kernels": np.zeros_like(kernels), "bias": np.zeros_like(bias)}
 
     @property
     def in_channels(self):
@@ -111,15 +117,15 @@ class ConvLayer:
         return out
 
     def backward_batch(self, dout, *, input_grad=True):
-        """Parameter gradients into self.grads; returns dL/dx, or None when
-        input_grad is False (an input nothing differentiates, such as the
-        image)."""
+        """Parameter gradients into the arrays of self.grads, in place;
+        returns dL/dx, or None when input_grad is False (an input nothing
+        differentiates, such as the image)."""
         (N, C, H, W), cols, pre, out = self._cache
         O, _, kh, kw = self.kernels.shape
         dpre = _act_backward(self.activation, pre, out, dout)
         dpre = dpre.transpose(1, 2, 3, 0).reshape(O, -1)  # [O, H'*W'*N]
-        self.grads["kernels"] = (dpre @ cols.T).reshape(self.kernels.shape)
-        self.grads["bias"] = np.add.reduce(dpre, axis=1)
+        np.matmul(dpre, cols.T, out=self.grads["kernels"].reshape(O, -1))
+        np.add.reduce(dpre, axis=1, out=self.grads["bias"])
         if not input_grad:
             return None
         # col2im: scatter-add each kernel tap's columns back onto the input.
@@ -140,7 +146,8 @@ class ConvLayer:
 
 
 class DenseLayer:
-    """Affine map y = W x + b with an optional activation."""
+    """Affine map y = W x + b with an optional activation. Gradients go into
+    the arrays of self.grads, as for ConvLayer."""
 
     def __init__(self, weights, bias, activation="identity"):
         weights = np.asarray(weights, dtype=np.float64)
@@ -151,7 +158,7 @@ class DenseLayer:
         self.bias = bias
         self.activation = activation
         self._cache = None
-        self.grads = {}
+        self.grads = {"weights": np.zeros_like(weights), "bias": np.zeros_like(bias)}
 
     def forward_batch(self, x):  # x: [N, in]
         if x.shape[1] != self.weights.shape[1]:
@@ -164,8 +171,8 @@ class DenseLayer:
     def backward_batch(self, dout):
         x, pre, out = self._cache
         dpre = _act_backward(self.activation, pre, out, dout)
-        self.grads["weights"] = dpre.T @ x
-        self.grads["bias"] = np.add.reduce(dpre, axis=0)
+        np.matmul(dpre.T, x, out=self.grads["weights"])
+        np.add.reduce(dpre, axis=0, out=self.grads["bias"])
         return dpre @ self.weights
 
 
@@ -192,12 +199,20 @@ class MaxPool2x2:
 
     @staticmethod
     def _tie_masks(win, out):
-        """One mask per window position; the first position equal to the max wins."""
-        first = win[0] == out
-        second = (win[1] == out) & ~first
-        taken = first | second
-        third = (win[2] == out) & ~taken
-        return first, second, third, ~(taken | third)
+        """[4, ...] booleans, one mask per window position: the first
+        position equal to the max wins. Eight passes, each in place; for
+        booleans a > b is a & ~b."""
+        masks = np.empty(win.shape, dtype=bool)
+        first, second, third, fourth = masks
+        np.equal(win[0], out, out=first)
+        np.equal(win[1], out, out=second)
+        np.greater(second, first, out=second)
+        np.logical_or(first, second, out=fourth)  # taken so far
+        np.equal(win[2], out, out=third)
+        np.greater(third, fourth, out=third)
+        fourth |= third
+        np.logical_not(fourth, out=fourth)
+        return masks
 
     def forward_batch(self, x):
         if x.shape[2] < 2 or x.shape[3] < 2:  # too small to pool: pass through
@@ -217,9 +232,8 @@ class MaxPool2x2:
         if win is None:
             return dout
         self._cache = None
-        masks = self._tie_masks(win, out)  # all four, before win is overwritten
-        for k, mask in enumerate(masks):
-            np.multiply(dout.transpose(1, 2, 3, 0), mask, out=win[k])
+        masks = self._tie_masks(win, out)  # before win is overwritten
+        np.multiply(dout.transpose(1, 2, 3, 0), masks, out=win)
         # odd trailing rows/columns get no gradient; every other value is written
         dx = (np.zeros if H % 2 or W % 2 else np.empty)((C, H, W, N))
         self._split_windows(dx)[...] = win.reshape(2, 2, C, H // 2, W // 2, N).transpose(2, 3, 0, 4, 1, 5)
@@ -251,6 +265,8 @@ def dropout_batch(x, p, train, rng_stream):
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x, None
+    if rng_stream is None:
+        raise ValueError(f"training with dropout p = {p} needs a dropout_stream, got None")
     keep = (rng_stream.uniform(size=x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * keep, keep
 
@@ -321,6 +337,8 @@ class OptimizerState:
     update there, and subtracts each parameter's slice in place. The update
     is elementwise, so every value is the per-array formula's bit for bit.
     Adam's moments are flat too; self.m / self.v map each name to its view.
+    Training hands it one entry, a Model's trainable vector (Model.trainable),
+    so a step there gathers and scatters nothing.
     """
 
     def __init__(self, method="adam", lr=1e-4, weight_decay=0.0,
@@ -461,7 +479,13 @@ class Model:
     The activation runs after the pool, on a quarter of the values. Every
     activation here is monotone non-decreasing, so max(f(a), f(b)) =
     f(max(a, b)) and the outputs are those of conv -> activation -> pool;
-    docs/gradients.md gives the one case where gradients can differ."""
+    docs/gradients.md gives the one case where gradients can differ.
+
+    Every parameter is a view of one float64 vector, self.theta, and every
+    gradient a view of a second, self.grad, laid out alike: params() order,
+    except that fusion.ws sits last. The layers write their gradients into
+    those views in place.
+    """
 
     def __init__(self, seed, in_channels=1, image_size=16, channels=(6, 12),
                  activation="relu", fusion="kpff", num_classes=4,
@@ -513,7 +537,6 @@ class Model:
                     size=(n_taps, n_taps), sigma=kpff_noise
                 )
             self.fusion_ws = ws  # row i is w_i
-            self.grad_fusion_ws = np.zeros_like(ws)
 
         if fusion == "none":
             head_in = channels[-1]
@@ -528,25 +551,59 @@ class Model:
         )
         self._blocks = None
         self._dropout_mask = None
+        self._bind_vectors()
 
     # --- parameter registry ------------------------------------------------
 
-    def params(self):
-        out = {}
+    def _bind_vectors(self):
+        """Copy every parameter into self.theta and point the layers at views
+        of it, and their gradients at the same views of self.grad."""
+        slots = []  # (name, owner, attribute) in params() order
         for b, conv in enumerate(self.convs):
-            out[f"conv{b}.kernels"] = conv.kernels
-            out[f"conv{b}.bias"] = conv.bias
+            slots += [(f"conv{b}.kernels", conv, "kernels"), (f"conv{b}.bias", conv, "bias")]
         for b, proj in enumerate(self.projections):
-            out[f"proj{b}.weights"] = proj.weights
-            out[f"proj{b}.bias"] = proj.bias
+            slots += [(f"proj{b}.weights", proj, "weights"), (f"proj{b}.bias", proj, "bias")]
         if self.fusion == "kpff":
-            out["fusion.ws"] = self.fusion_ws
-        out["head.weights"] = self.head.weights
-        out["head.bias"] = self.head.bias
-        return out
+            slots.append(("fusion.ws", self, "fusion_ws"))
+        slots += [("head.weights", self.head, "weights"), ("head.bias", self.head, "bias")]
+        # fusion.ws last, so that what a frozen kpff trains is a prefix
+        fusion = self.fusion_param_names()
+        in_vector = sorted(slots, key=lambda slot: slot[0] in fusion)
+        sizes = {name: getattr(owner, attr).size for name, owner, attr in slots}
+        total = sum(sizes.values())
+        self._trainable_stop = total - sum(sizes[name] for name in fusion)
+        self.theta, self.grad = np.empty(total), np.zeros(total)
+        views = {}
+        start = 0
+        for name, owner, attr in in_vector:
+            value = getattr(owner, attr)
+            stop = start + sizes[name]
+            param = self.theta[start:stop].reshape(value.shape)
+            grad = self.grad[start:stop].reshape(value.shape)
+            param[...] = value
+            setattr(owner, attr, param)
+            if owner is self:
+                self.grad_fusion_ws = grad
+            else:
+                owner.grads[attr] = grad
+            views[name] = param, grad
+            start = stop
+        self._params = {name: views[name][0] for name, *_ in slots}
+        self._grads = MappingProxyType({name: views[name][1] for name, *_ in slots})
+
+    def params(self):
+        """name -> parameter array, each a view of self.theta."""
+        return dict(self._params)
 
     def fusion_param_names(self):
         return ("fusion.ws",) if self.fusion == "kpff" else ()
+
+    def trainable(self, freeze_fusion=False):
+        """(params, grads) for OptimizerState.apply to update every trained
+        value in one go: {"theta": ...} of the parameter and the gradient
+        vector, without fusion.ws (the tail) when freeze_fusion."""
+        stop = self._trainable_stop if freeze_fusion else self.theta.size
+        return {"theta": self.theta[:stop]}, {"theta": self.grad[:stop]}
 
     # --- forward / backward -------------------------------------------------
 
@@ -617,7 +674,11 @@ class Model:
         return logits
 
     def forward_backward(self, x, labels, train=True, dropout_stream=None):
-        """Mean loss, top-1 accuracy, and mean parameter gradients for a batch."""
+        """Mean loss, top-1 accuracy, and mean parameter gradients for a batch.
+
+        The gradients are written into self.grad; the returned read-only
+        mapping holds its views, by params() name. They are valid until the
+        next call, which overwrites them: copy what must outlive it."""
         if x.shape[0] == 0:
             raise ShapeError("empty batch")
         logits = self.forward_batch(x, train=train, dropout_stream=dropout_stream)
@@ -625,24 +686,12 @@ class Model:
         dlogits /= x.shape[0]
 
         if self.fusion == "kpff":
-            self.grad_fusion_ws[:] = 0.0
+            self.grad_fusion_ws[...] = 0.0  # _fuse_backward adds to it
         dfused = self.head.backward_batch(dlogits)
         if self._dropout_mask is not None:
             dfused = dfused * self._dropout_mask
         self._blocks_backward(self._fuse_backward(dfused))
-
-        grads = {}
-        for b, conv in enumerate(self.convs):
-            grads[f"conv{b}.kernels"] = conv.grads["kernels"]
-            grads[f"conv{b}.bias"] = conv.grads["bias"]
-        for b, proj in enumerate(self.projections):
-            grads[f"proj{b}.weights"] = proj.grads["weights"]
-            grads[f"proj{b}.bias"] = proj.grads["bias"]
-        if self.fusion == "kpff":
-            grads["fusion.ws"] = self.grad_fusion_ws.copy()
-        grads["head.weights"] = self.head.grads["weights"]
-        grads["head.bias"] = self.head.grads["bias"]
-        return loss, acc, grads
+        return loss, acc, self._grads
 
     def evaluate(self, x, labels):
         """Mean loss and top-1 accuracy of a batch, in eval mode."""

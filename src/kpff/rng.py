@@ -33,12 +33,14 @@ def _mix(z):
 
 
 def _count(size) -> int:
-    """Values in a draw of the given size: None is one, an int is itself."""
+    """Values in a draw of the given size: None is one, an int is itself.
+    ValueError for a negative size or extent."""
     if size is None:
         return 1
-    if isinstance(size, (int, np.integer)):
-        return int(size)
-    return int(math.prod(size))
+    shape = (size,) if isinstance(size, (int, np.integer)) else size
+    if min(shape, default=0) < 0:
+        raise ValueError(f"size must not be negative, got {size!r}")
+    return int(math.prod(shape))
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -58,7 +60,10 @@ class Stream:
 
     def raw(self, count: int) -> np.ndarray:
         """The next count values: SplitMix64 of seed + k * golden for the
-        counters k, computed in place, wrapping modulo 2**64."""
+        counters k, computed in place, wrapping modulo 2**64. A negative
+        count raises ValueError and leaves the counter where it was."""
+        if count < 0:
+            raise ValueError(f"size must not be negative, got {count!r}")
         z = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
         z *= _GOLDEN
@@ -98,7 +103,8 @@ class Stream:
         return out.reshape(size)
 
     def permutation(self, n: int) -> np.ndarray:
-        # argsort of 64-bit keys; stable sort keeps this deterministic
+        # argsort of 64-bit keys; stable sort keeps this deterministic. A
+        # negative n is rejected by raw before the counter moves.
         return self.raw(n).argsort(kind="stable")
 
 

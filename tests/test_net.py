@@ -232,6 +232,8 @@ def test_conv_backward_without_input_grad():
     layer.forward_batch(x)
     assert layer.backward_batch(dout) is not None
     full = {k: v.copy() for k, v in layer.grads.items()}
+    for grad in layer.grads.values():
+        grad[...] = np.nan  # the second call must write every value again
     layer.forward_batch(x)
     assert layer.backward_batch(dout, input_grad=False) is None
     for k in full:
@@ -809,6 +811,132 @@ def test_flat_optimizer_matches_per_array_formula(method, weight_decay, frozen, 
     for k in ref_opt.m:
         assert flat_opt.m[k].tobytes() == ref_opt.m[k].tobytes()
         assert flat_opt.v[k].tobytes() == ref_opt.v[k].tobytes()
+
+
+# --- one parameter vector per model ------------------------------------------------------
+
+
+def _vector_offset(model, array):
+    """Where array starts in model.theta or model.grad, in values."""
+    base = model.theta if np.shares_memory(array, model.theta) else model.grad
+    return (array.ctypes.data - base.ctypes.data) // base.itemsize
+
+
+@pytest.mark.parametrize("method", ["adam", "sgd"])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("fusion,freeze", [(f, False) for f in FUSION_METHODS] + [("kpff", True)])
+def test_one_array_step_matches_the_per_name_path(fusion, freeze, method, weight_decay):
+    # two copies of one model: one updated as harness.train_run does, by one
+    # apply over Model.trainable's single entry; the other by the per-name
+    # dict path over params() and forward_backward's gradients (reference)
+    kwargs = dict(seed=5, image_size=12, channels=(3, 4), fusion=fusion, num_classes=3,
+                  dropout_p=0.25, kpff_noise=0.0 if freeze else 0.2)
+    flat, ref = Model(**kwargs), Model(**kwargs)
+    start = ref.params()["fusion.ws"].copy() if fusion == "kpff" else None
+    flat_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
+    ref_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
+    params, grads = flat.trainable(freeze)
+    frozen = ref.fusion_param_names() if freeze else ()
+    flat_drop, ref_drop = stream(5, "dropout"), stream(5, "dropout")
+    x, labels = _toy_batch(seed=7, n=6, size=12)
+    for step in range(60):
+        n = 6 if step % 2 == 0 else 4  # two batch sizes, as a fold's full and last batch
+        flat.forward_backward(x[:n], labels[:n], train=True, dropout_stream=flat_drop)
+        flat_opt.apply(params, grads)
+        _, _, ref_grads = ref.forward_backward(x[:n], labels[:n], train=True,
+                                               dropout_stream=ref_drop)
+        ref_opt.apply(ref.params(), ref_grads, frozen)
+        assert flat.theta.tobytes() == ref.theta.tobytes(), step
+    if freeze:
+        assert np.array_equal(flat.params()["fusion.ws"], start)
+    elif fusion == "kpff":
+        assert not np.array_equal(flat.params()["fusion.ws"], start)
+    if method == "adam":
+        assert set(ref_opt.m) == set(ref.params()) - set(frozen)
+        for name, array in ref.params().items():
+            if name in frozen:
+                continue
+            where = slice(_vector_offset(ref, array), _vector_offset(ref, array) + array.size)
+            assert flat_opt.m["theta"][where].tobytes() == ref_opt.m[name].tobytes(), name
+            assert flat_opt.v["theta"][where].tobytes() == ref_opt.v[name].tobytes(), name
+
+
+@pytest.mark.parametrize("fusion", FUSION_METHODS)
+def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
+    model = Model(seed=3, image_size=12, channels=(3, 4), fusion=fusion, num_classes=3,
+                  dropout_p=0.25)
+    params = model.params()
+    # params() order; in the vectors every value once, fusion.ws last
+    layout = sorted((_vector_offset(model, p), p.size) for p in params.values())
+    assert [start for start, _ in layout] == list(np.cumsum([0] + [n for _, n in layout[:-1]]))
+    assert sum(p.size for p in params.values()) == model.theta.size == model.grad.size
+    if fusion == "kpff":
+        n2 = params["fusion.ws"].size
+        assert _vector_offset(model, params["fusion.ws"]) == model.theta.size - n2
+        assert model.trainable(freeze_fusion=True)[0]["theta"].size == model.theta.size - n2
+    assert list(params)[:2] == ["conv0.kernels", "conv0.bias"]
+    assert list(params)[-2:] == ["head.weights", "head.bias"]
+    assert model.convs[1].kernels is params["conv1.kernels"]
+    assert model.head.bias is params["head.bias"]
+
+    x, labels = _toy_batch()
+    drop = stream(3, "dropout")
+    _, _, first = model.forward_backward(x, labels, train=True, dropout_stream=drop)
+    _, _, second = model.forward_backward(x, labels, train=True, dropout_stream=drop)
+    assert list(second) == list(params)
+    for name, p in params.items():
+        assert np.shares_memory(p, model.theta), name
+        assert second[name] is first[name], name  # the same arrays, rewritten
+        assert np.shares_memory(second[name], model.grad), name
+        assert _vector_offset(model, second[name]) == _vector_offset(model, p), name
+        assert second[name].shape == p.shape, name
+    theta, grad = model.trainable()
+    assert theta["theta"].base is model.theta and grad["theta"].base is model.grad
+    assert theta["theta"].size == model.theta.size
+    with pytest.raises(TypeError):
+        second["head.bias"] = np.zeros(3)  # the mapping is read-only
+
+
+def ten_pass_tie_masks(win, out):
+    """MaxPool2x2._tie_masks as it was written before: ten passes, each into
+    a new temporary (reference)."""
+    first = win[0] == out
+    second = (win[1] == out) & ~first
+    taken = first | second
+    third = (win[2] == out) & ~taken
+    return first, second, third, ~(taken | third)
+
+
+@pytest.mark.parametrize("case", ["random", "tied", "constant"])
+def test_tie_masks_match_the_ten_pass_formula(case):
+    s = Stream(67)
+    shape = (4, 3, 5, 6, 7)
+    win = {
+        "random": s.uniform(size=shape, low=-1, high=1),
+        "tied": np.round(s.uniform(size=shape, low=-1.5, high=1.5)),  # -1, 0 and 1
+        "constant": np.full(shape, 0.5),
+    }[case]
+    out = np.maximum(np.maximum(win[0], win[1]), np.maximum(win[2], win[3]))
+    masks = MaxPool2x2._tie_masks(win, out)
+    assert masks.dtype == bool and masks.shape == shape
+    assert np.array_equal(masks, np.stack(ten_pass_tie_masks(win, out)))
+    assert np.all(np.add.reduce(masks, axis=0) == 1)
+    if case == "tied":  # every set of positions holding the max occurs
+        holds = (win == out).reshape(4, -1)
+        assert len({tuple(col) for col in holds.T}) == 15
+
+
+def test_training_with_dropout_needs_a_dropout_stream():
+    x, labels = _toy_batch()
+    model = Model(seed=1, image_size=12, channels=(4, 6), fusion="add", num_classes=3,
+                  dropout_p=0.25)
+    with pytest.raises(ValueError, match="dropout_stream"):
+        model.forward_backward(x, labels)  # train=True by default
+    with pytest.raises(ValueError, match="dropout_stream"):
+        dropout_batch(np.ones((2, 3)), 0.5, True, None)
+    # no draw, so no stream, in eval mode or at p = 0
+    model.forward_backward(x, labels, train=False)
+    assert dropout_batch(np.ones((2, 3)), 0.0, True, None)[1] is None
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 1, 2, 2), (1, 2, 4, 4), (2, 3, 5, 4)])

@@ -164,3 +164,36 @@ def test_draws_raise_no_floating_point_error_or_warning():
             s.uniform(low=-1.0, high=1.0)
             s.normal(size=(7,))
             s.permutation(80)
+
+
+# --- a negative size is rejected before the counter moves ----------------------------
+
+
+@pytest.mark.parametrize("draw", [
+    lambda s: s.uniform(size=-1),
+    lambda s: s.uniform(size=(2, -3)),
+    lambda s: s.uniform(size=(-2, -3)),  # a positive count from negative extents
+    lambda s: s.normal(size=np.int64(-4)),
+    lambda s: s.permutation(-2),
+    lambda s: s.raw(-1),
+], ids=["uniform-int", "uniform-extent", "uniform-two-extents", "normal-np-int",
+        "permutation", "raw"])
+def test_negative_sizes_are_rejected_and_leave_the_counter(draw):
+    s = Stream(71)
+    s.uniform(size=3)
+    with pytest.raises(ValueError, match="size must not be negative, got"):
+        draw(s)
+    assert s.counter == 3
+    # the next draw continues the stream: the values a fresh stream gives after 3
+    fresh = Stream(71)
+    fresh.raw(3)
+    assert _same_bits(s.uniform(size=(4,)), fresh.uniform(size=(4,)))
+
+
+def test_size_zero_draws_are_empty():
+    s = Stream(73)
+    assert s.uniform(size=0).shape == (0,)
+    assert s.uniform(size=(2, 0)).shape == (2, 0)
+    assert s.permutation(0).shape == (0,)
+    assert s.raw(0).shape == (0,)
+    assert s.counter == 0
