@@ -16,7 +16,8 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig, load_config, serialize_config, config_hash
 from .data import make_folds, write_fold_plan
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
-from .harness import METHOD_TOKENS, crossval, load_dataset, train_run, write_report, comparison_table
+from .harness import (METHOD_TOKENS, comparison_table, crossval, load_dataset, process_count,
+                      train_run, write_report)
 from .rng import stream
 from .tensor import from_array
 
@@ -99,7 +100,10 @@ def cmd_crossval(args):
     outdir = Path(args.out)
     write_report(outdir, report, plan)
     print(comparison_table(report))
-    print(f"config hash {report['config_hash']}, wall clock {wall:.1f}s")
+    # the process count is not in the config and not in the report files
+    processes = process_count(cfg, methods)
+    print(f"config hash {report['config_hash']}, wall clock {wall:.1f}s "
+          f"on {processes} process{'es' if processes > 1 else ''}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'folds.txt'}")
     return 0
 

@@ -3,7 +3,7 @@
 All methods inside one cross-validation call share the same fold plan and
 the same per-fold RNG streams, so runs differ only in the fusion stage.
 Reports are pure functions of the config: rerunning a config reproduces
-them byte for byte.
+them byte for byte, whatever the number of processes the jobs ran in.
 """
 
 import ctypes
@@ -119,12 +119,12 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
             opt.apply(params, grads)
             epoch_losses.append(loss)
         loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
+        # the last epoch always evaluates, and its loss and accuracy are final
         if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:
-            _, acc = model.evaluate(x_test, y_test)
-            val_curve.append((epoch, acc))
-            best_acc = max(best_acc, acc)
+            final_loss, final_acc = model.evaluate(x_test, y_test)
+            val_curve.append((epoch, final_acc))
+            best_acc = max(best_acc, final_acc)
 
-    final_loss, final_acc = model.evaluate(x_test, y_test)
     return {
         "fold": fold,
         "final_acc": final_acc,
@@ -135,23 +135,169 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
     }, model
 
 
+class JobError(RuntimeError):
+    """A cross-validation job failed, or a worker process ended before
+    sending all of its jobs' results. The message names the jobs."""
+
+
+def _usable_cores():
+    """Cores this process may run on. One where os.fork or
+    os.sched_getaffinity is missing: there the jobs are not forked."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def process_count(cfg: RunConfig, methods) -> int:
+    """Processes `crossval` runs its (method, fold) jobs in: one per usable
+    core, at most one per job."""
+    return min(_usable_cores(), len(dict.fromkeys(methods)) * cfg.folds)
+
+
+def _job_name(job):
+    token, fold = job
+    return f"({token}, fold {fold})"
+
+
+def _worker(writer, share, run):
+    """A forked worker's whole life: send ("done", job, result) per job in
+    order, or ("error", job, description) for the first job that raises,
+    then leave with os._exit, so no atexit handler, inherited stdio buffer
+    or test-runner teardown runs in it."""
+    status = 1
+    try:
+        for job in share:
+            try:
+                result = run(*job)
+            except BaseException as exc:  # reported to the caller, then the worker exits
+                import traceback
+
+                writer.send(("error", job, f"{type(exc).__name__}: {exc}",
+                             "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))))
+                return
+            writer.send(("done", job, result))
+        writer.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(workers, reader, results):
+    """Take one message from a worker's pipe. At the end of the pipe the
+    worker is reaped and dropped from `workers`; it must have sent every
+    job of its share."""
+    pid, share = workers[reader]
+    try:
+        kind, job, *detail = reader.recv()
+    except EOFError:
+        del workers[reader]
+        reader.close()
+        _, status = os.waitpid(pid, 0)
+        missing = [job for job in share if job not in results]
+        if missing:
+            raise JobError(
+                f"crossval worker process {pid} ended (exit code "
+                f"{os.waitstatus_to_exitcode(status)}) without the results of "
+                f"{', '.join(map(_job_name, missing))}") from None
+        return
+    if kind == "error":
+        message, worker_traceback = detail
+        raise JobError(f"crossval job {_job_name(job)} failed in worker process {pid}: "
+                       f"{message}\n\nworker traceback:\n{worker_traceback}")
+    results[job] = detail[0]
+
+
+def _collect(workers, results, timeout):
+    """Take every message the workers send within `timeout` seconds; with
+    None, wait until at least one has something."""
+    from multiprocessing.connection import wait
+
+    for reader in wait(list(workers), timeout):
+        while reader in workers and reader.poll():
+            _receive(workers, reader, results)
+
+
+def _run_jobs(jobs, run, processes):
+    """`run(*job)` for every job, in `processes` processes; returns
+    {job: result}.
+
+    The jobs are dealt round-robin into one share per process. The calling
+    process forks a worker for each share but the last, runs the last
+    share itself, and between and after its own jobs collects the results
+    the workers send down their pipes. With one process nothing is forked.
+    Whatever fails, the caller raises JobError, or re-raises what stopped
+    its own jobs, only after it has killed and reaped every worker.
+
+    Workers are forked, not spawned, so they start with the caller's data,
+    modules and injected hooks as they are, and nothing is pickled on the
+    way in. OpenBLAS quiesces its own thread pool around a fork; a caller
+    with threads of its own that hold locks should not call this.
+    """
+    # Imported here, not with the module: only a forking run needs them. At
+    # start-up multiprocessing.connection costs about 12 ms, and importing
+    # signal and traceback with the module slowed the kpffbench fusion_grid
+    # workload, which never forks, by 5-10% (CHANGES.md).
+    import signal
+    from multiprocessing.connection import Pipe
+
+    shares = [jobs[w::processes] for w in range(processes)]
+    workers = {}  # read end of a worker's pipe -> (pid, share)
+    try:
+        for share in shares[:-1]:
+            reader, writer = Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                for other in (reader, *workers):
+                    other.close()
+                _worker(writer, share, run)  # does not return
+            writer.close()
+            workers[reader] = (pid, share)
+        results = {}
+        for job in shares[-1]:
+            try:
+                results[job] = run(*job)
+            except Exception as exc:
+                raise JobError(f"crossval job {_job_name(job)} failed: "
+                               f"{type(exc).__name__}: {exc}") from exc
+            _collect(workers, results, timeout=0)
+        while workers:
+            _collect(workers, results, timeout=None)
+        return results
+    finally:
+        for reader, (pid, _) in workers.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def crossval(cfg: RunConfig, methods):
-    """Run k-fold cross-validation for each method over shared folds."""
+    """Run k-fold cross-validation for each method over shared folds.
+
+    The (method, fold) jobs run in `process_count` processes, the calling
+    one among them (`_run_jobs`); each job's result depends only on the
+    config, its method and its fold, so the report does not depend on how
+    many processes there were. Returns (report, fold plan, wall seconds).
+    """
+    methods = list(dict.fromkeys(methods))
     for m in methods:
         resolve_method(m, cfg)  # validate early
     dataset = load_dataset(cfg)
     plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
     images, labels = dataset.stacked()
 
+    def run(token, fold):
+        res, _ = train_run(cfg, images, labels, plan.train_indices(fold), plan.folds[fold],
+                           token, fold)
+        return res
+
     started = time.perf_counter()
+    jobs = [(token, fold) for token in methods for fold in range(plan.k)]
+    done = _run_jobs(jobs, run, process_count(cfg, methods))
+    wall = time.perf_counter() - started
+
     results = {}
     for token in methods:
-        fold_results = []
-        for fold in range(plan.k):
-            res, _ = train_run(
-                cfg, images, labels, plan.train_indices(fold), plan.folds[fold], token, fold
-            )
-            fold_results.append(res)
+        fold_results = [done[token, fold] for fold in range(plan.k)]
         accs = [r["final_acc"] for r in fold_results]
         results[token] = {
             "folds": fold_results,
@@ -159,7 +305,6 @@ def crossval(cfg: RunConfig, methods):
             "std_final_acc": float(np.std(accs)),
             "mean_best_acc": float(np.mean([r["best_acc"] for r in fold_results])),
         }
-    wall = time.perf_counter() - started
 
     report = {
         "config": serialize_config(cfg),

@@ -6,6 +6,7 @@ never shifts the draws of another.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -33,14 +34,19 @@ def _mix(z):
 
 
 def _count(size) -> int:
-    """Values in a draw of the given size: None is one, an int is itself.
-    ValueError for a negative size or extent."""
+    """Values in a draw of the given size: None is one, an integer is
+    itself, a tuple or list the product of its extents. TypeError for a
+    non-integral size or extent, ValueError for a negative one."""
     if size is None:
         return 1
-    shape = (size,) if isinstance(size, (int, np.integer)) else size
+    extents = size if isinstance(size, (tuple, list)) else (size,)
+    try:
+        shape = [operator.index(e) for e in extents]
+    except TypeError:
+        raise TypeError(f"size must be an integer or a tuple of integers, got {size!r}") from None
     if min(shape, default=0) < 0:
         raise ValueError(f"size must not be negative, got {size!r}")
-    return int(math.prod(shape))
+    return math.prod(shape)
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -60,8 +66,13 @@ class Stream:
 
     def raw(self, count: int) -> np.ndarray:
         """The next count values: SplitMix64 of seed + k * golden for the
-        counters k, computed in place, wrapping modulo 2**64. A negative
-        count raises ValueError and leaves the counter where it was."""
+        counters k, computed in place, wrapping modulo 2**64. A count that
+        is not an integer raises TypeError, a negative one ValueError, and
+        either leaves the counter where it was."""
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise TypeError(f"size must be an integer, got {count!r}") from None
         if count < 0:
             raise ValueError(f"size must not be negative, got {count!r}")
         z = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
@@ -104,7 +115,8 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         # argsort of 64-bit keys; stable sort keeps this deterministic. A
-        # negative n is rejected by raw before the counter moves.
+        # negative or non-integral n is rejected by raw before the counter
+        # moves.
         return self.raw(n).argsort(kind="stable")
 
 

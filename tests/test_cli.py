@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,10 @@ def test_crossval_outputs(tmp_path, capsys):
     concat = [row[2:] for row in rows if row[0] == "concat"]
     frozen = [row[2:] for row in rows if row[0] == "kpff-frozen"]
     assert concat == frozen
+    # the process count goes to stdout, never into the report files
+    assert re.search(r"wall clock \d+\.\ds on \d+ process(es)?\n", capsys.readouterr().out)
+    for name in ("report.csv", "summary.json", "folds.txt"):
+        assert "process" not in (out / name).read_text()
 
 
 def test_crossval_deterministic_bytes(tmp_path):

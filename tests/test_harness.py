@@ -1,24 +1,50 @@
 import os
 import resource
+import signal
 
 import numpy as np
 import pytest
 
+from kpff import harness, hooks
 from kpff.config import RunConfig
 from kpff.data import make_folds
 from kpff.harness import (
+    JobError,
     comparison_table,
     crossval,
     load_dataset,
+    process_count,
     report_csv,
     resolve_method,
     summary_json,
     train_run,
+    write_report,
 )
+from kpff.net import Model
 
 FAST_CFG = RunConfig(seed=4, per_class=5, image_size=8, channels=(3, 4),
                      max_epochs=3, lr=3e-3, batch_size=10, val_interval=2,
                      dropout_p=0.25)
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """A crossval whose workers hang fails its test after 60 s instead of
+    hanging the suite; the caller's cleanup still kills and reaps them."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the test did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_resolve_method():
@@ -95,3 +121,155 @@ def test_training_steps_reuse_heap_pages():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     steps = cfg.max_epochs * 2
     assert faults < 5 * steps, f"{faults} minor page faults over {steps} training steps"
+
+
+def test_train_run_evaluates_once_per_val_point(monkeypatch):
+    calls = []
+    evaluate = Model.evaluate
+
+    def counted(self, x, labels):
+        calls.append(len(labels))
+        return evaluate(self, x, labels)
+
+    monkeypatch.setattr(Model, "evaluate", counted)
+    cfg = FAST_CFG.with_overrides(max_epochs=5, val_interval=2)  # val points 2, 4 and 5
+    dataset = load_dataset(cfg)
+    plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
+    images, labels = dataset.stacked()
+    res, _ = train_run(cfg, images, labels, plan.train_indices(1), plan.folds[1], "kpff", 1)
+    assert [epoch for epoch, _ in res["val_curve"]] == [2, 4, 5]
+    assert calls == [len(plan.folds[1])] * 3
+    assert res["final_acc"] == res["val_curve"][-1][1]
+
+
+# --- the jobs shared among processes -------------------------------------------------
+
+# two methods x five folds: ten jobs, split 5/5 over two processes and 4/3/3 over three
+METHODS = ["add", "kpff"]
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_on(monkeypatch, processes, out, cfg=FAST_CFG):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+    assert process_count(cfg, METHODS) == processes
+    report, plan, _ = crossval(cfg, METHODS)
+    write_report(out, report, plan)
+    _assert_no_children_left()
+    return {name: (out / name).read_bytes() for name in ("report.csv", "summary.json", "folds.txt")}
+
+
+def test_reports_do_not_depend_on_the_process_count(monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError("one process forks nothing")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", no_fork)
+        one = _run_on(monkeypatch, 1, tmp_path / "p1")
+    assert _run_on(monkeypatch, 2, tmp_path / "p2") == one
+    assert _run_on(monkeypatch, 3, tmp_path / "p3") == one
+
+
+def test_injected_hook_reaches_the_workers(monkeypatch, tmp_path):
+    clean = _run_on(monkeypatch, 1, tmp_path / "clean")
+    hooks.set_injected_bug("adam-bias")
+    try:
+        bugged = [_run_on(monkeypatch, p, tmp_path / f"bug{p}") for p in (1, 2, 3)]
+    finally:
+        hooks.set_injected_bug(None)
+    assert bugged[0]["report.csv"] != clean["report.csv"]
+    assert bugged[1] == bugged[0] and bugged[2] == bugged[0]
+
+
+def test_the_caller_trains_its_own_share(monkeypatch):
+    ran_here = []  # a worker appends to its own copy
+
+    def train(cfg, images, labels, train_idx, test_idx, token, fold):
+        ran_here.append((token, fold))
+        return train_run(cfg, images, labels, train_idx, test_idx, token, fold)
+
+    monkeypatch.setattr(harness, "train_run", train)
+    for processes, share in ((1, [(m, f) for m in METHODS for f in range(5)]),
+                             (2, [("add", 1), ("add", 3), ("kpff", 0), ("kpff", 2), ("kpff", 4)]),
+                             (3, [("add", 2), ("kpff", 0), ("kpff", 3)])):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        ran_here.clear()
+        crossval(FAST_CFG, METHODS)
+        assert ran_here == share
+
+
+def _failing_job(monkeypatch, method, fold, fail):
+    """Make train_run call fail(in_worker) for one job."""
+    caller = os.getpid()
+
+    def train(cfg, images, labels, train_idx, test_idx, token, job_fold):
+        if (token, job_fold) == (method, fold):
+            fail(os.getpid() != caller)
+        return train_run(cfg, images, labels, train_idx, test_idx, token, job_fold)
+
+    monkeypatch.setattr(harness, "train_run", train)
+
+
+def test_a_job_that_raises_in_a_worker_raises_in_the_caller(monkeypatch):
+    def fail(in_worker):
+        raise ValueError(f"boom, in a worker: {in_worker}")
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    _failing_job(monkeypatch, "kpff", 3, fail)
+    with pytest.raises(JobError, match=r"job \(kpff, fold 3\) failed in worker process \d+: "
+                                        r"ValueError: boom, in a worker: True") as info:
+        crossval(FAST_CFG, METHODS)
+    assert "worker traceback" in str(info.value)
+    _assert_no_children_left()
+
+
+def test_a_job_that_raises_in_the_caller_names_it_and_stops_the_workers(monkeypatch):
+    def fail(in_worker):
+        raise ValueError(f"boom, in a worker: {in_worker}")
+
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        _failing_job(monkeypatch, "kpff", 0, fail)  # in the caller's own share at 1, 2 and 3
+        with pytest.raises(JobError, match=r"job \(kpff, fold 0\) failed: "
+                                            r"ValueError: boom, in a worker: False") as info:
+            crossval(FAST_CFG, METHODS)
+        assert isinstance(info.value.__cause__, ValueError)
+        _assert_no_children_left()
+
+
+def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch):
+    def fail(in_worker):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    _failing_job(monkeypatch, "add", 1, fail)  # the caller's first job
+    with pytest.raises(KeyboardInterrupt):
+        crossval(FAST_CFG, METHODS)
+    _assert_no_children_left()
+
+
+def test_a_worker_that_dies_names_its_unfinished_jobs(monkeypatch):
+    def fail(in_worker):
+        if in_worker:
+            os._exit(3)
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    _failing_job(monkeypatch, "add", 4, fail)  # the worker's jobs are add 0, 2, 4, kpff 1, 3
+    with pytest.raises(JobError, match=r"worker process \d+ ended \(exit code 3\) without "
+                                        r"the results of \(add, fold 4\), \(kpff, fold 1\), "
+                                        r"\(kpff, fold 3\)$"):
+        crossval(FAST_CFG, METHODS)
+    _assert_no_children_left()
+
+
+def test_process_count(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 64)
+    assert process_count(FAST_CFG, ["add", "kpff", "add"]) == 10  # one per job
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    assert process_count(FAST_CFG, ["add"]) == 2
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")
+    assert harness._usable_cores() == 1

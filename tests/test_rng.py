@@ -190,6 +190,42 @@ def test_negative_sizes_are_rejected_and_leave_the_counter(draw):
     assert _same_bits(s.uniform(size=(4,)), fresh.uniform(size=(4,)))
 
 
+# --- a non-integral size is rejected before the counter moves -----------------------
+
+
+@pytest.mark.parametrize("draw", [
+    lambda s: s.raw(2.5),
+    lambda s: s.raw(np.float64(2.0)),
+    lambda s: s.uniform(size=2.5),
+    lambda s: s.uniform(size=(2.5,)),
+    lambda s: s.uniform(size=(2, 1.5)),  # the first extent alone would pass
+    lambda s: s.normal(size=(2.5,)),
+    lambda s: s.normal(size=np.float64(3.0)),
+    lambda s: s.permutation(2.5),
+], ids=["raw", "raw-np-float", "uniform-float", "uniform-extent", "uniform-second-extent",
+        "normal-extent", "normal-np-float", "permutation"])
+def test_non_integral_sizes_are_rejected_and_leave_the_counter(draw):
+    s = Stream(79)
+    s.uniform(size=3)
+    with pytest.raises(TypeError, match="size must be an integer"):
+        draw(s)
+    assert s.counter == 3
+    fresh = Stream(79)
+    fresh.raw(3)
+    assert _same_bits(s.uniform(size=(4,)), fresh.uniform(size=(4,)))
+
+
+def test_numpy_integer_sizes_draw_like_ints():
+    a, b = Stream(83), Stream(83)
+    assert _same_bits(a.raw(np.int64(3)), b.raw(3))
+    assert _same_bits(a.uniform(size=np.int64(4)), b.uniform(size=4))
+    assert _same_bits(a.uniform(size=(np.int64(2), np.int32(3))), b.uniform(size=(2, 3)))
+    assert _same_bits(a.normal(size=np.int64(5)), b.normal(size=5))
+    assert np.array_equal(a.permutation(np.int64(6)), b.permutation(6))
+    assert a.counter == b.counter == 3 + 4 + 6 + 6 + 6
+    assert type(a.counter) is int
+
+
 def test_size_zero_draws_are_empty():
     s = Stream(73)
     assert s.uniform(size=0).shape == (0,)
