@@ -104,8 +104,9 @@ class Side:
 
     def _step_args(self, token, model, freeze):
         """OptimizerState.apply's arguments as this tree's train_run passes
-        them: the one-entry trainable vector where the model has one, else
-        the per-name dicts and the frozen names."""
+        them: Model.trainable's pair where the model has one (two arrays, or
+        two one-entry dicts in older trees), else the per-name dicts and the
+        frozen names."""
         if hasattr(model, "trainable"):
             return model.trainable(freeze)
         frozen = set(model.fusion_param_names()) if freeze else set()

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import fusion, gradcheck, hooks
 from .checkpoint import save_checkpoint
-from .config import RunConfig, load_config, serialize_config, config_hash
+from .config import (CHOICES, RunConfig, _parse_value, config_hash, field_types, load_config,
+                     serialize_config)
 from .data import make_folds, write_fold_plan
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
 from .harness import (METHOD_TOKENS, comparison_table, crossval, load_dataset, process_count,
@@ -26,40 +27,37 @@ CHECK_FAILURE = 1
 
 
 def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    overrides = {}
-    for field in ("seed", "fusion", "lr", "weight_decay", "batch_size", "max_epochs",
-                  "dropout_p", "optimizer", "data_dir", "per_class", "image_size",
-                  "kpff_noise", "freeze_fusion", "folds", "activation", "val_interval"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "channels", None):
-        overrides["channels"] = tuple(int(c) for c in args.channels.split(","))
-    return cfg.with_overrides(**overrides)
+    cfg = load_config(args.config) if args.config else RunConfig()
+    return cfg.with_overrides(**{name: getattr(args, name) for name in field_types()
+                                 if getattr(args, name) is not None})
+
+
+def _flag_type(ftype):
+    """argparse type of a RunConfig field's flag: the config-file parser."""
+    def parse(text):
+        return _parse_value(text, ftype)
+
+    parse.__name__ = ftype.__name__  # argparse names it: "invalid int value: 'x'"
+    return parse
 
 
 def _add_config_flags(p):
+    """--config, and one flag per RunConfig field, --weight-decay for weight_decay."""
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fusion", choices=("none", "add", "concat", "kpff"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--val-interval", dest="val_interval", type=int)
-    p.add_argument("--dropout-p", dest="dropout_p", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--activation", choices=("relu", "sigmoid", "leaky_relu", "identity"))
-    p.add_argument("--channels", help="comma list, e.g. 6,12")
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--image-size", dest="image_size", type=int)
-    p.add_argument("--kpff-noise", dest="kpff_noise", type=float)
-    p.add_argument("--freeze-fusion", dest="freeze_fusion", action="store_true", default=None)
-    p.add_argument("--folds", type=int)
+    for name, ftype in field_types().items():
+        flag = "--" + name.replace("_", "-")
+        if ftype is bool:
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=_flag_type(ftype), choices=CHOICES.get(name),
+                           help="comma list, e.g. 6,12" if ftype is tuple else None)
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _maybe_inject_bug(args):
@@ -79,12 +77,12 @@ def _maybe_inject_bug(args):
 def cmd_gradcheck(args):
     if not _maybe_inject_bug(args):
         return USAGE_ERROR
-    sizes = ((args.n, args.r),) if args.n and args.r else None
-    reports = gradcheck.run_suite(
-        seed=args.seed or 0,
-        **({"sizes": sizes} if sizes else {}),
-        with_model=not args.no_model,
-    )
+    if (args.n is None) != (args.r is None):
+        given, missing = ("--n", "--r") if args.r is None else ("--r", "--n")
+        print(f"{given} needs {missing}: give both fusion sizes or neither", file=sys.stderr)
+        return USAGE_ERROR
+    sizes = {} if args.n is None else {"sizes": ((args.n, args.r),)}
+    reports = gradcheck.run_suite(seed=args.seed, **sizes, with_model=not args.no_model)
     print(gradcheck.format_report_table(reports, max_rows=args.max_rows))
     return 0 if all(r.passed for r in reports) else CHECK_FAILURE
 
@@ -259,8 +257,8 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="run the gradient-check suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, help="fusion input count (with --r)")
-    p.add_argument("--r", type=int, help="fusion vector length (with --n)")
+    p.add_argument("--n", type=positive_int, help="fusion input count (with --r)")
+    p.add_argument("--r", type=positive_int, help="fusion vector length (with --n)")
     p.add_argument("--no-model", action="store_true", help="skip the full-model check")
     p.add_argument("--max-rows", type=int, default=40)
     p.add_argument("--inject-bug", choices=hooks.BUG_NAMES,
@@ -282,7 +280,7 @@ def build_parser():
     p = sub.add_parser("bench", help="time and count the fusion operations")
     p.add_argument("--ns", default="2,4,8,16")
     p.add_argument("--rs", default="64,256,1024,4096")
-    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--iters", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="directory for bench.csv (counts only)")
     p.set_defaults(func=cmd_bench)

@@ -7,14 +7,17 @@ from dataclasses import dataclass, fields, replace
 import hashlib
 import math
 
-from .net import check_image_size
+from .net import ACTIVATIONS, FUSION_METHODS, OPTIMIZERS, check_image_size
+
+# the values each field of this kind may take, for RunConfig and the CLI's choices
+CHOICES = {"fusion": FUSION_METHODS, "optimizer": OPTIMIZERS, "activation": tuple(ACTIVATIONS)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    fusion: str = "kpff"  # none | add | concat | kpff
-    optimizer: str = "adam"  # adam | sgd
+    fusion: str = "kpff"
+    optimizer: str = "adam"
     lr: float = 1e-4
     weight_decay: float = 5e-4
     batch_size: int = 50
@@ -23,7 +26,6 @@ class RunConfig:
     dropout_p: float = 0.5
     activation: str = "relu"
     channels: tuple = (6, 12)
-    num_classes: int = 4
     per_class: int = 25
     image_size: int = 16
     data_dir: str = ""  # empty -> synthetic
@@ -36,7 +38,7 @@ class RunConfig:
             if not math.isfinite(getattr(self, f)):
                 raise ValueError(f"{f} must be finite, got {getattr(self, f)}")
         for f in ("lr", "batch_size", "max_epochs", "val_interval", "folds",
-                  "image_size", "num_classes", "per_class"):
+                  "image_size", "per_class"):
             if getattr(self, f) <= 0:
                 raise ValueError(f"{f} must be positive, got {getattr(self, f)}")
         for f in ("weight_decay", "kpff_noise"):
@@ -54,10 +56,10 @@ class RunConfig:
                 raise ValueError(f"image_size: {exc} (channels {self.channels})") from None
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0,1), got {self.dropout_p}")
-        if self.fusion not in ("none", "add", "concat", "kpff"):
-            raise ValueError(f"unknown fusion {self.fusion!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for f, allowed in CHOICES.items():
+            if getattr(self, f) not in allowed:
+                raise ValueError(f"{f} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, f)!r}")
 
     def with_overrides(self, **kwargs):
         return replace(self, **kwargs)
@@ -73,7 +75,14 @@ def _format_value(v):
     return str(v)
 
 
+def field_types():
+    """RunConfig field name -> the type _parse_value parses its values to:
+    that of its default, as the annotations may be strings."""
+    return {f.name: type(f.default) for f in fields(RunConfig)}
+
+
 def _parse_value(text, ftype):
+    """A config value of type ftype from its text, as in a config file."""
     text = text.strip()
     if ftype is bool:
         if text.lower() in ("true", "1", "yes"):
@@ -97,10 +106,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def parse_config_text(text, base: RunConfig = None) -> RunConfig:
     cfg = base or RunConfig()
-    ftypes = {f.name: f.type for f in fields(RunConfig)}
-    # dataclass field types may be strings under `from __future__ import annotations`;
-    # resolve by the default value's type instead
-    defaults = RunConfig()
+    ftypes = field_types()
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -111,7 +117,7 @@ def parse_config_text(text, base: RunConfig = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in ftypes:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(value, type(getattr(defaults, key)))
+        overrides[key] = _parse_value(value, ftypes[key])
     return cfg.with_overrides(**overrides)
 
 

@@ -71,33 +71,6 @@ def fusion_inputs(vectors) -> FusionInputs:
     return FusionInputs(tuple(v if isinstance(v, Tensor) else from_array(v) for v in vectors))
 
 
-def unit_vector(i: int, n: int) -> Tensor:
-    """e_i: component i (1-based) is 1, all others 0."""
-    if not 1 <= i <= n:
-        raise IndexError(f"unit vector index {i} out of range 1..{n}")
-    v = np.zeros(n)
-    v[i - 1] = 1.0
-    return from_array(v)
-
-
-def kron(a: Tensor, b: Tensor) -> Tensor:
-    """Block matrix: block (i,j) is a[i,j] * b. Rank-1 inputs are treated
-    as column matrices."""
-    am = a.view() if a.rank == 2 else a.data.reshape(-1, 1)
-    bm = b.view() if b.rank == 2 else b.data.reshape(-1, 1)
-    if am.ndim != 2 or bm.ndim != 2:
-        raise ShapeError("kron supports rank-1 and rank-2 tensors only")
-    m, n = am.shape
-    p, q = bm.shape
-    out = np.zeros((m * p, n * q))
-    for i in range(m):
-        for j in range(n):
-            out[i * p:(i + 1) * p, j * q:(j + 1) * q] = am[i, j] * bm
-    if a.rank == 1 and b.rank == 1:
-        return from_array(out[:, 0])
-    return from_array(out)
-
-
 def fuse_add(inputs: FusionInputs) -> Tensor:
     acc = inputs.xs[0].data.copy()
     for x in inputs.xs[1:]:
@@ -261,22 +234,12 @@ class KpffLayer:
         return len(self.ws)
 
     @classmethod
-    def concat_init(cls, n: int, noise_sigma: float = 0.0, rng=None):
-        """Start at the concatenation configuration ws = [e_1..e_n],
-        optionally perturbed by Gaussian noise."""
-        ws = [np.eye(n)[i].copy() for i in range(n)]
-        if noise_sigma > 0.0:
-            if rng is None:
-                raise ValueError("noise_sigma > 0 needs an rng stream")
-            for w in ws:
-                w += rng.normal(size=(n,), sigma=noise_sigma)
-        return cls(ws)
+    def concat_init(cls, n: int):
+        """The layer at the concatenation configuration ws = [e_1..e_n]."""
+        return cls(list(np.eye(n)))
 
     def zero_grads(self):
         self.grad_ws[...] = 0.0
-
-    def reset(self):
-        self.cache = None
 
 
 def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> Tensor:

@@ -93,9 +93,9 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
         in_channels=images.shape[1], image_size=images.shape[2],
         num_classes=int(labels.max()) + 1,
     )
-    # one entry each: every step updates the trained prefix of the model's
-    # parameter vector, whose gradient forward_backward writes in place
-    params, grads = model.trainable(freeze)
+    # every step updates the trained prefix of the model's parameter
+    # vector, whose gradient forward_backward writes in place
+    theta, grad = model.trainable(freeze)
     opt = OptimizerState(cfg.optimizer, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     shuffle_stream = stream(cfg.seed, f"shuffle/fold{fold}")
@@ -116,7 +116,7 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
             loss, _, _ = model.forward_backward(
                 x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
             )
-            opt.apply(params, grads)
+            opt.apply(theta, grad)
             epoch_losses.append(loss)
         loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
         # the last epoch always evaluates, and its loss and accuracy are final

@@ -2,46 +2,39 @@
 softmax cross-entropy, SGD and Adam, and a small CNN whose per-block
 feature vectors feed a configurable fusion stage (none/add/concat/kpff).
 
-Layers run batched on [N, C, H, W] float64 arrays internally; the
-single-sample ops (conv_forward, global_average_pool, ...) wrap the same
-code with N=1 and take/return Tensor values.
+Every layer runs batched, on [N, C, H, W] or [N, features] float64 arrays.
 """
 
 from types import MappingProxyType
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, NonFiniteError, from_array
+from .tensor import ShapeError, NonFiniteError
 from .rng import stream
 from .hooks import injected_bug
 from .fusion import kpff_kernel, kpff_kernel_backward
 
 # ---------------------------------------------------------------------------
-# activations
+# activations: name -> (f(pre), df(pre, out, dout)); RunConfig and the CLI
+# accept exactly these names
+
+
+ACTIVATIONS = {
+    "identity": (lambda pre: pre, lambda pre, out, dout: dout),
+    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, out, dout: dout * (pre > 0.0)),
+    "sigmoid": (lambda pre: 1.0 / (1.0 + np.exp(-pre)),
+                lambda pre, out, dout: dout * out * (1.0 - out)),
+    "leaky_relu": (lambda pre: np.where(pre > 0.0, pre, 0.01 * pre),
+                   lambda pre, out, dout: dout * np.where(pre > 0.0, 1.0, 0.01)),
+}
 
 
 def _act_forward(name, pre):
-    if name == "identity":
-        return pre
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
-    if name == "leaky_relu":
-        return np.where(pre > 0.0, pre, 0.01 * pre)
-    raise ValueError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name][0](pre)
 
 
 def _act_backward(name, pre, out, dout):
-    if name == "identity":
-        return dout
-    if name == "relu":
-        return dout * (pre > 0.0)
-    if name == "sigmoid":
-        return dout * out * (1.0 - out)
-    if name == "leaky_relu":
-        return dout * np.where(pre > 0.0, 1.0, 0.01)
-    raise ValueError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name][1](pre, out, dout)
 
 
 # ---------------------------------------------------------------------------
@@ -298,123 +291,60 @@ def softmax_ce_batch(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# single-sample ops over Tensor values
-
-
-def conv_forward(layer: ConvLayer, image: Tensor) -> Tensor:
-    if image.rank != 3:
-        raise ShapeError(f"conv input must be rank-3 [C,H,W], got {image.shape}")
-    out = layer.forward_batch(image.view()[None])
-    return from_array(out[0])
-
-
-def global_average_pool(image: Tensor) -> Tensor:
-    if image.rank != 3:
-        raise ShapeError(f"expected rank-3 [C,H,W], got {image.shape}")
-    return from_array(gap_batch(image.view()[None])[0])
-
-
-def softmax_cross_entropy(logits: Tensor, label: int):
-    losses, grads = softmax_ce_batch(logits.data[None], [label])
-    return float(losses[0]), from_array(grads[0])
-
-
-def dropout(x: Tensor, p: float, mode: str, rng_stream) -> Tensor:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    out, _ = dropout_batch(x.data[None], p, mode == "train", rng_stream)
-    return from_array(out[0])
-
-
-# ---------------------------------------------------------------------------
 # optimizers
+
+OPTIMIZERS = ("sgd", "adam")
 
 
 class OptimizerState:
-    """SGD or Adam with coupled weight decay (decay added to the gradient).
+    """SGD or Adam with coupled weight decay (decay added to the gradient),
+    stepping one parameter array in place, such as a Model's trainable
+    vector (Model.trainable).
 
-    One step gathers the trainable gradients into one flat vector, runs the
-    update there, and subtracts each parameter's slice in place. The update
-    is elementwise, so every value is the per-array formula's bit for bit.
-    Adam's moments are flat too; self.m / self.v map each name to its view.
-    Training hands it one entry, a Model's trainable vector (Model.trainable),
-    so a step there gathers and scatters nothing.
+    The update is elementwise, so every value is the per-array formula's
+    bit for bit, whatever arrays the vector holds. Adam's moments m and v
+    are arrays of the parameters' shape, allocated by the first step; a
+    later step over parameters of another shape raises ShapeError.
     """
 
     def __init__(self, method="adam", lr=1e-4, weight_decay=0.0,
                  beta1=0.9, beta2=0.999, eps=1e-8):
-        if method not in ("sgd", "adam"):
+        if method not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {method!r}")
         self.method = method
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {}
-        self.v = {}
-        self._flat_m = self._flat_v = None
-        self._layout = None  # ((name, shape), ...) of the flat moments
+        self.m = self.v = None
         self.step_count = 0
 
-    def _moments(self, params, names):
-        """The flat moment vectors laid out by names. A new layout keeps the
-        moments each name already has; new names start at zero."""
-        layout = tuple((name, params[name].shape) for name in names)
-        if layout != self._layout:
-            total = sum(params[name].size for name in names)
-            self._flat_m, self._flat_v = np.zeros(total), np.zeros(total)
-            for flat, moments in ((self._flat_m, self.m), (self._flat_v, self.v)):
-                start = 0
-                for name, shape in layout:
-                    view = flat[start:start + params[name].size].reshape(shape)
-                    if name in moments:
-                        view[...] = moments[name]
-                    moments[name] = view
-                    start += view.size
-            self._layout = layout
-        return self._flat_m, self._flat_v
-
-    def apply(self, params, grads, frozen=()):
-        """Update the parameter arrays in place. params/grads: name -> array."""
+    def apply(self, theta, grad):
+        """Update the parameters theta in place from their gradient grad,
+        which is only read."""
+        if grad.shape != theta.shape:
+            raise ShapeError(f"grad shape {grad.shape} != param shape {theta.shape}")
+        if self.m is not None and self.m.shape != theta.shape:
+            raise ShapeError(f"param shape {theta.shape} != {self.m.shape}, the shape "
+                             f"this optimizer's moments were made for")
         self.step_count += 1
         t = self.step_count
-        names = [name for name in params if name not in frozen]
-        for name in names:
-            if grads[name].shape != params[name].shape:
-                raise ShapeError(f"grad shape {grads[name].shape} != param shape "
-                                 f"{params[name].shape} for {name}")
-        if not names:
-            return
-        g = np.concatenate([grads[name].ravel() for name in names])
-        if self.weight_decay != 0.0:
-            g += self.weight_decay * np.concatenate([params[name].ravel() for name in names])
+        g = grad + self.weight_decay * theta if self.weight_decay != 0.0 else grad
         if self.method == "sgd":
-            step = self.lr * g
+            theta -= self.lr * g
+            return
+        if self.m is None:
+            self.m, self.v = np.zeros(theta.shape), np.zeros(theta.shape)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        if injected_bug() == "adam-bias":
+            m_hat, v_hat = m, v
         else:
-            m, v = self._moments(params, names)
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            if injected_bug() == "adam-bias":
-                m_hat, v_hat = m, v
-            else:
-                m_hat = m / (1 - self.beta1 ** t)
-                v_hat = v / (1 - self.beta2 ** t)
-            step = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        start = 0
-        for name in names:
-            theta = params[name]
-            theta -= step[start:start + theta.size].reshape(theta.shape)
-            start += theta.size
-
-
-def optimizer_step(state: OptimizerState, params: Tensor, grads: Tensor) -> Tensor:
-    """Single-tensor functional form of one optimizer update."""
-    if params.shape != grads.shape:
-        raise ShapeError(f"shape mismatch: {params.shape} vs {grads.shape}")
-    buf = {"theta": params.data.copy()}
-    state.apply(buf, {"theta": grads.data})
-    return from_array(buf["theta"].reshape(params.shape))
+            m_hat = m / (1 - self.beta1 ** t)
+            v_hat = v / (1 - self.beta2 ** t)
+        theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +422,9 @@ class Model:
                  dropout_p=0.5, kpff_noise=0.0):
         if fusion not in FUSION_METHODS:
             raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}, "
+                             f"got {activation!r}")
         self.fusion = fusion
         self.dropout_p = dropout_p
         self.activation = activation
@@ -599,11 +532,11 @@ class Model:
         return ("fusion.ws",) if self.fusion == "kpff" else ()
 
     def trainable(self, freeze_fusion=False):
-        """(params, grads) for OptimizerState.apply to update every trained
-        value in one go: {"theta": ...} of the parameter and the gradient
-        vector, without fusion.ws (the tail) when freeze_fusion."""
+        """(parameters, gradients) for OptimizerState.apply to update every
+        trained value in one go: views of the prefixes of self.theta and
+        self.grad, without fusion.ws (the tail) when freeze_fusion."""
         stop = self._trainable_stop if freeze_fusion else self.theta.size
-        return {"theta": self.theta[:stop]}, {"theta": self.grad[:stop]}
+        return self.theta[:stop], self.grad[:stop]
 
     # --- forward / backward -------------------------------------------------
 

@@ -1,8 +1,9 @@
-"""Dense float64 tensors (rank 1-4, row-major) and the arithmetic shared
-by every other module.
+"""Dense float64 tensors (rank 1-4, row-major), the values of the
+single-sample fusion API, and the errors shared by every other module.
 
-No broadcasting, no views: shape mismatches raise, non-finite results
-raise. Tensors are immutable after construction and safe to share.
+A tensor's shape is checked when it is built, and from_array rejects
+non-finite values. Tensors are immutable after construction and safe to
+share.
 """
 
 import math
@@ -67,36 +68,3 @@ def from_array(values) -> Tensor:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("tensor contains NaN or Inf")
     return Tensor(tuple(int(e) for e in arr.shape), _freeze(arr.ravel().copy()))
-
-
-def zeros(shape) -> Tensor:
-    shape = tuple(int(e) for e in shape)
-    if any(e < 1 for e in shape):
-        raise ShapeError(f"extents must be >= 1, got {shape}")
-    return Tensor(shape, _freeze(np.zeros(math.prod(shape))))
-
-
-def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(a.shape, _freeze(a.data + b.data))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    if not np.isfinite(s):
-        raise NonFiniteError(f"scale factor must be finite, got {s}")
-    out = a.data * float(s)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("scale produced non-finite values")
-    return Tensor(a.shape, _freeze(out))
-
-
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    if m.rank != 2 or v.rank != 1:
-        raise ShapeError(f"matvec needs rank-2 and rank-1, got {m.shape}, {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec dims: {m.shape} x {v.shape}")
-    out = m.view() @ v.data
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("matvec produced non-finite values")
-    return Tensor((m.shape[0],), _freeze(out))

@@ -19,11 +19,10 @@ from kpff.fusion import (
     fusion_inputs,
     kpff_backward,
     kpff_forward,
-    unit_vector,
 )
 from kpff.gradcheck import check_model, kpff_dense_jacobians, relative_error, run_suite
 from kpff.harness import crossval
-from kpff.net import Model, OptimizerState, optimizer_step
+from kpff.net import Model
 from kpff.rng import Stream
 from kpff.tensor import from_array
 
@@ -112,9 +111,9 @@ def test_criterion_2_degeneration():
         n = 1 + int(s.uniform() * 6)
         r = 1 + int(s.uniform() * 8)
         xs = fusion_inputs([s.uniform(size=(r,), low=-5, high=5) for _ in range(n)])
-        concat_layer = KpffLayer([unit_vector(i + 1, n) for i in range(n)])
+        concat_layer = KpffLayer(list(np.eye(n)))
         assert kpff_forward(concat_layer, xs).tolist() == fuse_concat(xs).tolist()
-        add_layer = KpffLayer([unit_vector(1, n) for _ in range(n)])
+        add_layer = KpffLayer([np.eye(n)[0]] * n)
         y = kpff_forward(add_layer, xs).data
         assert y[:r].tolist() == fuse_add(xs).tolist()
         assert np.all(y[r:] == 0.0)

@@ -1,7 +1,9 @@
+import argparse
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 import kpff
 from kpff import hooks
 from kpff.checkpoint import load_checkpoint, save_checkpoint
-from kpff.cli import main
+from kpff.cli import _add_config_flags, _build_config, build_parser, main
+from kpff.config import RunConfig
 from kpff.rng import Stream
 
 
@@ -22,6 +25,14 @@ def clear_hooks():
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """The CLI's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # --- fuse ----------------------------------------------------------------------
@@ -85,6 +96,16 @@ def test_gradcheck_passes(capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sizes,flag", [
+    (["--n", "3"], "--n"), (["--r", "4"], "--r"),
+    (["--n", "0", "--r", "3"], "--n"), (["--n", "3", "--r", "-1"], "--r"),
+], ids=["n-alone", "r-alone", "n-zero", "r-negative"])
+def test_gradcheck_sizes_are_both_given_and_positive(sizes, flag, capsys):
+    assert exit_code("gradcheck", "--no-model", *sizes) == 2
+    out = capsys.readouterr()
+    assert flag in out.err and "passed" not in out.out
+
+
 def test_gradcheck_inject_bug_requires_env(monkeypatch, capsys):
     monkeypatch.delenv("KPFF_TEST_HOOKS", raising=False)
     assert run_cli("gradcheck", "--no-model", "--inject-bug", "kpff-w") == 2
@@ -115,6 +136,12 @@ def test_bench_counts(tmp_path, capsys):
     header, *table = out.splitlines()[:3]
     assert "t_add" in header.split()
     assert all(len(line.split()) == 10 for line in table)  # one field per column
+
+
+def test_bench_rejects_zero_iterations(capsys):
+    assert exit_code("bench", "--ns", "2", "--rs", "8", "--iters", "0") == 2
+    out = capsys.readouterr()
+    assert "--iters" in out.err and "nan" not in out.out
 
 
 def test_bench_csv_deterministic(tmp_path):
@@ -189,6 +216,44 @@ def test_crossval_config_file_with_flag_override(tmp_path):
     assert run_cli("crossval", "--config", str(cfg), "--methods", "add",
                    "--seed", "9", "--out", str(out)) == 0
     assert "seed = 9" in (out / "summary.json").read_text()
+
+
+# every RunConfig field is set the same way by its flag and by a config file
+
+FIELD_VALUES = {
+    "seed": "7", "fusion": "add", "optimizer": "sgd", "lr": "0.003", "weight_decay": "0.0001",
+    "batch_size": "10", "max_epochs": "3", "val_interval": "2", "dropout_p": "0.25",
+    "activation": "sigmoid", "channels": "3,5", "per_class": "5", "image_size": "12",
+    "data_dir": "images", "kpff_noise": "0.01", "freeze_fusion": "true", "folds": "3",
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_config_field_flag_matches_config_file(field, tmp_path):
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    assert [a.dest for a in parser._actions].count(field) == 1
+    value = FIELD_VALUES[field]
+    flag = "--" + field.replace("_", "-")
+    argv = [flag] if field == "freeze_fusion" else [flag, value]
+    from_flag = _build_config(build_parser().parse_args(["crossval", *argv]))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{field} = {value}\n")
+    from_file = _build_config(build_parser().parse_args(["crossval", "--config", str(path)]))
+    assert from_flag == from_file != RunConfig()
+
+
+def test_config_file_rejects_num_classes(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\nnum_classes = 4\n")
+    assert run_cli("crossval", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+    assert "line 2: unknown config key 'num_classes'" in capsys.readouterr().err
+
+
+def test_activation_flag_takes_only_model_activations(tmp_path, capsys):
+    assert exit_code("train", "--activation", "tanh", "--out", str(tmp_path)) == 2
+    assert "--activation" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_train_writes_checkpoint(tmp_path, capsys):

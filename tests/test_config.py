@@ -1,6 +1,7 @@
 import pytest
 
 from kpff.config import (
+    CHOICES,
     RunConfig,
     config_hash,
     load_config,
@@ -56,8 +57,22 @@ def test_validation():
         RunConfig(dropout_p=1.0)
     with pytest.raises(ValueError):
         RunConfig(max_epochs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fusion must be one of none, add, concat, kpff"):
         RunConfig(fusion="outer")
+    with pytest.raises(ValueError, match="^optimizer must be one of"):
+        RunConfig(optimizer="rmsprop")
+
+
+def test_activation_is_one_the_model_runs(tmp_path):
+    assert sorted(CHOICES["activation"]) == ["identity", "leaky_relu", "relu", "sigmoid"]
+    for activation in CHOICES["activation"]:
+        assert RunConfig(activation=activation).activation == activation
+    with pytest.raises(ValueError, match="^activation must be one of .*, got 'tanh'"):
+        RunConfig(activation="tanh")
+    path = tmp_path / "run.cfg"
+    path.write_text("activation = tanh\n")
+    with pytest.raises(ValueError, match="^activation must be one of"):
+        load_config(path)
 
 
 def test_load_config_file(tmp_path):

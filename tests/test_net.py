@@ -19,14 +19,9 @@ from kpff.net import (
     _act_forward,
     _block_output_grad,
     _pool_crop,
-    conv_forward,
-    dropout,
     dropout_batch,
     gap_backward_batch,
     gap_batch,
-    global_average_pool,
-    optimizer_step,
-    softmax_cross_entropy,
     softmax_ce_batch,
 )
 from kpff.gradcheck import check_model, finite_diff_grad, model_loss
@@ -54,26 +49,26 @@ def conv_oracle(x, kernels, bias):
 
 def test_conv_identity_kernel():
     layer = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), "identity")
-    x = from_array(Stream(0).uniform(size=(1, 5, 5)))
-    assert np.array_equal(conv_forward(layer, x).view(), x.view())
+    x = Stream(0).uniform(size=(2, 1, 5, 5))
+    assert np.array_equal(layer.forward_batch(x), x)
 
 
 def test_conv_averaging_constant():
     layer = ConvLayer(np.full((1, 1, 3, 3), 1 / 9), np.zeros(1), "identity")
-    x = from_array(np.full((1, 6, 6), 5.0))
-    out = conv_forward(layer, x)
-    assert out.shape == (1, 4, 4)
-    assert np.allclose(out.view(), 5.0, rtol=1e-12)
+    out = layer.forward_batch(np.full((1, 1, 6, 6), 5.0))
+    assert out.shape == (1, 1, 4, 4)
+    assert np.allclose(out, 5.0, rtol=1e-12)
 
 
 def test_conv_matches_naive_loop_oracle():
     s = Stream(13)
-    x = s.uniform(size=(2, 6, 6), low=-1, high=1)
+    x = s.uniform(size=(2, 2, 6, 6), low=-1, high=1)
     kernels = s.uniform(size=(3, 2, 3, 3), low=-1, high=1)
     bias = s.uniform(size=(3,), low=-1, high=1)
     layer = ConvLayer(kernels, bias, "identity")
-    got = conv_forward(layer, from_array(x)).view()
-    assert np.allclose(got, conv_oracle(x, kernels, bias), rtol=1e-12, atol=1e-12)
+    got = layer.forward_batch(x)
+    for sample, out in zip(x, got):
+        assert np.allclose(out, conv_oracle(sample, kernels, bias), rtol=1e-12, atol=1e-12)
 
 
 def test_conv_shape_law():
@@ -118,6 +113,21 @@ def test_conv_backward_finite_difference():
             flat[k] = old
             num = (fp - fm) / (2 * h)
             assert abs(gflat[k] - num) / max(1e-12, abs(gflat[k]) + abs(num)) < 1e-6
+
+
+def test_dense_forward_matches_triple_loop_oracle():
+    x = Stream(4).uniform(size=(3, 4), low=-5, high=5)
+    assert np.array_equal(DenseLayer(np.eye(4), np.zeros(4)).forward_batch(x), x)
+    s = Stream(11)
+    weights = s.uniform(size=(5, 7), low=-5, high=5)
+    bias = s.uniform(size=(5,), low=-1, high=1)
+    x = s.uniform(size=(3, 7), low=-5, high=5)
+    layer = DenseLayer(weights, bias)
+    expected = [[bias[i] + sum(weights[i][j] * row[j] for j in range(7)) for i in range(5)]
+                for row in x]
+    assert np.allclose(layer.forward_batch(x), expected, rtol=1e-12)
+    with pytest.raises(ShapeError):
+        layer.forward_batch(np.zeros((2, 6)))
 
 
 # --- im2col + GEMM conv against the einsum code it replaced --------------------
@@ -243,13 +253,11 @@ def test_conv_backward_without_input_grad():
 
 
 def test_gap_examples():
-    assert global_average_pool(from_array(np.full((3, 4, 4), 2.5))).tolist() == [2.5] * 3
-    x = from_array([[[1.0, 2.0], [3.0, 4.0]]])
-    assert global_average_pool(x).tolist() == [2.5]
+    assert gap_batch(np.full((2, 3, 4, 4), 2.5)).tolist() == [[2.5] * 3] * 2
+    assert gap_batch(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])).tolist() == [[2.5]]
     s = Stream(1)
-    a = s.uniform(size=(2, 3, 3))
-    assert np.allclose(global_average_pool(from_array(3 * a)).data,
-                       3 * global_average_pool(from_array(a)).data, rtol=1e-12)
+    a = s.uniform(size=(2, 2, 3, 3))
+    assert np.allclose(gap_batch(3 * a), 3 * gap_batch(a), rtol=1e-12)
 
 
 def test_maxpool_forward_backward():
@@ -318,47 +326,46 @@ def test_maxpool_matches_argmax_reference(case, layout):
 
 
 def test_softmax_uniform_logits():
-    loss, grad = softmax_cross_entropy(from_array([1.0, 1.0, 1.0, 1.0]), 2)
-    assert loss == pytest.approx(np.log(4), rel=1e-12)
-    assert abs(sum(grad.tolist())) < 1e-12
+    losses, grad = softmax_ce_batch(np.ones((1, 4)), [2])
+    assert losses[0] == pytest.approx(np.log(4), rel=1e-12)
+    assert abs(np.sum(grad)) < 1e-12
 
 
 def test_softmax_grad_sums_to_zero():
     s = Stream(8)
-    for _ in range(10):
-        logits = from_array(s.uniform(size=(7,), low=-5, high=5))
-        _, grad = softmax_cross_entropy(logits, 3)
-        assert abs(np.sum(grad.data)) < 1e-12
+    _, grad = softmax_ce_batch(s.uniform(size=(10, 7), low=-5, high=5), np.full(10, 3))
+    assert np.all(np.abs(np.sum(grad, axis=1)) < 1e-12)
 
 
 def test_softmax_grad_matches_finite_differences():
     s = Stream(12)
     logits = from_array(s.uniform(size=(10,), low=-3, high=3))
-    label = 4
-    _, grad = softmax_cross_entropy(logits, label)
-    num = finite_diff_grad(lambda t: softmax_cross_entropy(t, label)[0], logits)
-    assert np.allclose(grad.data, num.data, rtol=1e-7, atol=1e-7)
+    label = [4]
+    _, grad = softmax_ce_batch(logits.view()[None], label)
+    num = finite_diff_grad(lambda t: softmax_ce_batch(t.view()[None], label)[0][0], logits)
+    assert np.allclose(grad[0], num.data, rtol=1e-7, atol=1e-7)
 
 
 def test_softmax_stability_and_label_range():
-    loss, _ = softmax_cross_entropy(from_array([1000.0, 0.0]), 0)
-    assert np.isfinite(loss) and loss >= 0
+    losses, _ = softmax_ce_batch(np.array([[1000.0, 0.0]]), [0])
+    assert np.isfinite(losses[0]) and losses[0] >= 0
     with pytest.raises(IndexError):
-        softmax_cross_entropy(from_array([0.0, 0.0]), 2)
+        softmax_ce_batch(np.zeros((1, 2)), [2])
 
 
 def test_dropout_eval_identity():
-    x = from_array(Stream(3).uniform(size=(20,)))
-    out = dropout(x, 0.7, "eval", stream(0, "d"))
-    assert out.tolist() == x.tolist()
+    x = Stream(3).uniform(size=(4, 20))
+    out, mask = dropout_batch(x, 0.7, False, stream(0, "d"))
+    assert out is x and mask is None
 
 
 def test_dropout_p_zero():
-    x = from_array(Stream(4).uniform(size=(20,)))
-    out = dropout(x, 0.0, "train", stream(0, "d"))
-    assert out.tolist() == x.tolist()
-    with pytest.raises(ValueError):
-        dropout(x, 1.0, "train", stream(0, "d"))
+    x = Stream(4).uniform(size=(4, 20))
+    out, mask = dropout_batch(x, 0.0, True, stream(0, "d"))
+    assert out is x and mask is None
+    for p in (1.0, -0.1):
+        with pytest.raises(ValueError, match="dropout probability"):
+            dropout_batch(x, p, True, stream(0, "d"))
 
 
 def test_dropout_statistics():
@@ -371,33 +378,44 @@ def test_dropout_statistics():
 
 def test_optimizer_fixed_point_and_sgd():
     opt = OptimizerState("sgd", lr=0.5, weight_decay=0.0)
-    theta = from_array([1.0, 2.0])
-    out = optimizer_step(opt, theta, from_array([0.0, 0.0]))
-    assert out.tolist() == theta.tolist()
+    theta = np.array([1.0, 2.0])
+    opt.apply(theta, np.zeros(2))
+    assert theta.tolist() == [1.0, 2.0]
     opt2 = OptimizerState("sgd", lr=0.1, weight_decay=0.0)
-    out2 = optimizer_step(opt2, from_array([1.0]), from_array([1.0]))
-    assert out2.tolist() == [pytest.approx(0.9, rel=1e-15)]
+    theta2 = np.array([1.0])
+    opt2.apply(theta2, np.array([1.0]))
+    assert theta2.tolist() == [pytest.approx(0.9, rel=1e-15)]
 
 
 def test_sgd_weight_decay_coupled():
     opt = OptimizerState("sgd", lr=0.1, weight_decay=0.5)
-    out = optimizer_step(opt, from_array([2.0]), from_array([1.0]))
+    theta, grad = np.array([2.0]), np.array([1.0])
+    opt.apply(theta, grad)
     # theta - lr*(g + wd*theta) = 2 - 0.1*(1 + 1) = 1.8
-    assert out.tolist() == [pytest.approx(1.8, rel=1e-15)]
+    assert theta.tolist() == [pytest.approx(1.8, rel=1e-15)]
+    assert grad.tolist() == [1.0]  # the decayed gradient is a new array
 
 
 def test_adam_first_step_magnitude():
     opt = OptimizerState("adam", lr=1e-3, weight_decay=0.0)
-    theta = from_array([0.0, 0.0])
-    out = optimizer_step(opt, theta, from_array([7.0, -0.01]))
-    assert np.allclose(np.abs(out.data), 1e-3, atol=1e-9)
-    assert out.data[0] < 0 < out.data[1]
+    theta = np.zeros(2)
+    opt.apply(theta, np.array([7.0, -0.01]))
+    assert np.allclose(np.abs(theta), 1e-3, atol=1e-9)
+    assert theta[0] < 0 < theta[1]
 
 
 def test_optimizer_shape_mismatch():
-    opt = OptimizerState("sgd", lr=0.1)
-    with pytest.raises(ShapeError):
-        optimizer_step(opt, from_array([1.0, 2.0]), from_array([1.0]))
+    for method in ("adam", "sgd"):
+        opt = OptimizerState(method, lr=0.1)
+        with pytest.raises(ShapeError, match="grad shape"):
+            opt.apply(np.array([1.0, 2.0]), np.array([1.0]))
+        assert opt.step_count == 0
+    # Adam's moments belong to the parameters of its first step
+    opt = OptimizerState("adam", lr=0.1)
+    opt.apply(np.ones(3), np.ones(3))
+    with pytest.raises(ShapeError, match="moments"):
+        opt.apply(np.ones(2), np.ones(2))
+    assert opt.step_count == 1 and opt.m.shape == (3,)
 
 
 # --- model -------------------------------------------------------------------
@@ -417,16 +435,22 @@ def test_model_frozen_kpff_matches_concat_losses():
         model = Model(seed=3, image_size=12, channels=(4, 6), fusion=fusion,
                       num_classes=3, dropout_p=0.25)
         opt = OptimizerState("adam", lr=1e-3)
-        params = model.params()
-        frozen = set(model.fusion_param_names())
+        theta, grad = model.trainable(freeze_fusion=True)
         drop = stream(3, "dropout")
         seq = []
         for step in range(10):
-            loss, _, grads = model.forward_backward(x, labels, train=True, dropout_stream=drop)
-            opt.apply(params, grads, frozen)
+            loss, _, _ = model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            opt.apply(theta, grad)
             seq.append(loss)
         losses[fusion] = seq
     assert losses["concat"] == losses["kpff"]  # bit-identical
+
+
+def test_model_rejects_unknown_fusion_and_activation():
+    with pytest.raises(ValueError, match="^fusion must be one of"):
+        Model(seed=0, fusion="outer")
+    with pytest.raises(ValueError, match="^activation must be one of .*, got 'tanh'"):
+        Model(seed=0, activation="tanh")
 
 
 def test_model_duplicated_batch_same_loss():
@@ -446,12 +470,11 @@ def test_model_determinism():
         model = Model(seed=9, image_size=12, channels=(4, 6), fusion="kpff",
                       num_classes=3, dropout_p=0.5)
         opt = OptimizerState("adam", lr=1e-3, weight_decay=5e-4)
-        params = model.params()
         drop = stream(9, "dropout")
         for _ in range(5):
-            _, _, grads = model.forward_backward(x, labels, train=True, dropout_stream=drop)
-            opt.apply(params, grads)
-        return {k: v.copy() for k, v in params.items()}
+            model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            opt.apply(*model.trainable())
+        return {k: v.copy() for k, v in model.params().items()}
 
     p1, p2 = run(), run()
     assert p1.keys() == p2.keys()
@@ -755,6 +778,17 @@ def test_forward_only_calls_build_no_pool_masks(monkeypatch):
 # --- the flat optimizer against the per-array formula --------------------------------
 
 
+class PerArrayState:
+    """The optimizer state of per_array_apply: hyperparameters as
+    OptimizerState's, and moments by name (reference)."""
+
+    def __init__(self, method, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.method, self.lr, self.weight_decay = method, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m, self.v = {}, {}
+        self.step_count = 0
+
+
 def per_array_apply(opt, params, grads, frozen=()):
     """OptimizerState.apply as one update per array (reference)."""
     opt.step_count += 1
@@ -790,27 +824,33 @@ def per_array_apply(opt, params, grads, frozen=()):
     ("sgd", 0.0, ("a", "c"), None),
 ])
 def test_flat_optimizer_matches_per_array_formula(method, weight_decay, frozen, bug, monkeypatch):
+    # the flat step runs over one vector of the trained arrays back to back,
+    # leaving the frozen ones out, as Model.trainable does with fusion.ws
     monkeypatch.setattr(hooks, "_injected", bug)
     s = Stream(59)
     shapes = {"a": (3, 2, 3, 3), "b": (3,), "c": (4, 5), "d": (1,)}
     start = {k: s.uniform(size=shp, low=-1, high=1) for k, shp in shapes.items()}
-    flat_params = {k: v.copy() for k, v in start.items()}
+    trained = [k for k in shapes if k not in frozen]
+    theta = np.concatenate([start[k].ravel() for k in trained])
     ref_params = {k: v.copy() for k, v in start.items()}
     flat_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
-    ref_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
+    ref_opt = PerArrayState(method, lr=3e-3, weight_decay=weight_decay)
     for step in range(60):
         grads = {k: s.uniform(size=shp, low=-1, high=1) * 10.0 ** (step % 5 - 2)
                  for k, shp in shapes.items()}
         grads["d"][:] = 0.0  # a gradient that is exactly zero
-        # the frozen set changes at step 30: moments carry over by name
-        step_frozen = frozen if step < 30 else tuple(sorted(set(shapes) - set(frozen)))[:1]
-        flat_opt.apply(flat_params, grads, step_frozen)
-        per_array_apply(ref_opt, ref_params, grads, step_frozen)
-        for k in shapes:
-            assert flat_params[k].tobytes() == ref_params[k].tobytes(), (step, k)
-    for k in ref_opt.m:
-        assert flat_opt.m[k].tobytes() == ref_opt.m[k].tobytes()
-        assert flat_opt.v[k].tobytes() == ref_opt.v[k].tobytes()
+        grad = np.concatenate([grads[k].ravel() for k in trained])
+        before = grad.copy()
+        flat_opt.apply(theta, grad)
+        per_array_apply(ref_opt, ref_params, grads, frozen)
+        assert grad.tobytes() == before.tobytes()  # only read
+        ref_theta = np.concatenate([ref_params[k].ravel() for k in trained])
+        assert theta.tobytes() == ref_theta.tobytes(), step
+    for k in frozen:
+        assert ref_params[k].tobytes() == start[k].tobytes()
+    if method == "adam":
+        for flat, ref in ((flat_opt.m, ref_opt.m), (flat_opt.v, ref_opt.v)):
+            assert flat.tobytes() == np.concatenate([ref[k].ravel() for k in trained]).tobytes()
 
 
 # --- one parameter vector per model ------------------------------------------------------
@@ -827,25 +867,25 @@ def _vector_offset(model, array):
 @pytest.mark.parametrize("fusion,freeze", [(f, False) for f in FUSION_METHODS] + [("kpff", True)])
 def test_one_array_step_matches_the_per_name_path(fusion, freeze, method, weight_decay):
     # two copies of one model: one updated as harness.train_run does, by one
-    # apply over Model.trainable's single entry; the other by the per-name
-    # dict path over params() and forward_backward's gradients (reference)
+    # apply over Model.trainable's prefix; the other name by name over
+    # params() and forward_backward's gradients (per_array_apply, reference)
     kwargs = dict(seed=5, image_size=12, channels=(3, 4), fusion=fusion, num_classes=3,
                   dropout_p=0.25, kpff_noise=0.0 if freeze else 0.2)
     flat, ref = Model(**kwargs), Model(**kwargs)
     start = ref.params()["fusion.ws"].copy() if fusion == "kpff" else None
     flat_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
-    ref_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
-    params, grads = flat.trainable(freeze)
+    ref_opt = PerArrayState(method, lr=3e-3, weight_decay=weight_decay)
+    theta, grad = flat.trainable(freeze)
     frozen = ref.fusion_param_names() if freeze else ()
     flat_drop, ref_drop = stream(5, "dropout"), stream(5, "dropout")
     x, labels = _toy_batch(seed=7, n=6, size=12)
     for step in range(60):
         n = 6 if step % 2 == 0 else 4  # two batch sizes, as a fold's full and last batch
         flat.forward_backward(x[:n], labels[:n], train=True, dropout_stream=flat_drop)
-        flat_opt.apply(params, grads)
+        flat_opt.apply(theta, grad)
         _, _, ref_grads = ref.forward_backward(x[:n], labels[:n], train=True,
                                                dropout_stream=ref_drop)
-        ref_opt.apply(ref.params(), ref_grads, frozen)
+        per_array_apply(ref_opt, ref.params(), ref_grads, frozen)
         assert flat.theta.tobytes() == ref.theta.tobytes(), step
     if freeze:
         assert np.array_equal(flat.params()["fusion.ws"], start)
@@ -857,8 +897,8 @@ def test_one_array_step_matches_the_per_name_path(fusion, freeze, method, weight
             if name in frozen:
                 continue
             where = slice(_vector_offset(ref, array), _vector_offset(ref, array) + array.size)
-            assert flat_opt.m["theta"][where].tobytes() == ref_opt.m[name].tobytes(), name
-            assert flat_opt.v["theta"][where].tobytes() == ref_opt.v[name].tobytes(), name
+            assert flat_opt.m[where].tobytes() == ref_opt.m[name].tobytes(), name
+            assert flat_opt.v[where].tobytes() == ref_opt.v[name].tobytes(), name
 
 
 @pytest.mark.parametrize("fusion", FUSION_METHODS)
@@ -873,7 +913,7 @@ def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
     if fusion == "kpff":
         n2 = params["fusion.ws"].size
         assert _vector_offset(model, params["fusion.ws"]) == model.theta.size - n2
-        assert model.trainable(freeze_fusion=True)[0]["theta"].size == model.theta.size - n2
+        assert model.trainable(freeze_fusion=True)[0].size == model.theta.size - n2
     assert list(params)[:2] == ["conv0.kernels", "conv0.bias"]
     assert list(params)[-2:] == ["head.weights", "head.bias"]
     assert model.convs[1].kernels is params["conv1.kernels"]
@@ -891,8 +931,8 @@ def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
         assert _vector_offset(model, second[name]) == _vector_offset(model, p), name
         assert second[name].shape == p.shape, name
     theta, grad = model.trainable()
-    assert theta["theta"].base is model.theta and grad["theta"].base is model.grad
-    assert theta["theta"].size == model.theta.size
+    assert theta.base is model.theta and grad.base is model.grad
+    assert theta.size == model.theta.size
     with pytest.raises(TypeError):
         second["head.bias"] = np.zeros(3)  # the mapping is read-only
 
@@ -1126,14 +1166,14 @@ def test_training_step_calls_no_numpy_python_helpers():
     for fusion in FUSION_METHODS:
         model = Model(seed=0, image_size=16, channels=(6, 12), fusion=fusion,
                       num_classes=4, dropout_p=0.1)
-        opt = OptimizerState("adam", lr=3e-3)
-        params = model.params()
+        opt = OptimizerState("adam", lr=3e-3, weight_decay=5e-4)
+        theta, grad = model.trainable()
         drop, shuffle = stream(0, "dropout"), stream(0, "shuffle")
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            _, _, grads = model.forward_backward(x, labels, train=True, dropout_stream=drop)
-            opt.apply(params, grads)
+            model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            opt.apply(theta, grad)
             model.evaluate(x, labels)
             shuffle.permutation(80)
         finally:
