@@ -115,21 +115,6 @@ def test_conv_backward_finite_difference():
             assert abs(gflat[k] - num) / max(1e-12, abs(gflat[k]) + abs(num)) < 1e-6
 
 
-def test_dense_forward_matches_triple_loop_oracle():
-    x = Stream(4).uniform(size=(3, 4), low=-5, high=5)
-    assert np.array_equal(DenseLayer(np.eye(4), np.zeros(4)).forward_batch(x), x)
-    s = Stream(11)
-    weights = s.uniform(size=(5, 7), low=-5, high=5)
-    bias = s.uniform(size=(5,), low=-1, high=1)
-    x = s.uniform(size=(3, 7), low=-5, high=5)
-    layer = DenseLayer(weights, bias)
-    expected = [[bias[i] + sum(weights[i][j] * row[j] for j in range(7)) for i in range(5)]
-                for row in x]
-    assert np.allclose(layer.forward_batch(x), expected, rtol=1e-12)
-    with pytest.raises(ShapeError):
-        layer.forward_batch(np.zeros((2, 6)))
-
-
 # --- im2col + GEMM conv against the einsum code it replaced --------------------
 
 U = np.finfo(np.float64).eps / 2  # unit roundoff

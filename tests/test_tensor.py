@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kpff.net import DenseLayer
+from kpff.rng import Stream
 from kpff.tensor import NonFiniteError, ShapeError, Tensor, from_array
 
 
@@ -43,3 +45,25 @@ def test_nonfinite_rejected():
         from_array([1.0, np.nan])
     with pytest.raises(NonFiniteError):
         from_array([np.inf])
+
+
+# The matrix-vector product the program runs is DenseLayer.forward_batch
+# (identity activation, one row of the batch per vector).
+
+def test_matvec_examples():
+    v = from_array([[4.0, -1.0, 2.5]]).view()
+    assert DenseLayer(np.eye(3), np.zeros(3)).forward_batch(v).tolist() == v.tolist()
+    m = from_array([[1, 2], [3, 4]]).view()
+    assert DenseLayer(m, np.zeros(2)).forward_batch(np.ones((1, 2))).tolist() == [[3, 7]]
+    with pytest.raises(ShapeError):
+        DenseLayer(np.array([[1.0, 2.0]]), np.zeros(1)).forward_batch(np.ones((1, 3)))
+
+
+def test_matvec_matches_triple_loop_oracle():
+    s = Stream(11)
+    m = s.uniform(size=(5, 7), low=-5, high=5)
+    bias = s.uniform(size=(5,), low=-1, high=1)
+    x = s.uniform(size=(3, 7), low=-5, high=5)
+    expected = [[bias[i] + sum(m[i][j] * row[j] for j in range(7)) for i in range(5)]
+                for row in x]
+    assert np.allclose(DenseLayer(m, bias).forward_batch(x), expected, rtol=1e-12)
