@@ -45,12 +45,9 @@ def _add_config_flags(p):
     """--config, and one flag per RunConfig field, --weight-decay for weight_decay."""
     p.add_argument("--config", help="key = value config file")
     for name, ftype in field_types().items():
-        flag = "--" + name.replace("_", "-")
-        if ftype is bool:
-            p.add_argument(flag, action="store_true", default=None)
-        else:
-            p.add_argument(flag, type=_flag_type(ftype), choices=CHOICES.get(name),
-                           help="comma list, e.g. 6,12" if ftype is tuple else None)
+        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(ftype),
+                       choices=CHOICES.get(name),
+                       help="comma list, e.g. 6,12" if ftype is tuple else None)
 
 
 def positive_int(text):
@@ -58,6 +55,20 @@ def positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def comma_list(item, choices=None):
+    """argparse type of a comma list of values parsed by item, each one of
+    choices when those are given."""
+    def parse(text):
+        values = [item(part.strip()) for part in text.split(",")]
+        for value in values:
+            if choices is not None and value not in choices:
+                raise argparse.ArgumentTypeError(f"{value!r} is not one of {','.join(choices)}")
+        return values
+
+    parse.__name__ = "comma list"  # argparse names it: "invalid comma list value: '2,x'"
+    return parse
 
 
 def _maybe_inject_bug(args):
@@ -89,17 +100,12 @@ def cmd_gradcheck(args):
 
 def cmd_crossval(args):
     cfg = _build_config(args)
-    methods = args.methods.split(",") if args.methods else ["none", "add", "concat", "kpff"]
-    for m in methods:
-        if m not in METHOD_TOKENS:
-            print(f"unknown method {m!r}; known: {','.join(METHOD_TOKENS)}", file=sys.stderr)
-            return USAGE_ERROR
-    report, plan, wall = crossval(cfg, methods)
+    report, plan, wall = crossval(cfg, args.methods)
     outdir = Path(args.out)
     write_report(outdir, report, plan)
     print(comparison_table(report))
     # the process count is not in the config and not in the report files
-    processes = process_count(cfg, methods)
+    processes = process_count(cfg, args.methods)
     print(f"config hash {report['config_hash']}, wall clock {wall:.1f}s "
           f"on {processes} process{'es' if processes > 1 else ''}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'folds.txt'}")
@@ -111,9 +117,8 @@ def cmd_train(args):
     dataset = load_dataset(cfg)
     plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
     images, labels = dataset.stacked()
-    method = args.method or cfg.fusion
     result, model = train_run(
-        cfg, images, labels, plan.train_indices(0), plan.folds[0], method, fold=0
+        cfg, images, labels, plan.train_indices(0), plan.folds[0], args.method, fold=0
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -132,12 +137,10 @@ def cmd_train(args):
 
 
 def cmd_bench(args):
-    ns = [int(x) for x in args.ns.split(",")]
-    rs = [int(x) for x in args.rs.split(",")]
     iters = args.iters
     rows = []
-    for n in ns:
-        for r in rs:
+    for n in args.ns:
+        for r in args.rs:
             s = stream(args.seed or 0, f"bench/{n}x{r}")
             ws = [from_array(s.uniform(size=(n,), low=-1, high=1)) for _ in range(n)]
             xs = fusion_inputs([s.uniform(size=(r,), low=-1, high=1) for _ in range(n)])
@@ -267,19 +270,21 @@ def build_parser():
 
     p = sub.add_parser("crossval", help="k-fold cross-validation over fusion methods")
     _add_config_flags(p)
-    p.add_argument("--methods", help=f"comma list from {','.join(METHOD_TOKENS)}")
+    p.add_argument("--methods", type=comma_list(str, METHOD_TOKENS),
+                   default=["none", "add", "concat", "kpff"],
+                   help=f"comma list from {','.join(METHOD_TOKENS)}")
     p.add_argument("--out", default="runs/crossval")
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("train", help="train one model (fold 0 held out)")
     _add_config_flags(p)
-    p.add_argument("--method", choices=METHOD_TOKENS)
+    p.add_argument("--method", choices=METHOD_TOKENS, default="kpff")
     p.add_argument("--out", default="runs/train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="time and count the fusion operations")
-    p.add_argument("--ns", default="2,4,8,16")
-    p.add_argument("--rs", default="64,256,1024,4096")
+    p.add_argument("--ns", type=comma_list(positive_int), default=[2, 4, 8, 16])
+    p.add_argument("--rs", type=comma_list(positive_int), default=[64, 256, 1024, 4096])
     p.add_argument("--iters", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="directory for bench.csv (counts only)")

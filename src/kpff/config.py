@@ -7,16 +7,15 @@ from dataclasses import dataclass, fields, replace
 import hashlib
 import math
 
-from .net import ACTIVATIONS, FUSION_METHODS, OPTIMIZERS, check_image_size
+from .net import ACTIVATIONS, OPTIMIZERS, check_image_size
 
 # the values each field of this kind may take, for RunConfig and the CLI's choices
-CHOICES = {"fusion": FUSION_METHODS, "optimizer": OPTIMIZERS, "activation": tuple(ACTIVATIONS)}
+CHOICES = {"optimizer": OPTIMIZERS, "activation": tuple(ACTIVATIONS)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    fusion: str = "kpff"
     optimizer: str = "adam"
     lr: float = 1e-4
     weight_decay: float = 5e-4
@@ -30,7 +29,6 @@ class RunConfig:
     image_size: int = 16
     data_dir: str = ""  # empty -> synthetic
     kpff_noise: float = 0.0
-    freeze_fusion: bool = False
     folds: int = 5
 
     def __post_init__(self):
@@ -66,8 +64,6 @@ class RunConfig:
 
 
 def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
     if isinstance(v, float):
@@ -84,12 +80,6 @@ def field_types():
 def _parse_value(text, ftype):
     """A config value of type ftype from its text, as in a config file."""
     text = text.strip()
-    if ftype is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean {text!r}")
     if ftype is int:
         return int(text)
     if ftype is float:
@@ -104,8 +94,7 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text, base: RunConfig = None) -> RunConfig:
-    cfg = base or RunConfig()
+def parse_config_text(text) -> RunConfig:
     ftypes = field_types()
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -117,13 +106,16 @@ def parse_config_text(text, base: RunConfig = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in ftypes:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(value, ftypes[key])
-    return cfg.with_overrides(**overrides)
+        try:
+            overrides[key] = _parse_value(value, ftypes[key])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    return RunConfig(**overrides)
 
 
-def load_config(path, base: RunConfig = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path) as f:
-        return parse_config_text(f.read(), base)
+        return parse_config_text(f.read())
 
 
 def config_hash(cfg: RunConfig) -> str:

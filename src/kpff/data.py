@@ -35,16 +35,6 @@ class Dataset:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def image_shape(self):
-        return self.samples[0][0].shape
-
-    def class_counts(self):
-        counts = [0] * len(self.class_names)
-        for _, label in self.samples:
-            counts[label] += 1
-        return counts
-
     def stacked(self):
         """(images [N,C,H,W], labels [N]) as plain arrays for the trainer."""
         imgs = np.stack([img.view() for img, _ in self.samples])

@@ -16,10 +16,10 @@ import numpy as np
 
 from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
-from .net import Model, OptimizerState
+from .net import FUSION_METHODS, Model, OptimizerState
 from .rng import stream
 
-METHOD_TOKENS = ("none", "add", "concat", "kpff", "kpff-frozen")
+METHOD_TOKENS = FUSION_METHODS + ("kpff-frozen",)
 
 
 def resolve_method(token, cfg: RunConfig):
@@ -27,7 +27,7 @@ def resolve_method(token, cfg: RunConfig):
     if token == "kpff-frozen":
         return "kpff", True, 0.0
     if token == "kpff":
-        return "kpff", cfg.freeze_fusion, cfg.kpff_noise
+        return "kpff", False, cfg.kpff_noise
     if token in ("none", "add", "concat"):
         return token, False, 0.0
     raise ValueError(f"unknown method {token!r}; known: {METHOD_TOKENS}")

@@ -42,7 +42,8 @@ def _act_backward(name, pre, out, dout):
 
 
 class ConvLayer:
-    """Valid-region convolution with odd kernel extents, then activation.
+    """Valid-region convolution with odd kernel extents, plus bias: an affine
+    map with no activation. Model applies its activation after the pool.
 
     kernels: [out_channels, in_channels, 2*delta+1, 2*gamma+1]
 
@@ -57,7 +58,7 @@ class ConvLayer:
     keep that layout, so the backward pass reads it back without a copy.
     """
 
-    def __init__(self, kernels, bias, activation="relu"):
+    def __init__(self, kernels, bias):
         kernels = np.asarray(kernels, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
         if kernels.ndim != 4:
@@ -68,7 +69,6 @@ class ConvLayer:
             raise ShapeError(f"bias length {bias.shape} != out_channels {kernels.shape[0]}")
         self.kernels = kernels
         self.bias = bias
-        self.activation = activation
         self._cache = None
         self.grads = {"kernels": np.zeros_like(kernels), "bias": np.zeros_like(bias)}
 
@@ -99,26 +99,20 @@ class ConvLayer:
         sc, sh, sw, sn = xt.strides
         win = np.ndarray((C, kh, kw, Ho, Wo, N), xt.dtype, xt, 0, (sc, sh, sw, sh, sw, sn))
         cols = win.reshape(C * kh * kw, Ho * Wo * N)
-        pre = self.kernels.reshape(O, -1) @ cols  # [O, H'*W'*N]
-        pre += self.bias[:, None]
-        pre = pre.reshape(O, Ho, Wo, N).transpose(3, 0, 1, 2)
-        out = _act_forward(self.activation, pre)
-        # backward reads pre and out only for the activation's derivative;
-        # the identity needs neither, so they are not kept alive for it
-        kept = (None, None) if self.activation == "identity" else (pre, out)
-        self._cache = (x.shape, cols) + kept
-        return out
+        out = self.kernels.reshape(O, -1) @ cols  # [O, H'*W'*N]
+        out += self.bias[:, None]
+        self._cache = (x.shape, cols)
+        return out.reshape(O, Ho, Wo, N).transpose(3, 0, 1, 2)
 
     def backward_batch(self, dout, *, input_grad=True):
         """Parameter gradients into the arrays of self.grads, in place;
         returns dL/dx, or None when input_grad is False (an input nothing
         differentiates, such as the image)."""
-        (N, C, H, W), cols, pre, out = self._cache
+        (N, C, H, W), cols = self._cache
         O, _, kh, kw = self.kernels.shape
-        dpre = _act_backward(self.activation, pre, out, dout)
-        dpre = dpre.transpose(1, 2, 3, 0).reshape(O, -1)  # [O, H'*W'*N]
-        np.matmul(dpre, cols.T, out=self.grads["kernels"].reshape(O, -1))
-        np.add.reduce(dpre, axis=1, out=self.grads["bias"])
+        dy = dout.transpose(1, 2, 3, 0).reshape(O, -1)  # [O, H'*W'*N]
+        np.matmul(dy, cols.T, out=self.grads["kernels"].reshape(O, -1))
+        np.add.reduce(dy, axis=1, out=self.grads["bias"])
         if not input_grad:
             return None
         # col2im: scatter-add each kernel tap's columns back onto the input.
@@ -127,7 +121,7 @@ class ConvLayer:
         # one, so each window is copied out, added to, and copied back.
         Ho, Wo = dout.shape[2:]
         taps = self.kernels.transpose(2, 3, 1, 0).reshape(kh * kw * C, O)
-        dcols = (taps @ dpre).reshape(kh, kw, C, Ho, Wo, N)
+        dcols = (taps @ dy).reshape(kh, kw, C, Ho, Wo, N)
         dx = np.zeros((C, H, W, N))
         for i in range(kh):
             for j in range(kw):
@@ -139,34 +133,30 @@ class ConvLayer:
 
 
 class DenseLayer:
-    """Affine map y = W x + b with an optional activation. Gradients go into
-    the arrays of self.grads, as for ConvLayer."""
+    """Affine map y = W x + b with no activation. Gradients go into the
+    arrays of self.grads, as for ConvLayer."""
 
-    def __init__(self, weights, bias, activation="identity"):
+    def __init__(self, weights, bias):
         weights = np.asarray(weights, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
         if weights.ndim != 2 or bias.shape != (weights.shape[0],):
             raise ShapeError(f"bad dense shapes: {weights.shape}, {bias.shape}")
         self.weights = weights
         self.bias = bias
-        self.activation = activation
         self._cache = None
         self.grads = {"weights": np.zeros_like(weights), "bias": np.zeros_like(bias)}
 
     def forward_batch(self, x):  # x: [N, in]
         if x.shape[1] != self.weights.shape[1]:
             raise ShapeError(f"dense expects {self.weights.shape[1]} features, got {x.shape[1]}")
-        pre = x @ self.weights.T + self.bias
-        out = _act_forward(self.activation, pre)
-        self._cache = (x, pre, out)
-        return out
+        self._cache = x
+        return x @ self.weights.T + self.bias
 
     def backward_batch(self, dout):
-        x, pre, out = self._cache
-        dpre = _act_backward(self.activation, pre, out, dout)
-        np.matmul(dpre.T, x, out=self.grads["weights"])
-        np.add.reduce(dpre, axis=0, out=self.grads["bias"])
-        return dpre @ self.weights
+        x = self._cache
+        np.matmul(dout.T, x, out=self.grads["weights"])
+        np.add.reduce(dout, axis=0, out=self.grads["bias"])
+        return dout @ self.weights
 
 
 class MaxPool2x2:
@@ -307,14 +297,14 @@ class OptimizerState:
     later step over parameters of another shape raises ShapeError.
     """
 
-    def __init__(self, method="adam", lr=1e-4, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's
+
+    def __init__(self, method="adam", lr=1e-4, weight_decay=0.0):
         if method not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {method!r}")
         self.method = method
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = self.v = None
         self.step_count = 0
 
@@ -443,7 +433,6 @@ class Model:
             conv = ConvLayer(
                 init(f"conv{b}.kernels", (ch, prev, 3, 3), fan_in),
                 init(f"conv{b}.bias", (ch,), fan_in),
-                "identity",  # the activation follows the pool
             )
             self.convs.append(conv)
             self.pools.append(MaxPool2x2())
@@ -459,7 +448,6 @@ class Model:
                     DenseLayer(
                         init(f"proj{b}.weights", (self.r, ch), fan_in),
                         init(f"proj{b}.bias", (self.r,), fan_in),
-                        "identity",
                     )
                 )
 
@@ -480,7 +468,6 @@ class Model:
         self.head = DenseLayer(
             init("head.weights", (num_classes, head_in), head_in),
             init("head.bias", (num_classes,), head_in),
-            "identity",
         )
         self._blocks = None
         self._dropout_mask = None

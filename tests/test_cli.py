@@ -144,6 +144,16 @@ def test_bench_rejects_zero_iterations(capsys):
     assert "--iters" in out.err and "nan" not in out.out
 
 
+@pytest.mark.parametrize("sizes,message", [
+    (["--ns", "2", "--rs", "8,0"], "argument --rs: must be at least 1, got 0"),
+    (["--ns", "2,x", "--rs", "8"], "argument --ns: invalid comma list value: '2,x'"),
+], ids=["rs-zero", "ns-not-int"])
+def test_bench_rejects_bad_size_lists(sizes, message, capsys):
+    assert exit_code("bench", *sizes, "--iters", "1") == 2
+    out = capsys.readouterr()
+    assert message in out.err and not out.out
+
+
 def test_bench_csv_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli("bench", "--ns", "2", "--rs", "8", "--iters", "5", "--out", str(a))
@@ -204,8 +214,10 @@ def test_crossval_bytes_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_crossval_unknown_method(tmp_path):
-    assert run_cli("crossval", "--methods", "outer", "--out", str(tmp_path)) == 2
+def test_crossval_unknown_method(tmp_path, capsys):
+    assert exit_code("crossval", "--methods", "none,outer", "--out", str(tmp_path)) == 2
+    assert "argument --methods: 'outer' is not one of" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_crossval_config_file_with_flag_override(tmp_path):
@@ -221,10 +233,10 @@ def test_crossval_config_file_with_flag_override(tmp_path):
 # every RunConfig field is set the same way by its flag and by a config file
 
 FIELD_VALUES = {
-    "seed": "7", "fusion": "add", "optimizer": "sgd", "lr": "0.003", "weight_decay": "0.0001",
+    "seed": "7", "optimizer": "sgd", "lr": "0.003", "weight_decay": "0.0001",
     "batch_size": "10", "max_epochs": "3", "val_interval": "2", "dropout_p": "0.25",
     "activation": "sigmoid", "channels": "3,5", "per_class": "5", "image_size": "12",
-    "data_dir": "images", "kpff_noise": "0.01", "freeze_fusion": "true", "folds": "3",
+    "data_dir": "images", "kpff_noise": "0.01", "folds": "3",
 }
 
 
@@ -235,8 +247,7 @@ def test_config_field_flag_matches_config_file(field, tmp_path):
     assert [a.dest for a in parser._actions].count(field) == 1
     value = FIELD_VALUES[field]
     flag = "--" + field.replace("_", "-")
-    argv = [flag] if field == "freeze_fusion" else [flag, value]
-    from_flag = _build_config(build_parser().parse_args(["crossval", *argv]))
+    from_flag = _build_config(build_parser().parse_args(["crossval", flag, value]))
     path = tmp_path / "run.cfg"
     path.write_text(f"{field} = {value}\n")
     from_file = _build_config(build_parser().parse_args(["crossval", "--config", str(path)]))
@@ -250,6 +261,26 @@ def test_config_file_rejects_num_classes(tmp_path, capsys):
     assert "line 2: unknown config key 'num_classes'" in capsys.readouterr().err
 
 
+# the method tokens alone select the fusion method, frozen or not
+@pytest.mark.parametrize("line", ["fusion = kpff", "freeze_fusion = true"])
+def test_config_file_rejects_fusion_fields(line, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    assert run_cli("crossval", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+    assert f"line 2: unknown config key '{line.split()[0]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("lr = abc", "line 2: lr: could not convert string to float: 'abc'"),
+    ("channels = 6,x", "line 2: channels: invalid literal for int()"),
+], ids=["lr", "channels"])
+def test_config_file_bad_value_names_line_and_key(line, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    assert run_cli("crossval", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_activation_flag_takes_only_model_activations(tmp_path, capsys):
     assert exit_code("train", "--activation", "tanh", "--out", str(tmp_path)) == 2
     assert "--activation" in capsys.readouterr().err
@@ -258,7 +289,7 @@ def test_activation_flag_takes_only_model_activations(tmp_path, capsys):
 
 def test_train_writes_checkpoint(tmp_path, capsys):
     out = tmp_path / "train"
-    assert run_cli("train", "--method", "kpff", "--seed", "3", "--out", str(out), *FAST) == 0
+    assert run_cli("train", "--seed", "3", "--out", str(out), *FAST) == 0  # kpff by default
     params = load_checkpoint(out / "model.ckpt")
     assert "fusion.ws" in params and "head.weights" in params
     history = (out / "history.csv").read_text().splitlines()

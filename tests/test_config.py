@@ -23,8 +23,8 @@ def test_defaults_match_recipe():
 
 
 def test_roundtrip_identity():
-    cfg = RunConfig(seed=7, fusion="add", lr=0.003, channels=(4, 8, 16), image_size=32,
-                    freeze_fusion=True, kpff_noise=0.01)
+    cfg = RunConfig(seed=7, optimizer="sgd", lr=0.003, channels=(4, 8, 16), image_size=32,
+                    kpff_noise=0.01)
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
@@ -34,15 +34,13 @@ def test_parse_comments_and_overrides():
     text = """
     # a comment
     seed = 12   # trailing comment
-    fusion = concat
+    optimizer = sgd
     channels = 3,5
-    freeze_fusion = true
     """
     cfg = parse_config_text(text)
     assert cfg.seed == 12
-    assert cfg.fusion == "concat"
+    assert cfg.optimizer == "sgd"
     assert cfg.channels == (3, 5)
-    assert cfg.freeze_fusion is True
 
 
 def test_parse_rejects_unknown_key_and_bad_lines():
@@ -57,9 +55,7 @@ def test_validation():
         RunConfig(dropout_p=1.0)
     with pytest.raises(ValueError):
         RunConfig(max_epochs=0)
-    with pytest.raises(ValueError, match="^fusion must be one of none, add, concat, kpff"):
-        RunConfig(fusion="outer")
-    with pytest.raises(ValueError, match="^optimizer must be one of"):
+    with pytest.raises(ValueError, match="^optimizer must be one of sgd, adam, got 'rmsprop'"):
         RunConfig(optimizer="rmsprop")
 
 
@@ -79,11 +75,7 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 3\nlr = 0.01\n")
     cfg = load_config(path)
-    assert cfg.seed == 3 and cfg.lr == 0.01
-    # file values layer on top of an explicit base
-    base = RunConfig(fusion="add")
-    cfg2 = load_config(path, base)
-    assert cfg2.fusion == "add" and cfg2.seed == 3
+    assert cfg == RunConfig(seed=3, lr=0.01)
 
 
 def test_hash_changes_with_config():

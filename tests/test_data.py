@@ -17,8 +17,9 @@ from kpff.tensor import from_array
 def test_synthetic_counts():
     ds = generate_synthetic(per_class=25, size=16, seed=0)
     assert len(ds) == 100
-    assert ds.class_counts() == [25, 25, 25, 25]
-    assert ds.image_shape == (1, 16, 16)
+    images, labels = ds.stacked()
+    assert np.bincount(labels).tolist() == [25, 25, 25, 25]
+    assert images.shape == (100, 1, 16, 16)
 
 
 def test_synthetic_deterministic():

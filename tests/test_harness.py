@@ -1,13 +1,15 @@
+import functools
 import os
 import resource
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from kpff import harness, hooks
 from kpff.config import RunConfig
-from kpff.data import make_folds
+from kpff.data import generate_synthetic, make_folds, write_pnm
 from kpff.harness import (
     JobError,
     comparison_table,
@@ -50,6 +52,7 @@ def deadline():
 def test_resolve_method():
     cfg = RunConfig()
     assert resolve_method("kpff-frozen", cfg) == ("kpff", True, 0.0)
+    assert resolve_method("kpff", cfg) == ("kpff", False, 0.0)
     assert resolve_method("concat", cfg) == ("concat", False, 0.0)
     assert resolve_method("kpff", cfg.with_overrides(kpff_noise=0.01)) == ("kpff", False, 0.01)
     with pytest.raises(ValueError):
@@ -93,6 +96,32 @@ def test_report_embeds_config_and_seed():
     assert report["seed"] == FAST_CFG.seed
     assert "lr = 0.003" in report["config"]
     assert len(report["config_hash"]) == 16
+
+
+# a value other than FAST_CFG's for every RunConfig field; the test points
+# data_dir at a directory of images it writes
+MOVED = dict(seed=5, optimizer="sgd", lr=1e-2, weight_decay=1e-2, batch_size=7, max_epochs=4,
+             val_interval=1, dropout_p=0.5, activation="sigmoid", channels=(3, 5),
+             per_class=6, image_size=10, data_dir=None, kpff_noise=0.1, folds=3)
+
+
+@functools.cache
+def _fast_kpff_results():
+    return crossval(FAST_CFG, ["kpff"])[0]["methods"]
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_every_config_field_moves_the_results(field, tmp_path):
+    value = MOVED[field]
+    if field == "data_dir":  # FAST_CFG's own images, written as 8-bit pixmaps
+        dataset = generate_synthetic(per_class=5, size=8, seed=FAST_CFG.seed)
+        for k, (image, label) in enumerate(dataset.samples):
+            class_dir = tmp_path / dataset.class_names[label]
+            class_dir.mkdir(exist_ok=True)
+            write_pnm(class_dir / f"{k:03d}.pgm", image)
+        value = str(tmp_path)
+    report, _, _ = crossval(FAST_CFG.with_overrides(**{field: value}), ["kpff"])
+    assert report["methods"] != _fast_kpff_results()
 
 
 def _glibc():

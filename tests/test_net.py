@@ -48,13 +48,13 @@ def conv_oracle(x, kernels, bias):
 
 
 def test_conv_identity_kernel():
-    layer = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), "identity")
+    layer = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1))
     x = Stream(0).uniform(size=(2, 1, 5, 5))
     assert np.array_equal(layer.forward_batch(x), x)
 
 
 def test_conv_averaging_constant():
-    layer = ConvLayer(np.full((1, 1, 3, 3), 1 / 9), np.zeros(1), "identity")
+    layer = ConvLayer(np.full((1, 1, 3, 3), 1 / 9), np.zeros(1))
     out = layer.forward_batch(np.full((1, 1, 6, 6), 5.0))
     assert out.shape == (1, 1, 4, 4)
     assert np.allclose(out, 5.0, rtol=1e-12)
@@ -65,7 +65,7 @@ def test_conv_matches_naive_loop_oracle():
     x = s.uniform(size=(2, 2, 6, 6), low=-1, high=1)
     kernels = s.uniform(size=(3, 2, 3, 3), low=-1, high=1)
     bias = s.uniform(size=(3,), low=-1, high=1)
-    layer = ConvLayer(kernels, bias, "identity")
+    layer = ConvLayer(kernels, bias)
     got = layer.forward_batch(x)
     for sample, out in zip(x, got):
         assert np.allclose(out, conv_oracle(sample, kernels, bias), rtol=1e-12, atol=1e-12)
@@ -73,7 +73,7 @@ def test_conv_matches_naive_loop_oracle():
 
 def test_conv_shape_law():
     for H, W, kh, kw in [(6, 6, 3, 3), (7, 5, 3, 1), (9, 9, 5, 3)]:
-        layer = ConvLayer(np.zeros((4, 2, kh, kw)), np.zeros(4), "relu")
+        layer = ConvLayer(np.zeros((4, 2, kh, kw)), np.zeros(4))
         out = layer.forward_batch(np.zeros((1, 2, H, W)))
         assert out.shape == (1, 4, H - kh + 1, W - kw + 1)
 
@@ -89,17 +89,18 @@ def test_conv_validation():
 
 
 def test_conv_backward_finite_difference():
+    # conv -> sigmoid, the sigmoid's derivative taken by _act_backward
     s = Stream(21)
     x = s.uniform(size=(2, 2, 5, 5), low=-1, high=1)
     layer = ConvLayer(s.uniform(size=(3, 2, 3, 3), low=-0.5, high=0.5),
-                      s.uniform(size=(3,), low=-0.5, high=0.5), "sigmoid")
+                      s.uniform(size=(3,), low=-0.5, high=0.5))
     c = s.uniform(size=(2, 3, 3, 3), low=-1, high=1)
 
     def loss():
-        return float(np.sum(layer.forward_batch(x) * c))
+        return float(np.sum(_act_forward("sigmoid", layer.forward_batch(x)) * c))
 
-    base = loss()
-    dx = layer.backward_batch(c)
+    pre = layer.forward_batch(x)
+    dx = layer.backward_batch(_act_backward("sigmoid", pre, _act_forward("sigmoid", pre), c))
     for arr, grad in [(layer.kernels, layer.grads["kernels"]),
                       (layer.bias, layer.grads["bias"]), (x, dx)]:
         flat, gflat = arr.ravel(), np.asarray(grad).ravel()
@@ -185,7 +186,7 @@ def test_conv_matches_einsum_reference(shape, layout):
     kernels = s.uniform(size=(O, C, kh, kw), low=-1, high=1)
     bias = s.uniform(size=(O,), low=-1, high=1)
     dout = s.uniform(size=(N, O, H - kh + 1, W - kw + 1), low=-1, high=1)
-    layer = ConvLayer(kernels, bias, "identity")
+    layer = ConvLayer(kernels, bias)
     out = layer.forward_batch(layout(x))
     dx = layer.backward_batch(layout(dout))
 
@@ -208,7 +209,7 @@ def test_conv_input_grad_matches_naive_loop_transpose():
     x = s.uniform(size=(2, 2, 6, 5), low=-1, high=1)
     kernels = s.uniform(size=(3, 2, 3, 3), low=-1, high=1)
     dout = s.uniform(size=(2, 3, 4, 3), low=-1, high=1)
-    layer = ConvLayer(kernels, np.zeros(3), "identity")
+    layer = ConvLayer(kernels, np.zeros(3))
     layer.forward_batch(x)
     dx = layer.backward_batch(dout)
     for n in range(2):
@@ -222,7 +223,7 @@ def test_conv_backward_without_input_grad():
     s = Stream(23)
     x = s.uniform(size=(4, 1, 8, 8), low=-1, high=1)
     layer = ConvLayer(s.uniform(size=(3, 1, 3, 3), low=-1, high=1),
-                      s.uniform(size=(3,), low=-1, high=1), "relu")
+                      s.uniform(size=(3,), low=-1, high=1))
     dout = s.uniform(size=(4, 3, 6, 6), low=-1, high=1)
     layer.forward_batch(x)
     assert layer.backward_batch(dout) is not None
@@ -490,22 +491,23 @@ def test_model_loss_helper_consistent():
 # --- conv -> pool -> activation against conv -> activation -> pool -------------
 
 class ConvActPoolModel(Model):
-    """Model with its blocks in the earlier order (reference): each conv
-    applies the activation to its whole output, then the pool runs. With
+    """Model with its blocks in the earlier order (reference): the
+    activation runs on each conv's whole output, then the pool. With
     crop=True every conv reads only what the pool reads, as Model's do;
     with crop=False it reads its whole input."""
 
     def __init__(self, *args, crop=False, **kwargs):
         super().__init__(*args, **kwargs)
         self.crop = crop
-        for conv in self.convs:
-            conv.activation = self.activation
 
     def _blocks_forward(self, x):
-        taps, self._shapes = [], []
+        taps, self._shapes, self._acts = [], [], []
         h = x
         for conv, pool in zip(self.convs, self.pools):
-            h = pool.forward_batch(conv.forward_batch(_pool_crop(conv, h) if self.crop else h))
+            pre = conv.forward_batch(_pool_crop(conv, h) if self.crop else h)
+            act = _act_forward(self.activation, pre)
+            self._acts.append((pre, act))
+            h = pool.forward_batch(act)
             self._shapes.append(h.shape)
             taps.append(gap_batch(h))
         return taps
@@ -517,6 +519,8 @@ class ConvActPoolModel(Model):
             if dx is not None:
                 dh = _block_output_grad(dx, self._shapes[b], dh)
             dh = self.pools[b].backward_batch(dh)
+            pre, act = self._acts[b]
+            dh = _act_backward(self.activation, pre, act, dh)
             dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
 
 
@@ -672,7 +676,7 @@ def test_block_order_agrees_without_rounded_ties(activation):
     ((3, 9), (3, 9)),  # 1x7 output too
 ])
 def test_pool_crop_shapes(size, cropped):
-    conv = ConvLayer(np.zeros((2, 3, 3, 3)), np.zeros(2), "identity")
+    conv = ConvLayer(np.zeros((2, 3, 3, 3)), np.zeros(2))
     x = np.zeros((2, 3) + size)
     got = _pool_crop(conv, x)
     assert got.shape == (2, 3) + cropped
@@ -686,7 +690,7 @@ def test_crop_matches_whole_conv_on_what_the_pool_reads(H, W):
     x = batch_innermost(s.uniform(size=(N, C, H, W), low=-1, high=1))
     kernels = s.uniform(size=(O, C, 3, 3), low=-1, high=1)
     bias = s.uniform(size=(O,), low=-1, high=1)
-    whole, cut = ConvLayer(kernels, bias, "identity"), ConvLayer(kernels, bias, "identity")
+    whole, cut = ConvLayer(kernels, bias), ConvLayer(kernels, bias)
     full_out = whole.forward_batch(x)
     out = cut.forward_batch(_pool_crop(cut, x))
     Ho, Wo = out.shape[2:]
@@ -767,9 +771,10 @@ class PerArrayState:
     """The optimizer state of per_array_apply: hyperparameters as
     OptimizerState's, and moments by name (reference)."""
 
-    def __init__(self, method, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = OptimizerState.beta1, OptimizerState.beta2, OptimizerState.eps
+
+    def __init__(self, method, lr, weight_decay):
         self.method, self.lr, self.weight_decay = method, lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m, self.v = {}, {}
         self.step_count = 0
 
