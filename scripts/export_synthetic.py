@@ -18,7 +18,7 @@ def main():
 
     ds = generate_synthetic(per_class=args.per_class, size=args.size, seed=args.seed)
     counters = {}
-    for img, label in ds.samples:
+    for img, label in zip(ds.images, ds.labels):
         name = ds.class_names[label]
         d = args.out / name
         d.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 check/validation failure, 2 usage error.
 """
 
 import argparse
+from dataclasses import replace
 import sys
 import time
 from pathlib import Path
@@ -28,8 +29,8 @@ CHECK_FAILURE = 1
 
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return cfg.with_overrides(**{name: getattr(args, name) for name in field_types()
-                                 if getattr(args, name) is not None})
+    return replace(cfg, **{name: getattr(args, name) for name in field_types()
+                           if getattr(args, name) is not None})
 
 
 def _flag_type(ftype):
@@ -142,7 +143,7 @@ def cmd_bench(args):
     for n in args.ns:
         for r in args.rs:
             s = stream(args.seed or 0, f"bench/{n}x{r}")
-            ws = [from_array(s.uniform(size=(n,), low=-1, high=1)) for _ in range(n)]
+            ws = [s.uniform(size=(n,), low=-1, high=1) for _ in range(n)]
             xs = fusion_inputs([s.uniform(size=(r,), low=-1, high=1) for _ in range(n)])
             layer = KpffLayer(ws)
             up = from_array(s.uniform(size=(n * r,), low=-1, high=1))
@@ -229,7 +230,7 @@ def cmd_fuse(args):
             out = fuse_add(inputs)
         elif args.method == "concat":
             out = fuse_concat(inputs)
-        elif args.method == "kpff":
+        else:  # kpff
             if not args.weights:
                 print("method kpff needs --weights", file=sys.stderr)
                 return USAGE_ERROR
@@ -239,9 +240,6 @@ def cmd_fuse(args):
                     f"got {len(wrows)} weight rows for {inputs.n} input vectors"
                 )
             out = kpff_forward(KpffLayer(wrows), inputs)
-        else:
-            print(f"unknown method {args.method!r}", file=sys.stderr)
-            return USAGE_ERROR
     except (ValueError, IndexError) as exc:
         print(f"fuse failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE

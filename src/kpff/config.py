@@ -3,7 +3,7 @@ overridable by CLI flags. Defaults follow the reference training recipe
 (Adam, lr 1e-4, weight decay 5e-4, batch 50, 200 epochs, validate every
 10, dropout 0.5, five folds)."""
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 import hashlib
 import math
 
@@ -58,9 +58,6 @@ class RunConfig:
             if getattr(self, f) not in allowed:
                 raise ValueError(f"{f} must be one of {', '.join(allowed)}, "
                                  f"got {getattr(self, f)!r}")
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
 
 
 def _format_value(v):

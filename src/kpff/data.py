@@ -1,6 +1,6 @@
 """Datasets and the stratified five-fold cross-validation protocol.
 
-Images are rank-3 [channels, H, W] tensors with values in [0, 1]. The
+Images are read-only float64 [channels, H, W] arrays with values in [0, 1]. The
 synthetic generator produces four separable texture classes at desk scale;
 load_image_dir ingests binary portable pixmaps (P5 grayscale / P6 RGB),
 one subdirectory per class.
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, from_array
 from .rng import stream
 
 SYNTHETIC_CLASSES = ("blob", "checkerboard", "gradient", "stripes")
@@ -21,25 +20,32 @@ NOISE_SIGMA = 0.05
 
 @dataclass
 class Dataset:
-    samples: list  # of (image: Tensor [C,H,W], label: int)
+    """N images and their labels, each label an index into class_names.
+    Built from array-likes, it holds read-only copies: images a float64
+    [N, C, H, W] array, labels an int64 [N] array."""
+
+    images: np.ndarray
+    labels: np.ndarray
     class_names: list
 
     def __post_init__(self):
-        for img, label in self.samples:
+        self.images = np.array(self.images, dtype=np.float64)
+        self.labels = np.array(self.labels, dtype=np.int64)
+        self.images.setflags(write=False)
+        self.labels.setflags(write=False)
+        if self.images.ndim != 4 or self.labels.shape != self.images.shape[:1]:
+            raise ValueError(f"need images [N, C, H, W] and N labels, got shapes "
+                             f"{self.images.shape} and {self.labels.shape}")
+        for label in self.labels:
             if not 0 <= label < len(self.class_names):
                 raise ValueError(f"label {label} out of range")
-        shapes = {img.shape for img, _ in self.samples}
-        if len(shapes) > 1:
-            raise ValueError(f"images must share one shape, got {shapes}")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.labels)
 
     def stacked(self):
         """(images [N,C,H,W], labels [N]) as plain arrays for the trainer."""
-        imgs = np.stack([img.view() for img, _ in self.samples])
-        labels = np.array([label for _, label in self.samples], dtype=np.int64)
-        return imgs, labels
+        return self.images, self.labels
 
 
 @dataclass
@@ -97,13 +103,12 @@ def generate_synthetic(per_class=25, size=16, seed=0, classes=SYNTHETIC_CLASSES)
     Pure function of (arguments, seed)."""
     if size < 8:
         raise ValueError(f"size must be >= 8, got {size}")
-    samples = []
+    images = np.empty((len(classes) * per_class, 1, size, size))
     for label, name in enumerate(classes):
         s = stream(seed, f"synthetic/{name}")
-        for _ in range(per_class):
-            img = _texture(name, size, s)
-            samples.append((from_array(img[None]), label))
-    return Dataset(samples, list(classes))
+        for k in range(per_class):
+            images[label * per_class + k, 0] = _texture(name, size, s)
+    return Dataset(images, np.repeat(np.arange(len(classes)), per_class), list(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +135,9 @@ def _read_pnm_header(buf, path):
     return fields[0], fields[1], fields[2], pos + 1  # single whitespace after maxval
 
 
-def read_pnm(path) -> Tensor:
-    """Decode a binary P5 (grayscale) or P6 (RGB) file to a [C,H,W] tensor
-    scaled to [0, 1]."""
+def read_pnm(path) -> np.ndarray:
+    """Decode a binary P5 (grayscale) or P6 (RGB) file to a read-only
+    float64 [C,H,W] array scaled to [0, 1]."""
     buf = Path(path).read_bytes()
     magic = buf[:2]
     if magic not in (b"P5", b"P6"):
@@ -146,14 +151,15 @@ def read_pnm(path) -> Tensor:
     if len(raster) != need:
         raise ValueError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
     arr = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
-    arr = arr.reshape(height, width, channels).transpose(2, 0, 1)
-    return from_array(arr)
+    arr = np.ascontiguousarray(arr.reshape(height, width, channels).transpose(2, 0, 1))
+    arr.setflags(write=False)
+    return arr
 
 
-def write_pnm(path, image: Tensor, maxval=255):
-    """Quantize a [C,H,W] tensor in [0,1] to binary P5 (1 channel) or
+def write_pnm(path, image: np.ndarray, maxval=255):
+    """Quantize a [C,H,W] array in [0,1] to binary P5 (1 channel) or
     P6 (3 channels)."""
-    arr = image.view()
+    arr = np.asarray(image)
     c, h, w = arr.shape
     if c == 1:
         magic = b"P5"
@@ -175,9 +181,9 @@ def load_image_dir(root) -> Dataset:
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise ValueError(f"{root}: no class subdirectories")
-    samples = []
+    images = []
+    labels = []
     class_names = []
-    shape = None
     for label, d in enumerate(class_dirs):
         class_names.append(d.name)
         files = sorted(p for p in d.iterdir() if p.suffix in (".pgm", ".ppm"))
@@ -185,12 +191,11 @@ def load_image_dir(root) -> Dataset:
             raise ValueError(f"{d}: empty class directory")
         for p in files:
             img = read_pnm(p)
-            if shape is None:
-                shape = img.shape
-            elif img.shape != shape:
-                raise ValueError(f"{p}: image shape {img.shape} != expected {shape}")
-            samples.append((img, label))
-    return Dataset(samples, class_names)
+            if images and img.shape != images[0].shape:
+                raise ValueError(f"{p}: image shape {img.shape} != expected {images[0].shape}")
+            images.append(img)
+            labels.append(label)
+    return Dataset(images, labels, class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def make_folds(dataset: Dataset, k=5, seed=0) -> FoldPlan:
     """Stratified k-fold: per-class shuffle, then round-robin so fold sizes
     per class differ by at most one (extras land in the lowest folds)."""
     by_class = {}
-    for idx, (_, label) in enumerate(dataset.samples):
+    for idx, label in enumerate(dataset.labels.tolist()):
         by_class.setdefault(label, []).append(idx)
     folds = [[] for _ in range(k)]
     for label in sorted(by_class):

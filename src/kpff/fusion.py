@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, from_array, _freeze
+from .tensor import NonFiniteError, Tensor, ShapeError, _freeze
 from .hooks import injected_bug
 
 # ---------------------------------------------------------------------------
@@ -40,23 +40,23 @@ def count_ops():
 # ---------------------------------------------------------------------------
 
 
+def _checked_vector(values, what) -> np.ndarray:
+    """A read-only float64 copy of values, which must be a finite non-empty vector."""
+    x = np.array(values, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ShapeError(f"{what} must be a non-empty rank-1 vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError(f"{what} contains NaN or Inf")
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class FusionInputs:
-    """n feature vectors of a common length r."""
+    """n feature vectors x_i of a common length r: a tuple of read-only
+    float64 rows, as fusion_inputs checks and builds them."""
 
     xs: tuple
-
-    def __post_init__(self):
-        if len(self.xs) < 1:
-            raise ShapeError("need at least one input vector")
-        r = self.xs[0].shape[0]
-        for x in self.xs:
-            if x.rank != 1:
-                raise ShapeError(f"fusion inputs must be rank-1, got {x.shape}")
-            if x.shape[0] != r:
-                raise ShapeError(
-                    f"fusion inputs must share one length, got {x.shape[0]} vs {r}"
-                )
 
     @property
     def n(self) -> int:
@@ -68,13 +68,23 @@ class FusionInputs:
 
 
 def fusion_inputs(vectors) -> FusionInputs:
-    return FusionInputs(tuple(v if isinstance(v, Tensor) else from_array(v) for v in vectors))
+    """The inputs of the fusion ops from n vectors (rank-1 Tensors, arrays or
+    lists) of one length, each copied, checked finite and frozen."""
+    xs = tuple(_checked_vector(v.data.reshape(v.shape) if isinstance(v, Tensor) else v,
+                               f"fusion input {i}")
+               for i, v in enumerate(vectors))
+    if not xs:
+        raise ShapeError("need at least one input vector")
+    if len({x.shape[0] for x in xs}) > 1:
+        raise ShapeError(f"fusion inputs must share one length, got lengths "
+                         f"{[x.shape[0] for x in xs]}")
+    return FusionInputs(xs)
 
 
 def fuse_add(inputs: FusionInputs) -> Tensor:
-    acc = inputs.xs[0].data.copy()
+    acc = inputs.xs[0].copy()
     for x in inputs.xs[1:]:
-        acc += x.data
+        acc += x
         if _COUNTING:
             _COUNTS["add"] += inputs.r
     acc.setflags(write=False)
@@ -82,7 +92,7 @@ def fuse_add(inputs: FusionInputs) -> Tensor:
 
 
 def fuse_concat(inputs: FusionInputs) -> Tensor:
-    out = np.concatenate([x.data for x in inputs.xs])
+    out = np.concatenate(inputs.xs)
     if _COUNTING:
         _COUNTS["copy"] += inputs.n * inputs.r
     out.setflags(write=False)
@@ -211,7 +221,8 @@ def kpff_kernel_backward(W, X, U):
 
 
 class KpffLayer:
-    """Learnable fusion layer: n weight vectors of length n.
+    """Learnable fusion layer: n weight vectors w_i of length n, the rows of
+    the read-only n x n array W.
 
     forward caches its inputs; backward accumulates into grad_ws (row i is
     dL/dw_i) and returns the gradients w.r.t. the inputs. Not thread-safe
@@ -219,19 +230,18 @@ class KpffLayer:
     """
 
     def __init__(self, ws):
-        ws = tuple(w if isinstance(w, Tensor) else from_array(w) for w in ws)
         n = len(ws)
-        for w in ws:
-            if w.rank != 1 or w.shape[0] != n:
+        rows = [_checked_vector(w, f"weight vector {i}") for i, w in enumerate(ws)]
+        for w in rows:
+            if w.shape[0] != n:
                 raise ShapeError(f"need {n} weight vectors of length {n}, got {w.shape}")
-        self.ws = ws
-        self.W = _freeze(np.array([w.data for w in ws]).reshape(n, n))  # row i is w_i
+        self.W = _freeze(np.array(rows).reshape(n, n))
         self.grad_ws = np.zeros((n, n))
         self.cache = None
 
     @property
     def n(self) -> int:
-        return len(self.ws)
+        return self.W.shape[0]
 
     @classmethod
     def concat_init(cls, n: int):
@@ -246,7 +256,7 @@ def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> Tensor:
     n, r = inputs.n, inputs.r
     if layer.n != n:
         raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {n}")
-    y = kpff_kernel(layer.W, [x.data for x in inputs.xs])
+    y = kpff_kernel(layer.W, inputs.xs)
     y.setflags(write=False)
     layer.cache = inputs
     return Tensor((n * r,), y.reshape(-1))
@@ -265,8 +275,7 @@ def kpff_backward(layer: KpffLayer, upstream: Tensor):
     n, r = inputs.n, inputs.r
     if upstream.rank != 1 or upstream.shape[0] != n * r:
         raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
-    dW, dX = kpff_kernel_backward(layer.W, [x.data for x in inputs.xs],
-                                  upstream.data.reshape(n, r))
+    dW, dX = kpff_kernel_backward(layer.W, inputs.xs, upstream.data.reshape(n, r))
     layer.grad_ws += dW
     dX.setflags(write=False)
     return [Tensor((r,), dx) for dx in dX]

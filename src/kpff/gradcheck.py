@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, from_array
-from .fusion import FusionInputs, KpffLayer, kpff_forward, kpff_backward
+from .tensor import from_array
+from .fusion import FusionInputs, KpffLayer, fusion_inputs, kpff_forward, kpff_backward
 from .rng import stream
 
 REL_TOL = 1e-6
@@ -40,22 +40,30 @@ def check_value(name: str, analytic: float, numeric: float, tol: float = REL_TOL
     return GradCheckReport(name, analytic, numeric, rel, passed)
 
 
-def finite_diff_grad(f, theta: Tensor, h: float = 1e-6) -> Tensor:
-    """Central differences, per-coordinate step h * max(1, |theta_k|)."""
-    base = theta.data.copy()
-    grad = np.zeros_like(base)
-    for k in range(base.size):
-        step = h * max(1.0, abs(base[k]))
-        plus = base.copy()
-        plus[k] += step
-        minus = base.copy()
-        minus[k] -= step
-        fp = f(from_array(plus.reshape(theta.shape)))
-        fm = f(from_array(minus.reshape(theta.shape)))
+def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6, coords=None) -> np.ndarray:
+    """Central differences of the scalar f at theta, at the flat coordinates
+    coords (all of them by default), as a 1-D array in that order.
+
+    theta is perturbed in place, one coordinate at a time by the step
+    h * max(1, |theta_k|), and f is called with theta itself; each value is
+    restored exactly after its two calls.
+    """
+    coords = range(theta.size) if coords is None else coords
+    grad = np.zeros(len(coords))
+    for t, k in enumerate(coords):
+        old = theta.flat[k]
+        step = h * max(1.0, abs(old))
+        try:
+            theta.flat[k] = old + step
+            fp = f(theta)
+            theta.flat[k] = old - step
+            fm = f(theta)
+        finally:
+            theta.flat[k] = old
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise ValueError("loss returned non-finite value during finite differences")
-        grad[k] = (fp - fm) / (2.0 * step)
-    return from_array(grad.reshape(theta.shape))
+        grad[t] = (fp - fm) / (2.0 * step)
+    return grad
 
 
 def sample_coords(size: int, stream=None, cap: int = MAX_SAMPLED_COORDS):
@@ -85,10 +93,10 @@ def kpff_dense_jacobians(layer: KpffLayer, inputs: FusionInputs):
         b = a // r
         c = a - b * r
         for i in range(n):
-            J_w[a, i * n + b] = inputs.xs[i].data[c]
+            J_w[a, i * n + b] = inputs.xs[i][c]
         for j in range(n):
-            J_x[a, j * r + c] = layer.ws[j].data[b]
-    return from_array(J_w), from_array(J_x)
+            J_x[a, j * r + c] = layer.W[j, b]
+    return J_w, J_x
 
 
 # ---------------------------------------------------------------------------
@@ -116,61 +124,43 @@ def check_kpff_instance(n, r, seed, tol=REL_TOL, jac_tol=1e-15):
     loss, loss_grad = _quadratic_loss(coef_lin, coef_quad)
 
     layer = KpffLayer(ws)
-    inputs = FusionInputs(tuple(from_array(x) for x in xs))
+    inputs = fusion_inputs(xs)
     y = kpff_forward(layer, inputs)
-    upstream = from_array(loss_grad(y.data))
+    up = loss_grad(y.data)
     layer.zero_grads()
-    dxs = kpff_backward(layer, upstream)
+    dxs = kpff_backward(layer, from_array(up))
+
+    # finite differences on the scalar loss, parameter by parameter: each
+    # w_i and x_j is perturbed in place inside ws and xs
+    def f(_):
+        return loss(kpff_forward(KpffLayer(ws), fusion_inputs(xs)).data)
 
     reports = []
-
-    # finite differences on the scalar loss, parameter by parameter
     for i in range(n):
-        def f_w(w, i=i):
-            trial = KpffLayer([from_array(w.data if j == i else ws[j]) for j in range(n)])
-            return loss(kpff_forward(trial, inputs).data)
-
-        num = finite_diff_grad(f_w, from_array(ws[i]))
+        num = finite_diff_grad(f, ws[i])
         for b in range(n):
             reports.append(
-                check_value(f"kpff({n}x{r}).w{i}[{b}]", layer.grad_ws[i][b], num.data[b], tol)
+                check_value(f"kpff({n}x{r}).w{i}[{b}]", layer.grad_ws[i][b], num[b], tol)
             )
     for j in range(n):
-        def f_x(x, j=j):
-            trial = KpffLayer(ws)
-            xs2 = tuple(x if t == j else inputs.xs[t] for t in range(n))
-            return loss(kpff_forward(trial, FusionInputs(xs2)).data)
-
-        num = finite_diff_grad(f_x, inputs.xs[j])
+        num = finite_diff_grad(f, xs[j])
         for c in range(r):
             reports.append(
-                check_value(f"kpff({n}x{r}).x{j}[{c}]", dxs[j].data[c], num.data[c], tol)
+                check_value(f"kpff({n}x{r}).x{j}[{c}]", dxs[j].data[c], num[c], tol)
             )
 
     # dense-Jacobian oracle cross-check
     J_w, J_x = kpff_dense_jacobians(layer, inputs)
-    dw_oracle = J_w.view().T @ upstream.data
-    dx_oracle = J_x.view().T @ upstream.data
-    dw_analytic = np.concatenate([g for g in layer.grad_ws])
-    dx_analytic = np.concatenate([d.data for d in dxs])
-    reports.append(
-        GradCheckReport(
-            f"kpff({n}x{r}).Jw-oracle",
-            float(np.max(np.abs(dw_analytic))),
-            float(np.max(np.abs(dw_oracle))),
-            float(np.max(np.abs(dw_analytic - dw_oracle))),
-            bool(np.max(np.abs(dw_analytic - dw_oracle)) <= jac_tol * max(1.0, np.max(np.abs(dw_oracle)))),
-        )
-    )
-    reports.append(
-        GradCheckReport(
-            f"kpff({n}x{r}).Jx-oracle",
-            float(np.max(np.abs(dx_analytic))),
-            float(np.max(np.abs(dx_oracle))),
-            float(np.max(np.abs(dx_analytic - dx_oracle))),
-            bool(np.max(np.abs(dx_analytic - dx_oracle)) <= jac_tol * max(1.0, np.max(np.abs(dx_oracle)))),
-        )
-    )
+    for name, analytic, oracle in (
+        ("Jw", layer.grad_ws.ravel(), J_w.T @ up),
+        ("Jx", np.concatenate([d.data for d in dxs]), J_x.T @ up),
+    ):
+        err = np.max(np.abs(analytic - oracle))
+        scale = np.max(np.abs(oracle))
+        reports.append(GradCheckReport(
+            f"kpff({n}x{r}).{name}-oracle", float(np.max(np.abs(analytic))), float(scale),
+            float(err), bool(err <= jac_tol * max(1.0, scale)),
+        ))
     return reports
 
 
@@ -201,17 +191,11 @@ def check_model(model, x, labels, tol=1e-5, cap=MAX_SAMPLED_COORDS, seed=0):
     sampler = stream(seed, "gradcheck/sample")
     reports = []
     for name, arr in model.params().items():
-        flat = arr.ravel()
+        coords = sample_coords(arr.size, sampler, cap)
+        num = finite_diff_grad(lambda _: model_loss(model, x, labels), arr, coords=coords)
         g = grads[name].ravel()
-        for k in sample_coords(flat.size, sampler, cap):
-            h = 1e-6 * max(1.0, abs(flat[k]))
-            old = flat[k]
-            flat[k] = old + h
-            fp = model_loss(model, x, labels)
-            flat[k] = old - h
-            fm = model_loss(model, x, labels)
-            flat[k] = old
-            reports.append(check_value(f"{name}[{k}]", float(g[k]), (fp - fm) / (2 * h), tol))
+        reports.extend(check_value(f"{name}[{k}]", float(g[k]), float(d), tol)
+                       for k, d in zip(coords, num))
     return reports
 
 

@@ -1,5 +1,7 @@
-"""Dense float64 tensors (rank 1-4, row-major), the values of the
-single-sample fusion API, and the errors shared by every other module.
+"""Dense float64 tensors (rank 1-4, row-major), the value type of the
+single-sample fusion API (fusion_inputs, kpff_forward, kpff_backward,
+fuse_add, fuse_concat), and the errors shared by every other module.
+Every other module works on read-only ndarrays.
 
 A tensor's shape is checked when it is built, and from_array rejects
 non-finite values. Tensors are immutable after construction and safe to
@@ -12,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class TensorError(ValueError):
+class ShapeError(ValueError):
     pass
 
 
-class ShapeError(TensorError):
-    pass
-
-
-class NonFiniteError(TensorError):
+class NonFiniteError(ValueError):
     pass
 
 
@@ -47,13 +45,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def view(self) -> np.ndarray:
-        """Read-only ndarray view with this tensor's shape."""
-        return self.data.reshape(self.shape)
-
-    def tolist(self):
-        return self.view().tolist()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

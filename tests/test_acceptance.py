@@ -75,14 +75,13 @@ def test_criterion_1_gradient_correctness():
                 wm = [w.copy() for w in ws]
                 wp[i][b] += h
                 wm[i][b] -= h
-                num = (loss_of(wp, [x.data for x in xs.xs])
-                       - loss_of(wm, [x.data for x in xs.xs])) / (2 * h)
+                num = (loss_of(wp, xs.xs) - loss_of(wm, xs.xs)) / (2 * h)
                 worst_fd = max(worst_fd, relative_error(layer.grad_ws[i][b], num))
         for j in range(n):
             for c in range(r):
-                h = 1e-6 * max(1.0, abs(xs.xs[j].data[c]))
-                xp = [x.data.copy() for x in xs.xs]
-                xm = [x.data.copy() for x in xs.xs]
+                h = 1e-6 * max(1.0, abs(xs.xs[j][c]))
+                xp = [x.copy() for x in xs.xs]
+                xm = [x.copy() for x in xs.xs]
                 xp[j][c] += h
                 xm[j][c] -= h
                 num = (loss_of(ws, xp) - loss_of(ws, xm)) / (2 * h)
@@ -91,8 +90,8 @@ def test_criterion_1_gradient_correctness():
         J_w, J_x = kpff_dense_jacobians(layer, xs)
         worst_jac = max(
             worst_jac,
-            float(np.max(np.abs(np.concatenate(layer.grad_ws) - J_w.view().T @ upstream))),
-            float(np.max(np.abs(np.concatenate([d.data for d in dxs]) - J_x.view().T @ upstream))),
+            float(np.max(np.abs(np.concatenate(layer.grad_ws) - J_w.T @ upstream))),
+            float(np.max(np.abs(np.concatenate([d.data for d in dxs]) - J_x.T @ upstream))),
         )
         cases += 1
     elapsed = time.time() - started
@@ -112,10 +111,10 @@ def test_criterion_2_degeneration():
         r = 1 + int(s.uniform() * 8)
         xs = fusion_inputs([s.uniform(size=(r,), low=-5, high=5) for _ in range(n)])
         concat_layer = KpffLayer(list(np.eye(n)))
-        assert kpff_forward(concat_layer, xs).tolist() == fuse_concat(xs).tolist()
+        assert kpff_forward(concat_layer, xs).data.tolist() == fuse_concat(xs).data.tolist()
         add_layer = KpffLayer([np.eye(n)[0]] * n)
         y = kpff_forward(add_layer, xs).data
-        assert y[:r].tolist() == fuse_add(xs).tolist()
+        assert y[:r].tolist() == fuse_add(xs).data.tolist()
         assert np.all(y[r:] == 0.0)
     elapsed = time.time() - started
     report("2 degeneration identities", elapsed < 5, f"1000 cases exact, {elapsed:.1f}s")
@@ -133,7 +132,7 @@ def test_criterion_3_oracle_equivalence():
             xs = fusion_inputs([s.uniform(size=(r,), low=-2, high=2) for _ in range(n)])
             oracle = np.zeros(n * r)
             for i in range(n):
-                oracle += kron_vec_oracle(ws[i], xs.xs[i].data)
+                oracle += kron_vec_oracle(ws[i], xs.xs[i])
             got = kpff_forward(KpffLayer(ws), xs).data
             worst = max(worst, float(np.max(np.abs(got - oracle))))
     report("3 oracle equivalence", worst <= 1e-15, f"all n,r <= 8, max abs diff {worst:.1e}")

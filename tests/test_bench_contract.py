@@ -1,0 +1,53 @@
+"""The benchmark's view of the program: every entry point that
+kpffbench/spans.py wraps still resolves, and one fusion_grid pass runs
+with no failed check. So a change under src/ that would break
+kpffbench/run.py fails here first.
+
+kpffbench/run.py itself is not imported: it sets the BLAS thread
+variables in os.environ when it loads.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "kpffbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return spans, workloads
+
+
+class StubClock:
+    """The part of kpffbench's Clock a workload calls, timing nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def sample(self, kind):
+        pass
+
+
+def test_every_span_target_resolves(bench):
+    spans, _ = bench
+    for name, owner, attr, _work in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), (name, owner, attr)
+
+
+def test_one_fusion_grid_pass_has_no_failed_check(bench):
+    _, workloads = bench
+    grid = workloads.FusionGrid(0, None)
+    calls = grid.run_pass(StubClock(), 0)
+    assert calls > 0
+    assert grid.attempted > 0 and grid.failed == 0

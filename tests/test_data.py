@@ -11,7 +11,6 @@ from kpff.data import (
     write_fold_plan,
     write_pnm,
 )
-from kpff.tensor import from_array
 
 
 def test_synthetic_counts():
@@ -25,18 +24,15 @@ def test_synthetic_counts():
 def test_synthetic_deterministic():
     a = generate_synthetic(per_class=5, size=12, seed=42)
     b = generate_synthetic(per_class=5, size=12, seed=42)
-    for (ia, la), (ib, lb) in zip(a.samples, b.samples):
-        assert la == lb
-        assert np.array_equal(ia.data, ib.data)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.images, b.images)
     c = generate_synthetic(per_class=5, size=12, seed=43)
-    assert any(not np.array_equal(ia.data, ic.data)
-               for (ia, _), (ic, _) in zip(a.samples, c.samples))
+    assert all(not np.array_equal(ia, ic) for ia, ic in zip(a.images, c.images))
 
 
 def test_synthetic_pixel_range_and_size_check():
     ds = generate_synthetic(per_class=3, size=8, seed=1)
-    for img, _ in ds.samples:
-        assert img.data.min() >= 0.0 and img.data.max() <= 1.0
+    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     with pytest.raises(ValueError):
         generate_synthetic(per_class=3, size=7, seed=1)
 
@@ -46,9 +42,9 @@ def test_synthetic_linearly_separable():
     # classifier; five-fold accuracy must clear 80%
     ds = generate_synthetic(per_class=25, size=16, seed=0)
     plan = make_folds(ds, k=5, seed=0)
-    X = np.stack([img.data for img, _ in ds.samples])
+    X = ds.images.reshape(len(ds), -1)
     X = np.hstack([X, np.ones((len(ds), 1))])
-    y = np.array([label for _, label in ds.samples])
+    y = ds.labels
     onehot = np.eye(4)[y]
     correct = 0
     for f in range(5):
@@ -58,6 +54,30 @@ def test_synthetic_linearly_separable():
         pred = np.argmax(X[te] @ W, axis=1)
         correct += int(np.sum(pred == y[te]))
     assert correct / len(ds) >= 0.80
+
+
+def test_dataset_holds_read_only_copies():
+    images, labels = np.zeros((3, 1, 2, 2)), [0, 1, 1]
+    ds = Dataset(images, labels, ["a", "b"])
+    images[0, 0, 0, 0] = 1.0
+    got_images, got_labels = ds.stacked()
+    assert got_images is ds.images and got_labels is ds.labels
+    assert got_images.dtype == np.float64 and got_labels.dtype == np.int64
+    assert np.all(got_images == 0.0) and got_labels.tolist() == labels
+    for arr in (got_images, got_labels):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_dataset_rejects_bad_labels_and_shapes():
+    with pytest.raises(ValueError, match="label 2 out of range"):
+        Dataset(np.zeros((2, 1, 1, 1)), [0, 2], ["a", "b"])
+    with pytest.raises(ValueError, match="label -1 out of range"):
+        Dataset(np.zeros((2, 1, 1, 1)), [0, -1], ["a", "b"])
+    with pytest.raises(ValueError, match="N labels"):
+        Dataset(np.zeros((2, 1, 1, 1)), [0], ["a"])
+    with pytest.raises(ValueError, match=r"\[N, C, H, W\]"):
+        Dataset(np.zeros((2, 1, 1)), [0, 0], ["a"])
 
 
 # --- pixmap IO ----------------------------------------------------------------
@@ -77,9 +97,10 @@ def test_p6_hand_decoded_fixture(tmp_path):
     img = read_pnm(path)
     # independent byte-level decode: channel planes of a 3x1 RGB strip
     assert img.shape == (3, 1, 3)
-    assert img.view()[0].tolist() == [[1.0, 0.0, 0.0]]
-    assert img.view()[1].tolist() == [[0.0, 1.0, 0.0]]
-    assert img.view()[2].tolist() == [[0.0, 0.0, 1.0]]
+    assert img[0].tolist() == [[1.0, 0.0, 0.0]]
+    assert img[1].tolist() == [[0.0, 1.0, 0.0]]
+    assert img[2].tolist() == [[0.0, 0.0, 1.0]]
+    assert not img.flags.writeable
 
 
 def test_pnm_header_comments_and_errors(tmp_path):
@@ -87,7 +108,7 @@ def test_pnm_header_comments_and_errors(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 2\n# another\n255\n" + bytes([0, 64, 128, 255]))
     img = read_pnm(path)
     assert img.shape == (1, 2, 2)
-    assert img.data[1] == pytest.approx(64 / 255)
+    assert img[0, 0, 1] == pytest.approx(64 / 255)
 
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P2\n2 2\n255\n")
@@ -104,11 +125,13 @@ def test_load_image_dir(tmp_path):
         d = tmp_path / cls
         d.mkdir()
         for i in range(3):
-            write_pnm(d / f"img{i}.pgm", from_array(np.full((1, 4, 4), i / 4)))
+            write_pnm(d / f"img{i}.pgm", np.full((1, 4, 4), i / 4))
     ds = load_image_dir(tmp_path)
     assert len(ds) == 6
     assert ds.class_names == ["alpha", "beta"]  # lexicographic
-    assert sorted({label for _, label in ds.samples}) == [0, 1]
+    assert ds.labels.tolist() == [0, 0, 0, 1, 1, 1]
+    assert ds.images.shape == (6, 1, 4, 4)
+    assert np.rint(ds.images[:, 0, 0, 0] * 4).tolist() == [0, 1, 2] * 2  # img0, img1, img2
 
 
 def test_load_image_dir_errors(tmp_path):
@@ -118,29 +141,30 @@ def test_load_image_dir_errors(tmp_path):
     d.mkdir()
     with pytest.raises(ValueError, match="empty class"):
         load_image_dir(tmp_path)
-    write_pnm(d / "a.pgm", from_array(np.zeros((1, 4, 4))))
+    write_pnm(d / "a.pgm", np.zeros((1, 4, 4)))
     d2 = tmp_path / "other"
     d2.mkdir()
-    write_pnm(d2 / "b.pgm", from_array(np.zeros((1, 5, 5))))
+    write_pnm(d2 / "b.pgm", np.zeros((1, 5, 5)))
     with pytest.raises(ValueError, match="shape"):
         load_image_dir(tmp_path)
 
 
 def test_pnm_roundtrip_quantization_bound(tmp_path):
     ds = generate_synthetic(per_class=2, size=10, seed=3)
-    for k, (img, _) in enumerate(ds.samples[:4]):
+    for k, img in enumerate(ds.images[:4]):
         path = tmp_path / f"{k}.pgm"
         write_pnm(path, img)
         back = read_pnm(path)
-        assert np.max(np.abs(back.data - img.data)) <= 1 / (2 * 255) + 1e-12
+        assert np.max(np.abs(back - img)) <= 1 / (2 * 255) + 1e-12
 
 
 def test_pnm_roundtrip_rgb(tmp_path):
     s = np.linspace(0, 1, 3 * 4 * 5).reshape(3, 4, 5)
     path = tmp_path / "x.ppm"
-    write_pnm(path, from_array(s))
+    write_pnm(path, s)
     back = read_pnm(path)
-    assert np.max(np.abs(back.data - s.ravel())) <= 1 / (2 * 255) + 1e-12
+    assert back.shape == s.shape
+    assert np.max(np.abs(back - s)) <= 1 / (2 * 255) + 1e-12
 
 
 # --- folds ---------------------------------------------------------------------
@@ -149,7 +173,7 @@ def test_pnm_roundtrip_rgb(tmp_path):
 def test_make_folds_balanced():
     ds = generate_synthetic(per_class=25, size=8, seed=0)
     plan = make_folds(ds, k=5, seed=0)
-    labels = [label for _, label in ds.samples]
+    labels = ds.labels
     for fold in plan.folds:
         assert len(fold) == 20
         per_class = [sum(1 for i in fold if labels[i] == c) for c in range(4)]
@@ -158,22 +182,20 @@ def test_make_folds_balanced():
 
 def test_make_folds_ucm_shaped():
     # 21 classes x 100 samples -> five folds of 420
-    samples = [(from_array(np.zeros((1, 1, 1))), c) for c in range(21) for _ in range(100)]
-    ds = Dataset(samples, [f"c{c}" for c in range(21)])
+    ds = Dataset(np.zeros((2100, 1, 1, 1)), np.repeat(np.arange(21), 100),
+                 [f"c{c}" for c in range(21)])
     plan = make_folds(ds, k=5, seed=7)
     assert [len(f) for f in plan.folds] == [420] * 5
 
 
 def test_make_folds_class_too_small():
-    samples = [(from_array(np.zeros((1, 1, 1))), 0) for _ in range(3)]
-    ds = Dataset(samples, ["only"])
+    ds = Dataset(np.zeros((3, 1, 1, 1)), np.zeros(3), ["only"])
     with pytest.raises(ValueError, match="needs >= 5"):
         make_folds(ds, k=5, seed=0)
 
 
 def test_make_folds_remainder_to_lowest():
-    samples = [(from_array(np.zeros((1, 1, 1))), 0) for _ in range(7)]
-    ds = Dataset(samples, ["only"])
+    ds = Dataset(np.zeros((7, 1, 1, 1)), np.zeros(7), ["only"])
     plan = make_folds(ds, k=5, seed=0)
     assert [len(f) for f in plan.folds] == [2, 2, 1, 1, 1]
 
@@ -183,14 +205,12 @@ def test_make_folds_remainder_to_lowest():
 @settings(max_examples=50, deadline=None)
 def test_fold_partition_properties(k_extra, class_sizes, seed):
     k = 5
-    samples = []
-    for c, sz in enumerate(class_sizes):
-        samples += [(from_array(np.zeros((1, 1, 1))), c) for _ in range(sz)]
-    ds = Dataset(samples, [f"c{c}" for c in range(len(class_sizes))])
+    labels = np.repeat(np.arange(len(class_sizes)), class_sizes)
+    ds = Dataset(np.zeros((len(labels), 1, 1, 1)), labels,
+                 [f"c{c}" for c in range(len(class_sizes))])
     plan = make_folds(ds, k=k, seed=seed)
     all_idx = sorted(i for f in plan.folds for i in f)
-    assert all_idx == list(range(len(samples)))  # disjoint union = everything
-    labels = [label for _, label in ds.samples]
+    assert all_idx == list(range(len(labels)))  # disjoint union = everything
     for c, sz in enumerate(class_sizes):
         per_fold = [sum(1 for i in f if labels[i] == c) for f in plan.folds]
         assert max(per_fold) - min(per_fold) <= 1  # stratified

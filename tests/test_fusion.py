@@ -22,7 +22,7 @@ from kpff.fusion import (
 )
 from kpff.gradcheck import finite_diff_grad
 from kpff.rng import Stream
-from kpff.tensor import ShapeError, from_array
+from kpff.tensor import NonFiniteError, ShapeError, from_array
 
 
 def kron_oracle(a, b):
@@ -74,8 +74,8 @@ def test_kron_shape_law(m, n, p, q, seed):
 
 
 def test_fuse_add_examples():
-    assert fuse_add(fusion_inputs([[1, 2], [3, 4]])).tolist() == [4, 6]
-    assert fuse_add(fusion_inputs([[7.5, -1]])).tolist() == [7.5, -1]
+    assert fuse_add(fusion_inputs([[1, 2], [3, 4]])).data.tolist() == [4, 6]
+    assert fuse_add(fusion_inputs([[7.5, -1]])).data.tolist() == [7.5, -1]
     s = Stream(3)
     xs = [s.uniform(size=(5,), low=-3, high=3) for _ in range(3)]
     expected = [sum(x[c] for x in xs) for c in range(5)]
@@ -83,16 +83,45 @@ def test_fuse_add_examples():
 
 
 def test_fuse_concat_examples():
-    assert fuse_concat(fusion_inputs([[1, 2], [3, 4]])).tolist() == [1, 2, 3, 4]
-    assert fuse_concat(fusion_inputs([[9, 8]])).tolist() == [9, 8]
-    assert fuse_concat(fusion_inputs([[3, 4], [1, 2]])).tolist() == [3, 4, 1, 2]
+    assert fuse_concat(fusion_inputs([[1, 2], [3, 4]])).data.tolist() == [1, 2, 3, 4]
+    assert fuse_concat(fusion_inputs([[9, 8]])).data.tolist() == [9, 8]
+    assert fuse_concat(fusion_inputs([[3, 4], [1, 2]])).data.tolist() == [3, 4, 1, 2]
 
 
 def test_fusion_inputs_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="share one length"):
         fusion_inputs([[1, 2], [1, 2, 3]])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="at least one"):
         fusion_inputs([])
+    with pytest.raises(ShapeError, match="fusion input 1 must be a non-empty rank-1"):
+        fusion_inputs([[1, 2], [[1, 2]]])
+    with pytest.raises(ShapeError, match="fusion input 0 must be a non-empty rank-1"):
+        fusion_inputs([[]])
+    with pytest.raises(NonFiniteError, match="fusion input 1 contains NaN or Inf"):
+        fusion_inputs([[1, 2], [np.inf, 0]])
+
+
+def test_fusion_inputs_are_read_only_copies():
+    rows = [np.array([1.0, 2.0]), np.array([3, 4])]
+    xs = fusion_inputs([rows[0], from_array(rows[1])])  # Tensors and arrays alike
+    rows[0][0] = 9.0
+    assert [x.tolist() for x in xs.xs] == [[1.0, 2.0], [3.0, 4.0]]
+    for x in xs.xs:
+        assert x.dtype == np.float64 and not x.flags.writeable
+    assert (xs.n, xs.r) == (2, 2)
+
+
+def test_kpff_layer_validation_and_read_only_weights():
+    ws = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    layer = KpffLayer(ws)
+    ws[0][0] = 9.0
+    assert layer.W.tolist() == [[1.0, 2.0], [3.0, 4.0]] and layer.n == 2
+    with pytest.raises(ValueError):
+        layer.W[0, 0] = 0.0
+    with pytest.raises(ShapeError, match="need 2 weight vectors of length 2"):
+        KpffLayer([[1, 2], [3]])
+    with pytest.raises(NonFiniteError, match="weight vector 0 contains NaN or Inf"):
+        KpffLayer([[np.nan, 0], [0, 1]])
 
 
 # --- kpff forward -----------------------------------------------------------
@@ -101,14 +130,14 @@ def test_fusion_inputs_validation():
 def test_kpff_forward_concat_case():
     layer = KpffLayer(list(np.eye(2)))
     inputs = fusion_inputs([[1, 2], [3, 4]])
-    assert kpff_forward(layer, inputs).tolist() == [1, 2, 3, 4]
-    assert kpff_forward(layer, inputs).tolist() == fuse_concat(inputs).tolist()
+    assert kpff_forward(layer, inputs).data.tolist() == [1, 2, 3, 4]
+    assert kpff_forward(layer, inputs).data.tolist() == fuse_concat(inputs).data.tolist()
 
 
 def test_kpff_forward_add_case():
     layer = KpffLayer([np.eye(2)[0]] * 2)
     inputs = fusion_inputs([[1, 2], [3, 4]])
-    assert kpff_forward(layer, inputs).tolist() == [4, 6, 0, 0]
+    assert kpff_forward(layer, inputs).data.tolist() == [4, 6, 0, 0]
 
 
 def test_kpff_forward_general_case():
@@ -116,7 +145,7 @@ def test_kpff_forward_general_case():
     # kron((1,1),(1,2)) + kron((2,0),(3,4)) = (1,2,1,2) + (6,8,0,0) = (7,10,1,2)
     layer = KpffLayer([[1, 1], [2, 0]])
     inputs = fusion_inputs([[1, 2], [3, 4]])
-    assert kpff_forward(layer, inputs).tolist() == [7, 10, 1, 2]
+    assert kpff_forward(layer, inputs).data.tolist() == [7, 10, 1, 2]
 
 
 def test_kpff_forward_n_mismatch():
@@ -145,10 +174,10 @@ def test_degeneration_properties(n, r, seed):
     xs = fusion_inputs([s.uniform(size=(r,), low=-5, high=5) for _ in range(n)])
     concat_layer = KpffLayer.concat_init(n)
     assert concat_layer.W.tolist() == np.eye(n).tolist()
-    assert kpff_forward(concat_layer, xs).tolist() == fuse_concat(xs).tolist()
+    assert kpff_forward(concat_layer, xs).data.tolist() == fuse_concat(xs).data.tolist()
     add_layer = KpffLayer([np.eye(n)[0]] * n)
     y = kpff_forward(add_layer, xs)
-    assert y.data[:r].tolist() == fuse_add(xs).tolist()
+    assert y.data[:r].tolist() == fuse_add(xs).data.tolist()
     assert np.all(y.data[r:] == 0.0)
 
 
@@ -159,7 +188,7 @@ def test_fusion_outputs_are_read_only_and_own_their_memory(n, r):
     xs = fusion_inputs([s.uniform(size=(r,), low=-1, high=1) for _ in range(n)])
     up = from_array(s.uniform(size=(n * r,), low=-1, high=1))
     outs = [fuse_add(xs), fuse_concat(xs), kpff_forward(layer, xs), *kpff_backward(layer, up)]
-    held = [x.data for x in xs.xs] + [up.data, layer.W, layer.grad_ws]
+    held = [*xs.xs, up.data, layer.W, layer.grad_ws]
     for out in outs:
         assert not out.data.flags.writeable
         with pytest.raises(ValueError):
@@ -176,12 +205,12 @@ def test_backward_all_ones_upstream():
     layer = KpffLayer([[0.3, -0.7], [1.1, 0.2]])
     inputs = fusion_inputs([[1, 2], [3, 4]])
     kpff_forward(layer, inputs)
+    ws = layer.W.copy()  # finite_diff_grad perturbs its rows in place
     for i, x in enumerate(([1, 2], [3, 4])):
-        def f(w, i=i):
-            ws = [w if j == i else layer.ws[j] for j in range(2)]
-            return float(np.sum(kpff_forward(KpffLayer(ws), inputs).data))
-        fd = finite_diff_grad(f, layer.ws[i]).data
+        fd = finite_diff_grad(lambda _: float(np.sum(kpff_forward(KpffLayer(ws), inputs).data)),
+                              ws[i])
         assert np.allclose(fd, sum(x), rtol=1e-8)
+    assert np.array_equal(ws, layer.W)
     layer.zero_grads()
     kpff_forward(layer, inputs)
     kpff_backward(layer, from_array(np.ones(4)))
@@ -210,8 +239,8 @@ def test_backward_matches_dense_jacobians():
     kpff_forward(layer, xs)
     dxs = kpff_backward(layer, from_array(up))
     J_w, J_x = kpff_dense_jacobians(layer, xs)
-    dw = J_w.view().T @ up
-    dx = J_x.view().T @ up
+    dw = J_w.T @ up
+    dx = J_x.T @ up
     assert np.allclose(np.concatenate(layer.grad_ws), dw, rtol=1e-15, atol=1e-15)
     assert np.allclose(np.concatenate([d.data for d in dxs]), dx, rtol=1e-15, atol=1e-15)
 
@@ -227,14 +256,14 @@ def test_backward_boundary_blocks():
     up[:r] = [1, 2, 3]        # first block only
     kpff_backward(layer, from_array(up))
     for i in range(n):
-        assert layer.grad_ws[i][0] == pytest.approx(up[:r] @ xs.xs[i].data)
+        assert layer.grad_ws[i][0] == pytest.approx(up[:r] @ xs.xs[i])
         assert np.all(layer.grad_ws[i][1:] == 0)
     layer.zero_grads()
     up = np.zeros(n * r)
     up[-r:] = [4, 5, 6]       # last block only
     kpff_backward(layer, from_array(up))
     for i in range(n):
-        assert layer.grad_ws[i][-1] == pytest.approx(up[-r:] @ xs.xs[i].data)
+        assert layer.grad_ws[i][-1] == pytest.approx(up[-r:] @ xs.xs[i])
         assert np.all(layer.grad_ws[i][:-1] == 0)
 
 

@@ -17,26 +17,61 @@ from kpff.tensor import from_array
 
 
 def test_finite_diff_quadratic():
-    f = lambda t: float(np.sum(t.data**2))
-    g = finite_diff_grad(f, from_array([1.0, 2.0]))
-    assert np.allclose(g.data, [2.0, 4.0], atol=1e-8)
+    f = lambda t: float(np.sum(t**2))
+    g = finite_diff_grad(f, np.array([1.0, 2.0]))
+    assert np.allclose(g, [2.0, 4.0], atol=1e-8)
 
 
 def test_finite_diff_constant():
-    g = finite_diff_grad(lambda t: 3.5, from_array([0.3, -2.0, 10.0]))
-    assert np.allclose(g.data, 0.0, atol=1e-9)
+    g = finite_diff_grad(lambda t: 3.5, np.array([0.3, -2.0, 10.0]))
+    assert np.allclose(g, 0.0, atol=1e-9)
 
 
 def test_finite_diff_linear():
     s = Stream(2)
     c = s.uniform(size=(6,), low=-3, high=3)
-    g = finite_diff_grad(lambda t: float(c @ t.data), from_array(s.uniform(size=(6,))))
-    assert np.allclose(g.data, c, atol=1e-9)
+    g = finite_diff_grad(lambda t: float(c @ t), s.uniform(size=(6,)))
+    assert np.allclose(g, c, atol=1e-9)
 
 
 def test_finite_diff_rejects_nonfinite_loss():
+    theta = np.array([1.0])
     with pytest.raises(ValueError):
-        finite_diff_grad(lambda t: float("nan"), from_array([1.0]))
+        finite_diff_grad(lambda t: float("nan"), theta)
+    assert theta.tolist() == [1.0]
+
+
+def test_finite_diff_perturbs_in_place_and_restores_exactly():
+    # 1e-10 - 1e-6 + 1e-6 != 1e-10 in float64: restoring by arithmetic would show
+    theta = np.array([[1e-10, -3e5], [7.0, 0.0]])
+    before = theta.tobytes()
+    seen = []
+
+    def f(t):
+        assert t is theta
+        seen.append(t.copy())
+        return float(np.sum(t))
+
+    g = finite_diff_grad(f, theta, h=1e-6, coords=[3, 1, 0])
+    assert theta.tobytes() == before
+    assert g.shape == (3,)
+    # one coordinate at a time, +step then -step, with step h * max(1, |theta_k|)
+    steps = [s - theta for s in seen]
+    assert [np.flatnonzero(d).tolist() for d in steps] == [[3], [3], [1], [1], [0], [0]]
+    assert steps[0].flat[3] == 1e-6 and steps[1].flat[3] == -1e-6
+    assert steps[2].flat[1] == pytest.approx(0.3) and steps[3].flat[1] == pytest.approx(-0.3)
+    assert np.allclose(g, 1.0, rtol=1e-4)  # roundoff of the sum with -3e5 in it
+
+
+def test_finite_diff_restores_when_the_loss_raises():
+    theta = np.array([0.1, 0.2])
+
+    def f(t):
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError):
+        finite_diff_grad(f, theta)
+    assert theta.tolist() == [0.1, 0.2]
 
 
 def test_relative_error_floor():
@@ -50,7 +85,7 @@ def test_dense_jacobian_single_input():
     layer = KpffLayer([[0.75]])
     inputs = fusion_inputs([[1.0, 2.0, 3.0]])
     _, J_x = kpff_dense_jacobians(layer, inputs)
-    assert np.allclose(J_x.view(), 0.75 * np.eye(3))
+    assert np.allclose(J_x, 0.75 * np.eye(3))
 
 
 def test_dense_jacobian_sparsity():
@@ -61,14 +96,14 @@ def test_dense_jacobian_sparsity():
     J_w, J_x = kpff_dense_jacobians(layer, inputs)
     # each row of J_w has exactly n nonzeros, one per input at column (i, b)
     for a in range(n * r):
-        row = J_w.view()[a]
+        row = J_w[a]
         assert np.count_nonzero(row) == n
         b = a // r
         for i in range(n):
             assert row[i * n + b] != 0
     # J_x: column group j has exactly n nonzeros per column
     for col in range(n * r):
-        assert np.count_nonzero(J_x.view()[:, col]) <= n
+        assert np.count_nonzero(J_x[:, col]) <= n
 
 
 def test_jacobians_match_backward_on_random_instances():
@@ -81,9 +116,9 @@ def test_jacobians_match_backward_on_random_instances():
             kpff_forward(layer, inputs)
             dxs = kpff_backward(layer, from_array(up))
             J_w, J_x = kpff_dense_jacobians(layer, inputs)
-            assert np.allclose(np.concatenate(layer.grad_ws), J_w.view().T @ up,
+            assert np.allclose(np.concatenate(layer.grad_ws), J_w.T @ up,
                                rtol=1e-15, atol=1e-15)
-            assert np.allclose(np.concatenate([d.data for d in dxs]), J_x.view().T @ up,
+            assert np.allclose(np.concatenate([d.data for d in dxs]), J_x.T @ up,
                                rtol=1e-15, atol=1e-15)
 
 

@@ -2,7 +2,7 @@ import functools
 import os
 import resource
 import signal
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -54,7 +54,7 @@ def test_resolve_method():
     assert resolve_method("kpff-frozen", cfg) == ("kpff", True, 0.0)
     assert resolve_method("kpff", cfg) == ("kpff", False, 0.0)
     assert resolve_method("concat", cfg) == ("concat", False, 0.0)
-    assert resolve_method("kpff", cfg.with_overrides(kpff_noise=0.01)) == ("kpff", False, 0.01)
+    assert resolve_method("kpff", replace(cfg, kpff_noise=0.01)) == ("kpff", False, 0.01)
     with pytest.raises(ValueError):
         resolve_method("hadamard", cfg)
 
@@ -115,12 +115,12 @@ def test_every_config_field_moves_the_results(field, tmp_path):
     value = MOVED[field]
     if field == "data_dir":  # FAST_CFG's own images, written as 8-bit pixmaps
         dataset = generate_synthetic(per_class=5, size=8, seed=FAST_CFG.seed)
-        for k, (image, label) in enumerate(dataset.samples):
+        for k, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
             class_dir = tmp_path / dataset.class_names[label]
             class_dir.mkdir(exist_ok=True)
             write_pnm(class_dir / f"{k:03d}.pgm", image)
         value = str(tmp_path)
-    report, _, _ = crossval(FAST_CFG.with_overrides(**{field: value}), ["kpff"])
+    report, _, _ = crossval(replace(FAST_CFG, **{field: value}), ["kpff"])
     assert report["methods"] != _fast_kpff_results()
 
 
@@ -161,7 +161,7 @@ def test_train_run_evaluates_once_per_val_point(monkeypatch):
         return evaluate(self, x, labels)
 
     monkeypatch.setattr(Model, "evaluate", counted)
-    cfg = FAST_CFG.with_overrides(max_epochs=5, val_interval=2)  # val points 2, 4 and 5
+    cfg = replace(FAST_CFG, max_epochs=5, val_interval=2)  # val points 2, 4 and 5
     dataset = load_dataset(cfg)
     plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
     images, labels = dataset.stacked()

@@ -26,7 +26,7 @@ from kpff.net import (
 )
 from kpff.gradcheck import check_model, finite_diff_grad, model_loss
 from kpff.rng import Stream, stream
-from kpff.tensor import NonFiniteError, ShapeError, from_array
+from kpff.tensor import NonFiniteError, ShapeError
 
 
 def conv_oracle(x, kernels, bias):
@@ -325,11 +325,11 @@ def test_softmax_grad_sums_to_zero():
 
 def test_softmax_grad_matches_finite_differences():
     s = Stream(12)
-    logits = from_array(s.uniform(size=(10,), low=-3, high=3))
+    logits = s.uniform(size=(10,), low=-3, high=3)
     label = [4]
-    _, grad = softmax_ce_batch(logits.view()[None], label)
-    num = finite_diff_grad(lambda t: softmax_ce_batch(t.view()[None], label)[0][0], logits)
-    assert np.allclose(grad[0], num.data, rtol=1e-7, atol=1e-7)
+    _, grad = softmax_ce_batch(logits[None], label)
+    num = finite_diff_grad(lambda t: softmax_ce_batch(t[None], label)[0][0], logits)
+    assert np.allclose(grad[0], num, rtol=1e-7, atol=1e-7)
 
 
 def test_softmax_stability_and_label_range():
@@ -468,16 +468,38 @@ def test_model_determinism():
         assert np.array_equal(p1[k], p2[k])
 
 
-@pytest.mark.parametrize("fusion", ["none", "add", "concat", "kpff"])
-def test_model_gradients_match_finite_differences(fusion):
+def _check_toy_model(fusion, kpff_noise=0.0):
     model = Model(seed=2, image_size=10, channels=(3, 4), activation="sigmoid",
-                  fusion=fusion, num_classes=3, dropout_p=0.0)
+                  fusion=fusion, num_classes=3, dropout_p=0.0, kpff_noise=kpff_noise)
     s = Stream(6)
     x = s.uniform(size=(4, 1, 10, 10))
     labels = np.array([0, 1, 2, 1])
-    reports = check_model(model, x, labels, tol=1e-5, cap=40, seed=2)
+    return model, check_model(model, x, labels, tol=1e-5, cap=40, seed=2)
+
+
+# kpff with noise: fusion weights away from the Concat initialisation, where W = W^T
+@pytest.mark.parametrize("fusion,kpff_noise", [
+    *(pytest.param(fusion, 0.0, id=fusion) for fusion in ("none", "add", "concat", "kpff")),
+    pytest.param("kpff", 0.1, id="kpff-noise0.1"),
+])
+def test_model_gradients_match_finite_differences(fusion, kpff_noise):
+    _, reports = _check_toy_model(fusion, kpff_noise)
     bad = [r for r in reports if not r.passed]
     assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("bug", ["kpff-x", "kpff-w"])
+def test_model_check_catches_fusion_backward_bugs(bug):
+    # kpff-x uses W where the backward needs W^T, which the Concat
+    # initialisation (W = I) cannot tell apart; the noisy W can
+    hooks.set_injected_bug(bug)
+    try:
+        model, reports = _check_toy_model("kpff", kpff_noise=0.1)
+    finally:
+        hooks.set_injected_bug(None)
+    W = model.params()["fusion.ws"]
+    assert not np.array_equal(W, W.T)
+    assert any(not r.passed for r in reports)
 
 
 def test_model_loss_helper_consistent():
