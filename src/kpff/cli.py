@@ -13,13 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion, gradcheck, hooks
-from .checkpoint import save_checkpoint
-from .config import (CHOICES, RunConfig, _parse_value, config_hash, field_types, load_config,
-                     serialize_config)
-from .data import make_folds, write_fold_plan
+from .config import CHOICES, RunConfig, _parse_value, field_types, load_config
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
-from .harness import (METHOD_TOKENS, comparison_table, crossval, load_dataset, process_count,
-                      train_run, write_report)
+from .harness import METHOD_TOKENS, comparison_table, crossval, process_count, write_report
 from .rng import stream
 from .tensor import from_array
 
@@ -51,11 +47,19 @@ def _add_config_flags(p):
                        help="comma list, e.g. 6,12" if ftype is tuple else None)
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(low):
+    """argparse type of an int flag whose value is at least low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
+    return parse
+
+
+positive_int = int_at_least(1)
 
 
 def comma_list(item, choices=None):
@@ -100,40 +104,18 @@ def cmd_gradcheck(args):
 
 
 def cmd_crossval(args):
+    """`crossval`, and `train`: the one job of one method with fold 0 held out."""
     cfg = _build_config(args)
-    report, plan, wall = crossval(cfg, args.methods)
+    methods, folds = ([args.method], (0,)) if args.command == "train" else (args.methods, None)
+    report, plan, wall = crossval(cfg, methods, folds)
     outdir = Path(args.out)
     write_report(outdir, report, plan)
     print(comparison_table(report))
     # the process count is not in the config and not in the report files
-    processes = process_count(cfg, args.methods)
+    processes = process_count(sum(len(res["folds"]) for res in report["methods"].values()))
     print(f"config hash {report['config_hash']}, wall clock {wall:.1f}s "
           f"on {processes} process{'es' if processes > 1 else ''}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'folds.txt'}")
-    return 0
-
-
-def cmd_train(args):
-    cfg = _build_config(args)
-    dataset = load_dataset(cfg)
-    plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
-    images, labels = dataset.stacked()
-    result, model = train_run(
-        cfg, images, labels, plan.train_indices(0), plan.folds[0], args.method, fold=0
-    )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(outdir / "model.ckpt", model.params())
-    lines = ["epoch,train_loss"]
-    lines += [f"{e},{'%.17g' % l}" for e, l in enumerate(result["loss_curve"], 1)]
-    (outdir / "history.csv").write_text("\n".join(lines) + "\n")
-    write_fold_plan(outdir / "folds.txt", plan)
-    (outdir / "config.txt").write_text(
-        f"# config hash {config_hash(cfg)}\n" + serialize_config(cfg)
-    )
-    print(f"final val acc {result['final_acc']*100:.2f}%, "
-          f"best {result['best_acc']*100:.2f}%, loss {result['final_loss']:.4f}")
-    print(f"wrote {outdir / 'model.ckpt'}")
     return 0
 
 
@@ -207,18 +189,21 @@ def cmd_bench(args):
 
 
 def _read_csv_vectors(path):
+    """Rows of floats from a CSV file; ValueError names the file and line."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        rows.append([float(x) for x in line.split(",")])
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno} has {len(row)} values, "
+                             f"expected {len(rows[0])}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {width}")
     return rows
 
 
@@ -261,7 +246,7 @@ def build_parser():
     p.add_argument("--n", type=positive_int, help="fusion input count (with --r)")
     p.add_argument("--r", type=positive_int, help="fusion vector length (with --n)")
     p.add_argument("--no-model", action="store_true", help="skip the full-model check")
-    p.add_argument("--max-rows", type=int, default=40)
+    p.add_argument("--max-rows", type=int_at_least(0), default=40)
     p.add_argument("--inject-bug", choices=hooks.BUG_NAMES,
                    help="test hook: deliberately break one gradient path")
     p.set_defaults(func=cmd_gradcheck)
@@ -274,11 +259,11 @@ def build_parser():
     p.add_argument("--out", default="runs/crossval")
     p.set_defaults(func=cmd_crossval)
 
-    p = sub.add_parser("train", help="train one model (fold 0 held out)")
+    p = sub.add_parser("train", help="crossval of one method on fold 0 alone")
     _add_config_flags(p)
     p.add_argument("--method", choices=METHOD_TOKENS, default="kpff")
     p.add_argument("--out", default="runs/train")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("bench", help="time and count the fusion operations")
     p.add_argument("--ns", type=comma_list(positive_int), default=[2, 4, 8, 16])

@@ -273,7 +273,7 @@ def kpff_backward(layer: KpffLayer, upstream: Tensor):
         raise RuntimeError("kpff_backward called before forward (no cached inputs)")
     inputs = layer.cache
     n, r = inputs.n, inputs.r
-    if upstream.rank != 1 or upstream.shape[0] != n * r:
+    if upstream.shape != (n * r,):
         raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
     dW, dX = kpff_kernel_backward(layer.W, inputs.xs, upstream.data.reshape(n, r))
     layer.grad_ws += dW

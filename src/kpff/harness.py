@@ -132,7 +132,7 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
         "final_loss": final_loss,
         "loss_curve": loss_curve,
         "val_curve": val_curve,
-    }, model
+    }
 
 
 class JobError(RuntimeError):
@@ -148,10 +148,10 @@ def _usable_cores():
     return len(os.sched_getaffinity(0))
 
 
-def process_count(cfg: RunConfig, methods) -> int:
-    """Processes `crossval` runs its (method, fold) jobs in: one per usable
-    core, at most one per job."""
-    return min(_usable_cores(), len(dict.fromkeys(methods)) * cfg.folds)
+def process_count(jobs: int) -> int:
+    """Processes `crossval` runs `jobs` (method, fold) jobs in: one per
+    usable core, at most one per job."""
+    return min(_usable_cores(), jobs)
 
 
 def _job_name(job):
@@ -270,34 +270,36 @@ def _run_jobs(jobs, run, processes):
             os.waitpid(pid, 0)
 
 
-def crossval(cfg: RunConfig, methods):
+def crossval(cfg: RunConfig, methods, folds=None):
     """Run k-fold cross-validation for each method over shared folds.
 
-    The (method, fold) jobs run in `process_count` processes, the calling
-    one among them (`_run_jobs`); each job's result depends only on the
-    config, its method and its fold, so the report does not depend on how
-    many processes there were. Returns (report, fold plan, wall seconds).
+    `folds` are the held-out folds to run, every fold of the plan by
+    default; `kpff train` runs fold 0 alone. The (method, fold) jobs run in
+    `process_count` processes, the calling one among them (`_run_jobs`);
+    each job's result depends only on the config, its method and its fold,
+    so the report does not depend on how many processes there were.
+    Returns (report, fold plan, wall seconds).
     """
     methods = list(dict.fromkeys(methods))
     for m in methods:
         resolve_method(m, cfg)  # validate early
     dataset = load_dataset(cfg)
     plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
+    folds = range(plan.k) if folds is None else folds
     images, labels = dataset.stacked()
 
     def run(token, fold):
-        res, _ = train_run(cfg, images, labels, plan.train_indices(fold), plan.folds[fold],
-                           token, fold)
-        return res
+        return train_run(cfg, images, labels, plan.train_indices(fold), plan.folds[fold],
+                         token, fold)
 
     started = time.perf_counter()
-    jobs = [(token, fold) for token in methods for fold in range(plan.k)]
-    done = _run_jobs(jobs, run, process_count(cfg, methods))
+    jobs = [(token, fold) for token in methods for fold in folds]
+    done = _run_jobs(jobs, run, process_count(len(jobs)))
     wall = time.perf_counter() - started
 
     results = {}
     for token in methods:
-        fold_results = [done[token, fold] for fold in range(plan.k)]
+        fold_results = [done[token, fold] for fold in folds]
         accs = [r["final_acc"] for r in fold_results]
         results[token] = {
             "folds": fold_results,

@@ -38,14 +38,6 @@ class Tensor:
                 f"got {self.data.size}"
             )
 
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)

@@ -163,17 +163,23 @@ def test_criterion_4_trajectory_equivalence():
 
 
 def test_criterion_5_full_model_gradcheck():
+    # at the Concat init W = I = W^T, where a transposed W in the fusion
+    # backward cannot show; kpff_noise=0.1 checks a non-symmetric W too
     started = time.time()
-    model = Model(seed=0, image_size=8, channels=(3, 4), activation="sigmoid",
-                  fusion="kpff", num_classes=3, dropout_p=0.0)
     s = Stream(55)
     x = s.uniform(size=(4, 1, 8, 8))
     labels = np.array([0, 1, 2, 0])
-    reports = check_model(model, x, labels, tol=1e-5, cap=10**9, seed=0)
-    bad = [r for r in reports if not r.passed]
+    counts, bad = [], []
+    for noise in (0.0, 0.1):
+        model = Model(seed=0, image_size=8, channels=(3, 4), activation="sigmoid",
+                      fusion="kpff", num_classes=3, dropout_p=0.0, kpff_noise=noise)
+        reports = check_model(model, x, labels, tol=1e-5, cap=10**9, seed=0)
+        counts.append(len(reports))
+        bad += [r for r in reports if not r.passed]
     elapsed = time.time() - started
     report("5 full-model gradient check", not bad and elapsed < 60,
-           f"{len(reports)} parameter coords, {len(bad)} failures, {elapsed:.1f}s")
+           f"{' + '.join(map(str, counts))} parameter coords (Concat init, kpff_noise 0.1), "
+           f"{len(bad)} failures, {elapsed:.1f}s")
 
 
 # --- 6: desk-scale comparison table ---------------------------------------------------

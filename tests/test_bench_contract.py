@@ -1,6 +1,6 @@
 """The benchmark's view of the program: every entry point that
-kpffbench/spans.py wraps still resolves, and one fusion_grid pass runs
-with no failed check. So a change under src/ that would break
+kpffbench/spans.py wraps still resolves, one fusion_grid pass runs with
+no failed check, and two short crossval_ref passes run with none. So a change under src/ that would break
 kpffbench/run.py fails here first.
 
 kpffbench/run.py itself is not imported: it sets the BLAS thread
@@ -8,6 +8,7 @@ variables in os.environ when it loads.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,15 @@ def test_one_fusion_grid_pass_has_no_failed_check(bench):
     calls = grid.run_pass(StubClock(), 0)
     assert calls > 0
     assert grid.attempted > 0 and grid.failed == 0
+
+
+def test_two_short_crossval_ref_passes_have_no_failed_check(bench, tmp_path):
+    # the second pass checks that a rerun reproduces the first bit for bit;
+    # both check that concat and kpff-frozen are equal
+    _, workloads = bench
+    ref = workloads.CrossvalRef(0, tmp_path)
+    ref.cfg = replace(ref.cfg, max_epochs=2)
+    for index in range(2):
+        assert ref.run_pass(StubClock(), index) > 0
+    assert ref.attempted > 0 and ref.failed == 0
+    assert (tmp_path / "crossval" / "report.csv").exists()

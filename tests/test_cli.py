@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -6,15 +7,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import kpff
-from kpff import hooks
-from kpff.checkpoint import load_checkpoint, save_checkpoint
+from kpff import harness, hooks
 from kpff.cli import _add_config_flags, _build_config, build_parser, main
 from kpff.config import RunConfig
-from kpff.rng import Stream
 
 
 @pytest.fixture(autouse=True)
@@ -67,9 +65,29 @@ def test_fuse_kpff(tmp_path):
 
 
 def test_fuse_ragged_rows_fail(tmp_path, capsys):
-    inp = write(tmp_path / "in.csv", "1,2\n3,4,5\n")
     out = tmp_path / "out.csv"
-    assert run_cli("fuse", "--inputs", inp, "--method", "add", "--output", str(out)) == 1
+    # a blank line does not shift the line number
+    for text, message in (("1,2\n3,4,5\n", "line 2 has 3 values, expected 2"),
+                          ("1,2\n\n3\n", "line 3 has 1 values, expected 2")):
+        inp = write(tmp_path / "in.csv", text)
+        assert run_cli("fuse", "--inputs", inp, "--method", "add", "--output", str(out)) == 1
+        assert f"fuse failed: {inp}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["inputs", "weights"])
+def test_fuse_bad_value_names_file_and_line(bad, tmp_path, capsys):
+    # line 2 is blank, and line 3 of the bad file holds a value that is not a number
+    paths = {name: write(tmp_path / f"{name}.csv",
+                         "1,2\n\n3,x\n" if name == bad else "1,0\n\n0,1\n")
+             for name in ("inputs", "weights")}
+    out = tmp_path / "out.csv"
+    assert run_cli("fuse", "--inputs", paths["inputs"], "--weights", paths["weights"],
+                   "--method", "kpff", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert (f"fuse failed: {paths[bad]}: line 3: could not convert string to float: 'x'"
+            in err)
+    assert not out.exists()
 
 
 def test_fuse_weight_count_mismatch(tmp_path):
@@ -104,6 +122,16 @@ def test_gradcheck_sizes_are_both_given_and_positive(sizes, flag, capsys):
     assert exit_code("gradcheck", "--no-model", *sizes) == 2
     out = capsys.readouterr()
     assert flag in out.err and "passed" not in out.out
+
+
+def test_gradcheck_max_rows(capsys):
+    assert exit_code("gradcheck", "--no-model", "--max-rows", "-1") == 2
+    out = capsys.readouterr()
+    assert "argument --max-rows: must be at least 0, got -1" in out.err and not out.out
+    assert run_cli("gradcheck", "--no-model", "--max-rows", "0") == 0
+    header, more, summary = capsys.readouterr().out.splitlines()
+    total = int(summary.split()[0].split("/")[1])
+    assert more == f"... {total} more rows" and summary == f"{total}/{total} checks passed"
 
 
 def test_gradcheck_inject_bug_requires_env(monkeypatch, capsys):
@@ -288,62 +316,29 @@ def test_activation_flag_takes_only_model_activations(tmp_path, capsys):
 
 
 def test_train_writes_checkpoint(tmp_path, capsys):
-    out = tmp_path / "train"
-    assert run_cli("train", "--seed", "3", "--out", str(out), *FAST) == 0  # kpff by default
-    params = load_checkpoint(out / "model.ckpt")
-    assert "fusion.ws" in params and "head.weights" in params
-    history = (out / "history.csv").read_text().splitlines()
-    assert history[0] == "epoch,train_loss" and len(history) == 4
+    """`train` is fold 0 of `crossval` for one method, written the same way;
+    it writes no model checkpoint."""
+    train, cv = tmp_path / "train", tmp_path / "cv"
+    assert run_cli("train", "--seed", "3", "--out", str(train), *FAST) == 0  # kpff by default
+    assert "on 1 process\n" in capsys.readouterr().out
+    assert run_cli("crossval", "--methods", "concat,kpff", "--seed", "3", "--out", str(cv),
+                   *FAST) == 0
+    assert sorted(p.name for p in train.iterdir()) == ["folds.txt", "report.csv", "summary.json"]
+    header, row = (train / "report.csv").read_text().splitlines()
+    assert [header, row] == [line for line in (cv / "report.csv").read_text().splitlines()
+                             if line.startswith(("method,", "kpff,0,"))]
+    one, full = (json.loads((d / "summary.json").read_text()) for d in (train, cv))
+    assert list(one["methods"]) == ["kpff"]
+    assert one["methods"]["kpff"]["folds"] == full["methods"]["kpff"]["folds"][:1]
+    assert len(one["methods"]["kpff"]["folds"][0]["loss_curve"]) == 3  # one per epoch
+    assert (one["config"], one["config_hash"]) == (full["config"], full["config_hash"])
+    assert (train / "folds.txt").read_bytes() == (cv / "folds.txt").read_bytes()
 
 
-# --- checkpoint format --------------------------------------------------------------
+def test_train_forks_nothing(monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError("a one-job run forks nothing")
 
-
-def test_checkpoint_roundtrip(tmp_path):
-    s = Stream(1)
-    params = {
-        "a.weights": s.uniform(size=(3, 4), low=-2, high=2),
-        "b.bias": s.uniform(size=(5,), low=-2, high=2),
-        "c.kernels": s.uniform(size=(2, 1, 3, 3), low=-2, high=2),
-    }
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, params)
-    assert path.read_bytes()[:4] == b"KPFF"
-    back = load_checkpoint(path)
-    assert set(back) == set(params)
-    for k in params:
-        assert np.array_equal(back[k], params[k])
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "x.ckpt"
-    path.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(path)
-
-
-def _checkpoint_bytes(tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
-    return path, path.read_bytes()
-
-
-def test_checkpoint_truncated_names_path_and_offset(tmp_path):
-    path, data = _checkpoint_bytes(tmp_path)
-    # header, first name length, name, rank, shape, payload, second record
-    for cut in (6, 12, 14, 17, 21, 30, len(data) - 1):
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match=r"truncated at byte \d+") as info:
-            load_checkpoint(path)
-        assert str(path) in str(info.value)
-    # 12 header bytes; "w": name length 4, name 1, rank 4, shape 8, then its values
-    path.write_bytes(data[:33])
-    with pytest.raises(ValueError, match=r"truncated at byte 29: values of 'w' needs 48 bytes, 4 left"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_trailing_bytes(tmp_path):
-    path, data = _checkpoint_bytes(tmp_path)
-    path.write_bytes(data + b"\0")
-    with pytest.raises(ValueError, match=f"1 trailing bytes after byte {len(data)}"):
-        load_checkpoint(path)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli("train", "--method", "concat", "--out", str(tmp_path), *FAST) == 0

@@ -273,8 +273,9 @@ def test_backward_requires_forward():
         kpff_backward(layer, from_array(np.zeros(4)))
     layer2 = KpffLayer([[1, 0], [0, 1]])
     kpff_forward(layer2, fusion_inputs([[1, 2], [3, 4]]))
-    with pytest.raises(ShapeError):
-        kpff_backward(layer2, from_array(np.zeros(5)))
+    for upstream in (np.zeros(5), np.zeros((2, 2))):  # wrong length, rank 2
+        with pytest.raises(ShapeError):
+            kpff_backward(layer2, from_array(upstream))
 
 
 def test_backward_accumulates_until_zeroed():
@@ -539,5 +540,5 @@ def test_kernel_calls_reuse_heap_pages():
         y = kpff_forward(layer, xs)
         dxs = kpff_backward(layer, up)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert y.size == n * r and len(dxs) == n
+    assert y.shape == (n * r,) and len(dxs) == n
     assert faults < 5 * calls, f"{faults} minor page faults over {calls} forward+backward calls"

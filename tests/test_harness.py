@@ -165,7 +165,7 @@ def test_train_run_evaluates_once_per_val_point(monkeypatch):
     dataset = load_dataset(cfg)
     plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
     images, labels = dataset.stacked()
-    res, _ = train_run(cfg, images, labels, plan.train_indices(1), plan.folds[1], "kpff", 1)
+    res = train_run(cfg, images, labels, plan.train_indices(1), plan.folds[1], "kpff", 1)
     assert [epoch for epoch, _ in res["val_curve"]] == [2, 4, 5]
     assert calls == [len(plan.folds[1])] * 3
     assert res["final_acc"] == res["val_curve"][-1][1]
@@ -184,7 +184,7 @@ def _assert_no_children_left():
 
 def _run_on(monkeypatch, processes, out, cfg=FAST_CFG):
     monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
-    assert process_count(cfg, METHODS) == processes
+    assert process_count(len(METHODS) * cfg.folds) == processes
     report, plan, _ = crossval(cfg, METHODS)
     write_report(out, report, plan)
     _assert_no_children_left()
@@ -296,9 +296,9 @@ def test_a_worker_that_dies_names_its_unfinished_jobs(monkeypatch):
 
 def test_process_count(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cores", lambda: 64)
-    assert process_count(FAST_CFG, ["add", "kpff", "add"]) == 10  # one per job
+    assert process_count(10) == 10  # one per job
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
-    assert process_count(FAST_CFG, ["add"]) == 2
+    assert process_count(5) == 2 and process_count(1) == 1
     monkeypatch.undo()
     monkeypatch.delattr(os, "fork")
     assert harness._usable_cores() == 1
