@@ -2,7 +2,7 @@
 gradients, the Add/Concat baselines it generalizes, a from-scratch CNN
 training stack, and a cross-validation harness for comparing methods."""
 
-from .tensor import Tensor, from_array
+from .tensor import from_array
 from .fusion import (
     FusionInputs,
     KpffLayer,
@@ -15,6 +15,6 @@ from .fusion import (
 from .config import RunConfig
 
 __all__ = [
-    "Tensor", "from_array", "FusionInputs", "KpffLayer", "fuse_add", "fuse_concat",
+    "from_array", "FusionInputs", "KpffLayer", "fuse_add", "fuse_concat",
     "fusion_inputs", "kpff_forward", "kpff_backward", "RunConfig",
 ]

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check/validation failure, 2 usage error.
 
 import argparse
 from dataclasses import replace
+import math
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ from .config import CHOICES, RunConfig, _parse_value, field_types, load_config
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
 from .harness import METHOD_TOKENS, comparison_table, crossval, process_count, write_report
 from .rng import stream
-from .tensor import from_array
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -124,11 +124,11 @@ def cmd_bench(args):
     rows = []
     for n in args.ns:
         for r in args.rs:
-            s = stream(args.seed or 0, f"bench/{n}x{r}")
+            s = stream(args.seed, f"bench/{n}x{r}")
             ws = [s.uniform(size=(n,), low=-1, high=1) for _ in range(n)]
             xs = fusion_inputs([s.uniform(size=(r,), low=-1, high=1) for _ in range(n)])
             layer = KpffLayer(ws)
-            up = from_array(s.uniform(size=(n * r,), low=-1, high=1))
+            up = s.uniform(size=(n * r,), low=-1, high=1)
 
             with fusion.count_ops() as counts:
                 kpff_forward(layer, xs)
@@ -189,13 +189,17 @@ def cmd_bench(args):
 
 
 def _read_csv_vectors(path):
-    """Rows of floats from a CSV file; ValueError names the file and line."""
+    """Rows of finite floats from a CSV file; ValueError names the file and line."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
+        fields = line.split(",")
         try:
-            row = [float(x) for x in line.split(",")]
+            row = [float(x) for x in fields]
+            for x, value in zip(fields, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"{x.strip()!r} is not a finite number")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         if rows and len(row) != len(rows[0]):
@@ -208,6 +212,9 @@ def _read_csv_vectors(path):
 
 
 def cmd_fuse(args):
+    if args.method == "kpff" and not args.weights:
+        print("method kpff needs --weights", file=sys.stderr)
+        return USAGE_ERROR
     try:
         rows = _read_csv_vectors(args.inputs)
         inputs = fusion_inputs(rows)
@@ -216,9 +223,6 @@ def cmd_fuse(args):
         elif args.method == "concat":
             out = fuse_concat(inputs)
         else:  # kpff
-            if not args.weights:
-                print("method kpff needs --weights", file=sys.stderr)
-                return USAGE_ERROR
             wrows = _read_csv_vectors(args.weights)
             if len(wrows) != inputs.n:
                 raise ValueError(
@@ -228,7 +232,7 @@ def cmd_fuse(args):
     except (ValueError, IndexError) as exc:
         print(f"fuse failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE
-    text = ",".join("%.17g" % v for v in out.data) + "\n"
+    text = ",".join("%.17g" % v for v in out) + "\n"
     Path(args.output).write_text(text)
     print(f"wrote {args.output}")
     return 0

@@ -143,6 +143,8 @@ def read_pnm(path) -> np.ndarray:
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"{path}: expected binary P5/P6, got {magic!r}")
     width, height, maxval, offset = _read_pnm_header(buf, path)
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: image has no pixels ({width}x{height})")
     if not 0 < maxval < 256:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     channels = 1 if magic == b"P5" else 3

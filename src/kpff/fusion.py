@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor, ShapeError, _freeze
+from .tensor import ShapeError, from_array
 from .hooks import injected_bug
 
 # ---------------------------------------------------------------------------
@@ -40,17 +40,6 @@ def count_ops():
 # ---------------------------------------------------------------------------
 
 
-def _checked_vector(values, what) -> np.ndarray:
-    """A read-only float64 copy of values, which must be a finite non-empty vector."""
-    x = np.array(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError(f"{what} must be a non-empty rank-1 vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"{what} contains NaN or Inf")
-    x.setflags(write=False)
-    return x
-
-
 @dataclass(frozen=True)
 class FusionInputs:
     """n feature vectors x_i of a common length r: a tuple of read-only
@@ -68,11 +57,9 @@ class FusionInputs:
 
 
 def fusion_inputs(vectors) -> FusionInputs:
-    """The inputs of the fusion ops from n vectors (rank-1 Tensors, arrays or
-    lists) of one length, each copied, checked finite and frozen."""
-    xs = tuple(_checked_vector(v.data.reshape(v.shape) if isinstance(v, Tensor) else v,
-                               f"fusion input {i}")
-               for i, v in enumerate(vectors))
+    """The inputs of the fusion ops from n vectors (arrays or lists) of one
+    length, each copied, checked finite and frozen."""
+    xs = tuple(from_array(v, f"fusion input {i}", rank=1) for i, v in enumerate(vectors))
     if not xs:
         raise ShapeError("need at least one input vector")
     if len({x.shape[0] for x in xs}) > 1:
@@ -81,22 +68,24 @@ def fusion_inputs(vectors) -> FusionInputs:
     return FusionInputs(xs)
 
 
-def fuse_add(inputs: FusionInputs) -> Tensor:
+def fuse_add(inputs: FusionInputs) -> np.ndarray:
+    """sum_i x_i: a read-only [r] array."""
     acc = inputs.xs[0].copy()
     for x in inputs.xs[1:]:
         acc += x
         if _COUNTING:
             _COUNTS["add"] += inputs.r
     acc.setflags(write=False)
-    return Tensor(acc.shape, acc)
+    return acc
 
 
-def fuse_concat(inputs: FusionInputs) -> Tensor:
+def fuse_concat(inputs: FusionInputs) -> np.ndarray:
+    """x_1 .. x_n back to back: a read-only [n*r] array."""
     out = np.concatenate(inputs.xs)
     if _COUNTING:
         _COUNTS["copy"] += inputs.n * inputs.r
     out.setflags(write=False)
-    return Tensor(out.shape, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +220,11 @@ class KpffLayer:
 
     def __init__(self, ws):
         n = len(ws)
-        rows = [_checked_vector(w, f"weight vector {i}") for i, w in enumerate(ws)]
+        rows = [from_array(w, f"weight vector {i}", rank=1) for i, w in enumerate(ws)]
         for w in rows:
             if w.shape[0] != n:
                 raise ShapeError(f"need {n} weight vectors of length {n}, got {w.shape}")
-        self.W = _freeze(np.array(rows).reshape(n, n))
+        self.W = from_array(rows, "weight vectors")
         self.grad_ws = np.zeros((n, n))
         self.cache = None
 
@@ -252,18 +241,22 @@ class KpffLayer:
         self.grad_ws[...] = 0.0
 
 
-def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> Tensor:
+def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> np.ndarray:
+    """y = sum_i w_i (x) x_i: a read-only [n*r] array. Caches the inputs for
+    kpff_backward."""
     n, r = inputs.n, inputs.r
     if layer.n != n:
         raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {n}")
     y = kpff_kernel(layer.W, inputs.xs)
     y.setflags(write=False)
     layer.cache = inputs
-    return Tensor((n * r,), y.reshape(-1))
+    return y.reshape(-1)
 
 
-def kpff_backward(layer: KpffLayer, upstream: Tensor):
-    """Accumulate dL/dw into grad_ws and return [dL/dx_1 .. dL/dx_n].
+def kpff_backward(layer: KpffLayer, upstream: np.ndarray) -> np.ndarray:
+    """Accumulate dL/dw into grad_ws for the upstream gradient dL/dy, an
+    [n*r] array, and return dL/dx as a read-only [n, r] array whose row j is
+    dL/dx_j.
 
     0-based forms (block b is the slice [b*r, (b+1)*r)):
       dL/dw_i[b]  = sum_c upstream[b*r + c] * x_i[c]
@@ -275,7 +268,7 @@ def kpff_backward(layer: KpffLayer, upstream: Tensor):
     n, r = inputs.n, inputs.r
     if upstream.shape != (n * r,):
         raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
-    dW, dX = kpff_kernel_backward(layer.W, inputs.xs, upstream.data.reshape(n, r))
+    dW, dX = kpff_kernel_backward(layer.W, inputs.xs, upstream.reshape(n, r))
     layer.grad_ws += dW
     dX.setflags(write=False)
-    return [Tensor((r,), dx) for dx in dX]
+    return dX

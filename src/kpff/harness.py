@@ -16,8 +16,9 @@ import numpy as np
 
 from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
-from .net import FUSION_METHODS, Model, OptimizerState
+from .net import FUSION_METHODS, Model, OptimizerState, check_image_size
 from .rng import stream
+from .tensor import ShapeError
 
 METHOD_TOKENS = FUSION_METHODS + ("kpff-frozen",)
 
@@ -34,9 +35,18 @@ def resolve_method(token, cfg: RunConfig):
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
-    if cfg.data_dir:
-        return load_image_dir(cfg.data_dir)
-    return generate_synthetic(per_class=cfg.per_class, size=cfg.image_size, seed=cfg.seed)
+    """The config's images: synthetic ones, whose size RunConfig checks, or
+    those under data_dir, whose sides are checked here against channels."""
+    if not cfg.data_dir:
+        return generate_synthetic(per_class=cfg.per_class, size=cfg.image_size, seed=cfg.seed)
+    dataset = load_image_dir(cfg.data_dir)
+    try:
+        for side in dataset.images.shape[2:]:
+            check_image_size(side, len(cfg.channels))
+    except ShapeError as exc:
+        raise ValueError(f"data_dir {cfg.data_dir}: images of shape {dataset.images.shape[1:]}: "
+                         f"{exc} (channels {cfg.channels})") from None
+    return dataset
 
 
 def build_model(cfg: RunConfig, fusion, kpff_noise, in_channels, image_size, num_classes):

@@ -24,7 +24,6 @@ from kpff.gradcheck import check_model, kpff_dense_jacobians, relative_error, ru
 from kpff.harness import crossval
 from kpff.net import Model
 from kpff.rng import Stream
-from kpff.tensor import from_array
 
 
 def report(name, ok, detail=""):
@@ -59,12 +58,12 @@ def test_criterion_1_gradient_correctness():
         quad = s.uniform(size=(n * r,), low=-1, high=1)
         layer = KpffLayer(ws)
         y = kpff_forward(layer, xs)
-        upstream = coef + quad * y.data
+        upstream = coef + quad * y
         layer.zero_grads()
-        dxs = kpff_backward(layer, from_array(upstream))
+        dX = kpff_backward(layer, upstream)
 
         def loss_of(ws_trial, xs_trial):
-            out = kpff_forward(KpffLayer(ws_trial), fusion_inputs(xs_trial)).data
+            out = kpff_forward(KpffLayer(ws_trial), fusion_inputs(xs_trial))
             return float(coef @ out + 0.5 * quad @ (out * out))
 
         # central finite differences over every w and x coordinate
@@ -85,13 +84,13 @@ def test_criterion_1_gradient_correctness():
                 xp[j][c] += h
                 xm[j][c] -= h
                 num = (loss_of(ws, xp) - loss_of(ws, xm)) / (2 * h)
-                worst_fd = max(worst_fd, relative_error(dxs[j].data[c], num))
+                worst_fd = max(worst_fd, relative_error(dX[j, c], num))
 
         J_w, J_x = kpff_dense_jacobians(layer, xs)
         worst_jac = max(
             worst_jac,
             float(np.max(np.abs(np.concatenate(layer.grad_ws) - J_w.T @ upstream))),
-            float(np.max(np.abs(np.concatenate([d.data for d in dxs]) - J_x.T @ upstream))),
+            float(np.max(np.abs(dX.ravel() - J_x.T @ upstream))),
         )
         cases += 1
     elapsed = time.time() - started
@@ -111,10 +110,10 @@ def test_criterion_2_degeneration():
         r = 1 + int(s.uniform() * 8)
         xs = fusion_inputs([s.uniform(size=(r,), low=-5, high=5) for _ in range(n)])
         concat_layer = KpffLayer(list(np.eye(n)))
-        assert kpff_forward(concat_layer, xs).data.tolist() == fuse_concat(xs).data.tolist()
+        assert kpff_forward(concat_layer, xs).tolist() == fuse_concat(xs).tolist()
         add_layer = KpffLayer([np.eye(n)[0]] * n)
-        y = kpff_forward(add_layer, xs).data
-        assert y[:r].tolist() == fuse_add(xs).data.tolist()
+        y = kpff_forward(add_layer, xs)
+        assert y[:r].tolist() == fuse_add(xs).tolist()
         assert np.all(y[r:] == 0.0)
     elapsed = time.time() - started
     report("2 degeneration identities", elapsed < 5, f"1000 cases exact, {elapsed:.1f}s")
@@ -133,7 +132,7 @@ def test_criterion_3_oracle_equivalence():
             oracle = np.zeros(n * r)
             for i in range(n):
                 oracle += kron_vec_oracle(ws[i], xs.xs[i])
-            got = kpff_forward(KpffLayer(ws), xs).data
+            got = kpff_forward(KpffLayer(ws), xs)
             worst = max(worst, float(np.max(np.abs(got - oracle))))
     report("3 oracle equivalence", worst <= 1e-15, f"all n,r <= 8, max abs diff {worst:.1e}")
 

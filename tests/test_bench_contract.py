@@ -1,13 +1,15 @@
 """The benchmark's view of the program: every entry point that
 kpffbench/spans.py wraps still resolves, one fusion_grid pass runs with
-no failed check, and two short crossval_ref passes run with none. So a change under src/ that would break
-kpffbench/run.py fails here first.
+no failed check, untraced and under the span tracer, and two short
+crossval_ref passes run with none. So a change under src/ that would
+break kpffbench/run.py fails here first.
 
 kpffbench/run.py itself is not imported: it sets the BLAS thread
 variables in os.environ when it loads.
 """
 
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +54,24 @@ def test_one_fusion_grid_pass_has_no_failed_check(bench):
     calls = grid.run_pass(StubClock(), 0)
     assert calls > 0
     assert grid.attempted > 0 and grid.failed == 0
+
+
+def test_traced_fusion_grid_pass_counts_n_squared_r_per_call(bench):
+    # the tracer's work functions read the fusion API's arguments: the
+    # inputs' n and r and the upstream's shape
+    spans, workloads = bench
+    grid = workloads.FusionGrid(0, None)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        grid.run_pass(StubClock(), 0)
+    assert grid.attempted > 0 and grid.failed == 0
+    cells = [(c.n, c.r) for c in grid.cells]
+    for name, per_call in (("fusion.kpff_fwd", 1), ("fusion.kpff_bwd", 2)):
+        madds = [madd for span_name, *_, madd, _bytes in tracer.spans if span_name == name]
+        calls = len(madds) // len(cells)  # every cell is called alike
+        assert calls > 0 and len(madds) == calls * len(cells), name
+        want = [per_call * n * n * r for n, r in cells for _ in range(calls)]
+        assert Counter(madds) == Counter(want), name
 
 
 def test_two_short_crossval_ref_passes_have_no_failed_check(bench, tmp_path):

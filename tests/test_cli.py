@@ -72,21 +72,29 @@ def test_fuse_ragged_rows_fail(tmp_path, capsys):
         inp = write(tmp_path / "in.csv", text)
         assert run_cli("fuse", "--inputs", inp, "--method", "add", "--output", str(out)) == 1
         assert f"fuse failed: {inp}: {message}" in capsys.readouterr().err
+    # kpff without --weights is a usage error, found before the bad inputs are read
+    assert run_cli("fuse", "--inputs", inp, "--method", "kpff", "--output", str(out)) == 2
+    assert capsys.readouterr().err == "method kpff needs --weights\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["inputs", "weights"])
-def test_fuse_bad_value_names_file_and_line(bad, tmp_path, capsys):
-    # line 2 is blank, and line 3 of the bad file holds a value that is not a number
+@pytest.mark.parametrize("bad,value,message", [
+    pytest.param("inputs", "x", "could not convert string to float: 'x'", id="inputs"),
+    pytest.param("weights", "x", "could not convert string to float: 'x'", id="weights"),
+    pytest.param("inputs", "nan", "'nan' is not a finite number", id="inputs-nan"),
+    pytest.param("inputs", " -inf", "'-inf' is not a finite number", id="inputs-neg-inf"),
+    pytest.param("weights", "inf", "'inf' is not a finite number", id="weights-inf"),
+])
+def test_fuse_bad_value_names_file_and_line(bad, value, message, tmp_path, capsys):
+    # line 2 is blank, and line 3 of the bad file holds the bad value
     paths = {name: write(tmp_path / f"{name}.csv",
-                         "1,2\n\n3,x\n" if name == bad else "1,0\n\n0,1\n")
+                         f"1,2\n\n3,{value}\n" if name == bad else "1,0\n\n0,1\n")
              for name in ("inputs", "weights")}
     out = tmp_path / "out.csv"
     assert run_cli("fuse", "--inputs", paths["inputs"], "--weights", paths["weights"],
                    "--method", "kpff", "--output", str(out)) == 1
     err = capsys.readouterr().err
-    assert (f"fuse failed: {paths[bad]}: line 3: could not convert string to float: 'x'"
-            in err)
+    assert f"fuse failed: {paths[bad]}: line 3: {message}" in err
     assert not out.exists()
 
 
@@ -342,3 +350,32 @@ def test_train_forks_nothing(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     assert run_cli("train", "--method", "concat", "--out", str(tmp_path), *FAST) == 0
+
+
+@pytest.mark.parametrize("height,width,message", [
+    (0, 0, "{file}: image has no pixels (0x0)"),
+    (4, 4, "data_dir {root}: images of shape (1, 4, 4): image size 4 too small for 2 blocks "
+           "(channels (6, 12))"),
+    (16, 4, "data_dir {root}: images of shape (1, 16, 4): image size 4 too small for 2 blocks "
+            "(channels (6, 12))"),
+], ids=["zero-side", "4x4", "16x4"])
+def test_crossval_rejects_images_too_small(height, width, message, monkeypatch, tmp_path,
+                                           capsys):
+    # every side of the images must leave each conv an output; checked before any job runs
+    def no_fork():
+        raise AssertionError("images too small for the model fork nothing")
+
+    root = tmp_path / "images"
+    for cls in ("a", "b"):
+        (root / cls).mkdir(parents=True)
+        for k in range(5):
+            (root / cls / f"{k}.pgm").write_bytes(b"P5\n%d %d\n255\n" % (width, height)
+                                                  + bytes(width * height))
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "run"
+    assert run_cli("crossval", "--data-dir", str(root), "--channels", "6,12",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(root=root, file=root / "a" / "0.pgm") + "\n"
+    assert not out.exists()

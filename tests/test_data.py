@@ -118,6 +118,11 @@ def test_pnm_header_comments_and_errors(tmp_path):
     trunc.write_bytes(b"P5\n4 4\n255\n" + bytes([0] * 3))
     with pytest.raises(ValueError, match="truncated"):
         read_pnm(trunc)
+    for width, height in ((4, 0), (0, 3)):
+        empty = tmp_path / "e.pgm"
+        empty.write_bytes(b"P5\n%d %d\n255\n" % (width, height))
+        with pytest.raises(ValueError, match=f"e.pgm: image has no pixels \\({width}x{height}\\)"):
+            read_pnm(empty)
 
 
 def test_load_image_dir(tmp_path):
