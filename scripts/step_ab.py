@@ -72,11 +72,17 @@ class Side:
     def start_jobs(self):
         """A fresh model, optimizer and dropout stream per method."""
         harness, net = self.m["harness"], self.m["net"]
+        shape = dict(in_channels=self.images.shape[1], image_size=self.images.shape[2],
+                     num_classes=int(self.labels.max()) + 1)
         for token in self.methods:
-            fusion, freeze, noise = harness.resolve_method(token, self.cfg)
-            model = harness.build_model(
-                self.cfg, fusion, noise, in_channels=self.images.shape[1],
-                image_size=self.images.shape[2], num_classes=int(self.labels.max()) + 1)
+            if hasattr(harness, "resolve_method"):  # older trees: fusion and freeze apart
+                fusion, freeze, noise = harness.resolve_method(token, self.cfg)
+                model = harness.build_model(self.cfg, fusion, noise, **shape)
+            else:  # the model takes the method token, as train_run builds it
+                freeze, cfg = None, self.cfg
+                model = net.Model(seed=cfg.seed, channels=tuple(cfg.channels),
+                                  activation=cfg.activation, fusion=token,
+                                  dropout_p=cfg.dropout_p, kpff_noise=cfg.kpff_noise, **shape)
             opt = net.OptimizerState(self.cfg.optimizer, lr=self.cfg.lr,
                                      weight_decay=self.cfg.weight_decay)
             drop = self.m["rng"].stream(self.cfg.seed, "dropout/fold0")
@@ -104,9 +110,12 @@ class Side:
 
     def _step_args(self, token, model, freeze):
         """OptimizerState.apply's arguments as this tree's train_run passes
-        them: Model.trainable's pair where the model has one (two arrays, or
-        two one-entry dicts in older trees), else the per-name dicts and the
+        them: the model's (theta, grad) where freeze is None, else
+        Model.trainable's pair where the model has one (two arrays, or two
+        one-entry dicts in older trees), else the per-name dicts and the
         frozen names."""
+        if freeze is None:
+            return model.theta, model.grad
         if hasattr(model, "trainable"):
             return model.trainable(freeze)
         frozen = set(model.fusion_param_names()) if freeze else set()

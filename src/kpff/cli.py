@@ -16,7 +16,8 @@ import numpy as np
 from . import fusion, gradcheck, hooks
 from .config import CHOICES, RunConfig, _parse_value, field_types, load_config
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
-from .harness import METHOD_TOKENS, comparison_table, crossval, process_count, write_report
+from .harness import JobError, comparison_table, crossval, process_count, write_report
+from .net import FUSION_METHODS
 from .rng import stream
 
 USAGE_ERROR = 2
@@ -212,8 +213,9 @@ def _read_csv_vectors(path):
 
 
 def cmd_fuse(args):
-    if args.method == "kpff" and not args.weights:
-        print("method kpff needs --weights", file=sys.stderr)
+    if (args.method == "kpff") != bool(args.weights):  # checked before any file is read
+        need = "needs" if args.method == "kpff" else "takes no"
+        print(f"method {args.method} {need} --weights", file=sys.stderr)
         return USAGE_ERROR
     try:
         rows = _read_csv_vectors(args.inputs)
@@ -257,15 +259,15 @@ def build_parser():
 
     p = sub.add_parser("crossval", help="k-fold cross-validation over fusion methods")
     _add_config_flags(p)
-    p.add_argument("--methods", type=comma_list(str, METHOD_TOKENS),
+    p.add_argument("--methods", type=comma_list(str, FUSION_METHODS),
                    default=["none", "add", "concat", "kpff"],
-                   help=f"comma list from {','.join(METHOD_TOKENS)}")
+                   help=f"comma list from {','.join(FUSION_METHODS)}")
     p.add_argument("--out", default="runs/crossval")
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("train", help="crossval of one method on fold 0 alone")
     _add_config_flags(p)
-    p.add_argument("--method", choices=METHOD_TOKENS, default="kpff")
+    p.add_argument("--method", choices=FUSION_METHODS, default="kpff")
     p.add_argument("--out", default="runs/train")
     p.set_defaults(func=cmd_crossval)
 
@@ -293,6 +295,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILURE
+    except JobError as exc:  # line 1 names the job and its error; a worker's traceback follows
+        print(f"error: {str(exc).splitlines()[0]}", file=sys.stderr)
         return CHECK_FAILURE
 
 

@@ -213,9 +213,11 @@ class KpffLayer:
     """Learnable fusion layer: n weight vectors w_i of length n, the rows of
     the read-only n x n array W.
 
-    forward caches its inputs; backward accumulates into grad_ws (row i is
-    dL/dw_i) and returns the gradients w.r.t. the inputs. Not thread-safe
-    across concurrent forward/backward (pure ops in this module are).
+    forward_batch caches its inputs; backward_batch accumulates into
+    grad_ws (row i is dL/dw_i) and returns the gradients w.r.t. the inputs.
+    Model binds W and grad_ws of a trained layer to views of its vectors.
+    Not thread-safe across concurrent forward/backward (pure ops in this
+    module are).
     """
 
     def __init__(self, ws):
@@ -240,16 +242,27 @@ class KpffLayer:
     def zero_grads(self):
         self.grad_ws[...] = 0.0
 
+    def forward_batch(self, X):
+        """The [n, m] rows sum_i W[i, k] X[i] for n input rows X[i] of one
+        length m (kpff_kernel); caches X for backward_batch."""
+        self.cache = X
+        return kpff_kernel(self.W, X)
+
+    def backward_batch(self, U):
+        """Add dW into grad_ws for the [n, m] upstream gradient U of the last
+        forward_batch, and return dX, [n, m] (kpff_kernel_backward)."""
+        dW, dX = kpff_kernel_backward(self.W, self.cache, U)
+        self.grad_ws += dW
+        return dX
+
 
 def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> np.ndarray:
     """y = sum_i w_i (x) x_i: a read-only [n*r] array. Caches the inputs for
     kpff_backward."""
-    n, r = inputs.n, inputs.r
-    if layer.n != n:
-        raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {n}")
-    y = kpff_kernel(layer.W, inputs.xs)
+    if layer.n != inputs.n:
+        raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {inputs.n}")
+    y = layer.forward_batch(inputs.xs)
     y.setflags(write=False)
-    layer.cache = inputs
     return y.reshape(-1)
 
 
@@ -264,11 +277,9 @@ def kpff_backward(layer: KpffLayer, upstream: np.ndarray) -> np.ndarray:
     """
     if layer.cache is None:
         raise RuntimeError("kpff_backward called before forward (no cached inputs)")
-    inputs = layer.cache
-    n, r = inputs.n, inputs.r
+    n, r = len(layer.cache), layer.cache[0].shape[0]
     if upstream.shape != (n * r,):
         raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
-    dW, dX = kpff_kernel_backward(layer.W, inputs.xs, upstream.reshape(n, r))
-    layer.grad_ws += dW
+    dX = layer.backward_batch(upstream.reshape(n, r))
     dX.setflags(write=False)
     return dX

@@ -18,20 +18,7 @@ from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
 from .net import FUSION_METHODS, Model, OptimizerState, check_image_size
 from .rng import stream
-from .tensor import ShapeError
-
-METHOD_TOKENS = FUSION_METHODS + ("kpff-frozen",)
-
-
-def resolve_method(token, cfg: RunConfig):
-    """Map a method token to (fusion, freeze_fusion, kpff_noise)."""
-    if token == "kpff-frozen":
-        return "kpff", True, 0.0
-    if token == "kpff":
-        return "kpff", False, cfg.kpff_noise
-    if token in ("none", "add", "concat"):
-        return token, False, 0.0
-    raise ValueError(f"unknown method {token!r}; known: {METHOD_TOKENS}")
+from .tensor import NonFiniteError, ShapeError
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -47,20 +34,6 @@ def load_dataset(cfg: RunConfig) -> Dataset:
         raise ValueError(f"data_dir {cfg.data_dir}: images of shape {dataset.images.shape[1:]}: "
                          f"{exc} (channels {cfg.channels})") from None
     return dataset
-
-
-def build_model(cfg: RunConfig, fusion, kpff_noise, in_channels, image_size, num_classes):
-    return Model(
-        seed=cfg.seed,
-        in_channels=in_channels,
-        image_size=image_size,
-        channels=tuple(cfg.channels),
-        activation=cfg.activation,
-        fusion=fusion,
-        num_classes=num_classes,
-        dropout_p=cfg.dropout_p,
-        kpff_noise=kpff_noise,
-    )
 
 
 # glibc mallopt parameters
@@ -97,15 +70,10 @@ def _fix_malloc_thresholds():
 def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token, fold):
     """Train one model on one fold split; return its history and metrics."""
     _fix_malloc_thresholds()
-    fusion, freeze, noise = resolve_method(method_token, cfg)
-    model = build_model(
-        cfg, fusion, noise,
-        in_channels=images.shape[1], image_size=images.shape[2],
-        num_classes=int(labels.max()) + 1,
-    )
-    # every step updates the trained prefix of the model's parameter
-    # vector, whose gradient forward_backward writes in place
-    theta, grad = model.trainable(freeze)
+    model = Model(seed=cfg.seed, in_channels=images.shape[1], image_size=images.shape[2],
+                  channels=tuple(cfg.channels), activation=cfg.activation, fusion=method_token,
+                  num_classes=int(labels.max()) + 1, dropout_p=cfg.dropout_p,
+                  kpff_noise=cfg.kpff_noise)
     opt = OptimizerState(cfg.optimizer, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     shuffle_stream = stream(cfg.seed, f"shuffle/fold{fold}")
@@ -114,6 +82,7 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
     x_train, y_train = images[train_idx], labels[train_idx]
     x_test, y_test = images[test_idx], labels[test_idx]
     batch = min(cfg.batch_size, len(train_idx))
+    starts = range(0, len(train_idx), batch)
 
     loss_curve = []
     val_curve = []
@@ -121,17 +90,24 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
     for epoch in range(1, cfg.max_epochs + 1):
         perm = shuffle_stream.permutation(len(train_idx))
         epoch_losses = []
-        for start in range(0, len(perm), batch):
+        for k, start in enumerate(starts, 1):
             sel = perm[start : start + batch]
-            loss, _, _ = model.forward_backward(
-                x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
-            )
-            opt.apply(theta, grad)
+            try:
+                loss, _, _ = model.forward_backward(
+                    x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
+                )
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch}, batch {k} of {len(starts)}: {exc}") from exc
+            # forward_backward wrote the gradient of every parameter in theta
+            opt.apply(model.theta, model.grad)
             epoch_losses.append(loss)
         loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
         # the last epoch always evaluates, and its loss and accuracy are final
         if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:
-            final_loss, final_acc = model.evaluate(x_test, y_test)
+            try:
+                final_loss, final_acc = model.evaluate(x_test, y_test)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"evaluation after epoch {epoch}: {exc}") from exc
             val_curve.append((epoch, final_acc))
             best_acc = max(best_acc, final_acc)
 
@@ -291,8 +267,9 @@ def crossval(cfg: RunConfig, methods, folds=None):
     Returns (report, fold plan, wall seconds).
     """
     methods = list(dict.fromkeys(methods))
-    for m in methods:
-        resolve_method(m, cfg)  # validate early
+    for m in methods:  # before any job starts
+        if m not in FUSION_METHODS:
+            raise ValueError(f"unknown method {m!r}; known: {FUSION_METHODS}")
     dataset = load_dataset(cfg)
     plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
     folds = range(plan.k) if folds is None else folds

@@ -1,6 +1,6 @@
 """Minimal from-scratch training stack: conv/dense/pool/dropout layers,
 softmax cross-entropy, SGD and Adam, and a small CNN whose per-block
-feature vectors feed a configurable fusion stage (none/add/concat/kpff).
+feature vectors feed a configurable fusion stage (FUSION_METHODS).
 
 Every layer runs batched, on [N, C, H, W] or [N, features] float64 arrays.
 """
@@ -12,7 +12,7 @@ import numpy as np
 from .tensor import ShapeError, NonFiniteError
 from .rng import stream
 from .hooks import injected_bug
-from .fusion import kpff_kernel, kpff_kernel_backward
+from .fusion import KpffLayer
 
 # ---------------------------------------------------------------------------
 # activations: name -> (f(pre), df(pre, out, dout)); RunConfig and the CLI
@@ -288,8 +288,8 @@ OPTIMIZERS = ("sgd", "adam")
 
 class OptimizerState:
     """SGD or Adam with coupled weight decay (decay added to the gradient),
-    stepping one parameter array in place, such as a Model's trainable
-    vector (Model.trainable).
+    stepping one parameter array in place, such as a Model's parameter
+    vector (Model.theta).
 
     The update is elementwise, so every value is the per-array formula's
     bit for bit, whatever arrays the vector holds. Adam's moments m and v
@@ -340,7 +340,9 @@ class OptimizerState:
 # ---------------------------------------------------------------------------
 # the toy model
 
-FUSION_METHODS = ("none", "add", "concat", "kpff")
+# the method tokens: kpff-frozen is kpff with W held at the Concat
+# initialisation I, a constant rather than a parameter
+FUSION_METHODS = ("none", "add", "concat", "kpff", "kpff-frozen")
 
 
 def _loss_and_accuracy(logits, labels):
@@ -402,9 +404,8 @@ class Model:
     docs/gradients.md gives the one case where gradients can differ.
 
     Every parameter is a view of one float64 vector, self.theta, and every
-    gradient a view of a second, self.grad, laid out alike: params() order,
-    except that fusion.ws sits last. The layers write their gradients into
-    those views in place.
+    gradient a view of a second, self.grad, both in params() order. The
+    layers write their gradients into those views in place.
     """
 
     def __init__(self, seed, in_channels=1, image_size=16, channels=(6, 12),
@@ -451,13 +452,14 @@ class Model:
                     )
                 )
 
-        if fusion == "kpff":
+        self.kpff = None
+        if fusion.startswith("kpff"):  # kpff and kpff-frozen: one layer, W trained or not
             ws = np.eye(n_taps)
-            if kpff_noise > 0.0:
+            if fusion == "kpff" and kpff_noise > 0.0:
                 ws = ws + stream(seed, "init/fusion.ws").normal(
                     size=(n_taps, n_taps), sigma=kpff_noise
                 )
-            self.fusion_ws = ws  # row i is w_i
+            self.kpff = KpffLayer(ws)  # row i is w_i
 
         if fusion == "none":
             head_in = channels[-1]
@@ -484,46 +486,29 @@ class Model:
         for b, proj in enumerate(self.projections):
             slots += [(f"proj{b}.weights", proj, "weights"), (f"proj{b}.bias", proj, "bias")]
         if self.fusion == "kpff":
-            slots.append(("fusion.ws", self, "fusion_ws"))
+            slots.append(("fusion.ws", self.kpff, "W"))
         slots += [("head.weights", self.head, "weights"), ("head.bias", self.head, "bias")]
-        # fusion.ws last, so that what a frozen kpff trains is a prefix
-        fusion = self.fusion_param_names()
-        in_vector = sorted(slots, key=lambda slot: slot[0] in fusion)
-        sizes = {name: getattr(owner, attr).size for name, owner, attr in slots}
-        total = sum(sizes.values())
-        self._trainable_stop = total - sum(sizes[name] for name in fusion)
+        total = sum(getattr(owner, attr).size for _, owner, attr in slots)
         self.theta, self.grad = np.empty(total), np.zeros(total)
-        views = {}
+        self._params, grads = {}, {}
         start = 0
-        for name, owner, attr in in_vector:
+        for name, owner, attr in slots:
             value = getattr(owner, attr)
-            stop = start + sizes[name]
-            param = self.theta[start:stop].reshape(value.shape)
-            grad = self.grad[start:stop].reshape(value.shape)
+            stop = start + value.size
+            param = self._params[name] = self.theta[start:stop].reshape(value.shape)
+            grad = grads[name] = self.grad[start:stop].reshape(value.shape)
             param[...] = value
             setattr(owner, attr, param)
-            if owner is self:
-                self.grad_fusion_ws = grad
+            if owner is self.kpff:
+                owner.grad_ws = grad
             else:
                 owner.grads[attr] = grad
-            views[name] = param, grad
             start = stop
-        self._params = {name: views[name][0] for name, *_ in slots}
-        self._grads = MappingProxyType({name: views[name][1] for name, *_ in slots})
+        self._grads = MappingProxyType(grads)
 
     def params(self):
         """name -> parameter array, each a view of self.theta."""
         return dict(self._params)
-
-    def fusion_param_names(self):
-        return ("fusion.ws",) if self.fusion == "kpff" else ()
-
-    def trainable(self, freeze_fusion=False):
-        """(parameters, gradients) for OptimizerState.apply to update every
-        trained value in one go: views of the prefixes of self.theta and
-        self.grad, without fusion.ws (the tail) when freeze_fusion."""
-        stop = self._trainable_stop if freeze_fusion else self.theta.size
-        return self.theta[:stop], self.grad[:stop]
 
     # --- forward / backward -------------------------------------------------
 
@@ -540,8 +525,7 @@ class Model:
             return np.concatenate(projected, axis=1)
         # block-major [n, N*r]: row i holds projection i's N vectors back to back
         n, (N, r) = len(projected), projected[0].shape
-        self._kpff_inputs = np.concatenate(projected).reshape(n, N * r)
-        fused = kpff_kernel(self.fusion_ws, self._kpff_inputs)
+        fused = self.kpff.forward_batch(np.concatenate(projected).reshape(n, N * r))
         return fused.reshape(n, N, r).transpose(1, 0, 2).reshape(N, n * r)
 
     def _fuse_backward(self, dfused):
@@ -556,9 +540,7 @@ class Model:
         else:
             N = dfused.shape[0]
             upstream = dfused.reshape(N, n, r).transpose(1, 0, 2).reshape(n, N * r)
-            dws, dxs = kpff_kernel_backward(self.fusion_ws, self._kpff_inputs, upstream)
-            self.grad_fusion_ws += dws
-            dprojected = dxs.reshape(n, N, r)
+            dprojected = self.kpff.backward_batch(upstream).reshape(n, N, r)
         return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
 
     def _blocks_forward(self, x):
@@ -605,8 +587,8 @@ class Model:
         loss, acc, dlogits = _loss_and_accuracy(logits, labels)
         dlogits /= x.shape[0]
 
-        if self.fusion == "kpff":
-            self.grad_fusion_ws[...] = 0.0  # _fuse_backward adds to it
+        if self.kpff is not None:
+            self.kpff.zero_grads()  # _fuse_backward adds to it
         dfused = self.head.backward_batch(dlogits)
         if self._dropout_mask is not None:
             dfused = dfused * self._dropout_mask

@@ -75,6 +75,12 @@ def test_fuse_ragged_rows_fail(tmp_path, capsys):
     # kpff without --weights is a usage error, found before the bad inputs are read
     assert run_cli("fuse", "--inputs", inp, "--method", "kpff", "--output", str(out)) == 2
     assert capsys.readouterr().err == "method kpff needs --weights\n"
+    # and so is add or concat with --weights, whose file is not read either
+    w = write(tmp_path / "w.csv", "nonsense\n")
+    for method in ("add", "concat"):
+        assert run_cli("fuse", "--inputs", inp, "--weights", w, "--method", method,
+                       "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"method {method} takes no --weights\n"
     assert not out.exists()
 
 
@@ -253,6 +259,27 @@ def test_crossval_bytes_independent_of_blas_threads(tmp_path):
 def test_crossval_unknown_method(tmp_path, capsys):
     assert exit_code("crossval", "--methods", "none,outer", "--out", str(tmp_path)) == 2
     assert "argument --methods: 'outer' is not one of" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# a tiny config that SGD at lr 1e6 drives to non-finite logits within three epochs
+DIVERGING = ("--per-class", "5", "--image-size", "8", "--channels", "3,4", "--batch-size", "10",
+             "--optimizer", "sgd", "--lr", "1e6", "--max-epochs", "3")
+DIVERGED = (r"crossval job \((add|kpff), fold \d\) failed( in worker process \d+)?: "
+            r"NonFiniteError: (epoch [1-3], batch [12] of 2|evaluation after epoch 3): "
+            r"non-finite logits")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_diverging_run_says_where_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    assert run_cli("train", *DIVERGING, "--out", str(tmp_path / "train")) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {DIVERGED}\n", err) and "(kpff, fold 0) failed: " in err
+    # on two processes the failing job may be a worker's: its traceback is not printed
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    assert run_cli("crossval", *DIVERGING, "--methods", "add,kpff",
+                   "--out", str(tmp_path / "crossval")) == 1
+    assert re.fullmatch(f"error: {DIVERGED}\n", capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 
 

@@ -17,12 +17,12 @@ from kpff.harness import (
     load_dataset,
     process_count,
     report_csv,
-    resolve_method,
     summary_json,
     train_run,
     write_report,
 )
 from kpff.net import Model
+from kpff.tensor import NonFiniteError
 
 FAST_CFG = RunConfig(seed=4, per_class=5, image_size=8, channels=(3, 4),
                      max_epochs=3, lr=3e-3, batch_size=10, val_interval=2,
@@ -49,16 +49,6 @@ def deadline():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_resolve_method():
-    cfg = RunConfig()
-    assert resolve_method("kpff-frozen", cfg) == ("kpff", True, 0.0)
-    assert resolve_method("kpff", cfg) == ("kpff", False, 0.0)
-    assert resolve_method("concat", cfg) == ("concat", False, 0.0)
-    assert resolve_method("kpff", replace(cfg, kpff_noise=0.01)) == ("kpff", False, 0.01)
-    with pytest.raises(ValueError):
-        resolve_method("hadamard", cfg)
-
-
 def test_crossval_structure_and_mean_recomputable():
     report, plan, wall = crossval(FAST_CFG, ["none", "kpff"])
     assert plan.k == 5
@@ -72,14 +62,28 @@ def test_crossval_structure_and_mean_recomputable():
 
 
 def test_trajectory_equivalence_frozen_kpff_vs_concat():
-    report, _, _ = crossval(FAST_CFG, ["concat", "kpff-frozen"])
-    concat = report["methods"]["concat"]["folds"]
-    frozen = report["methods"]["kpff-frozen"]["folds"]
-    for c, f in zip(concat, frozen):
-        assert c["loss_curve"] == f["loss_curve"]  # step-for-step equality
-        assert c["final_acc"] == f["final_acc"]
-        assert c["final_loss"] == f["final_loss"]
-        assert c["val_curve"] == f["val_curve"]
+    # kpff-frozen ignores kpff_noise: its W is the constant I
+    for kpff_noise in (0.0, 0.1):
+        cfg = replace(FAST_CFG, kpff_noise=kpff_noise)
+        report, _, _ = crossval(cfg, ["concat", "kpff-frozen"])
+        concat = report["methods"]["concat"]["folds"]
+        frozen = report["methods"]["kpff-frozen"]["folds"]
+        for c, f in zip(concat, frozen):
+            assert c["loss_curve"] == f["loss_curve"]  # step-for-step equality
+            assert c["final_acc"] == f["final_acc"]
+            assert c["final_loss"] == f["final_loss"]
+            assert c["val_curve"] == f["val_curve"]
+
+
+def test_crossval_rejects_an_unknown_method_before_any_job(monkeypatch):
+    def no_fork():
+        raise AssertionError("no job may start")
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(harness, "train_run", no_fork)
+    with pytest.raises(ValueError, match=r"^unknown method 'hadamard'; known: \('none', "):
+        crossval(FAST_CFG, ["concat", "hadamard"])
 
 
 def test_report_serialization_deterministic():
@@ -169,6 +173,29 @@ def test_train_run_evaluates_once_per_val_point(monkeypatch):
     assert [epoch for epoch, _ in res["val_curve"]] == [2, 4, 5]
     assert calls == [len(plan.folds[1])] * 3
     assert res["final_acc"] == res["val_curve"][-1][1]
+
+
+@pytest.mark.parametrize("method,calls,message", [
+    pytest.param("forward_backward", 3, "epoch 2, batch 1 of 2: non-finite logits", id="step"),
+    pytest.param("evaluate", 2, "evaluation after epoch 4: non-finite logits", id="evaluation"),
+])
+def test_train_run_says_where_a_run_went_non_finite(method, calls, message, monkeypatch):
+    step = getattr(Model, method)
+    count = []
+
+    def diverging(self, *args, **kwargs):
+        count.append(1)
+        if len(count) == calls:
+            raise NonFiniteError("non-finite logits")
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, method, diverging)
+    cfg = replace(FAST_CFG, max_epochs=5, val_interval=2)  # 16 training images, batches of 10
+    dataset = load_dataset(cfg)
+    plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
+    images, labels = dataset.stacked()
+    with pytest.raises(NonFiniteError, match=f"^{message}$"):
+        train_run(cfg, images, labels, plan.train_indices(0), plan.folds[0], "kpff", 0)
 
 
 # --- the jobs shared among processes -------------------------------------------------

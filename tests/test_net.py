@@ -417,19 +417,18 @@ def _toy_batch(seed=5, n=6, size=12):
 def test_model_frozen_kpff_matches_concat_losses():
     x, labels = _toy_batch()
     losses = {}
-    for fusion in ("concat", "kpff"):
+    for fusion in ("concat", "kpff-frozen"):
         model = Model(seed=3, image_size=12, channels=(4, 6), fusion=fusion,
                       num_classes=3, dropout_p=0.25)
         opt = OptimizerState("adam", lr=1e-3)
-        theta, grad = model.trainable(freeze_fusion=True)
         drop = stream(3, "dropout")
         seq = []
         for step in range(10):
             loss, _, _ = model.forward_backward(x, labels, train=True, dropout_stream=drop)
-            opt.apply(theta, grad)
+            opt.apply(model.theta, model.grad)
             seq.append(loss)
         losses[fusion] = seq
-    assert losses["concat"] == losses["kpff"]  # bit-identical
+    assert losses["concat"] == losses["kpff-frozen"]  # bit-identical
 
 
 def test_model_rejects_unknown_fusion_and_activation():
@@ -459,7 +458,7 @@ def test_model_determinism():
         drop = stream(9, "dropout")
         for _ in range(5):
             model.forward_backward(x, labels, train=True, dropout_stream=drop)
-            opt.apply(*model.trainable())
+            opt.apply(model.theta, model.grad)
         return {k: v.copy() for k, v in model.params().items()}
 
     p1, p2 = run(), run()
@@ -837,7 +836,7 @@ def per_array_apply(opt, params, grads, frozen=()):
 ])
 def test_flat_optimizer_matches_per_array_formula(method, weight_decay, frozen, bug, monkeypatch):
     # the flat step runs over one vector of the trained arrays back to back,
-    # leaving the frozen ones out, as Model.trainable does with fusion.ws
+    # leaving the frozen ones out
     monkeypatch.setattr(hooks, "_injected", bug)
     s = Stream(59)
     shapes = {"a": (3, 2, 3, 3), "b": (3,), "c": (4, 5), "d": (1,)}
@@ -876,38 +875,36 @@ def _vector_offset(model, array):
 
 @pytest.mark.parametrize("method", ["adam", "sgd"])
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-@pytest.mark.parametrize("fusion,freeze", [(f, False) for f in FUSION_METHODS] + [("kpff", True)])
-def test_one_array_step_matches_the_per_name_path(fusion, freeze, method, weight_decay):
+# ids <fusion layer>-<W frozen>: none-False .. kpff-False, and kpff-True for kpff-frozen
+@pytest.mark.parametrize("fusion", FUSION_METHODS,
+                         ids=lambda token: f"{token.split('-')[0]}-{token == 'kpff-frozen'}")
+def test_one_array_step_matches_the_per_name_path(fusion, method, weight_decay):
     # two copies of one model: one updated as harness.train_run does, by one
-    # apply over Model.trainable's prefix; the other name by name over
-    # params() and forward_backward's gradients (per_array_apply, reference)
+    # apply over model.theta; the other name by name over params() and
+    # forward_backward's gradients (per_array_apply, reference)
     kwargs = dict(seed=5, image_size=12, channels=(3, 4), fusion=fusion, num_classes=3,
-                  dropout_p=0.25, kpff_noise=0.0 if freeze else 0.2)
+                  dropout_p=0.25, kpff_noise=0.2)
     flat, ref = Model(**kwargs), Model(**kwargs)
-    start = ref.params()["fusion.ws"].copy() if fusion == "kpff" else None
+    start = ref.kpff.W.copy() if ref.kpff is not None else None
     flat_opt = OptimizerState(method, lr=3e-3, weight_decay=weight_decay)
     ref_opt = PerArrayState(method, lr=3e-3, weight_decay=weight_decay)
-    theta, grad = flat.trainable(freeze)
-    frozen = ref.fusion_param_names() if freeze else ()
     flat_drop, ref_drop = stream(5, "dropout"), stream(5, "dropout")
     x, labels = _toy_batch(seed=7, n=6, size=12)
     for step in range(60):
         n = 6 if step % 2 == 0 else 4  # two batch sizes, as a fold's full and last batch
         flat.forward_backward(x[:n], labels[:n], train=True, dropout_stream=flat_drop)
-        flat_opt.apply(theta, grad)
+        flat_opt.apply(flat.theta, flat.grad)
         _, _, ref_grads = ref.forward_backward(x[:n], labels[:n], train=True,
                                                dropout_stream=ref_drop)
-        per_array_apply(ref_opt, ref.params(), ref_grads, frozen)
+        per_array_apply(ref_opt, ref.params(), ref_grads)
         assert flat.theta.tobytes() == ref.theta.tobytes(), step
-    if freeze:
-        assert np.array_equal(flat.params()["fusion.ws"], start)
+    if fusion == "kpff-frozen":  # W is a constant: I, whatever kpff_noise says
+        assert np.array_equal(flat.kpff.W, np.eye(2)) and not flat.kpff.W.flags.writeable
     elif fusion == "kpff":
         assert not np.array_equal(flat.params()["fusion.ws"], start)
     if method == "adam":
-        assert set(ref_opt.m) == set(ref.params()) - set(frozen)
+        assert set(ref_opt.m) == set(ref.params())
         for name, array in ref.params().items():
-            if name in frozen:
-                continue
             where = slice(_vector_offset(ref, array), _vector_offset(ref, array) + array.size)
             assert flat_opt.m[where].tobytes() == ref_opt.m[name].tobytes(), name
             assert flat_opt.v[where].tobytes() == ref_opt.v[name].tobytes(), name
@@ -915,17 +912,20 @@ def test_one_array_step_matches_the_per_name_path(fusion, freeze, method, weight
 
 @pytest.mark.parametrize("fusion", FUSION_METHODS)
 def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
-    model = Model(seed=3, image_size=12, channels=(3, 4), fusion=fusion, num_classes=3,
-                  dropout_p=0.25)
+    kwargs = dict(seed=3, image_size=12, channels=(3, 4), num_classes=3, dropout_p=0.25)
+    model = Model(fusion=fusion, **kwargs)
     params = model.params()
-    # params() order; in the vectors every value once, fusion.ws last
-    layout = sorted((_vector_offset(model, p), p.size) for p in params.values())
-    assert [start for start, _ in layout] == list(np.cumsum([0] + [n for _, n in layout[:-1]]))
+    # params() order, every value once
+    offsets = [_vector_offset(model, p) for p in params.values()]
+    assert offsets == list(np.cumsum([0] + [p.size for p in params.values()][:-1]))
     assert sum(p.size for p in params.values()) == model.theta.size == model.grad.size
+    assert ("fusion.ws" in params) == (fusion == "kpff")
     if fusion == "kpff":
-        n2 = params["fusion.ws"].size
-        assert _vector_offset(model, params["fusion.ws"]) == model.theta.size - n2
-        assert model.trainable(freeze_fusion=True)[0].size == model.theta.size - n2
+        assert model.kpff.W is params["fusion.ws"]
+    if fusion == "kpff-frozen":  # its W is no parameter: the same vector as concat's
+        concat = Model(fusion="concat", **kwargs)
+        assert list(params) == list(concat.params())
+        assert model.theta.tobytes() == concat.theta.tobytes()
     assert list(params)[:2] == ["conv0.kernels", "conv0.bias"]
     assert list(params)[-2:] == ["head.weights", "head.bias"]
     assert model.convs[1].kernels is params["conv1.kernels"]
@@ -942,9 +942,8 @@ def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
         assert np.shares_memory(second[name], model.grad), name
         assert _vector_offset(model, second[name]) == _vector_offset(model, p), name
         assert second[name].shape == p.shape, name
-    theta, grad = model.trainable()
-    assert theta.base is model.theta and grad.base is model.grad
-    assert theta.size == model.theta.size
+    if fusion == "kpff":
+        assert model.kpff.grad_ws is second["fusion.ws"]
     with pytest.raises(TypeError):
         second["head.bias"] = np.zeros(3)  # the mapping is read-only
 
@@ -1022,7 +1021,7 @@ class BlockLoopKpffModel(Model):
         for k in range(n):
             blk = fused[:, k * r:(k + 1) * r]
             for i in range(n):
-                blk += self.fusion_ws[i, k] * projected[i]
+                blk += self.kpff.W[i, k] * projected[i]
         return fused
 
     def _fuse_backward(self, dfused):
@@ -1034,16 +1033,16 @@ class BlockLoopKpffModel(Model):
         for i in range(n):
             for b in range(n):
                 blk = (b + 1) % n if hooks.injected_bug() == "kpff-w" else b
-                self.grad_fusion_ws[i, b] += float(
+                self.kpff.grad_ws[i, b] += float(
                     np.sum(dfused[:, blk * r:(blk + 1) * r] * projected[i])
                 )
         dprojected = []
         for j in range(n):
             dp = np.zeros_like(projected[j])
             for k in range(n):
-                wjk = self.fusion_ws[j, k]
+                wjk = self.kpff.W[j, k]
                 if hooks.injected_bug() == "kpff-x":
-                    wjk = self.fusion_ws[k, j]
+                    wjk = self.kpff.W[k, j]
                 dp += dfused[:, k * r:(k + 1) * r] * wjk
             dprojected.append(dp)
         return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
@@ -1179,13 +1178,12 @@ def test_training_step_calls_no_numpy_python_helpers():
         model = Model(seed=0, image_size=16, channels=(6, 12), fusion=fusion,
                       num_classes=4, dropout_p=0.1)
         opt = OptimizerState("adam", lr=3e-3, weight_decay=5e-4)
-        theta, grad = model.trainable()
         drop, shuffle = stream(0, "dropout"), stream(0, "shuffle")
         profiler = cProfile.Profile()
         profiler.enable()
         try:
             model.forward_backward(x, labels, train=True, dropout_stream=drop)
-            opt.apply(theta, grad)
+            opt.apply(model.theta, model.grad)
             model.evaluate(x, labels)
             shuffle.permutation(80)
         finally:
