@@ -47,7 +47,7 @@ def load_tree(root, alias):
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("config", "data", "harness", "net", "rng")}
+            for name in ("config", "data", "fusion", "harness", "net", "rng")}
 
 
 class Side:

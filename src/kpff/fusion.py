@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .tensor import ShapeError, from_array
+from .tensor import ShapeError, check_array, from_array
 from .hooks import injected_bug
 
 # ---------------------------------------------------------------------------
@@ -42,46 +42,63 @@ def count_ops():
 
 @dataclass(frozen=True)
 class FusionInputs:
-    """n feature vectors x_i of a common length r: a tuple of read-only
-    float64 rows, as fusion_inputs checks and builds them."""
+    """n feature vectors x_i of a common length r: the rows of xs, one
+    read-only, C-contiguous float64 [n, r] array, as fusion_inputs checks
+    and builds it."""
 
-    xs: tuple
+    xs: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.xs)
+        return self.xs.shape[0]
 
     @property
     def r(self) -> int:
-        return self.xs[0].shape[0]
+        return self.xs.shape[1]
 
 
 def fusion_inputs(vectors) -> FusionInputs:
     """The inputs of the fusion ops from n vectors (arrays or lists) of one
-    length, each copied, checked finite and frozen."""
-    xs = tuple(from_array(v, f"fusion input {i}", rank=1) for i, v in enumerate(vectors))
-    if not xs:
+    length, each checked finite, copied once into one frozen [n, r] array."""
+    rows = [check_array(np.asarray(v, dtype=np.float64), f"fusion input {i}", rank=1)
+            for i, v in enumerate(vectors)]
+    if not rows:
         raise ShapeError("need at least one input vector")
-    if len({x.shape[0] for x in xs}) > 1:
+    if len({row.shape[0] for row in rows}) > 1:
         raise ShapeError(f"fusion inputs must share one length, got lengths "
-                         f"{[x.shape[0] for x in xs]}")
+                         f"{[row.shape[0] for row in rows]}")
+    xs = np.array(rows)  # the one copy: a float64 row is still the caller's array
+    xs.setflags(write=False)
     return FusionInputs(xs)
 
 
 def fuse_add(inputs: FusionInputs) -> np.ndarray:
-    """sum_i x_i: a read-only [r] array."""
-    acc = inputs.xs[0].copy()
-    for x in inputs.xs[1:]:
-        acc += x
-        if _COUNTING:
-            _COUNTS["add"] += inputs.r
-    acc.setflags(write=False)
-    return acc
+    """sum_i x_i in i order: a read-only [r] array."""
+    xs = inputs.xs
+    n, r = xs.shape
+    if n > 2 and 1 < r <= MIN_TILE:
+        # one call: a reduce over the first axis adds the rows one after
+        # another, from -0.0, which leaves the first row as it is. At
+        # n = 16, r = 64 it takes 3.6 us where n calls take 10
+        out = np.add.reduce(xs, axis=0, initial=-0.0)
+    else:
+        # n - 1 calls. numpy reduces an [n, 1] array over one collapsed axis,
+        # which it sums pairwise from n = 8. Past MIN_TILE columns the
+        # reduce's extra passes over the output cost more than the calls it
+        # saves (n = 4, r = 32768: 51 us against 40), and at n = 2 one add
+        # is one call already
+        out = xs[0] + xs[1] if n > 1 else xs[0].copy()
+        for i in range(2, n):
+            out += xs[i]
+    if _COUNTING:
+        _COUNTS["add"] += (n - 1) * r
+    out.setflags(write=False)
+    return out
 
 
 def fuse_concat(inputs: FusionInputs) -> np.ndarray:
     """x_1 .. x_n back to back: a read-only [n*r] array."""
-    out = np.concatenate(inputs.xs)
+    out = inputs.xs.flatten()
     if _COUNTING:
         _COUNTS["copy"] += inputs.n * inputs.r
     out.setflags(write=False)
@@ -96,9 +113,17 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 # n rows, but never fewer than MIN_TILE columns: 16384 at n = 2, 8192 at
 # n = 4, 4096 from n = 8 up. A tile's buffers then take at most 256 KiB
 # each, and a backward tile streams four of them (accumulator, product, the
-# copied X tile and the U tile), 1 MiB, inside a 2 MiB L2. At twice the
+# X tile and the U tile), 1 MiB, inside a 2 MiB L2. At twice the
 # values those four filled the L2: n = 4, r = 32768 backward ran 8-13%
 # slower than at 4096 columns.
+# A call of fewer than MIN_TILE values (n*m) is not tiled: _small_sums sums
+# it whole. Against the tile loop, forward plus backward at n*m = 2048 ran
+# 12-50% faster for n = 2..16 (n = 4, m = 512: 47 -> 30 us; n = 16,
+# m = 128: 162 -> 99 us), and at n*m = 4096, where a narrow tile's small
+# ufunc buffer makes the loop cheap, 9-21% slower (n = 8, m = 512:
+# 80 -> 97 us). A bound on the n*n*m products alone misses that line: at
+# n*n*m = 16384, n = 16 ran 50% faster and n = 4 19% slower. The products
+# of a call summed whole take under n*MIN_TILE values, 512 KiB at n = 16.
 MIN_TILE = 4096
 TILE_VALUES = 1 << 15
 # Elements in numpy's ufunc buffer while a narrow tile is summed. numpy
@@ -167,16 +192,34 @@ class _TileSums:
             self.out[:, start:stop] = acc
 
 
+def _small_sums(A, B):
+    """out[k] = sum_i A[i, k] * B[i] for an [n, m] B of fewer than MIN_TILE
+    values, in two numpy calls where _TileSums makes about 2n: one multiply
+    into the [n, n, m] products and one reduce over their first axis. The
+    Model calls of the reference config (n = 2, m = N*r = 300 at batch 50)
+    are among them.
+
+    The products are laid out in C order, i outermost, even when A is W.T,
+    so the reduce adds whole [n, m] rows in i order, from +0.0 (0.0 + -0.0 is
+    +0.0): the sums of _TileSums bit for bit. Over an axis that numpy lays
+    out innermost it would sum pairwise.
+    """
+    products = np.multiply(A[:, :, None], B[:, None, :], order="C")
+    return np.add.reduce(products, axis=0, initial=0.0)
+
+
 def kpff_kernel(W, X):
     """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
 
-    W is n x n with row i = w_i; X is n rows x_i of one length m (an [n, m]
-    array or a sequence of vectors). A batch of N samples is m = N*r, each
-    row holding one input's N vectors back to back.
+    W is n x n with row i = w_i; X is an [n, m] array whose row i is x_i. A
+    batch of N samples is m = N*r, each row holding one input's N vectors
+    back to back.
     """
-    n, m = len(X), X[0].shape[0]
+    n, m = X.shape
     if _COUNTING:
         _COUNTS["madd"] += W.shape[0] * n * m
+    if n * m < MIN_TILE:
+        return _small_sums(W, X)
     sums = _TileSums(n, m)
     for start, stop in sums.tiles():
         sums.add_tile(W, X, start, stop)
@@ -197,14 +240,13 @@ def kpff_kernel_backward(W, X, U):
         _COUNTS["madd"] += 2 * W.shape[0] * U.size
     bug = injected_bug()
     A = W if bug == "kpff-x" else W.T
+    G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
+    if n * m < MIN_TILE:
+        return X @ G.T, _small_sums(A, U)
     dW = np.zeros((n, n))
     sums = _TileSums(n, m)
     for start, stop in sums.tiles():
-        ut = U[:, start:stop]
-        if bug == "kpff-w":
-            ut = np.roll(ut, -1, axis=0)
-        # the rows X[i] are copied one tile at a time, never into one n x m array
-        dW += np.array([x[start:stop] for x in X]) @ ut.T
+        dW += X[:, start:stop] @ G[:, start:stop].T
         sums.add_tile(A, U, start, stop)
     return dW, sums.out
 
@@ -277,7 +319,7 @@ def kpff_backward(layer: KpffLayer, upstream: np.ndarray) -> np.ndarray:
     """
     if layer.cache is None:
         raise RuntimeError("kpff_backward called before forward (no cached inputs)")
-    n, r = len(layer.cache), layer.cache[0].shape[0]
+    n, r = layer.cache.shape
     if upstream.shape != (n * r,):
         raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
     dX = layer.backward_batch(upstream.reshape(n, r))

@@ -87,29 +87,34 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
     loss_curve = []
     val_curve = []
     best_acc = 0.0
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = shuffle_stream.permutation(len(train_idx))
-        epoch_losses = []
-        for k, start in enumerate(starts, 1):
-            sel = perm[start : start + batch]
-            try:
-                loss, _, _ = model.forward_backward(
-                    x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
-                )
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"epoch {epoch}, batch {k} of {len(starts)}: {exc}") from exc
-            # forward_backward wrote the gradient of every parameter in theta
-            opt.apply(model.theta, model.grad)
-            epoch_losses.append(loss)
-        loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
-        # the last epoch always evaluates, and its loss and accuracy are final
-        if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:
-            try:
-                final_loss, final_acc = model.evaluate(x_test, y_test)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"evaluation after epoch {epoch}: {exc}") from exc
-            val_curve.append((epoch, final_acc))
-            best_acc = max(best_acc, final_acc)
+    # a diverging run is reported once, by the logits check in forward_backward
+    # or evaluate; numpy's overflow and invalid-value warnings on the way there
+    # add nothing to it. Set once per run: errstate costs too much per step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            perm = shuffle_stream.permutation(len(train_idx))
+            epoch_losses = []
+            for k, start in enumerate(starts, 1):
+                sel = perm[start : start + batch]
+                try:
+                    loss, _, _ = model.forward_backward(
+                        x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
+                    )
+                except NonFiniteError as exc:
+                    where = f"epoch {epoch}, batch {k} of {len(starts)}"
+                    raise NonFiniteError(f"{where}: {exc}") from exc
+                # forward_backward wrote the gradient of every parameter in theta
+                opt.apply(model.theta, model.grad)
+                epoch_losses.append(loss)
+            loss_curve.append(float(np.add.reduce(epoch_losses)) / len(epoch_losses))
+            # the last epoch always evaluates, and its loss and accuracy are final
+            if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:
+                try:
+                    final_loss, final_acc = model.evaluate(x_test, y_test)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"evaluation after epoch {epoch}: {exc}") from exc
+                val_curve.append((epoch, final_acc))
+                best_acc = max(best_acc, final_acc)
 
     return {
         "fold": fold,

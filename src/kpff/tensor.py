@@ -19,12 +19,18 @@ def from_array(values, what="array", rank=None) -> np.ndarray:
     """A read-only, contiguous float64 copy of values (nested lists or an
     ndarray) in their shape, which must have rank 1..4 (exactly `rank` when
     given) and extents >= 1, every value finite. Errors name `what`."""
-    arr = np.array(values, dtype=np.float64, order="C")
+    arr = check_array(np.array(values, dtype=np.float64, order="C"), what, rank)
+    arr.setflags(write=False)
+    return arr
+
+
+def check_array(arr, what="array", rank=None) -> np.ndarray:
+    """arr itself, once from_array's checks of rank, extents and finiteness
+    pass; it is neither copied nor frozen. Errors name `what`."""
     if not (1 <= arr.ndim <= 4 if rank is None else arr.ndim == rank):
         raise ShapeError(f"{what} must have rank {rank or '1..4'}, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"{what} extents must be >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{what} contains NaN or Inf")
-    arr.setflags(write=False)
     return arr

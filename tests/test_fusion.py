@@ -1,5 +1,6 @@
 import os
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,13 +103,28 @@ def test_fusion_inputs_validation():
 
 
 def test_fusion_inputs_are_read_only_copies():
+    # one read-only, C-contiguous float64 [n, r] array that shares no memory
     rows = [np.array([1.0, 2.0]), np.array([3, 4])]
     xs = fusion_inputs(rows)
     rows[0][0] = 9.0
-    assert [x.tolist() for x in xs.xs] == [[1.0, 2.0], [3.0, 4.0]]
-    for x in xs.xs:
-        assert x.dtype == np.float64 and not x.flags.writeable
+    assert isinstance(xs.xs, np.ndarray) and xs.xs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert xs.xs.dtype == np.float64 and xs.xs.flags.c_contiguous and not xs.xs.flags.writeable
+    assert not any(np.shares_memory(xs.xs, row) for row in rows)
     assert (xs.n, xs.r) == (2, 2)
+    strided = np.arange(12.0).reshape(3, 4)[:, ::2]  # rows that are views
+    assert fusion_inputs(list(strided)).xs.tolist() == strided.tolist()
+
+
+def test_fusion_inputs_copy_float64_rows_once():
+    rows = [np.ones(4096) for _ in range(8)]
+    tracemalloc.start()
+    try:
+        xs = fusion_inputs(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the [8, 4096] array, and no row copies on the way to it
+    assert xs.xs.nbytes <= peak < 1.25 * xs.xs.nbytes
 
 
 def test_kpff_layer_validation_and_read_only_weights():
@@ -167,7 +183,7 @@ def test_kpff_forward_equals_kron_sum_bitwise(n, r, seed):
     assert got.tolist() == oracle.tolist()  # same multiply-add order: bit-exact
 
 
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32))
+@given(st.integers(1, 16), st.integers(1, 8), st.integers(0, 2**32))
 @settings(max_examples=100)
 def test_degeneration_properties(n, r, seed):
     s = Stream(seed)
@@ -189,7 +205,7 @@ def test_fusion_outputs_are_read_only_and_own_their_memory(n, r):
     up = s.uniform(size=(n * r,), low=-1, high=1)
     outs = [(fuse_add(xs), (r,)), (fuse_concat(xs), (n * r,)),
             (kpff_forward(layer, xs), (n * r,)), (kpff_backward(layer, up), (n, r))]
-    held = [*xs.xs, up, layer.W, layer.grad_ws]
+    held = [xs.xs, up, layer.W, layer.grad_ws]
     for out, shape in outs:
         assert out.dtype == np.float64 and out.shape == shape
         assert not out.flags.writeable
@@ -430,7 +446,7 @@ def test_kernel_keeps_the_sign_of_zero_sums(r):
 
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x"])
 def test_kernel_hooks_match_the_block_loop_hooks(bug):
-    for n, r in [(3, tile_width(3) + 5), *NARROW_SCOPED]:
+    for n, r in [(3, 7), (16, 64), (3, tile_width(3) + 5), *NARROW_SCOPED]:  # small ones too
         hooks.set_injected_bug(bug)
         try:
             W, X, U, _, dw, dx = _kernel_case(n, r, seed=41)
@@ -474,6 +490,64 @@ def test_kernel_batched_rows_equal_single_samples():
         assert dX.reshape(n, N, r)[:, t].tobytes() == dX_t.tobytes()
 
 
+def row_loop_add(X):
+    """The per-row loop fuse_add replaced: the first row, then each later
+    one added in order."""
+    acc = X[0].copy()
+    for x in X[1:]:
+        acc += x
+    return acc
+
+
+def _signed_zero_case(n, r, seed):
+    """W, X and U uniform in [-2, 2) with signed zeros: W's last column is
+    -0.0 (from n = 2), and from the second column of X and U every third is
+    -0.0 and every fifth a mix of +0.0 and -0.0, so some sums hold only
+    zeros of either sign. The first column stays nonzero, so that r = 1
+    sums values."""
+    s = Stream(seed)
+    W = s.uniform(size=(n, n), low=-2, high=2)
+    if n > 1:
+        W[:, -1] = -0.0
+    X, U = (s.uniform(size=(n, r), low=-2, high=2) for _ in range(2))
+    for A in (X, U):
+        A[:, 1::3] = -0.0
+        A[::2, 2::5] = 0.0
+        A[1::2, 2::5] = -0.0
+    return W, X, U
+
+
+def _property_widths(n):
+    """Row lengths for n rows: short ones, the two either side of the last
+    call summed whole (n*r < MIN_TILE), and tile boundaries."""
+    whole = -(-MIN_TILE // n)  # the first r summed in tiles
+    widths = {1, 2, 7, 8, 64, 300, whole - 1, whole}
+    if n in (2, 3, 16):
+        widths |= {tile_width(n) + d for d in (-1, 0, 1)}
+    return sorted(widths)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fusion_ops_equal_per_row_loops_bitwise(n):
+    # sign bits included: tobytes tells -0.0 from +0.0
+    for r in _property_widths(n):
+        W, X, U = _signed_zero_case(n, r, seed=n * 1009 + r)
+        xs = fusion_inputs(list(X))
+        with count_ops() as counts:
+            y = kpff_kernel(W, X)
+            assert counts["madd"] == n * n * r
+            _, dx = kpff_kernel_backward(W, X, U)
+            assert counts["madd"] == 3 * n * n * r
+            concat = fuse_concat(xs)
+            assert counts["copy"] == n * r
+            add = fuse_add(xs)
+            assert counts["add"] == (n - 1) * r
+        assert y.tobytes() == block_loop_forward(W, X).tobytes(), r
+        assert dx.tobytes() == block_loop_backward(W, X, U)[1].tobytes(), r
+        assert concat.tobytes() == np.concatenate(list(X)).tobytes(), r
+        assert add.tobytes() == row_loop_add(X).tobytes(), r
+
+
 @pytest.fixture
 def bufsize_calls(monkeypatch):
     """Record every np.setbufsize call, passing each one through."""
@@ -505,11 +579,10 @@ def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls):
 
 def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
     before = np.getbufsize()
-    X = [np.ones(1024), np.ones(1024), np.ones(1000), np.ones(1024)]  # row 2 short
-    with pytest.raises(ValueError):
-        kpff_kernel(np.eye(4), X)
-    # a weight row too many: the dx sums of the tile fail, after its dW GEMM
     X = np.ones((4, 1024))
+    with pytest.raises(ValueError):  # weight rows too long for the tile
+        kpff_kernel(np.ones((4, 5)), X)
+    # a weight row too many: the dx sums of the tile fail, after its dW GEMM
     with pytest.raises(ValueError):
         kpff_kernel_backward(np.ones((5, 4)), X, X)
     assert len(bufsize_calls) == 4  # both raised inside a scope

@@ -24,7 +24,13 @@ from kpff.net import (
     gap_batch,
     softmax_ce_batch,
 )
-from kpff.gradcheck import check_model, finite_diff_grad, model_loss
+from kpff.gradcheck import (
+    check_model,
+    check_value,
+    finite_diff_grad,
+    model_loss,
+    sample_coords,
+)
 from kpff.rng import Stream, stream
 from kpff.tensor import NonFiniteError, ShapeError
 
@@ -499,6 +505,37 @@ def test_model_check_catches_fusion_backward_bugs(bug):
     W = model.params()["fusion.ws"]
     assert not np.array_equal(W, W.T)
     assert any(not r.passed for r in reports)
+
+
+def test_model_gradients_with_dropout_match_finite_differences():
+    # training mode: every loss evaluation draws its mask from a fresh stream
+    # of one seed and name, so each drops the units the backward pass dropped
+    model = Model(seed=2, image_size=10, channels=(3, 4), activation="sigmoid",
+                  fusion="kpff", num_classes=3, dropout_p=0.5, kpff_noise=0.1)
+    s = Stream(6)
+    x = s.uniform(size=(4, 1, 10, 10))
+    labels = np.array([0, 1, 2, 1])
+
+    def loss(_):
+        logits = model.forward_batch(x, train=True,
+                                     dropout_stream=stream(2, "gradcheck/dropout"))
+        return float(softmax_ce_batch(logits, labels)[0].mean())
+
+    _, _, grads = model.forward_backward(x, labels, train=True,
+                                         dropout_stream=stream(2, "gradcheck/dropout"))
+    mask = model._dropout_mask
+    assert 0 < np.count_nonzero(mask) < mask.size  # some units dropped, some kept
+    grads = {name: g.copy() for name, g in grads.items()}
+    sampler = stream(2, "gradcheck/sample")
+    reports = []
+    for name, arr in model.params().items():
+        coords = sample_coords(arr.size, sampler, cap=40)
+        num = finite_diff_grad(loss, arr, coords=coords)
+        g = grads[name].ravel()
+        reports.extend(check_value(f"{name}[{k}]", float(g[k]), float(d), tol=1e-5)
+                       for k, d in zip(coords, num))
+    bad = [r for r in reports if not r.passed]
+    assert not bad, bad[:5]
 
 
 def test_model_loss_helper_consistent():
