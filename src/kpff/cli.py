@@ -281,7 +281,7 @@ def build_parser():
 
     p = sub.add_parser("fuse", help="fuse feature vectors from a CSV file")
     p.add_argument("--inputs", required=True, help="CSV, one feature vector per row")
-    p.add_argument("--weights", help="CSV of kpff weight vectors (n rows of length n)")
+    p.add_argument("--weights", help="CSV of kpff weight vectors (n rows of one length m)")
     p.add_argument("--method", required=True, choices=("add", "concat", "kpff"))
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_fuse)

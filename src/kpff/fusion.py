@@ -2,11 +2,11 @@
 generalizes.
 
 The fused vector is y = sum_i w_i (x) x_i, where each x_i is a length-r
-feature vector, each w_i a learnable length-n weight vector, and (x) the
-Kronecker product. In 0-based indices, block k of y (the slice
-y[k*r:(k+1)*r]) equals sum_i w_i[k] * x_i. Setting w_i = e_i reproduces
-concatenation; setting every w_i = e_0 puts the elementwise sum in block 0
-and zeros elsewhere.
+feature vector, each w_i a length-m weight vector (row i of an n x m W),
+and (x) the Kronecker product, so y has m blocks of length r. In 0-based
+indices, block k of y (the slice y[k*r:(k+1)*r]) equals sum_i w_i[k] * x_i.
+W = I (m = n) reproduces concatenation and W = 1_n (m = 1, every w_i = (1))
+the elementwise sum, each up to the sign of a zero (docs/gradients.md).
 """
 
 from dataclasses import dataclass
@@ -110,20 +110,21 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 # runs through kpff_kernel and kpff_kernel_backward
 
 # Columns per tile of the kernel's loops: about TILE_VALUES values over the
-# n rows, but never fewer than MIN_TILE columns: 16384 at n = 2, 8192 at
-# n = 4, 4096 from n = 8 up. A tile's buffers then take at most 256 KiB
-# each, and a backward tile streams four of them (accumulator, product, the
-# X tile and the U tile), 1 MiB, inside a 2 MiB L2. At twice the
-# values those four filled the L2: n = 4, r = 32768 backward ran 8-13%
-# slower than at 4096 columns.
-# A call of fewer than MIN_TILE values (n*m) is not tiled: _small_sums sums
-# it whole. Against the tile loop, forward plus backward at n*m = 2048 ran
-# 12-50% faster for n = 2..16 (n = 4, m = 512: 47 -> 30 us; n = 16,
-# m = 128: 162 -> 99 us), and at n*m = 4096, where a narrow tile's small
-# ufunc buffer makes the loop cheap, 9-21% slower (n = 8, m = 512:
-# 80 -> 97 us). A bound on the n*n*m products alone misses that line: at
-# n*n*m = 16384, n = 16 ran 50% faster and n = 4 19% slower. The products
-# of a call summed whole take under n*MIN_TILE values, 512 KiB at n = 16.
+# larger side of W (n at a square W), but never fewer than MIN_TILE columns:
+# 16384 at n = 2, 8192 at n = 4, 4096 from n = 8 up. A tile's buffers then
+# take at most 256 KiB each, and a backward tile streams four of them
+# (accumulator, product, the X tile and the U tile), 1 MiB, inside a 2 MiB
+# L2. At twice the values those four filled the L2: n = 4, r = 32768
+# backward ran 8-13% slower than at 4096 columns.
+# A call whose X holds fewer than MIN_TILE values (n*m) is not tiled:
+# _small_sums sums it whole. Against the tile loop, with a square W, forward
+# plus backward at n*m = 2048 ran 12-50% faster for n = 2..16 (n = 4,
+# m = 512: 47 -> 30 us; n = 16, m = 128: 162 -> 99 us), and at n*m = 4096,
+# where a narrow tile's small ufunc buffer makes the loop cheap, 9-21%
+# slower (n = 8, m = 512: 80 -> 97 us). A bound on the n*n*m products alone
+# misses that line: at n*n*m = 16384, n = 16 ran 50% faster and n = 4 19%
+# slower. The products of a call summed whole take under W.shape[1] *
+# MIN_TILE values, 512 KiB at a 16 x 16 W.
 MIN_TILE = 4096
 TILE_VALUES = 1 << 15
 # Elements in numpy's ufunc buffer while a narrow tile is summed. numpy
@@ -151,18 +152,19 @@ class _TileSums:
     or re-read; a single tile is summed in `out` itself.
     """
 
-    def __init__(self, n, m):
-        width = self.width = min(m, max(MIN_TILE, TILE_VALUES // n))
-        self.out = np.empty((n, m))
+    def __init__(self, A, m):
+        n, rows = A.shape  # out[k] for k < rows sums n terms
+        width = self.width = min(m, max(MIN_TILE, TILE_VALUES // max(n, rows)))
+        self.out = np.empty((rows, m))
         if width == m:
-            self._acc, self._prod = self.out, np.empty((n, width))
+            self._acc, self._prod = self.out, np.empty((rows, width))
         else:
             # both tiles in one buffer, so their distance is ours to choose
-            size = n * width
+            size = rows * width
             gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
             buf = np.empty(2 * size + gap)
-            self._acc = buf[:size].reshape(n, width)
-            self._prod = buf[size + gap:].reshape(n, width)
+            self._acc = buf[:size].reshape(rows, width)
+            self._prod = buf[size + gap:].reshape(rows, width)
 
     def tiles(self):
         m, width = self.out.shape[1], self.width
@@ -193,9 +195,9 @@ class _TileSums:
 
 
 def _small_sums(A, B):
-    """out[k] = sum_i A[i, k] * B[i] for an [n, m] B of fewer than MIN_TILE
+    """out[k] = sum_i A[i, k] * B[i] for a call of fewer than MIN_TILE input
     values, in two numpy calls where _TileSums makes about 2n: one multiply
-    into the [n, n, m] products and one reduce over their first axis. The
+    into the [n, rows, m] products and one reduce over their first axis. The
     Model calls of the reference config (n = 2, m = N*r = 300 at batch 50)
     are among them.
 
@@ -211,49 +213,49 @@ def _small_sums(A, B):
 def kpff_kernel(W, X):
     """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
 
-    W is n x n with row i = w_i; X is an [n, m] array whose row i is x_i. A
-    batch of N samples is m = N*r, each row holding one input's N vectors
-    back to back.
+    W is n x m_out with row i = w_i; X is an [n, m] array whose row i is
+    x_i; Y is [m_out, m]. A batch of N samples is m = N*r, each row holding
+    one input's N vectors back to back.
     """
-    n, m = X.shape
     if _COUNTING:
-        _COUNTS["madd"] += W.shape[0] * n * m
-    if n * m < MIN_TILE:
+        _COUNTS["madd"] += W.size * X.shape[1]
+    if X.size < MIN_TILE:
         return _small_sums(W, X)
-    sums = _TileSums(n, m)
+    sums = _TileSums(W, X.shape[1])
     for start, stop in sums.tiles():
         sums.add_tile(W, X, start, stop)
     return sums.out
 
 
 def kpff_kernel_backward(W, X, U):
-    """(dW, dX) for the upstream gradient U, an [n, m] array whose row b is
-    the gradient of block b of y (0-based, see docs/gradients.md):
+    """(dW, dX) for the upstream gradient U, an [m_out, m] array whose row b
+    is the gradient of block b of y (0-based, see docs/gradients.md):
 
       dW[i, b] = U[b] . X[i]           one GEMM per tile, within gamma_m of exact
       dX[j]    = sum_k W[j, k] U[k]    tile sums over W^T, in k order
 
-    Both run in one pass over the column tiles, so U is read once.
+    dW is n x m_out like W, dX [n, m] like X. Both run in one pass over the
+    column tiles, so U is read once.
     """
-    n, m = U.shape
     if _COUNTING:
-        _COUNTS["madd"] += 2 * W.shape[0] * U.size
+        _COUNTS["madd"] += 2 * W.size * U.shape[1]
     bug = injected_bug()
     A = W if bug == "kpff-x" else W.T
     G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
-    if n * m < MIN_TILE:
+    if X.size < MIN_TILE:
         return X @ G.T, _small_sums(A, U)
-    dW = np.zeros((n, n))
-    sums = _TileSums(n, m)
+    dW = np.zeros(W.shape)
+    sums = _TileSums(A, U.shape[1])
     for start, stop in sums.tiles():
-        dW += X[:, start:stop] @ G[:, start:stop].T
         sums.add_tile(A, U, start, stop)
+        dW += X[:, start:stop] @ G[:, start:stop].T
     return dW, sums.out
 
 
 class KpffLayer:
-    """Learnable fusion layer: n weight vectors w_i of length n, the rows of
-    the read-only n x n array W.
+    """Fusion layer: n weight vectors w_i of one length m, the rows of the
+    read-only n x m array W. The layer fuses n inputs into m blocks: W = I
+    is Concat and W = 1_n (m = 1) is Add, whose every w_i is (1).
 
     forward_batch caches its inputs; backward_batch accumulates into
     grad_ws (row i is dL/dw_i) and returns the gradients w.r.t. the inputs.
@@ -263,13 +265,13 @@ class KpffLayer:
     """
 
     def __init__(self, ws):
-        n = len(ws)
         rows = [from_array(w, f"weight vector {i}", rank=1) for i, w in enumerate(ws)]
-        for w in rows:
-            if w.shape[0] != n:
-                raise ShapeError(f"need {n} weight vectors of length {n}, got {w.shape}")
+        for i, w in enumerate(rows):
+            if w.shape != rows[0].shape:
+                raise ShapeError(f"weight vector {i} has length {w.shape[0]}, "
+                                 f"weight vector 0 has {rows[0].shape[0]}")
         self.W = from_array(rows, "weight vectors")
-        self.grad_ws = np.zeros((n, n))
+        self.grad_ws = np.zeros(self.W.shape)
         self.cache = None
 
     @property
@@ -285,22 +287,22 @@ class KpffLayer:
         self.grad_ws[...] = 0.0
 
     def forward_batch(self, X):
-        """The [n, m] rows sum_i W[i, k] X[i] for n input rows X[i] of one
-        length m (kpff_kernel); caches X for backward_batch."""
+        """The rows sum_i W[i, k] X[i], one per column k of W, for n input
+        rows X[i] (kpff_kernel); caches X for backward_batch."""
         self.cache = X
         return kpff_kernel(self.W, X)
 
     def backward_batch(self, U):
-        """Add dW into grad_ws for the [n, m] upstream gradient U of the last
-        forward_batch, and return dX, [n, m] (kpff_kernel_backward)."""
+        """Add dW into grad_ws for the upstream gradient U of the last
+        forward_batch (a row per column of W); return dX, shaped like X."""
         dW, dX = kpff_kernel_backward(self.W, self.cache, U)
         self.grad_ws += dW
         return dX
 
 
 def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> np.ndarray:
-    """y = sum_i w_i (x) x_i: a read-only [n*r] array. Caches the inputs for
-    kpff_backward."""
+    """y = sum_i w_i (x) x_i: a read-only [m*r] array for an n x m layer.
+    Caches the inputs for kpff_backward."""
     if layer.n != inputs.n:
         raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {inputs.n}")
     y = layer.forward_batch(inputs.xs)
@@ -310,8 +312,8 @@ def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> np.ndarray:
 
 def kpff_backward(layer: KpffLayer, upstream: np.ndarray) -> np.ndarray:
     """Accumulate dL/dw into grad_ws for the upstream gradient dL/dy, an
-    [n*r] array, and return dL/dx as a read-only [n, r] array whose row j is
-    dL/dx_j.
+    [m*r] array for an n x m layer, and return dL/dx as a read-only [n, r]
+    array whose row j is dL/dx_j.
 
     0-based forms (block b is the slice [b*r, (b+1)*r)):
       dL/dw_i[b]  = sum_c upstream[b*r + c] * x_i[c]
@@ -319,9 +321,9 @@ def kpff_backward(layer: KpffLayer, upstream: np.ndarray) -> np.ndarray:
     """
     if layer.cache is None:
         raise RuntimeError("kpff_backward called before forward (no cached inputs)")
-    n, r = layer.cache.shape
-    if upstream.shape != (n * r,):
-        raise ShapeError(f"upstream must have length {n * r}, got {upstream.shape}")
-    dX = layer.backward_batch(upstream.reshape(n, r))
+    m, r = layer.W.shape[1], layer.cache.shape[1]
+    if upstream.shape != (m * r,):
+        raise ShapeError(f"upstream must have length {m * r}, got {upstream.shape}")
+    dX = layer.backward_batch(upstream.reshape(m, r))
     dX.setflags(write=False)
     return dX

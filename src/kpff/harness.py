@@ -173,10 +173,11 @@ def _worker(writer, share, run):
         os._exit(status)
 
 
-def _receive(workers, reader, results):
-    """Take one message from a worker's pipe. At the end of the pipe the
-    worker is reaped and dropped from `workers`; it must have sent every
-    job of its share."""
+def _receive(workers, reader, results, failures):
+    """Take one message from a worker's pipe into `results` or `failures`
+    (job -> (message, cause)). At the end of the pipe the worker is reaped
+    and dropped from `workers`; a share it left unfinished without saying
+    why fails at its first missing job."""
     pid, share = workers[reader]
     try:
         kind, job, *detail = reader.recv()
@@ -185,27 +186,28 @@ def _receive(workers, reader, results):
         reader.close()
         _, status = os.waitpid(pid, 0)
         missing = [job for job in share if job not in results]
-        if missing:
-            raise JobError(
+        if missing:  # after an "error" message, missing[0] is its job, already failed
+            failures.setdefault(missing[0], (
                 f"crossval worker process {pid} ended (exit code "
                 f"{os.waitstatus_to_exitcode(status)}) without the results of "
-                f"{', '.join(map(_job_name, missing))}") from None
+                f"{', '.join(map(_job_name, missing))}", None))
         return
     if kind == "error":
         message, worker_traceback = detail
-        raise JobError(f"crossval job {_job_name(job)} failed in worker process {pid}: "
-                       f"{message}\n\nworker traceback:\n{worker_traceback}")
-    results[job] = detail[0]
+        failures[job] = (f"crossval job {_job_name(job)} failed in worker process {pid}: "
+                         f"{message}\n\nworker traceback:\n{worker_traceback}", None)
+    else:
+        results[job] = detail[0]
 
 
-def _collect(workers, results, timeout):
+def _collect(workers, results, failures, timeout):
     """Take every message the workers send within `timeout` seconds; with
     None, wait until at least one has something."""
     from multiprocessing.connection import wait
 
     for reader in wait(list(workers), timeout):
         while reader in workers and reader.poll():
-            _receive(workers, reader, results)
+            _receive(workers, reader, results, failures)
 
 
 def _run_jobs(jobs, run, processes):
@@ -216,8 +218,10 @@ def _run_jobs(jobs, run, processes):
     process forks a worker for each share but the last, runs the last
     share itself, and between and after its own jobs collects the results
     the workers send down their pipes. With one process nothing is forked.
-    Whatever fails, the caller raises JobError, or re-raises what stopped
-    its own jobs, only after it has killed and reaped every worker.
+    Each share stops at its first failing job; the caller waits for every
+    worker, then raises the JobError of the first failing job in `jobs`
+    order, the same job at any process count. Anything else that stops the
+    caller is re-raised after it has killed and reaped every worker.
 
     Workers are forked, not spawned, so they start with the caller's data,
     modules and injected hooks as they are, and nothing is pickled on the
@@ -243,16 +247,20 @@ def _run_jobs(jobs, run, processes):
                 _worker(writer, share, run)  # does not return
             writer.close()
             workers[reader] = (pid, share)
-        results = {}
+        results, failures = {}, {}
         for job in shares[-1]:
             try:
                 results[job] = run(*job)
             except Exception as exc:
-                raise JobError(f"crossval job {_job_name(job)} failed: "
-                               f"{type(exc).__name__}: {exc}") from exc
-            _collect(workers, results, timeout=0)
+                failures[job] = (f"crossval job {_job_name(job)} failed: "
+                                 f"{type(exc).__name__}: {exc}", exc)
+                break
+            _collect(workers, results, failures, timeout=0)
         while workers:
-            _collect(workers, results, timeout=None)
+            _collect(workers, results, failures, timeout=None)
+        if failures:
+            message, cause = failures[min(failures, key=jobs.index)]
+            raise JobError(message) from cause
         return results
     finally:
         for reader, (pid, _) in workers.items():

@@ -341,7 +341,8 @@ class OptimizerState:
 # the toy model
 
 # the method tokens: kpff-frozen is kpff with W held at the Concat
-# initialisation I, a constant rather than a parameter
+# initialisation I, a constant rather than a parameter, which makes it the
+# same model as concat (Model.__init__)
 FUSION_METHODS = ("none", "add", "concat", "kpff", "kpff-frozen")
 
 
@@ -452,21 +453,19 @@ class Model:
                     )
                 )
 
+        # every method but none fuses through one KPFF layer: add at the
+        # constant W = 1_n, concat and kpff-frozen at the constant I, and
+        # kpff trains W from I (plus noise)
         self.kpff = None
-        if fusion.startswith("kpff"):  # kpff and kpff-frozen: one layer, W trained or not
-            ws = np.eye(n_taps)
+        head_in = channels[-1]
+        if fusion != "none":
+            ws = np.ones((n_taps, 1)) if fusion == "add" else np.eye(n_taps)
             if fusion == "kpff" and kpff_noise > 0.0:
                 ws = ws + stream(seed, "init/fusion.ws").normal(
                     size=(n_taps, n_taps), sigma=kpff_noise
                 )
             self.kpff = KpffLayer(ws)  # row i is w_i
-
-        if fusion == "none":
-            head_in = channels[-1]
-        elif fusion == "add":
-            head_in = self.r
-        else:
-            head_in = n_taps * self.r
+            head_in = self.kpff.W.shape[1] * self.r
         self.head = DenseLayer(
             init("head.weights", (num_classes, head_in), head_in),
             init("head.bias", (num_classes,), head_in),
@@ -516,31 +515,20 @@ class Model:
         if self.fusion == "none":
             return taps[-1]
         projected = [p.forward_batch(t) for p, t in zip(self.projections, taps)]
-        if self.fusion == "add":
-            acc = projected[0].copy()
-            for p in projected[1:]:
-                acc += p
-            return acc
-        if self.fusion == "concat":
-            return np.concatenate(projected, axis=1)
-        # block-major [n, N*r]: row i holds projection i's N vectors back to back
+        # block-major [n, N*r]: row i holds projection i's N vectors back to
+        # back; the m fused rows come back in the same layout
         n, (N, r) = len(projected), projected[0].shape
         fused = self.kpff.forward_batch(np.concatenate(projected).reshape(n, N * r))
-        return fused.reshape(n, N, r).transpose(1, 0, 2).reshape(N, n * r)
+        m = fused.shape[0]
+        return fused.reshape(m, N, r).transpose(1, 0, 2).reshape(N, m * r)
 
     def _fuse_backward(self, dfused):
         n, r = len(self.convs), self.r
         if self.fusion == "none":
-            dtaps = [None] * (n - 1) + [dfused]
-            return dtaps
-        if self.fusion == "add":
-            dprojected = [dfused for _ in range(n)]
-        elif self.fusion == "concat":
-            dprojected = [dfused[:, j * r:(j + 1) * r] for j in range(n)]
-        else:
-            N = dfused.shape[0]
-            upstream = dfused.reshape(N, n, r).transpose(1, 0, 2).reshape(n, N * r)
-            dprojected = self.kpff.backward_batch(upstream).reshape(n, N, r)
+            return [None] * (n - 1) + [dfused]
+        N, m = dfused.shape[0], self.kpff.W.shape[1]
+        upstream = dfused.reshape(N, m, r).transpose(1, 0, 2).reshape(m, N * r)
+        dprojected = self.kpff.backward_batch(upstream).reshape(n, N, r)
         return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
 
     def _blocks_forward(self, x):

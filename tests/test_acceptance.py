@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from kpff import hooks
+from kpff import harness, hooks
 from kpff.cli import main as cli_main
 from kpff.config import RunConfig
 from kpff.data import generate_synthetic, make_folds
@@ -22,8 +22,9 @@ from kpff.fusion import (
 )
 from kpff.gradcheck import check_model, kpff_dense_jacobians, relative_error, run_suite
 from kpff.harness import crossval
-from kpff.net import Model
+from kpff.net import FUSION_METHODS, Model
 from kpff.rng import Stream
+from test_net import AddConcatReferenceModel
 
 
 def report(name, ok, detail=""):
@@ -140,22 +141,22 @@ def test_criterion_3_oracle_equivalence():
 # --- 4: trajectory equivalence ----------------------------------------------------
 
 
-def test_criterion_4_trajectory_equivalence():
+def test_criterion_4_trajectory_equivalence(monkeypatch):
+    # Model runs add, concat and kpff-frozen through its KPFF layer at the
+    # constant W = 1_n and W = I; the reference model keeps Add and Concat
+    # on the += sum and np.concatenate, so each end meets a second path
     cfg = RunConfig(seed=6, per_class=10, image_size=12, channels=(4, 6),
                     max_epochs=10, lr=3e-3, batch_size=16, val_interval=5,
                     dropout_p=0.25)
-    rep, _, _ = crossval(cfg, ["concat", "kpff-frozen"])
-    concat = rep["methods"]["concat"]["folds"]
-    frozen = rep["methods"]["kpff-frozen"]["folds"]
-    ok = all(
-        c["loss_curve"] == f["loss_curve"]
-        and c["final_acc"] == f["final_acc"]
-        and c["final_loss"] == f["final_loss"]
-        and c["val_curve"] == f["val_curve"]
-        for c, f in zip(concat, frozen)
-    )
+    rep, _, _ = crossval(cfg, ["add", "concat", "kpff-frozen"])
+    monkeypatch.setattr(harness, "Model", AddConcatReferenceModel)
+    ref, _, _ = crossval(cfg, ["add", "concat"])
+    runs, refs = rep["methods"], ref["methods"]
+    pairs = [("add", "add"), ("concat", "concat"), ("concat", "kpff-frozen")]
+    ok = all(refs[a]["folds"] == runs[b]["folds"] for a, b in pairs)
     report("4 trajectory equivalence", ok,
-           "frozen kpff == concat per fold, exact, full 5-fold run")
+           "reference add == add, reference concat == concat == frozen kpff, "
+           "per fold, exact, full 5-fold run")
 
 
 # --- 5: full-model gradient check ---------------------------------------------------
@@ -186,19 +187,18 @@ def test_criterion_5_full_model_gradcheck():
 
 def test_criterion_6_comparison_table():
     started = time.time()
-    methods = ["none", "add", "concat", "kpff", "kpff-frozen"]
-    means = {m: [] for m in methods}
+    means = {m: [] for m in FUSION_METHODS}
     for seed in range(5):
         cfg = RunConfig(seed=seed, per_class=25, image_size=16, max_epochs=40,
                         lr=3e-3, dropout_p=0.1, val_interval=10)
-        rep, _, _ = crossval(cfg, methods)
-        for m in methods:
+        rep, _, _ = crossval(cfg, FUSION_METHODS)
+        for m in FUSION_METHODS:
             means[m].append(rep["methods"][m]["mean_final_acc"])
     mean = {m: 100 * float(np.mean(v)) for m, v in means.items()}
     elapsed = time.time() - started
     fusion_ok = all(mean[m] >= mean["none"] - 1.0 for m in ("add", "concat", "kpff"))
     kpff_ok = mean["kpff"] >= mean["kpff-frozen"] - 0.5
-    detail = ", ".join(f"{m} {mean[m]:.1f}%" for m in methods) + f", {elapsed:.0f}s"
+    detail = ", ".join(f"{m} {mean[m]:.1f}%" for m in FUSION_METHODS) + f", {elapsed:.0f}s"
     report("6 desk-scale comparison", fusion_ok and kpff_ok and elapsed < 600, detail)
 
 

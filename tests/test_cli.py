@@ -105,6 +105,22 @@ def test_fuse_bad_value_names_file_and_line(bad, value, message, tmp_path, capsy
     assert not out.exists()
 
 
+def test_fuse_kpff_at_a_ones_column_and_at_identity_is_add_and_concat(tmp_path):
+    # equal in value; where add or concat gives -0.0 (the -0.0 column), kpff
+    # gives +0.0, because its sums start from +0.0
+    inp = write(tmp_path / "in.csv", "1,-0,0.5\n-2,-0,0.25\n3,-0,-0.125\n")
+    cases = {"add": ("1\n1\n1\n", "2,-0,0.625\n", "2,0,0.625\n"),
+             "concat": ("1,0,0\n0,1,0\n0,0,1\n", "1,-0,0.5,-2,-0,0.25,3,-0,-0.125\n",
+                        "1,0,0.5,-2,0,0.25,3,0,-0.125\n")}
+    for method, (weights, own, kpff) in cases.items():
+        w = write(tmp_path / f"{method}-w.csv", weights)
+        out_own, out_kpff = tmp_path / f"{method}.csv", tmp_path / f"{method}-kpff.csv"
+        assert run_cli("fuse", "--inputs", inp, "--method", method, "--output", str(out_own)) == 0
+        assert run_cli("fuse", "--inputs", inp, "--method", "kpff", "--weights", w,
+                       "--output", str(out_kpff)) == 0
+        assert (out_own.read_text(), out_kpff.read_text()) == (own, kpff)
+
+
 def test_fuse_weight_count_mismatch(tmp_path):
     inp = write(tmp_path / "in.csv", "1,2\n3,4\n")
     w = write(tmp_path / "w.csv", "1,1\n")
@@ -266,9 +282,12 @@ def test_crossval_unknown_method(tmp_path, capsys):
 # a tiny config that SGD at lr 1e6 drives to non-finite logits within three epochs
 DIVERGING = ("--per-class", "5", "--image-size", "8", "--channels", "3,4", "--batch-size", "10",
              "--optimizer", "sgd", "--lr", "1e6", "--max-epochs", "3")
-DIVERGED = (r"crossval job \((add|kpff), fold \d\) failed( in worker process \d+)?: "
-            r"NonFiniteError: (epoch [1-3], batch [12] of 2|evaluation after epoch 3): "
-            r"non-finite logits")
+# the one job train runs, and of crossval's jobs the first in (method, fold)
+# order that fails, whichever process runs it
+DIVERGED_TRAIN = (r"crossval job \(kpff, fold 0\) failed: "
+                  r"NonFiniteError: epoch 3, batch 1 of 2: non-finite logits")
+DIVERGED_CROSSVAL = (r"crossval job \(add, fold 0\) failed in worker process \d+: "
+                     r"NonFiniteError: evaluation after epoch 3: non-finite logits")
 
 
 def test_a_diverging_run_says_where_and_writes_nothing(monkeypatch, tmp_path, capsys):
@@ -276,13 +295,12 @@ def test_a_diverging_run_says_where_and_writes_nothing(monkeypatch, tmp_path, ca
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run_cli("train", *DIVERGING, "--out", str(tmp_path / "train")) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(f"error: {DIVERGED}\n", err) and "(kpff, fold 0) failed: " in err
-    # on two processes the failing job may be a worker's: its traceback is not printed
+    assert re.fullmatch(f"error: {DIVERGED_TRAIN}\n", capsys.readouterr().err)
+    # on two processes (add, fold 0) is a worker's job: its traceback is not printed
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     assert run_cli("crossval", *DIVERGING, "--methods", "add,kpff",
                    "--out", str(tmp_path / "crossval")) == 1
-    assert re.fullmatch(f"error: {DIVERGED}\n", capsys.readouterr().err)
+    assert re.fullmatch(f"error: {DIVERGED_CROSSVAL}\n", capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 
 

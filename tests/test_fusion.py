@@ -134,8 +134,15 @@ def test_kpff_layer_validation_and_read_only_weights():
     assert layer.W.tolist() == [[1.0, 2.0], [3.0, 4.0]] and layer.n == 2
     with pytest.raises(ValueError):
         layer.W[0, 0] = 0.0
-    with pytest.raises(ShapeError, match="need 2 weight vectors of length 2"):
+    # n rows of one length m, any m >= 1
+    assert KpffLayer([[1], [2], [3]]).W.shape == (3, 1)
+    assert KpffLayer([[1, 2, 3]]).W.shape == (1, 3)
+    with pytest.raises(ShapeError, match="^weight vector 1 has length 1, weight vector 0 has 2$"):
         KpffLayer([[1, 2], [3]])
+    with pytest.raises(ShapeError, match=r"^weight vector 2 extents must be >= 1, got shape \(0,\)$"):
+        KpffLayer([[1], [2], []])
+    with pytest.raises(ShapeError, match=r"^weight vectors extents must be >= 1, got shape \(0,\)$"):
+        KpffLayer([])
     with pytest.raises(NonFiniteError, match="weight vector 0 contains NaN or Inf"):
         KpffLayer([[np.nan, 0], [0, 1]])
 
@@ -151,8 +158,12 @@ def test_kpff_forward_concat_case():
 
 
 def test_kpff_forward_add_case():
-    layer = KpffLayer([np.eye(2)[0]] * 2)
     inputs = fusion_inputs([[1, 2], [3, 4]])
+    # the ones column W = 1_n is Add: one block
+    assert kpff_forward(KpffLayer([[1], [1]]), inputs).tolist() == [4, 6]
+    assert kpff_forward(KpffLayer([[1], [1]]), inputs).tolist() == fuse_add(inputs).tolist()
+    # every w_i = e_0 of a square W: the sum in block 0, zeros after it
+    layer = KpffLayer([np.eye(2)[0]] * 2)
     assert kpff_forward(layer, inputs).tolist() == [4, 6, 0, 0]
 
 
@@ -296,6 +307,21 @@ def test_backward_requires_forward():
             kpff_backward(layer2, upstream)
 
 
+@pytest.mark.parametrize("m", [1, 5])
+def test_backward_takes_one_upstream_block_per_weight_column(m):
+    # an n x m layer fuses into m blocks, so its upstream has m*r values,
+    # whatever n is
+    n, r = 3, 4
+    s = Stream(29 + m)
+    layer = KpffLayer(s.uniform(size=(n, m), low=-1, high=1))
+    y = kpff_forward(layer, fusion_inputs(s.uniform(size=(n, r), low=-1, high=1)))
+    assert y.shape == (m * r,)
+    assert kpff_backward(layer, np.ones(m * r)).shape == (n, r)
+    assert layer.grad_ws.shape == (n, m)
+    with pytest.raises(ShapeError, match=rf"^upstream must have length {m * r}, got \({n * r},\)$"):
+        kpff_backward(layer, np.ones(n * r))
+
+
 def test_backward_accumulates_until_zeroed():
     layer = KpffLayer([[1, 0], [0, 1]])
     inputs = fusion_inputs([[1, 2], [3, 4]])
@@ -355,11 +381,11 @@ def gamma(m):
 
 
 def block_loop_forward(W, X):
-    """The per-block loop the kernel replaced: y block k accumulates
-    w_i[k] * x_i in i order."""
-    n, r = X.shape
-    y = np.zeros(n * r)
-    for k in range(n):
+    """The per-block loop the kernel replaced: y block k, one per column of
+    the n x m W, accumulates w_i[k] * x_i in i order."""
+    (n, m), r = W.shape, X.shape[1]
+    y = np.zeros(m * r)
+    for k in range(m):
         blk = y[k * r:(k + 1) * r]
         for i in range(n):
             blk += W[i, k] * X[i]
@@ -367,18 +393,18 @@ def block_loop_forward(W, X):
 
 
 def block_loop_backward(W, X, U, bug=None):
-    """The per-block loops the kernel replaced, with their hook sites:
-    dw_i[b] is one dot product per (i, b); dx_j accumulates up_k * w_j[k] in
-    k order."""
-    n, r = X.shape
-    dW = np.zeros((n, n))
+    """The per-block loops the kernel replaced, with their hook sites (for
+    a square W): dw_i[b] is one dot product per (i, b); dx_j accumulates
+    up_k * w_j[k] in k order."""
+    (n, m), r = W.shape, X.shape[1]
+    dW = np.zeros((n, m))
     for i in range(n):
-        for b in range(n):
-            blk = (b + 1) % n if bug == "kpff-w" else b
+        for b in range(m):
+            blk = (b + 1) % m if bug == "kpff-w" else b
             dW[i, b] += float(U[blk] @ X[i])
     dX = np.zeros((n, r))
     for j in range(n):
-        for k in range(n):
+        for k in range(m):
             wjk = W[k, j] if bug == "kpff-x" else W[j, k]
             dX[j] += U[k] * wjk
     return dW, dX
@@ -395,11 +421,13 @@ def tile_width(n):
 NARROW_SCOPED = [(16, 256), (4, 1024), (8, 1000)]
 
 
-def _kernel_case(n, r, seed):
+def _kernel_case(n, r, seed, m=None):
+    """An n x m W (m = n by default), inputs X and upstream U through the
+    public API; returns the layer's outputs with them."""
     s = Stream(seed)
-    W = s.uniform(size=(n, n), low=-2, high=2)
+    W = s.uniform(size=(n, n if m is None else m), low=-2, high=2)
     X = s.uniform(size=(n, r), low=-2, high=2)
-    U = s.uniform(size=(n, r), low=-2, high=2)
+    U = s.uniform(size=(W.shape[1], r), low=-2, high=2)
     layer = KpffLayer(list(W))
     y = kpff_forward(layer, fusion_inputs(list(X)))
     dX = kpff_backward(layer, U.ravel())
@@ -426,6 +454,28 @@ def test_kernel_matches_block_loops(n, r):
     assert y.tobytes() == block_loop_forward(W, X).tobytes()
     assert dx.tobytes() == want_dx.tobytes()
     _assert_dw_within_gamma(dw, want_dw, X, U)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("n,r", [
+    (1, 7), (3, 7), (16, 64), (3, 1365),  # n*r < MIN_TILE: summed whole
+    (4, 1024), (3, 4097), (16, 256),  # tiles, at a small ufunc buffer where narrow
+    (3, tile_width(3) + 5), (16, 2 * tile_width(16) + 3),  # several tiles
+])
+def test_kernel_matches_block_loops_at_n_by_m_weights(n, r, m):
+    # m output blocks from n inputs: m = 1 is Add's ones column, and 5 is
+    # neither 1 nor any n here
+    W, X, U, y, dw, dx = _kernel_case(n, r, seed=n * 100_003 + r * 7 + m, m=m)
+    want_dw, want_dx = block_loop_backward(W, X, U)
+    assert y.shape == (m * r,) and dw.shape == (n, m) and dx.shape == (n, r)
+    assert y.tobytes() == block_loop_forward(W, X).tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+    _assert_dw_within_gamma(dw, want_dw, X, U)
+    with count_ops() as counts:
+        kpff_kernel(W, X)
+        assert counts["madd"] == n * m * r
+        kpff_kernel_backward(W, X, U)
+        assert counts["madd"] == 3 * n * m * r
 
 
 @pytest.mark.parametrize("r", [5, 2000, 4101, tile_width(3) + 5])
@@ -580,11 +630,12 @@ def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls):
 def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
     before = np.getbufsize()
     X = np.ones((4, 1024))
-    with pytest.raises(ValueError):  # weight rows too long for the tile
-        kpff_kernel(np.ones((4, 5)), X)
-    # a weight row too many: the dx sums of the tile fail, after its dW GEMM
-    with pytest.raises(ValueError):
-        kpff_kernel_backward(np.ones((5, 4)), X, X)
+    with pytest.raises(IndexError):  # 3 weight rows for 4 inputs: row 3 is missing
+        kpff_kernel(np.ones((3, 4)), X)
+    # 3 weight columns for 4 upstream rows: the dx sums of the tile fail at
+    # row 3, before its dW GEMM
+    with pytest.raises(IndexError):
+        kpff_kernel_backward(np.ones((4, 3)), X, X)
     assert len(bufsize_calls) == 4  # both raised inside a scope
     assert np.getbufsize() == before
 

@@ -2,6 +2,7 @@ import functools
 import os
 import resource
 import signal
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -293,6 +294,25 @@ def test_a_job_that_raises_in_the_caller_names_it_and_stops_the_workers(monkeypa
                                             r"ValueError: boom, in a worker: False") as info:
             crossval(FAST_CFG, METHODS)
         assert isinstance(info.value.__cause__, ValueError)
+        _assert_no_children_left()
+
+
+def test_of_two_failing_jobs_the_first_in_job_order_is_named(monkeypatch):
+    # (add, 1) fails at once, first in its share; (add, 0) fails 0.3 s
+    # later, so on 2 and 3 processes word of (add, 1) reaches the caller first
+    def train(cfg, images, labels, train_idx, test_idx, token, fold):
+        if (token, fold) == ("add", 0):
+            time.sleep(0.3)
+        if (token, fold) in (("add", 0), ("add", 1)):
+            raise ValueError(f"boom at fold {fold}")
+        return train_run(cfg, images, labels, train_idx, test_idx, token, fold)
+
+    monkeypatch.setattr(harness, "train_run", train)
+    for processes, where in ((1, ""), (2, r" in worker process \d+"), (3, r" in worker process \d+")):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        with pytest.raises(JobError, match=rf"^crossval job \(add, fold 0\) failed{where}: "
+                                            r"ValueError: boom at fold 0"):
+            crossval(FAST_CFG, METHODS)
         _assert_no_children_left()
 
 

@@ -421,11 +421,15 @@ def _toy_batch(seed=5, n=6, size=12):
 
 
 def test_model_frozen_kpff_matches_concat_losses():
+    # Model fuses every method through its KPFF layer; the reference keeps
+    # Add and Concat on paths of their own
     x, labels = _toy_batch()
     losses = {}
-    for fusion in ("concat", "kpff-frozen"):
-        model = Model(seed=3, image_size=12, channels=(4, 6), fusion=fusion,
-                      num_classes=3, dropout_p=0.25)
+    for name, cls, fusion in (("concat", Model, "concat"), ("kpff-frozen", Model, "kpff-frozen"),
+                              ("add", Model, "add"), ("ref concat", AddConcatReferenceModel, "concat"),
+                              ("ref add", AddConcatReferenceModel, "add")):
+        model = cls(seed=3, image_size=12, channels=(4, 6), fusion=fusion,
+                    num_classes=3, dropout_p=0.25)
         opt = OptimizerState("adam", lr=1e-3)
         drop = stream(3, "dropout")
         seq = []
@@ -433,8 +437,10 @@ def test_model_frozen_kpff_matches_concat_losses():
             loss, _, _ = model.forward_backward(x, labels, train=True, dropout_stream=drop)
             opt.apply(model.theta, model.grad)
             seq.append(loss)
-        losses[fusion] = seq
-    assert losses["concat"] == losses["kpff-frozen"]  # bit-identical
+        losses[name] = seq
+    # bit-identical
+    assert losses["concat"] == losses["kpff-frozen"] == losses["ref concat"]
+    assert losses["add"] == losses["ref add"]
 
 
 def test_model_rejects_unknown_fusion_and_activation():
@@ -1113,6 +1119,38 @@ def test_model_kpff_matches_block_loops(channels, image_size, bug, monkeypatch):
         U = np.roll(U, -1, axis=0)
     bound = 2 * gamma(X.shape[1]) * (np.abs(X) @ np.abs(U).T)
     assert np.all(np.abs(grads["fusion.ws"] - ref_grads["fusion.ws"]) <= bound)
+
+
+# --- Add and Concat in Model against their own paths -------------------------------------
+
+
+class AddConcatReferenceModel(Model):
+    """Model with the add and concat paths it ran before both became
+    constant W of its KPFF layer (reference): the += sum and
+    np.concatenate forward, the whole upstream and its column slices
+    backward. Criterion 4 and test_model_frozen_kpff_matches_concat_losses
+    hold Model's KPFF layer at W = 1_n and W = I to it."""
+
+    def _fuse(self, taps):
+        if self.fusion not in ("add", "concat"):
+            return super()._fuse(taps)
+        projected = [p.forward_batch(t) for p, t in zip(self.projections, taps)]
+        if self.fusion == "concat":
+            return np.concatenate(projected, axis=1)
+        acc = projected[0].copy()
+        for p in projected[1:]:
+            acc += p
+        return acc
+
+    def _fuse_backward(self, dfused):
+        if self.fusion not in ("add", "concat"):
+            return super()._fuse_backward(dfused)
+        n, r = len(self.convs), self.r
+        if self.fusion == "add":
+            dprojected = [dfused] * n
+        else:
+            dprojected = [dfused[:, j * r:(j + 1) * r] for j in range(n)]
+        return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
 
 
 # --- softmax cross-entropy against the earlier formula ---------------------------------
