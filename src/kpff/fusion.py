@@ -106,17 +106,16 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: every kpff forward and backward pass, single-sample or batched,
-# runs through kpff_kernel and kpff_kernel_backward
+# the kernel: every kpff pass, single-sample or batched, runs through
+# kpff_kernel: the forward at W, the input gradient at W^T
 
-# Columns per tile of the kernel's loops: about TILE_VALUES values over the
+# Columns per tile of the kernel's loop: about TILE_VALUES values over the
 # larger side of W (n at a square W), but never fewer than MIN_TILE columns:
 # 16384 at n = 2, 8192 at n = 4, 4096 from n = 8 up. A tile's buffers then
-# take at most 256 KiB each, and a backward tile streams four of them
-# (accumulator, product, the X tile and the U tile), 1 MiB, inside a 2 MiB
-# L2. At twice the values those four filled the L2: n = 4, r = 32768
-# backward ran 8-13% slower than at 4096 columns.
-# A call whose X holds fewer than MIN_TILE values (n*m) is not tiled:
+# take at most 256 KiB each, and a tile streams three of them (accumulator,
+# product and the X tile), 768 KiB, inside a 2 MiB L2. At twice the values,
+# forward plus backward at n = 4, r = 32768 ran 5% slower.
+# A call whose X holds fewer than MIN_TILE values is not tiled:
 # _small_sums sums it whole. Against the tile loop, with a square W, forward
 # plus backward at n*m = 2048 ran 12-50% faster for n = 2..16 (n = 4,
 # m = 512: 47 -> 30 us; n = 16, m = 128: 162 -> 99 us), and at n*m = 4096,
@@ -128,10 +127,10 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 MIN_TILE = 4096
 TILE_VALUES = 1 << 15
 # Elements in numpy's ufunc buffer while a narrow tile is summed. numpy
-# copies the broadcast operand of `A[i][:, None] * B[i][tile]` through that
+# copies the broadcast operand of `W[i][:, None] * X[i][tile]` through that
 # buffer whenever a few rows fit in it (8192 elements by default), which
 # makes tiles under about 2700 columns multiply three times slower per
-# value. Set only around such a tile, and restored after it.
+# value. Set only around the sums of such a tile, and restored after them.
 _NARROW_BUFSIZE = 256
 # Bytes between the starts of the accumulator tile and the product tile,
 # modulo a 4 KiB page. `acc += tmp` stores to acc while it loads from tmp;
@@ -142,69 +141,17 @@ _NARROW_BUFSIZE = 256
 _PRODUCT_OFFSET = 2048
 
 
-class _TileSums:
-    """out[k] = sum_i A[i, k] * B[i], one column tile at a time.
-
-    Each tile is summed in i order from zero, one multiply and one add per
-    term, so every value equals that of a per-block loop bit for bit. Over
-    several tiles the sums run in a contiguous accumulator tile that is
-    copied into `out` once, so the output is written once and never zeroed
-    or re-read; a single tile is summed in `out` itself.
-    """
-
-    def __init__(self, A, m):
-        n, rows = A.shape  # out[k] for k < rows sums n terms
-        width = self.width = min(m, max(MIN_TILE, TILE_VALUES // max(n, rows)))
-        self.out = np.empty((rows, m))
-        if width == m:
-            self._acc, self._prod = self.out, np.empty((rows, width))
-        else:
-            # both tiles in one buffer, so their distance is ours to choose
-            size = rows * width
-            gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
-            buf = np.empty(2 * size + gap)
-            self._acc = buf[:size].reshape(rows, width)
-            self._prod = buf[size + gap:].reshape(rows, width)
-
-    def tiles(self):
-        m, width = self.out.shape[1], self.width
-        return ((start, min(start + width, m)) for start in range(0, m, width))
-
-    def add_tile(self, A, B, start, stop):
-        width = stop - start
-        if width >= MIN_TILE or len(self.out) * width < MIN_TILE:
-            # wide tiles are not buffered, and small ones lose less to it than
-            # the scope costs (about 4 us)
-            self._sum(A, B, start, stop)
-            return
-        old = np.setbufsize(_NARROW_BUFSIZE)
-        try:
-            self._sum(A, B, start, stop)
-        finally:
-            np.setbufsize(old)
-
-    def _sum(self, A, B, start, stop):
-        acc, tmp = self._acc[:, :stop - start], self._prod[:, :stop - start]
-        np.multiply(A[0][:, None], B[0][start:stop], out=acc)
-        acc += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
-        for i in range(1, len(B)):
-            np.multiply(A[i][:, None], B[i][start:stop], out=tmp)
-            acc += tmp
-        if self._acc is not self.out:
-            self.out[:, start:stop] = acc
-
-
 def _small_sums(A, B):
     """out[k] = sum_i A[i, k] * B[i] for a call of fewer than MIN_TILE input
-    values, in two numpy calls where _TileSums makes about 2n: one multiply
-    into the [n, rows, m] products and one reduce over their first axis. The
-    Model calls of the reference config (n = 2, m = N*r = 300 at batch 50)
-    are among them.
+    values, in two numpy calls where kpff_kernel's tile loop makes about
+    2n: one multiply into the [n, rows, m] products and one reduce over
+    their first axis. The Model calls of the reference config (n = 2,
+    m = N*r = 300 at batch 50) are among them.
 
     The products are laid out in C order, i outermost, even when A is W.T,
     so the reduce adds whole [n, m] rows in i order, from +0.0 (0.0 + -0.0 is
-    +0.0): the sums of _TileSums bit for bit. Over an axis that numpy lays
-    out innermost it would sum pairwise.
+    +0.0): the sums of the tile loop bit for bit. Over an axis that numpy
+    lays out innermost it would sum pairwise.
     """
     products = np.multiply(A[:, :, None], B[:, None, :], order="C")
     return np.add.reduce(products, axis=0, initial=0.0)
@@ -215,41 +162,53 @@ def kpff_kernel(W, X):
 
     W is n x m_out with row i = w_i; X is an [n, m] array whose row i is
     x_i; Y is [m_out, m]. A batch of N samples is m = N*r, each row holding
-    one input's N vectors back to back.
+    one input's N vectors back to back. At W^T and the upstream gradient
+    (row b that of block b) it returns the input gradient.
+
+    Past MIN_TILE values it runs one column tile at a time. Each tile is
+    summed in i order from zero, one multiply and one add per term, so every
+    value equals that of a per-block loop bit for bit. Over several tiles
+    the sums run in a contiguous accumulator tile that is copied into Y
+    once, so Y is written once and never zeroed or re-read; a single tile
+    is summed in Y itself.
     """
     if _COUNTING:
         _COUNTS["madd"] += W.size * X.shape[1]
     if X.size < MIN_TILE:
         return _small_sums(W, X)
-    sums = _TileSums(W, X.shape[1])
-    for start, stop in sums.tiles():
-        sums.add_tile(W, X, start, stop)
-    return sums.out
-
-
-def kpff_kernel_backward(W, X, U):
-    """(dW, dX) for the upstream gradient U, an [m_out, m] array whose row b
-    is the gradient of block b of y (0-based, see docs/gradients.md):
-
-      dW[i, b] = U[b] . X[i]           one GEMM per tile, within gamma_m of exact
-      dX[j]    = sum_k W[j, k] U[k]    tile sums over W^T, in k order
-
-    dW is n x m_out like W, dX [n, m] like X. Both run in one pass over the
-    column tiles, so U is read once.
-    """
-    if _COUNTING:
-        _COUNTS["madd"] += 2 * W.size * U.shape[1]
-    bug = injected_bug()
-    A = W if bug == "kpff-x" else W.T
-    G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
-    if X.size < MIN_TILE:
-        return X @ G.T, _small_sums(A, U)
-    dW = np.zeros(W.shape)
-    sums = _TileSums(A, U.shape[1])
-    for start, stop in sums.tiles():
-        sums.add_tile(A, U, start, stop)
-        dW += X[:, start:stop] @ G[:, start:stop].T
-    return dW, sums.out
+    n, rows = W.shape  # Y[k] for k < rows sums n terms
+    m = X.shape[1]
+    width = min(m, max(MIN_TILE, TILE_VALUES // max(n, rows)))
+    out = np.empty((rows, m))
+    if width == m:
+        acc, prod = out, np.empty((rows, width))
+    else:
+        # both tiles in one buffer, so their distance is ours to choose
+        size = rows * width
+        gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
+        buf = np.empty(2 * size + gap)
+        acc = buf[:size].reshape(rows, width)
+        prod = buf[size + gap:].reshape(rows, width)
+    # a tile narrower than MIN_TILE is the only tile. Wide tiles are not
+    # buffered, and small ones lose less to it than the scope costs (about
+    # 4 us)
+    narrow = width < MIN_TILE <= rows * width
+    old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
+    try:
+        for start in range(0, m, width):
+            stop = min(start + width, m)
+            a, p = acc[:, :stop - start], prod[:, :stop - start]
+            np.multiply(W[0][:, None], X[0][start:stop], out=a)
+            a += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
+            for i in range(1, len(X)):
+                np.multiply(W[i][:, None], X[i][start:stop], out=p)
+                a += p
+            if acc is not out:
+                out[:, start:stop] = a
+    finally:
+        if narrow:
+            np.setbufsize(old)
+    return out
 
 
 class KpffLayer:
@@ -259,7 +218,8 @@ class KpffLayer:
 
     forward_batch caches its inputs; backward_batch accumulates into
     grad_ws (row i is dL/dw_i) and returns the gradients w.r.t. the inputs.
-    Model binds W and grad_ws of a trained layer to views of its vectors.
+    Model binds W and grad_ws of a trained layer to views of its vectors,
+    and sets grad_ws of a constant W to None: that layer keeps no gradient.
     Not thread-safe across concurrent forward/backward (pure ops in this
     module are).
     """
@@ -293,10 +253,20 @@ class KpffLayer:
         return kpff_kernel(self.W, X)
 
     def backward_batch(self, U):
-        """Add dW into grad_ws for the upstream gradient U of the last
-        forward_batch (a row per column of W); return dX, shaped like X."""
-        dW, dX = kpff_kernel_backward(self.W, self.cache, U)
-        self.grad_ws += dW
+        """dX, shaped like X, for the upstream gradient U of the last
+        forward_batch (a row per column of W), and dW added into grad_ws
+        unless grad_ws is None (see docs/gradients.md):
+
+          dX[j]    = sum_k W[j, k] U[k]    the forward's sums at W^T, in k order
+          dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact
+        """
+        bug = injected_bug()
+        dX = kpff_kernel(self.W if bug == "kpff-x" else self.W.T, U)
+        if self.grad_ws is not None:
+            if _COUNTING:
+                _COUNTS["madd"] += self.W.size * U.shape[1]
+            G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
+            self.grad_ws += self.cache @ G.T
         return dX
 
 

@@ -76,23 +76,23 @@ def sample_coords(size: int, stream=None, cap: int = MAX_SAMPLED_COORDS):
 
 
 def kpff_dense_jacobians(layer: KpffLayer, inputs: FusionInputs):
-    """Explicit dense Jacobians of y = sum_i w_i (x) x_i.
+    """Explicit dense Jacobians of y = sum_i w_i (x) x_i for an n x m layer.
 
-    J_w: (n*r) x (n*n), column (i*n + b) is dy/dw_i[b].
-    J_x: (n*r) x (n*r), column (j*r + c) is dy/dx_j[c].
+    J_w: (m*r) x (n*m), column (i*m + b) is dy/dw_i[b].
+    J_x: (m*r) x (n*r), column (j*r + c) is dy/dx_j[c].
     Built entry-by-entry from the two case formulas (0-based): row a sits
     in block b = a // r with offset c = a - b*r, and
       dy_a/dw_i[b'] = x_i[c] if b' == b else 0
       dy_a/dx_j[c'] = w_j[b] if c' == c else 0
     """
-    n, r = inputs.n, inputs.r
-    J_w = np.zeros((n * r, n * n))
-    J_x = np.zeros((n * r, n * r))
-    for a in range(n * r):
+    n, m, r = inputs.n, layer.W.shape[1], inputs.r
+    J_w = np.zeros((m * r, n * m))
+    J_x = np.zeros((m * r, n * r))
+    for a in range(m * r):
         b = a // r
         c = a - b * r
         for i in range(n):
-            J_w[a, i * n + b] = inputs.xs[i][c]
+            J_w[a, i * m + b] = inputs.xs[i][c]
         for j in range(n):
             J_x[a, j * r + c] = layer.W[j, b]
     return J_w, J_x
@@ -175,14 +175,6 @@ def check_adam_first_step(tol=1e-9):
     return [GradCheckReport("adam.first-step", 0.0, err, err, err < tol)]
 
 
-def model_loss(model, x, labels):
-    from .net import softmax_ce_batch
-
-    logits = model.forward_batch(x, train=False)
-    losses, _ = softmax_ce_batch(logits, labels)
-    return float(losses.mean())
-
-
 def check_model(model, x, labels, tol=1e-5, cap=MAX_SAMPLED_COORDS, seed=0):
     """Finite-difference check of every model parameter (dropout off)."""
     _, _, grads = model.forward_backward(x, labels, train=False)
@@ -190,7 +182,7 @@ def check_model(model, x, labels, tol=1e-5, cap=MAX_SAMPLED_COORDS, seed=0):
     reports = []
     for name, arr in model.params().items():
         coords = sample_coords(arr.size, sampler, cap)
-        num = finite_diff_grad(lambda _: model_loss(model, x, labels), arr, coords=coords)
+        num = finite_diff_grad(lambda _: model.evaluate(x, labels)[0], arr, coords=coords)
         g = grads[name].ravel()
         reports.extend(check_value(f"{name}[{k}]", float(g[k]), float(d), tol)
                        for k, d in zip(coords, num))

@@ -455,7 +455,7 @@ class Model:
 
         # every method but none fuses through one KPFF layer: add at the
         # constant W = 1_n, concat and kpff-frozen at the constant I, and
-        # kpff trains W from I (plus noise)
+        # kpff trains W from I (plus noise). A constant W keeps no gradient
         self.kpff = None
         head_in = channels[-1]
         if fusion != "none":
@@ -465,6 +465,8 @@ class Model:
                     size=(n_taps, n_taps), sigma=kpff_noise
                 )
             self.kpff = KpffLayer(ws)  # row i is w_i
+            if fusion != "kpff":
+                self.kpff.grad_ws = None
             head_in = self.kpff.W.shape[1] * self.r
         self.head = DenseLayer(
             init("head.weights", (num_classes, head_in), head_in),
@@ -575,7 +577,7 @@ class Model:
         loss, acc, dlogits = _loss_and_accuracy(logits, labels)
         dlogits /= x.shape[0]
 
-        if self.kpff is not None:
+        if self.fusion == "kpff":
             self.kpff.zero_grads()  # _fuse_backward adds to it
         dfused = self.head.backward_batch(dlogits)
         if self._dropout_mask is not None:

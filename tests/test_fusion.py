@@ -19,7 +19,6 @@ from kpff.fusion import (
     kpff_backward,
     kpff_forward,
     kpff_kernel,
-    kpff_kernel_backward,
 )
 from kpff.gradcheck import finite_diff_grad
 from kpff.rng import Stream
@@ -471,10 +470,11 @@ def test_kernel_matches_block_loops_at_n_by_m_weights(n, r, m):
     assert y.tobytes() == block_loop_forward(W, X).tobytes()
     assert dx.tobytes() == want_dx.tobytes()
     _assert_dw_within_gamma(dw, want_dw, X, U)
+    layer = KpffLayer(W)
     with count_ops() as counts:
-        kpff_kernel(W, X)
+        layer.forward_batch(X)
         assert counts["madd"] == n * m * r
-        kpff_kernel_backward(W, X, U)
+        layer.backward_batch(U)
         assert counts["madd"] == 3 * n * m * r
 
 
@@ -488,7 +488,7 @@ def test_kernel_keeps_the_sign_of_zero_sums(r):
     X = -np.ones((n, r))
     X[1] = 0.0
     y = kpff_kernel(W, X)
-    _, dx = kpff_kernel_backward(W, X, X)
+    dx = kpff_kernel(W.T, X)  # the input gradient at the upstream X
     assert y.tobytes() == block_loop_forward(W, X).tobytes()
     assert dx.tobytes() == block_loop_backward(W, X, X)[1].tobytes()
     assert not np.signbit(y).any() and not np.signbit(dx).any()
@@ -516,11 +516,11 @@ def test_kernel_hooks_match_the_block_loop_hooks(bug):
 
 def test_kernel_counts_n_squared_r_per_pass():
     n, r = 4, tile_width(4) + 3
-    W, X, U = np.eye(n), np.ones((n, r)), np.ones((n, r))
+    layer, X, U = KpffLayer(np.eye(n)), np.ones((n, r)), np.ones((n, r))
     with count_ops() as counts:
-        kpff_kernel(W, X)
+        layer.forward_batch(X)
         assert counts["madd"] == n * n * r
-        kpff_kernel_backward(W, X, U)
+        layer.backward_batch(U)
         assert counts["madd"] == 3 * n * n * r
 
 
@@ -533,11 +533,10 @@ def test_kernel_batched_rows_equal_single_samples():
     X = s.uniform(size=(n, N, r), low=-1, high=1)
     U = s.uniform(size=(n, N, r), low=-1, high=1)
     Y = kpff_kernel(W, X.reshape(n, N * r)).reshape(n, N, r)
-    _, dX = kpff_kernel_backward(W, X.reshape(n, N * r), U.reshape(n, N * r))
+    dX = kpff_kernel(W.T, U.reshape(n, N * r)).reshape(n, N, r)
     for t in range(N):
         assert Y[:, t].tobytes() == kpff_kernel(W, X[:, t]).tobytes()
-        _, dX_t = kpff_kernel_backward(W, X[:, t], U[:, t])
-        assert dX.reshape(n, N, r)[:, t].tobytes() == dX_t.tobytes()
+        assert dX[:, t].tobytes() == kpff_kernel(W.T, U[:, t]).tobytes()
 
 
 def row_loop_add(X):
@@ -582,11 +581,11 @@ def test_fusion_ops_equal_per_row_loops_bitwise(n):
     # sign bits included: tobytes tells -0.0 from +0.0
     for r in _property_widths(n):
         W, X, U = _signed_zero_case(n, r, seed=n * 1009 + r)
-        xs = fusion_inputs(list(X))
+        xs, layer = fusion_inputs(list(X)), KpffLayer(W)
         with count_ops() as counts:
-            y = kpff_kernel(W, X)
+            y = layer.forward_batch(X)
             assert counts["madd"] == n * n * r
-            _, dx = kpff_kernel_backward(W, X, U)
+            dx = layer.backward_batch(U)
             assert counts["madd"] == 3 * n * n * r
             concat = fuse_concat(xs)
             assert counts["copy"] == n * r
@@ -632,10 +631,10 @@ def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
     X = np.ones((4, 1024))
     with pytest.raises(IndexError):  # 3 weight rows for 4 inputs: row 3 is missing
         kpff_kernel(np.ones((3, 4)), X)
-    # 3 weight columns for 4 upstream rows: the dx sums of the tile fail at
-    # row 3, before its dW GEMM
+    # the input gradient's sums at the W^T of a 4 x 3 W: 3 rows for 4
+    # upstream rows
     with pytest.raises(IndexError):
-        kpff_kernel_backward(np.ones((4, 3)), X, X)
+        kpff_kernel(np.ones((4, 3)).T, X)
     assert len(bufsize_calls) == 4  # both raised inside a scope
     assert np.getbufsize() == before
 

@@ -121,6 +121,22 @@ def test_jacobians_match_backward_on_random_instances():
                                rtol=1e-15, atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [1, 5])
+def test_jacobians_match_backward_at_n_by_m_weights(m):
+    # an n x m layer: J_w is (m*r) x (n*m) and J_x (m*r) x (n*r)
+    s = Stream(37 + m)
+    for n, r in ((1, 3), (2, 5), (3, 4)):
+        layer = KpffLayer(s.uniform(size=(n, m), low=-1, high=1))
+        inputs = fusion_inputs(s.uniform(size=(n, r), low=-1, high=1))
+        up = s.uniform(size=(m * r,), low=-1, high=1)
+        kpff_forward(layer, inputs)
+        dX = kpff_backward(layer, up)
+        J_w, J_x = kpff_dense_jacobians(layer, inputs)
+        assert J_w.shape == (m * r, n * m) and J_x.shape == (m * r, n * r)
+        assert np.allclose(layer.grad_ws.ravel(), J_w.T @ up, rtol=1e-15, atol=1e-15)
+        assert np.allclose(dX.ravel(), J_x.T @ up, rtol=1e-15, atol=1e-15)
+
+
 def test_sample_coords_includes_boundaries():
     s = Stream(4)
     coords = sample_coords(10_000, s, cap=50)

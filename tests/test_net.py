@@ -8,6 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from kpff import hooks
+from kpff.fusion import count_ops
 from kpff.net import (
     FUSION_METHODS,
     ConvLayer,
@@ -28,7 +29,6 @@ from kpff.gradcheck import (
     check_model,
     check_value,
     finite_diff_grad,
-    model_loss,
     sample_coords,
 )
 from kpff.rng import Stream, stream
@@ -545,11 +545,13 @@ def test_model_gradients_with_dropout_match_finite_differences():
 
 
 def test_model_loss_helper_consistent():
+    # check_model differentiates evaluate's loss: the loss forward_backward
+    # reports, bit for bit
     model = Model(seed=2, image_size=10, channels=(3, 4), fusion="concat",
                   num_classes=3, dropout_p=0.0)
     x, labels = _toy_batch(seed=2, size=10)
-    loss, _, _ = model.forward_backward(x, labels, train=False)
-    assert model_loss(model, x, labels) == pytest.approx(loss, rel=1e-15)
+    loss, acc, _ = model.forward_backward(x, labels, train=False)
+    assert model.evaluate(x, labels) == (loss, acc)
 
 
 # --- conv -> pool -> activation against conv -> activation -> pool -------------
@@ -822,7 +824,6 @@ def test_forward_only_calls_build_no_pool_masks(monkeypatch):
                   num_classes=3, dropout_p=0.0)
     x, labels = _toy_batch(seed=2, size=12)
     model.evaluate(x, labels)
-    model_loss(model, x, labels)
     assert calls == []
     model.forward_backward(x, labels, train=False)
     assert len(calls) == 2  # one per block, in backward
@@ -989,6 +990,24 @@ def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
         assert model.kpff.grad_ws is second["fusion.ws"]
     with pytest.raises(TypeError):
         second["head.bias"] = np.zeros(3)  # the mapping is read-only
+
+
+@pytest.mark.parametrize("fusion,madds", [
+    ("none", 0), ("add", 1200), ("concat", 2400), ("kpff-frozen", 2400), ("kpff", 3600),
+])
+def test_a_constant_fusion_weight_keeps_no_gradient(fusion, madds):
+    # the reference config: n = 2 taps of r = 6, a batch of 50, so the
+    # kernel runs on m = 300 columns. The forward and the input gradient
+    # take n*m_out*300 multiply-adds each, and only kpff's trained W adds
+    # its dW GEMM (another 1200)
+    model = Model(seed=0, image_size=16, channels=(6, 12), fusion=fusion)
+    x = Stream(1).uniform(size=(50, 1, 16, 16))
+    labels = np.arange(50) % 4
+    with count_ops() as counts:
+        model.forward_backward(x, labels, train=True, dropout_stream=stream(0, "dropout"))
+    assert counts["madd"] == madds
+    if fusion not in ("none", "kpff"):
+        assert model.kpff.grad_ws is None
 
 
 def ten_pass_tie_masks(win, out):
