@@ -16,7 +16,8 @@ import numpy as np
 from . import fusion, gradcheck, hooks
 from .config import CHOICES, RunConfig, _parse_value, field_types, load_config
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
-from .harness import JobError, comparison_table, crossval, process_count, write_report
+from .harness import (JobError, comparison_table, crossval, crossval_jobs, process_count,
+                      write_report)
 from .net import FUSION_METHODS
 from .rng import stream
 
@@ -107,13 +108,14 @@ def cmd_gradcheck(args):
 def cmd_crossval(args):
     """`crossval`, and `train`: the one job of one method with fold 0 held out."""
     cfg = _build_config(args)
-    methods, folds = ([args.method], (0,)) if args.command == "train" else (args.methods, None)
+    methods, folds = (([args.method], (0,)) if args.command == "train"
+                      else (args.methods, range(cfg.folds)))
     report, plan, wall = crossval(cfg, methods, folds)
     outdir = Path(args.out)
     write_report(outdir, report, plan)
     print(comparison_table(report))
     # the process count is not in the config and not in the report files
-    processes = process_count(sum(len(res["folds"]) for res in report["methods"].values()))
+    processes = process_count(len(crossval_jobs(methods, folds)))
     print(f"config hash {report['config_hash']}, wall clock {wall:.1f}s "
           f"on {processes} process{'es' if processes > 1 else ''}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'folds.txt'}")

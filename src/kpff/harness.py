@@ -6,6 +6,7 @@ Reports are pure functions of the config: rerunning a config reproduces
 them byte for byte, whatever the number of processes the jobs ran in.
 """
 
+import copy
 import ctypes
 import functools
 import json
@@ -16,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
-from .net import FUSION_METHODS, Model, OptimizerState, check_image_size
+from .net import FUSION_METHODS, TRAINS_AS, Model, OptimizerState, check_image_size
 from .rng import stream
 from .tensor import NonFiniteError, ShapeError
 
@@ -269,15 +270,31 @@ def _run_jobs(jobs, run, processes):
             os.waitpid(pid, 0)
 
 
+def _job_tokens(methods):
+    """token -> the token its jobs run under: the first of `methods` whose
+    model it trains (net.TRAINS_AS)."""
+    first = {}
+    return {token: first.setdefault(TRAINS_AS.get(token, token), token) for token in methods}
+
+
+def crossval_jobs(methods, folds):
+    """The (method, fold) jobs `crossval` runs for `methods` over `folds`,
+    in (method, fold) order: one per distinct model and fold, named by the
+    first of `methods` that trains that model."""
+    return [(token, fold) for token, job_token in _job_tokens(methods).items()
+            if token == job_token for fold in folds]
+
+
 def crossval(cfg: RunConfig, methods, folds=None):
     """Run k-fold cross-validation for each method over shared folds.
 
     `folds` are the held-out folds to run, every fold of the plan by
-    default; `kpff train` runs fold 0 alone. The (method, fold) jobs run in
+    default; `kpff train` runs fold 0 alone. The `crossval_jobs` run in
     `process_count` processes, the calling one among them (`_run_jobs`);
-    each job's result depends only on the config, its method and its fold,
-    so the report does not depend on how many processes there were.
-    Returns (report, fold plan, wall seconds).
+    each job's result depends only on the config, its model and its fold,
+    so the report does not depend on how many processes there were. A
+    method whose model another method's jobs trained reports copies of
+    their results. Returns (report, fold plan, wall seconds).
     """
     methods = list(dict.fromkeys(methods))
     for m in methods:  # before any job starts
@@ -293,13 +310,15 @@ def crossval(cfg: RunConfig, methods, folds=None):
                          token, fold)
 
     started = time.perf_counter()
-    jobs = [(token, fold) for token in methods for fold in folds]
+    jobs = crossval_jobs(methods, folds)
     done = _run_jobs(jobs, run, process_count(len(jobs)))
     wall = time.perf_counter() - started
 
     results = {}
-    for token in methods:
-        fold_results = [done[token, fold] for fold in folds]
+    for token, job_token in _job_tokens(methods).items():
+        fold_results = [done[job_token, fold] for fold in folds]
+        if token != job_token:
+            fold_results = copy.deepcopy(fold_results)
         accs = [r["final_acc"] for r in fold_results]
         results[token] = {
             "folds": fold_results,

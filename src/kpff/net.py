@@ -340,10 +340,13 @@ class OptimizerState:
 # ---------------------------------------------------------------------------
 # the toy model
 
-# the method tokens: kpff-frozen is kpff with W held at the Concat
-# initialisation I, a constant rather than a parameter, which makes it the
-# same model as concat (Model.__init__)
+# the method tokens
 FUSION_METHODS = ("none", "add", "concat", "kpff", "kpff-frozen")
+# token -> the token whose model it trains. kpff-frozen is kpff with W held
+# at the Concat initialisation I, a constant rather than a parameter: the
+# same model as concat. Model builds concat's model for it, and
+# harness.crossval trains that model once per fold for both tokens
+TRAINS_AS = {"kpff-frozen": "concat"}
 
 
 def _loss_and_accuracy(logits, labels):
@@ -414,6 +417,7 @@ class Model:
                  dropout_p=0.5, kpff_noise=0.0):
         if fusion not in FUSION_METHODS:
             raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
+        fusion = TRAINS_AS.get(fusion, fusion)
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}, "
                              f"got {activation!r}")
@@ -454,8 +458,8 @@ class Model:
                 )
 
         # every method but none fuses through one KPFF layer: add at the
-        # constant W = 1_n, concat and kpff-frozen at the constant I, and
-        # kpff trains W from I (plus noise). A constant W keeps no gradient
+        # constant W = 1_n, concat at the constant I, and kpff trains W from
+        # I (plus noise). A constant W keeps no gradient
         self.kpff = None
         head_in = channels[-1]
         if fusion != "none":

@@ -144,14 +144,16 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_trajectory_equivalence(monkeypatch):
     # Model runs add, concat and kpff-frozen through its KPFF layer at the
     # constant W = 1_n and W = I; the reference model keeps Add and Concat
-    # on the += sum and np.concatenate, so each end meets a second path
+    # on the += sum and np.concatenate, so each end meets a second path.
+    # kpff-frozen runs alone: with concat, crossval would train one model
     cfg = RunConfig(seed=6, per_class=10, image_size=12, channels=(4, 6),
                     max_epochs=10, lr=3e-3, batch_size=16, val_interval=5,
                     dropout_p=0.25)
-    rep, _, _ = crossval(cfg, ["add", "concat", "kpff-frozen"])
+    rep, _, _ = crossval(cfg, ["add", "concat"])
+    frozen, _, _ = crossval(cfg, ["kpff-frozen"])
     monkeypatch.setattr(harness, "Model", AddConcatReferenceModel)
     ref, _, _ = crossval(cfg, ["add", "concat"])
-    runs, refs = rep["methods"], ref["methods"]
+    runs, refs = rep["methods"] | frozen["methods"], ref["methods"]
     pairs = [("add", "add"), ("concat", "concat"), ("concat", "kpff-frozen")]
     ok = all(refs[a]["folds"] == runs[b]["folds"] for a, b in pairs)
     report("4 trajectory equivalence", ok,

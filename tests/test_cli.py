@@ -247,6 +247,14 @@ def test_crossval_outputs(tmp_path, capsys):
         assert "process" not in (out / name).read_text()
 
 
+def test_crossval_counts_the_processes_of_the_jobs_it_ran(monkeypatch, tmp_path, capsys):
+    # concat and kpff-frozen share one model: five jobs, one per fold
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+    assert run_cli("crossval", "--methods", "concat,kpff-frozen", "--out", str(tmp_path),
+                   *FAST) == 0
+    assert " on 5 processes\n" in capsys.readouterr().out
+
+
 def test_crossval_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

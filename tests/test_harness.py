@@ -24,7 +24,7 @@ from kpff.harness import (
     train_run,
     write_report,
 )
-from kpff.net import Model
+from kpff.net import FUSION_METHODS, Model
 from kpff.tensor import NonFiniteError
 
 FAST_CFG = RunConfig(seed=4, per_class=5, image_size=8, channels=(3, 4),
@@ -65,17 +65,17 @@ def test_crossval_structure_and_mean_recomputable():
 
 
 def test_trajectory_equivalence_frozen_kpff_vs_concat():
-    # kpff-frozen ignores kpff_noise: its W is the constant I
+    # one train_run per token, so two trainings are compared: crossval
+    # would train their one model once. kpff-frozen ignores kpff_noise: its
+    # W is the constant I
+    dataset = load_dataset(FAST_CFG)
+    plan = make_folds(dataset, k=FAST_CFG.folds, seed=FAST_CFG.seed)
+    images, labels = dataset.stacked()
     for kpff_noise in (0.0, 0.1):
         cfg = replace(FAST_CFG, kpff_noise=kpff_noise)
-        report, _, _ = crossval(cfg, ["concat", "kpff-frozen"])
-        concat = report["methods"]["concat"]["folds"]
-        frozen = report["methods"]["kpff-frozen"]["folds"]
-        for c, f in zip(concat, frozen):
-            assert c["loss_curve"] == f["loss_curve"]  # step-for-step equality
-            assert c["final_acc"] == f["final_acc"]
-            assert c["final_loss"] == f["final_loss"]
-            assert c["val_curve"] == f["val_curve"]
+        concat, frozen = (train_run(cfg, images, labels, plan.train_indices(2), plan.folds[2],
+                                    token, 2) for token in ("concat", "kpff-frozen"))
+        assert concat == frozen  # step-for-step equal loss and val curves
 
 
 def test_crossval_rejects_an_unknown_method_before_any_job(monkeypatch):
@@ -235,10 +235,10 @@ def _assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _run_on(monkeypatch, processes, out, cfg=FAST_CFG):
+def _run_on(monkeypatch, processes, out, cfg=FAST_CFG, methods=METHODS):
     monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
-    assert process_count(len(METHODS) * cfg.folds) == processes
-    report, plan, _ = crossval(cfg, METHODS)
+    assert process_count(len(methods) * cfg.folds) == processes
+    report, plan, _ = crossval(cfg, methods)
     write_report(out, report, plan)
     _assert_no_children_left()
     return {name: (out / name).read_bytes() for name in ("report.csv", "summary.json", "folds.txt")}
@@ -250,9 +250,10 @@ def test_reports_do_not_depend_on_the_process_count(monkeypatch, tmp_path):
 
     with monkeypatch.context() as m:
         m.setattr(os, "fork", no_fork)
-        one = _run_on(monkeypatch, 1, tmp_path / "p1")
-    assert _run_on(monkeypatch, 2, tmp_path / "p2") == one
-    assert _run_on(monkeypatch, 3, tmp_path / "p3") == one
+        one = _run_on(monkeypatch, 1, tmp_path / "p1", methods=FUSION_METHODS)
+    for processes in (2, 3):
+        assert _run_on(monkeypatch, processes, tmp_path / f"p{processes}",
+                       methods=FUSION_METHODS) == one
 
 
 def test_injected_hook_reaches_the_workers(monkeypatch, tmp_path):
@@ -281,6 +282,27 @@ def test_the_caller_trains_its_own_share(monkeypatch):
         ran_here.clear()
         crossval(FAST_CFG, METHODS)
         assert ran_here == share
+
+
+@pytest.mark.parametrize("methods,trained",
+                         [(FUSION_METHODS, 20), (["concat", "kpff-frozen"], 5)],
+                         ids=["all", "concat,kpff-frozen"])
+def test_each_model_is_trained_once_per_fold(methods, trained, monkeypatch):
+    # kpff-frozen trains concat's model: its folds are copies of concat's
+    calls = []
+
+    def train(*args):
+        calls.append(args[-2:])
+        return train_run(*args)
+
+    monkeypatch.setattr(harness, "train_run", train)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+    report, _, _ = crossval(FAST_CFG, methods)
+    assert len(calls) == trained and ("kpff-frozen", 0) not in calls
+    concat, frozen = (report["methods"][token]["folds"] for token in ("concat", "kpff-frozen"))
+    assert frozen == concat
+    concat[0]["loss_curve"][0] = concat[0]["final_acc"] = -1.0
+    assert frozen[0]["loss_curve"][0] != -1.0 and frozen[0]["final_acc"] != -1.0
 
 
 def _failing_job(monkeypatch, method, fold, fail):
@@ -339,6 +361,25 @@ def test_of_two_failing_jobs_the_first_in_job_order_is_named(monkeypatch):
                                             r"ValueError: boom at fold 0"):
             crossval(FAST_CFG, METHODS)
         _assert_no_children_left()
+
+
+def test_a_shared_job_is_named_by_the_first_method_asked_for(monkeypatch):
+    # one job per fold trains the model of kpff-frozen and concat; it goes
+    # by the token asked for first, on 1 process and in a worker on 2
+    def train(cfg, images, labels, train_idx, test_idx, token, fold):
+        if fold == 2:
+            raise ValueError(f"boom at fold {fold}")
+        return train_run(cfg, images, labels, train_idx, test_idx, token, fold)
+
+    monkeypatch.setattr(harness, "train_run", train)
+    named = r"^crossval job \(kpff-frozen, fold 2\) failed{}: ValueError: boom at fold 2"
+    for processes, where in ((1, ""), (2, r" in worker process \d+")):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        with pytest.raises(JobError, match=named.format(where)):
+            crossval(FAST_CFG, ["kpff-frozen", "concat"])
+        _assert_no_children_left()
+        with pytest.raises(JobError, match=named.format("")):
+            crossval(FAST_CFG, ["kpff-frozen"], (2,))  # one job, as kpff train runs it
 
 
 def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch):
