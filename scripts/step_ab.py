@@ -12,7 +12,9 @@ the crossval_ref benchmark's `call_us_p1_gmean`: `Model.forward_backward`
 at batch 50 and 30, `OptimizerState.apply`, and `Model.evaluate` at batch
 20. The sides alternate call by call, and which side goes first alternates
 by repetition, so host load falls on both alike. Each side steps its
-optimizer the way its own `harness.train_run` does.
+optimizer and feeds dropout the way its own `harness.train_run` does: a
+tree with `net.dropout_masks` takes each step's mask rows from masks drawn
+ahead, untimed, and an older one passes its dropout stream to every call.
 
 Prints p1 and p50 per kind and side, the gmean of the p1s, and whether the
 two sides' losses agreed bit for bit.
@@ -68,9 +70,12 @@ class Side:
         self.times = {kind: [] for kind in KINDS}
         self.jobs = {}
         self.grads = {}  # method -> gradients of its last forward_backward
+        self.epoch = 0  # of the current jobs: a b50 and a b30 step per epoch
 
     def start_jobs(self):
-        """A fresh model, optimizer and dropout stream per method."""
+        """A fresh model, optimizer and dropout feed per method: the masks of
+        the job's EPOCHS epochs of 80 samples where the tree draws them
+        ahead, else its dropout stream."""
         harness, net = self.m["harness"], self.m["net"]
         shape = dict(in_channels=self.images.shape[1], image_size=self.images.shape[2],
                      num_classes=int(self.labels.max()) + 1)
@@ -86,6 +91,9 @@ class Side:
             opt = net.OptimizerState(self.cfg.optimizer, lr=self.cfg.lr,
                                      weight_decay=self.cfg.weight_decay)
             drop = self.m["rng"].stream(self.cfg.seed, "dropout/fold0")
+            if hasattr(net, "dropout_masks"):
+                drop = net.dropout_masks(drop, self.cfg.dropout_p,
+                                         (EPOCHS, 80, model.fused_width))
             self.jobs[token] = (model, opt, drop, freeze)
 
     def call(self, token, kind):
@@ -102,9 +110,13 @@ class Side:
         t0 = perf_counter()
         if kind == "evaluate.b20":
             loss, _ = model.evaluate(x, y)
-        else:
+        elif isinstance(drop, self.m["rng"].Stream):
             loss, _, self.grads[token] = model.forward_backward(x, y, train=True,
                                                                 dropout_stream=drop)
+        else:  # this batch's rows of the epoch's masks, as train_run slices them
+            rows = slice(0, 50) if kind == "forward_backward.b50" else slice(50, 80)
+            loss, _, self.grads[token] = model.forward_backward(
+                x, y, train=True, dropout_keep=drop[self.epoch, rows])
         self.times[kind].append(perf_counter() - t0)
         return loss
 
@@ -135,6 +147,8 @@ def run(other, reps, methods):
         if rep % EPOCHS == 0:
             for side in sides:
                 side.start_jobs()
+        for side in sides:
+            side.epoch = rep % EPOCHS
         order = sides if rep % 2 == 0 else sides[::-1]
         for token in methods:
             for kind in sequence:

@@ -109,12 +109,18 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 # the kernel: every kpff pass, single-sample or batched, runs through
 # kpff_kernel: the forward at W, the input gradient at W^T
 
-# Columns per tile of the kernel's loop: about TILE_VALUES values over the
-# larger side of W (n at a square W), but never fewer than MIN_TILE columns:
-# 16384 at n = 2, 8192 at n = 4, 4096 from n = 8 up. A tile's buffers then
-# take at most 256 KiB each, and a tile streams three of them (accumulator,
-# product and the X tile), 768 KiB, inside a 2 MiB L2. At twice the values,
-# forward plus backward at n = 4, r = 32768 ran 5% slower.
+# Columns per tile of the kernel's loop. A call of at most 2 * TILE_VALUES
+# values over the larger side of W (n at a square W) is one tile, summed in
+# its output: up to 32768 columns at n = 2, 16384 at n = 4, 8192 at n = 8.
+# Against two tiles summed in a scratch accumulator and copied out, forward
+# plus backward ran 9-14% faster there (n = 2, r = 32768: 176 -> 157 us;
+# n = 4, r = 16384: 278 -> 253 us; n = 8, r = 8192: 514 -> 444 us). A wider
+# call takes tiles of about TILE_VALUES values over that side, but never
+# fewer than MIN_TILE columns: 16384 at n = 2, 8192 at n = 4, 4096 from
+# n = 8 up. A tile's buffers then take at most 256 KiB each, and a tile
+# streams three of them (accumulator, product and the X tile), 768 KiB,
+# inside a 2 MiB L2. At twice the values, forward plus backward at n = 4,
+# r = 32768 ran 5% slower.
 # A call whose X holds fewer than MIN_TILE values is not tiled:
 # _small_sums sums it whole. Against the tile loop, with a square W, forward
 # plus backward at n*m = 2048 ran 12-50% faster for n = 2..16 (n = 4,
@@ -178,7 +184,8 @@ def kpff_kernel(W, X):
         return _small_sums(W, X)
     n, rows = W.shape  # Y[k] for k < rows sums n terms
     m = X.shape[1]
-    width = min(m, max(MIN_TILE, TILE_VALUES // max(n, rows)))
+    side = max(n, rows)
+    width = m if m * side <= 2 * TILE_VALUES else min(m, max(MIN_TILE, TILE_VALUES // side))
     out = np.empty((rows, m))
     if width == m:
         acc, prod = out, np.empty((rows, width))

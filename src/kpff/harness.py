@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
-from .net import FUSION_METHODS, TRAINS_AS, Model, OptimizerState, check_image_size
+from .net import (FUSION_METHODS, TRAINS_AS, Model, OptimizerState, check_image_size,
+                  dropout_masks)
 from .rng import stream
 from .tensor import NonFiniteError, ShapeError
 
@@ -68,8 +69,23 @@ def _fix_malloc_thresholds():
         libc.mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
+# Values a training job draws ahead from its shuffle and dropout streams at
+# once, 256 KiB at 8 bytes each. A block is the most whole epochs whose
+# shuffle keys and dropout masks fit, but at least one epoch: a key and a
+# fused width of mask values per training sample, far fewer values than the
+# sample's pixels. At the criterion-6 config (80 training samples, a fused
+# width of 12) a block is 31 epochs, and two blocks cover a 40-epoch job.
+DRAW_VALUES = 1 << 15
+
+
 def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token, fold):
-    """Train one model on one fold split; return its history and metrics."""
+    """Train one model on one fold split; return its history and metrics.
+
+    Each epoch takes a permutation of the training samples from the fold's
+    shuffle stream and, with dropout, one mask row per sample from its
+    dropout stream, in step order. They are drawn ahead in blocks of whole
+    epochs (DRAW_VALUES); the streams are counter-based, so the blocks hold
+    the values of a draw per epoch and per step bit for bit."""
     _fix_malloc_thresholds()
     model = Model(seed=cfg.seed, in_channels=images.shape[1], image_size=images.shape[2],
                   channels=tuple(cfg.channels), activation=cfg.activation, fusion=method_token,
@@ -82,8 +98,11 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
 
     x_train, y_train = images[train_idx], labels[train_idx]
     x_test, y_test = images[test_idx], labels[test_idx]
-    batch = min(cfg.batch_size, len(train_idx))
-    starts = range(0, len(train_idx), batch)
+    n = len(train_idx)
+    batch = min(cfg.batch_size, n)
+    starts = range(0, n, batch)
+    width = model.fused_width if cfg.dropout_p > 0.0 else 0  # no mask, no draw
+    block = max(1, DRAW_VALUES // (n * (1 + width)))
 
     loss_curve = []
     val_curve = []
@@ -93,13 +112,20 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
     # add nothing to it. Set once per run: errstate costs too much per step.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            perm = shuffle_stream.permutation(len(train_idx))
+            i = (epoch - 1) % block
+            if i == 0:
+                count = min(block, cfg.max_epochs + 1 - epoch)
+                perms = shuffle_stream.permutation(n, count)
+                keeps = (dropout_masks(dropout_stream, cfg.dropout_p, (count, n, width))
+                         if width else None)
+            perm = perms[i]
             epoch_losses = []
             for k, start in enumerate(starts, 1):
                 sel = perm[start : start + batch]
+                keep = None if keeps is None else keeps[i, start : start + batch]
                 try:
                     loss, _, _ = model.forward_backward(
-                        x_train[sel], y_train[sel], train=True, dropout_stream=dropout_stream
+                        x_train[sel], y_train[sel], train=True, dropout_keep=keep
                     )
                 except NonFiniteError as exc:
                     where = f"epoch {epoch}, batch {k} of {len(starts)}"

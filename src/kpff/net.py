@@ -241,16 +241,30 @@ def gap_backward_batch(dout, spatial_shape):
     return grad.transpose(3, 0, 1, 2)
 
 
-def dropout_batch(x, p, train, rng_stream):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-    Returns (output, mask) with mask already scaled."""
+def dropout_masks(rng_stream, p, shape):
+    """Inverted-dropout keep masks of the given shape: 1/(1-p) where the
+    stream's next uniform value is at least p, 0 where it is below. Every
+    mask dropout_batch applies comes from here; a [count, N, width] block
+    holds the masks of count consecutive [N, width] draws, bit for bit,
+    because the stream is counter-based."""
+    keep = rng_stream.uniform(size=shape)
+    np.greater_equal(keep, p, out=keep)  # 1.0 or 0.0, in place
+    keep /= 1.0 - p
+    return keep
+
+
+def dropout_batch(x, p, train, keep):
+    """Inverted dropout: x times its keep mask (dropout_masks), whose units
+    are 0 with probability p and 1/(1-p) otherwise. Returns (output, mask);
+    (x, None) in eval mode or at p = 0, where no mask is needed."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x, None
-    if rng_stream is None:
-        raise ValueError(f"training with dropout p = {p} needs a dropout_stream, got None")
-    keep = (rng_stream.uniform(size=x.shape) >= p).astype(np.float64) / (1.0 - p)
+    if keep is None:
+        raise ValueError(f"training with dropout p = {p} needs a dropout_keep mask, got None")
+    if keep.shape != x.shape:
+        raise ShapeError(f"dropout mask of shape {keep.shape} for input of shape {x.shape}")
     return x * keep, keep
 
 
@@ -472,6 +486,7 @@ class Model:
             if fusion != "kpff":
                 self.kpff.grad_ws = None
             head_in = self.kpff.W.shape[1] * self.r
+        self.fused_width = head_in  # the width dropout acts on
         self.head = DenseLayer(
             init("head.weights", (num_classes, head_in), head_in),
             init("head.bias", (num_classes,), head_in),
@@ -562,14 +577,16 @@ class Model:
             # nothing reads the gradient with respect to the image
             dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
 
-    def forward_batch(self, x, train=False, dropout_stream=None):
+    def forward_batch(self, x, train=False, dropout_keep=None):
+        """Logits of a batch. Training with dropout_p > 0 takes the batch's
+        [N, fused_width] keep mask (dropout_masks)."""
         fused = self._fuse(self._blocks_forward(x))
-        dropped, mask = dropout_batch(fused, self.dropout_p, train, dropout_stream)
+        dropped, mask = dropout_batch(fused, self.dropout_p, train, dropout_keep)
         logits = self.head.forward_batch(dropped)
         self._dropout_mask = mask
         return logits
 
-    def forward_backward(self, x, labels, train=True, dropout_stream=None):
+    def forward_backward(self, x, labels, train=True, dropout_keep=None):
         """Mean loss, top-1 accuracy, and mean parameter gradients for a batch.
 
         The gradients are written into self.grad; the returned read-only
@@ -577,7 +594,7 @@ class Model:
         next call, which overwrites them: copy what must outlive it."""
         if x.shape[0] == 0:
             raise ShapeError("empty batch")
-        logits = self.forward_batch(x, train=train, dropout_stream=dropout_stream)
+        logits = self.forward_batch(x, train=train, dropout_keep=dropout_keep)
         loss, acc, dlogits = _loss_and_accuracy(logits, labels)
         dlogits /= x.shape[0]
 

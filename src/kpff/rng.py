@@ -113,11 +113,14 @@ class Stream:
             return float(out[0])
         return out.reshape(size)
 
-    def permutation(self, n: int) -> np.ndarray:
-        # argsort of 64-bit keys; stable sort keeps this deterministic. A
-        # negative or non-integral n is rejected by raw before the counter
-        # moves.
-        return self.raw(n).argsort(kind="stable")
+    def permutation(self, n: int, count=None) -> np.ndarray:
+        """A permutation of range(n); with count, a [count, n] array whose
+        rows are the permutations of count calls in turn. Each is the
+        stable argsort of n 64-bit keys, so a row depends only on where its
+        keys fall in the stream. A negative or non-integral n or count is
+        rejected before the counter moves."""
+        size = n if count is None else (count, n)
+        return self.raw(_count(size)).reshape(size).argsort(kind="stable")
 
 
 def stream(seed: int, label: str) -> Stream:

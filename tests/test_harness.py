@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kpff import harness, hooks
+from kpff import harness, hooks, rng
 from kpff.config import RunConfig
 from kpff.data import generate_synthetic, make_folds, write_pnm
 from kpff.harness import (
@@ -24,7 +24,8 @@ from kpff.harness import (
     train_run,
     write_report,
 )
-from kpff.net import FUSION_METHODS, Model
+from kpff.net import FUSION_METHODS, Model, dropout_masks
+from kpff.rng import stream
 from kpff.tensor import NonFiniteError
 
 FAST_CFG = RunConfig(seed=4, per_class=5, image_size=8, channels=(3, 4),
@@ -222,6 +223,91 @@ def test_train_run_says_where_a_run_went_non_finite(method, calls, message, monk
     images, labels = dataset.stacked()
     with pytest.raises(NonFiniteError, match=f"^{message}$"):
         train_run(cfg, images, labels, plan.train_indices(0), plan.folds[0], "kpff", 0)
+
+
+# --- a job's draws, taken ahead in blocks ------------------------------------------
+
+# 25 images per class: five folds of 80 training samples, as in criterion 6
+DRAWS_CFG = RunConfig(seed=9, per_class=25, image_size=8, channels=(3, 4), max_epochs=3,
+                      lr=3e-3, batch_size=50, val_interval=3, dropout_p=0.3)
+KPFF_WIDTH = 2 * 3  # kpff's fused width: n = 2 taps of r = min(channels) = 3
+
+
+def _train_fold0(cfg, monkeypatch, token="kpff"):
+    """One train_run on fold 0; returns its training images, the (x, dropout
+    mask) of each step, and the (stream seed, count) of each Stream.raw call."""
+    steps, draws = [], []
+    forward_backward, raw = Model.forward_backward, rng.Stream.raw
+
+    def recording_step(self, x, labels, train=True, dropout_keep=None):
+        steps.append((x.copy(), None if dropout_keep is None else dropout_keep.copy()))
+        return forward_backward(self, x, labels, train=train, dropout_keep=dropout_keep)
+
+    def recording_raw(self, count):
+        draws.append((int(self.seed), count))
+        return raw(self, count)
+
+    monkeypatch.setattr(Model, "forward_backward", recording_step)
+    monkeypatch.setattr(rng.Stream, "raw", recording_raw)
+    dataset = load_dataset(cfg)
+    plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
+    images, labels = dataset.stacked()
+    train_run(cfg, images, labels, plan.train_indices(0), plan.folds[0], token, 0)
+    return images[plan.train_indices(0)], steps, draws[:]
+
+
+# an epoch draws 80 shuffle keys and 80 * 6 dropout values, 560 in all
+@pytest.mark.parametrize("changes,budget,blocks", [
+    ({}, None, 1),  # 80 samples at batch 50: a step of 50, then one of 30
+    ({"batch_size": 100}, None, 1),  # one step per epoch, of all 80
+    ({"max_epochs": 70}, None, 2),  # 58 epochs to a block: 58, then 12
+    ({"dropout_p": 0.0}, None, 1),  # no mask and no dropout draw
+    ({"max_epochs": 7}, 2000, 3),  # 3 epochs to a block: 3, 3, then 1
+    ({}, 500, 3),  # an epoch over the budget: a block per epoch
+], ids=["remainder", "one-batch", "two-blocks", "no-dropout", "three-blocks", "epoch-over-budget"])
+def test_block_draws_equal_per_step_draws(changes, budget, blocks, monkeypatch):
+    cfg = replace(DRAWS_CFG, **changes)
+    if budget is not None:
+        monkeypatch.setattr(harness, "DRAW_VALUES", budget)
+    x_train, steps, draws = _train_fold0(cfg, monkeypatch)
+    # the draws as a step-by-step loop takes them: a permutation per epoch,
+    # a mask per step
+    shuffle, drop = stream(cfg.seed, "shuffle/fold0"), stream(cfg.seed, "dropout/fold0")
+    n = len(x_train)
+    batch = min(cfg.batch_size, n)
+    want = []
+    for _ in range(cfg.max_epochs):
+        perm = shuffle.permutation(n)
+        for start in range(0, n, batch):
+            sel = perm[start:start + batch]
+            keep = (dropout_masks(drop, cfg.dropout_p, (len(sel), KPFF_WIDTH))
+                    if cfg.dropout_p else None)
+            want.append((x_train[sel], keep))
+    assert len(steps) == len(want) == cfg.max_epochs * len(range(0, n, batch))
+    for k, ((x, keep), (want_x, want_keep)) in enumerate(zip(steps, want)):
+        assert x.tobytes() == want_x.tobytes(), f"step {k}: batch"
+        assert (keep is None and want_keep is None) or keep.tobytes() == want_keep.tobytes(), (
+            f"step {k}: dropout mask")
+    assert [seed for seed, _ in draws if seed == shuffle.seed] == [shuffle.seed] * blocks
+    dropout_draws = [seed for seed, _ in draws if seed == drop.seed]
+    assert dropout_draws == ([drop.seed] * blocks if cfg.dropout_p else [])
+
+
+@pytest.mark.parametrize("token,calls", [("kpff", 2), ("add", 1)])
+def test_a_job_draws_in_blocks_of_epochs(token, calls, monkeypatch):
+    # the criterion-6 config: 40 epochs of 80 training samples. A draw per
+    # step and per epoch took 80 dropout and 40 shuffle draws. Under
+    # DRAW_VALUES a block holds 32768 // (80 * (1 + width)) epochs: 31 at
+    # kpff's fused width of 12, so two blocks; 58 at add's 6, so one
+    cfg = RunConfig(seed=0, per_class=25, image_size=16, channels=(6, 12), max_epochs=40,
+                    lr=3e-3, dropout_p=0.1, batch_size=50, val_interval=10)
+    _, steps, draws = _train_fold0(cfg, monkeypatch, token)
+    assert len(steps) == 80
+    shuffle, drop = stream(cfg.seed, "shuffle/fold0"), stream(cfg.seed, "dropout/fold0")
+    assert len([c for seed, c in draws if seed == shuffle.seed]) == calls
+    assert len([c for seed, c in draws if seed == drop.seed]) == calls
+    width = 12 if token == "kpff" else 6
+    assert sum(c for seed, c in draws if seed == drop.seed) == 40 * 80 * width
 
 
 # --- the jobs shared among processes -------------------------------------------------

@@ -21,6 +21,7 @@ from kpff.net import (
     _block_output_grad,
     _pool_crop,
     dropout_batch,
+    dropout_masks,
     gap_backward_batch,
     gap_batch,
     softmax_ce_batch,
@@ -347,22 +348,22 @@ def test_softmax_stability_and_label_range():
 
 def test_dropout_eval_identity():
     x = Stream(3).uniform(size=(4, 20))
-    out, mask = dropout_batch(x, 0.7, False, stream(0, "d"))
+    out, mask = dropout_batch(x, 0.7, False, dropout_masks(stream(0, "d"), 0.7, x.shape))
     assert out is x and mask is None
 
 
 def test_dropout_p_zero():
     x = Stream(4).uniform(size=(4, 20))
-    out, mask = dropout_batch(x, 0.0, True, stream(0, "d"))
+    out, mask = dropout_batch(x, 0.0, True, None)
     assert out is x and mask is None
     for p in (1.0, -0.1):
         with pytest.raises(ValueError, match="dropout probability"):
-            dropout_batch(x, p, True, stream(0, "d"))
+            dropout_batch(x, p, True, np.ones_like(x))
 
 
 def test_dropout_statistics():
     x = np.ones((1, 100_000))
-    out, mask = dropout_batch(x, 0.5, True, stream(7, "dropout"))
+    out, mask = dropout_batch(x, 0.5, True, dropout_masks(stream(7, "dropout"), 0.5, x.shape))
     survivors = np.count_nonzero(out) / x.size
     assert abs(survivors - 0.5) < 0.01
     assert abs(out.mean() - 1.0) < 0.02  # inverted scaling preserves expectation
@@ -420,6 +421,11 @@ def _toy_batch(seed=5, n=6, size=12):
     return x, labels
 
 
+def _keep(model, drop, n):
+    """The next dropout mask of an n-sample batch from the stream drop."""
+    return dropout_masks(drop, model.dropout_p, (n, model.fused_width))
+
+
 def test_model_frozen_kpff_matches_concat_losses():
     # Model fuses every method through its KPFF layer; the reference keeps
     # Add and Concat on paths of their own
@@ -434,7 +440,8 @@ def test_model_frozen_kpff_matches_concat_losses():
         drop = stream(3, "dropout")
         seq = []
         for step in range(10):
-            loss, _, _ = model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            loss, _, _ = model.forward_backward(x, labels, train=True,
+                                                dropout_keep=_keep(model, drop, len(x)))
             opt.apply(model.theta, model.grad)
             seq.append(loss)
         losses[name] = seq
@@ -469,7 +476,7 @@ def test_model_determinism():
         opt = OptimizerState("adam", lr=1e-3, weight_decay=5e-4)
         drop = stream(9, "dropout")
         for _ in range(5):
-            model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            model.forward_backward(x, labels, train=True, dropout_keep=_keep(model, drop, len(x)))
             opt.apply(model.theta, model.grad)
         return {k: v.copy() for k, v in model.params().items()}
 
@@ -514,21 +521,21 @@ def test_model_check_catches_fusion_backward_bugs(bug):
 
 
 def test_model_gradients_with_dropout_match_finite_differences():
-    # training mode: every loss evaluation draws its mask from a fresh stream
-    # of one seed and name, so each drops the units the backward pass dropped
+    # training mode: every loss evaluation applies the one mask the backward
+    # pass applied
     model = Model(seed=2, image_size=10, channels=(3, 4), activation="sigmoid",
                   fusion="kpff", num_classes=3, dropout_p=0.5, kpff_noise=0.1)
     s = Stream(6)
     x = s.uniform(size=(4, 1, 10, 10))
     labels = np.array([0, 1, 2, 1])
 
+    keep = _keep(model, stream(2, "gradcheck/dropout"), len(x))
+
     def loss(_):
-        logits = model.forward_batch(x, train=True,
-                                     dropout_stream=stream(2, "gradcheck/dropout"))
+        logits = model.forward_batch(x, train=True, dropout_keep=keep)
         return float(softmax_ce_batch(logits, labels)[0].mean())
 
-    _, _, grads = model.forward_backward(x, labels, train=True,
-                                         dropout_stream=stream(2, "gradcheck/dropout"))
+    _, _, grads = model.forward_backward(x, labels, train=True, dropout_keep=keep)
     mask = model._dropout_mask
     assert 0 < np.count_nonzero(mask) < mask.size  # some units dropped, some kept
     grads = {name: g.copy() for name, g in grads.items()}
@@ -936,10 +943,11 @@ def test_one_array_step_matches_the_per_name_path(fusion, method, weight_decay):
     x, labels = _toy_batch(seed=7, n=6, size=12)
     for step in range(60):
         n = 6 if step % 2 == 0 else 4  # two batch sizes, as a fold's full and last batch
-        flat.forward_backward(x[:n], labels[:n], train=True, dropout_stream=flat_drop)
+        flat.forward_backward(x[:n], labels[:n], train=True,
+                              dropout_keep=_keep(flat, flat_drop, n))
         flat_opt.apply(flat.theta, flat.grad)
         _, _, ref_grads = ref.forward_backward(x[:n], labels[:n], train=True,
-                                               dropout_stream=ref_drop)
+                                               dropout_keep=_keep(ref, ref_drop, n))
         per_array_apply(ref_opt, ref.params(), ref_grads)
         assert flat.theta.tobytes() == ref.theta.tobytes(), step
     if fusion == "kpff-frozen":  # W is a constant: I, whatever kpff_noise says
@@ -977,8 +985,10 @@ def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
 
     x, labels = _toy_batch()
     drop = stream(3, "dropout")
-    _, _, first = model.forward_backward(x, labels, train=True, dropout_stream=drop)
-    _, _, second = model.forward_backward(x, labels, train=True, dropout_stream=drop)
+    _, _, first = model.forward_backward(x, labels, train=True,
+                                         dropout_keep=_keep(model, drop, len(x)))
+    _, _, second = model.forward_backward(x, labels, train=True,
+                                          dropout_keep=_keep(model, drop, len(x)))
     assert list(second) == list(params)
     for name, p in params.items():
         assert np.shares_memory(p, model.theta), name
@@ -1004,7 +1014,8 @@ def test_a_constant_fusion_weight_keeps_no_gradient(fusion, madds):
     x = Stream(1).uniform(size=(50, 1, 16, 16))
     labels = np.arange(50) % 4
     with count_ops() as counts:
-        model.forward_backward(x, labels, train=True, dropout_stream=stream(0, "dropout"))
+        model.forward_backward(x, labels, train=True,
+                               dropout_keep=_keep(model, stream(0, "dropout"), 50))
     assert counts["madd"] == madds
     if fusion not in ("none", "kpff"):
         assert model.kpff.grad_ws is None
@@ -1039,15 +1050,19 @@ def test_tie_masks_match_the_ten_pass_formula(case):
         assert len({tuple(col) for col in holds.T}) == 15
 
 
-def test_training_with_dropout_needs_a_dropout_stream():
+def test_training_with_dropout_needs_a_mask_of_its_shape():
     x, labels = _toy_batch()
     model = Model(seed=1, image_size=12, channels=(4, 6), fusion="add", num_classes=3,
                   dropout_p=0.25)
-    with pytest.raises(ValueError, match="dropout_stream"):
+    with pytest.raises(ValueError, match="dropout_keep"):
         model.forward_backward(x, labels)  # train=True by default
-    with pytest.raises(ValueError, match="dropout_stream"):
+    with pytest.raises(ValueError, match="dropout_keep"):
         dropout_batch(np.ones((2, 3)), 0.5, True, None)
-    # no draw, so no stream, in eval mode or at p = 0
+    # a mask that would broadcast is still the wrong mask
+    for shape in ((1, model.fused_width), (len(x), model.fused_width + 1)):
+        with pytest.raises(ShapeError, match="dropout mask of shape"):
+            model.forward_backward(x, labels, dropout_keep=np.ones(shape))
+    # no mask in eval mode or at p = 0
     model.forward_backward(x, labels, train=False)
     assert dropout_batch(np.ones((2, 3)), 0.0, True, None)[1] is None
 
@@ -1121,8 +1136,8 @@ def test_model_kpff_matches_block_loops(channels, image_size, bug, monkeypatch):
     runs = []
     for cls in (Model, BlockLoopKpffModel):
         model = cls(**kwargs)
-        loss, _, grads = model.forward_backward(x, labels, train=True,
-                                                dropout_stream=stream(8, "dropout"))
+        loss, _, grads = model.forward_backward(
+            x, labels, train=True, dropout_keep=_keep(model, stream(8, "dropout"), 7))
         runs.append((model, loss, grads))
     (_, loss, grads), (ref, ref_loss, ref_grads) = runs
     assert loss == ref_loss
@@ -1266,8 +1281,8 @@ NUMPY_PYTHON_HELPERS = ("numpy/_core/_methods.py", "numpy/_core/fromnumeric.py",
 
 def test_training_step_calls_no_numpy_python_helpers():
     s = Stream(61)
-    x = s.uniform(size=(50, 1, 16, 16))
-    labels = np.arange(50) % 4
+    x = s.uniform(size=(80, 1, 16, 16))
+    labels = np.arange(80) % 4
     for fusion in FUSION_METHODS:
         model = Model(seed=0, image_size=16, channels=(6, 12), fusion=fusion,
                       num_classes=4, dropout_p=0.1)
@@ -1276,10 +1291,13 @@ def test_training_step_calls_no_numpy_python_helpers():
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            model.forward_backward(x, labels, train=True, dropout_stream=drop)
+            # a block of harness.train_run's draws, then a step on its rows
+            perms = shuffle.permutation(80, 31)
+            keeps = dropout_masks(drop, model.dropout_p, (31, 80, model.fused_width))
+            sel = perms[1, 30:]
+            model.forward_backward(x[sel], labels[sel], train=True, dropout_keep=keeps[1, 30:])
             opt.apply(model.theta, model.grad)
-            model.evaluate(x, labels)
-            shuffle.permutation(80)
+            model.evaluate(x[:20], labels[:20])
         finally:
             profiler.disable()
         called = {(path.replace(os.sep, "/"), name) for path, _, name in pstats.Stats(profiler).stats}

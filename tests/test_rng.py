@@ -49,6 +49,16 @@ def test_permutation_is_permutation():
         assert sorted(p.tolist()) == list(range(n))
 
 
+@pytest.mark.parametrize("n,count", [(80, 31), (7, 1), (1, 3), (5, 0), (0, 4)])
+def test_permutation_rows_equal_calls_in_turn(n, count):
+    block, calls = Stream(37), Stream(37)
+    rows = block.permutation(n, count)
+    assert rows.shape == (count, n) and rows.dtype == calls.permutation(0).dtype
+    for row in rows:
+        assert _same_bits(row, calls.permutation(n))
+    assert block.counter == calls.counter == n * count
+
+
 def test_splitmix64_known_answers():
     # the first outputs of SplitMix64 (Steele, Lea and Flood 2014) seeded
     # with 0, as printed by its reference C implementation
@@ -175,9 +185,10 @@ def test_draws_raise_no_floating_point_error_or_warning():
     lambda s: s.uniform(size=(-2, -3)),  # a positive count from negative extents
     lambda s: s.normal(size=np.int64(-4)),
     lambda s: s.permutation(-2),
+    lambda s: s.permutation(-2, -3),
     lambda s: s.raw(-1),
 ], ids=["uniform-int", "uniform-extent", "uniform-two-extents", "normal-np-int",
-        "permutation", "raw"])
+        "permutation", "permutation-count", "raw"])
 def test_negative_sizes_are_rejected_and_leave_the_counter(draw):
     s = Stream(71)
     s.uniform(size=3)
@@ -202,8 +213,9 @@ def test_negative_sizes_are_rejected_and_leave_the_counter(draw):
     lambda s: s.normal(size=(2.5,)),
     lambda s: s.normal(size=np.float64(3.0)),
     lambda s: s.permutation(2.5),
+    lambda s: s.permutation(3, 2.0),
 ], ids=["raw", "raw-np-float", "uniform-float", "uniform-extent", "uniform-second-extent",
-        "normal-extent", "normal-np-float", "permutation"])
+        "normal-extent", "normal-np-float", "permutation", "permutation-count"])
 def test_non_integral_sizes_are_rejected_and_leave_the_counter(draw):
     s = Stream(79)
     s.uniform(size=3)
