@@ -82,7 +82,10 @@ def _parse_value(text, ftype):
     if ftype is float:
         return float(text)
     if ftype is tuple:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        items = text.split(",")
+        if not all(x.strip() for x in items):
+            raise ValueError(f"empty item in list {text!r}")
+        return tuple(int(x) for x in items)
     return text
 
 
@@ -93,7 +96,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def parse_config_text(text) -> RunConfig:
     ftypes = field_types()
-    overrides = {}
+    overrides, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,6 +106,9 @@ def parse_config_text(text) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in ftypes:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             overrides[key] = _parse_value(value, ftypes[key])
         except ValueError as exc:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import stream
+from .rng import normal_from_bits, stream, uniform_from_bits
 
 SYNTHETIC_CLASSES = ("blob", "checkerboard", "gradient", "stripes")
 NOISE_SIGMA = 0.05
@@ -69,45 +69,61 @@ class FoldPlan:
 # synthetic data
 
 
-def _texture(name, size, s):
+# class -> the (low, high) of each of its per-sample jitter uniforms
+_JITTER = {
+    "stripes": ((-0.5, 0.5),),  # phase
+    "checkerboard": ((-0.5, 0.5), (-0.5, 0.5)),  # x and y phase
+    "blob": ((-1.5, 1.5), (-1.5, 1.5), (0.0, 1.0)),  # centre offsets, width
+    "gradient": ((-0.15, 0.15),),  # offset
+}
+
+
+def _textures(name, size, jitter):
+    """[count, size, size] textures of one class, from its [count, k] jitter
+    values."""
     # phase jitter is kept small so every class stays linearly separable
     # from raw pixels (the regression baseline in the tests depends on it)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    j = [jitter[:, i, None, None] for i in range(jitter.shape[1])]
     if name == "stripes":
-        phase = s.uniform(low=-0.5, high=0.5)
-        img = 0.5 + 0.5 * np.sin(2 * np.pi * (yy + phase) / 4.0)
-    elif name == "checkerboard":
-        px = s.uniform(low=-0.5, high=0.5)
-        py = s.uniform(low=-0.5, high=0.5)
-        img = 0.5 + 0.5 * np.sign(
-            np.sin(2 * np.pi * (xx + px) / 4.0) * np.sin(2 * np.pi * (yy + py) / 4.0)
+        return 0.5 + 0.5 * np.sin(2 * np.pi * (yy + j[0]) / 4.0)
+    if name == "checkerboard":
+        return 0.5 + 0.5 * np.sign(
+            np.sin(2 * np.pi * (xx + j[0]) / 4.0) * np.sin(2 * np.pi * (yy + j[1]) / 4.0)
         )
-    elif name == "blob":
-        cx = size / 2 + s.uniform(low=-1.5, high=1.5)
-        cy = size / 2 + s.uniform(low=-1.5, high=1.5)
-        width = size * (0.15 + 0.1 * s.uniform())
-        img = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * width**2))
-    elif name == "gradient":
-        offset = s.uniform(low=-0.15, high=0.15)
-        img = (xx + yy) / (2 * (size - 1)) + offset
-    else:
-        raise ValueError(f"unknown texture {name!r}")
-    contrast = 0.7 + 0.3 * s.uniform()
-    img = 0.5 + contrast * (img - 0.5)
-    img += s.normal(size=img.shape, sigma=NOISE_SIGMA)
-    return np.clip(img, 0.0, 1.0)
+    if name == "blob":
+        cx, cy = size / 2 + j[0], size / 2 + j[1]
+        width = size * (0.15 + 0.1 * j[2])
+        return np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * width**2))
+    return (xx + yy) / (2 * (size - 1)) + j[0]  # gradient
 
 
 def generate_synthetic(per_class=25, size=16, seed=0, classes=SYNTHETIC_CLASSES) -> Dataset:
     """Four procedural texture classes with per-sample jitter and noise.
-    Pure function of (arguments, seed)."""
+    Pure function of (arguments, seed).
+
+    Each class draws all its samples' values in one call on its stream.
+    A sample's row of it holds, in turn, its jitter uniforms, its contrast
+    uniform and the two halves of its pixel noise's Box-Muller pairs."""
     if size < 8:
         raise ValueError(f"size must be >= 8, got {size}")
+    pixels = size * size
+    pairs = (pixels + 1) // 2
     images = np.empty((len(classes) * per_class, 1, size, size))
     for label, name in enumerate(classes):
-        s = stream(seed, f"synthetic/{name}")
-        for k in range(per_class):
-            images[label * per_class + k, 0] = _texture(name, size, s)
+        if name not in _JITTER:
+            raise ValueError(f"unknown texture {name!r}")
+        k = len(_JITTER[name])
+        bits = stream(seed, f"synthetic/{name}").raw(per_class * (k + 1 + 2 * pairs))
+        bits = bits.reshape(per_class, k + 1 + 2 * pairs)
+        low, high = np.array(_JITTER[name] + ((0.0, 1.0),)).T  # the contrast's last
+        uniforms = uniform_from_bits(bits[:, :k + 1], low, high)
+        img = _textures(name, size, uniforms[:, :k])
+        contrast = 0.7 + 0.3 * uniforms[:, k, None, None]
+        img = 0.5 + contrast * (img - 0.5)
+        noise = normal_from_bits(bits[:, k + 1:k + 1 + pairs], bits[:, k + 1 + pairs:], pixels)
+        img += (NOISE_SIGMA * noise).reshape(img.shape)
+        np.clip(img, 0.0, 1.0, out=images[label * per_class:(label + 1) * per_class, 0])
     return Dataset(images, np.repeat(np.arange(len(classes)), per_class), list(classes))
 
 
@@ -152,7 +168,12 @@ def read_pnm(path) -> np.ndarray:
     raster = buf[offset : offset + need]
     if len(raster) != need:
         raise ValueError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
-    arr = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(raster, dtype=np.uint8)
+    above = np.flatnonzero(samples > maxval)
+    if above.size:
+        raise ValueError(f"{path}: sample {samples[above[0]]} above maxval {maxval} "
+                         f"at byte offset {offset + above[0]}")
+    arr = samples.astype(np.float64) / maxval
     arr = np.ascontiguousarray(arr.reshape(height, width, channels).transpose(2, 0, 1))
     arr.setflags(write=False)
     return arr

@@ -6,6 +6,7 @@ Every layer runs batched, on [N, C, H, W] or [N, features] float64 arrays.
 """
 
 from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -15,26 +16,42 @@ from .hooks import injected_bug
 from .fusion import KpffLayer
 
 # ---------------------------------------------------------------------------
-# activations: name -> (f(pre), df(pre, out, dout)); RunConfig and the CLI
-# accept exactly these names
+# activations: name -> Activation; RunConfig and the CLI accept exactly these
+# names
+
+
+class Activation(NamedTuple):
+    """f(pre), its backward df(pre, out, dout), and gate: None, or for an
+    activation whose derivative is a 0/1 gate, gate(pre), the boolean array
+    where it is 1. df is then dout * gate(pre), and the pool's tie masks can
+    take the gate in place of that multiply (MaxPool2x2.backward_batch)."""
+
+    forward: Callable
+    backward: Callable
+    gate: Optional[Callable] = None
+
+
+def _relu_gate(pre):
+    return pre > 0.0  # False at NaN: no gradient passes it
 
 
 ACTIVATIONS = {
-    "identity": (lambda pre: pre, lambda pre, out, dout: dout),
-    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, out, dout: dout * (pre > 0.0)),
-    "sigmoid": (lambda pre: 1.0 / (1.0 + np.exp(-pre)),
-                lambda pre, out, dout: dout * out * (1.0 - out)),
-    "leaky_relu": (lambda pre: np.where(pre > 0.0, pre, 0.01 * pre),
-                   lambda pre, out, dout: dout * np.where(pre > 0.0, 1.0, 0.01)),
+    "identity": Activation(lambda pre: pre, lambda pre, out, dout: dout),
+    "relu": Activation(lambda pre: np.maximum(pre, 0.0),
+                       lambda pre, out, dout: dout * _relu_gate(pre), _relu_gate),
+    "sigmoid": Activation(lambda pre: 1.0 / (1.0 + np.exp(-pre)),
+                          lambda pre, out, dout: dout * out * (1.0 - out)),
+    "leaky_relu": Activation(lambda pre: np.where(pre > 0.0, pre, 0.01 * pre),
+                             lambda pre, out, dout: dout * np.where(pre > 0.0, 1.0, 0.01)),
 }
 
 
 def _act_forward(name, pre):
-    return ACTIVATIONS[name][0](pre)
+    return ACTIVATIONS[name].forward(pre)
 
 
 def _act_backward(name, pre, out, dout):
-    return ACTIVATIONS[name][1](pre, out, dout)
+    return ACTIVATIONS[name].backward(pre, out, dout)
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +198,29 @@ class MaxPool2x2:
         return t[:, :H // 2 * 2, :W // 2 * 2].reshape(C, H // 2, 2, W // 2, 2, N)
 
     @staticmethod
-    def _tie_masks(win, out):
+    def _tie_masks(win, out, live=None):
         """[4, ...] booleans, one mask per window position: the first
         position equal to the max wins. Eight passes, each in place; for
-        booleans a > b is a & ~b."""
+        booleans a > b is a & ~b.
+
+        With live, a boolean array of out's shape, a window where live is
+        False is taken before the cascade starts, so all four of its masks
+        are False: the masks of the pool followed by that 0/1 gate. That
+        takes one pass more."""
         masks = np.empty(win.shape, dtype=bool)
         first, second, third, fourth = masks
         np.equal(win[0], out, out=first)
+        if live is None:
+            np.logical_not(first, out=fourth)  # the windows still free
+        else:
+            first &= live
+            np.greater(live, first, out=fourth)
         np.equal(win[1], out, out=second)
-        np.greater(second, first, out=second)
-        np.logical_or(first, second, out=fourth)  # taken so far
+        second &= fourth
+        np.greater(fourth, second, out=fourth)
         np.equal(win[2], out, out=third)
-        np.greater(third, fourth, out=third)
-        fourth |= third
-        np.logical_not(fourth, out=fourth)
+        third &= fourth
+        np.greater(fourth, third, out=fourth)
         return masks
 
     def forward_batch(self, x):
@@ -208,14 +234,21 @@ class MaxPool2x2:
         self._cache = (x.shape, win, out)  # the masks are built by backward_batch, if it runs
         return out.transpose(3, 0, 1, 2)
 
-    def backward_batch(self, dout):
+    def backward_batch(self, dout, live=None):
         """dL/dx. Consumes the forward pass's cache: the window copy is
-        overwritten with the gradient, so a second call needs a new forward."""
+        overwritten with the gradient, so a second call needs a new forward.
+
+        live, a boolean array of the output's shape, is a 0/1 gate applied
+        after the pool (Activation.gate of the output): the gradient of
+        pool-then-gate, dout times the gated tie masks, or dout * live where
+        the pool passed its input through."""
         (N, C, H, W), win, out = self._cache
         if win is None:
-            return dout
+            return dout if live is None else dout * live
         self._cache = None
-        masks = self._tie_masks(win, out)  # before win is overwritten
+        if live is not None:
+            live = live.transpose(1, 2, 3, 0)
+        masks = self._tie_masks(win, out, live)  # before win is overwritten
         np.multiply(dout.transpose(1, 2, 3, 0), masks, out=win)
         # odd trailing rows/columns get no gradient; every other value is written
         dx = (np.zeros if H % 2 or W % 2 else np.empty)((C, H, W, N))
@@ -419,7 +452,9 @@ class Model:
     The activation runs after the pool, on a quarter of the values. Every
     activation here is monotone non-decreasing, so max(f(a), f(b)) =
     f(max(a, b)) and the outputs are those of conv -> activation -> pool;
-    docs/gradients.md gives the one case where gradients can differ.
+    docs/gradients.md gives the one case where gradients can differ. An
+    activation with a 0/1 gate (relu) has its backward folded into the
+    pool's tie masks.
 
     Every parameter is a view of one float64 vector, self.theta, and every
     gradient a view of a second, self.grad, both in params() order. The
@@ -553,27 +588,30 @@ class Model:
         return [p.backward_batch(dp) for p, dp in zip(self.projections, dprojected)]
 
     def _blocks_forward(self, x):
-        """The conv blocks; returns the GAP tap of each."""
-        taps = []
+        """The conv blocks; returns the GAP tap of each block whose tap the
+        fusion reads and None for the others: none reads the last only."""
         self._blocks = []  # (pooled, activated) per block
         h = x
         for conv, pool in zip(self.convs, self.pools):
             pooled = pool.forward_batch(conv.forward_batch(_pool_crop(conv, h)))
             h = _act_forward(self.activation, pooled)
             self._blocks.append((pooled, h))
-            taps.append(gap_batch(h))
-        return taps
+        read = self._blocks[-1:] if self.fusion == "none" else self._blocks
+        return [None] * (len(self._blocks) - len(read)) + [gap_batch(h) for _, h in read]
 
     def _blocks_backward(self, dtaps):
         """Conv gradients from the taps' gradients (None for a tap nothing read)."""
+        gate = ACTIVATIONS[self.activation].gate
         dx = None  # gradient with respect to the input of block b + 1
         for b in range(len(self.convs) - 1, -1, -1):
             pooled, h = self._blocks[b]
             dh = gap_backward_batch(dtaps[b], h.shape[2:]) if dtaps[b] is not None else None
             if dx is not None:
                 dh = _block_output_grad(dx, h.shape, dh)
-            dh = _act_backward(self.activation, pooled, h, dh)
-            dh = self.pools[b].backward_batch(dh)
+            if gate is None:
+                dh = self.pools[b].backward_batch(_act_backward(self.activation, pooled, h, dh))
+            else:  # the pool's tie masks take the 0/1 gate: one multiply
+                dh = self.pools[b].backward_batch(dh, gate(pooled))
             # nothing reads the gradient with respect to the image
             dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
 

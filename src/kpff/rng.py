@@ -49,6 +49,30 @@ def _count(size) -> int:
     return math.prod(shape)
 
 
+def uniform_from_bits(bits, low=0.0, high=1.0):
+    """Uniform floats in [low, high) with 53-bit resolution, one per raw
+    stream value: the top 53 bits, scaled. low and high broadcast against
+    bits, and bits is shifted in place."""
+    bits >>= _S11
+    out = bits.astype(np.float64)
+    out *= 2.0**-53
+    out *= high - low
+    out += low
+    return out
+
+
+def normal_from_bits(bits1, bits2, n):
+    """Standard normal values by Box-Muller on paired raw values, along the
+    last axis: each row's cosine terms, then its sine terms, cut to n. bits1
+    and bits2 hold (n + 1) // 2 values per row."""
+    # shift into (0, 1] so log never sees 0
+    u1 = ((bits1 >> _S11).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (bits2 >> _S11).astype(np.float64) * 2.0**-53
+    rad = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([rad * np.cos(2 * np.pi * u2), rad * np.sin(2 * np.pi * u2)], axis=-1)
+    return z[..., :n]
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Derive a stream seed from a base seed and a consumer label."""
     h = _FNV_OFFSET
@@ -88,13 +112,7 @@ class Stream:
 
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high) with 53-bit resolution."""
-        n = _count(size)
-        bits = self.raw(n)
-        bits >>= _S11
-        out = bits.astype(np.float64)
-        out *= 2.0**-53
-        out *= high - low
-        out += low
+        out = uniform_from_bits(self.raw(_count(size)), low, high)
         if size is None:
             return float(out[0])
         return out.reshape(size)
@@ -103,12 +121,7 @@ class Stream:
         """Gaussian via Box-Muller on paired uniforms."""
         n = _count(size)
         m = (n + 1) // 2
-        # shift into (0, 1] so log never sees 0
-        u1 = ((self.raw(m) >> _S11).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self.raw(m) >> _S11).astype(np.float64) * 2.0**-53
-        rad = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([rad * np.cos(2 * np.pi * u2), rad * np.sin(2 * np.pi * u2)])[:n]
-        out = sigma * z
+        out = sigma * normal_from_bits(self.raw(m), self.raw(m), n)  # u1's values first
         if size is None:
             return float(out[0])
         return out.reshape(size)

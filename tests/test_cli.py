@@ -373,6 +373,24 @@ def test_config_file_bad_value_names_line_and_key(line, message, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("channels = 4,,6", "line 2: channels: empty item in list '4,,6'"),
+    ("lr = 0.1\nlr = 0.2", "line 3: key 'lr' already set on line 2"),
+], ids=["empty-item", "repeated-key"])
+def test_config_file_rejects_empty_items_and_repeated_keys(lines, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 1\n{lines}\n")
+    assert run_cli("crossval", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_channels_flag_rejects_an_empty_item(tmp_path, capsys):
+    assert exit_code("train", "--channels", "4,,6", "--out", str(tmp_path)) == 2
+    assert "argument --channels: invalid tuple value: '4,,6'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_activation_flag_takes_only_model_activations(tmp_path, capsys):
     assert exit_code("train", "--activation", "tanh", "--out", str(tmp_path)) == 2
     assert "--activation" in capsys.readouterr().err

@@ -50,6 +50,19 @@ def test_parse_rejects_unknown_key_and_bad_lines():
         parse_config_text("just words")
 
 
+@pytest.mark.parametrize("value", ["4,,6", "4, 6,", ",4", " , "])
+def test_parse_rejects_an_empty_list_item(value):
+    with pytest.raises(ValueError, match=f"^line 2: channels: empty item in list '{value.strip()}'$"):
+        parse_config_text(f"seed = 1\nchannels = {value}\n")
+
+
+def test_parse_rejects_a_key_given_twice():
+    with pytest.raises(ValueError, match="^line 4: key 'lr' already set on line 2$"):
+        parse_config_text("seed = 1\nlr = 0.1\n# a comment\nlr = 0.1\n")
+    with pytest.raises(ValueError, match="^line 2: key 'seed' already set on line 1$"):
+        parse_config_text("seed = 1\n  seed=2  # the same key, spaced otherwise\n")
+
+
 def test_validation():
     with pytest.raises(ValueError):
         RunConfig(dropout_p=1.0)

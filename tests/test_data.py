@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpff.data import (
+    NOISE_SIGMA,
+    SYNTHETIC_CLASSES,
     Dataset,
     generate_synthetic,
     load_image_dir,
@@ -11,6 +13,7 @@ from kpff.data import (
     write_fold_plan,
     write_pnm,
 )
+from kpff.rng import Stream, stream
 
 
 def test_synthetic_counts():
@@ -35,6 +38,62 @@ def test_synthetic_pixel_range_and_size_check():
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     with pytest.raises(ValueError):
         generate_synthetic(per_class=3, size=7, seed=1)
+
+
+def per_sample_texture(name, size, s):
+    """One image of the class name, drawn value by value from the stream s
+    through Stream.uniform and Stream.normal (reference)."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    if name == "stripes":
+        phase = s.uniform(low=-0.5, high=0.5)
+        img = 0.5 + 0.5 * np.sin(2 * np.pi * (yy + phase) / 4.0)
+    elif name == "checkerboard":
+        px = s.uniform(low=-0.5, high=0.5)
+        py = s.uniform(low=-0.5, high=0.5)
+        img = 0.5 + 0.5 * np.sign(
+            np.sin(2 * np.pi * (xx + px) / 4.0) * np.sin(2 * np.pi * (yy + py) / 4.0)
+        )
+    elif name == "blob":
+        cx = size / 2 + s.uniform(low=-1.5, high=1.5)
+        cy = size / 2 + s.uniform(low=-1.5, high=1.5)
+        width = size * (0.15 + 0.1 * s.uniform())
+        img = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * width**2))
+    else:
+        assert name == "gradient"
+        offset = s.uniform(low=-0.15, high=0.15)
+        img = (xx + yy) / (2 * (size - 1)) + offset
+    contrast = 0.7 + 0.3 * s.uniform()
+    img = 0.5 + contrast * (img - 0.5)
+    img += s.normal(size=img.shape, sigma=NOISE_SIGMA)
+    return np.clip(img, 0.0, 1.0)
+
+
+def per_sample_synthetic(per_class, size, seed):
+    """generate_synthetic's images, one sample at a time (reference)."""
+    images = np.empty((len(SYNTHETIC_CLASSES) * per_class, 1, size, size))
+    for label, name in enumerate(SYNTHETIC_CLASSES):
+        s = stream(seed, f"synthetic/{name}")
+        for k in range(per_class):
+            images[label * per_class + k, 0] = per_sample_texture(name, size, s)
+    return images
+
+
+# 9x9 images have an odd pixel count: Box-Muller's last sine is cut off
+@pytest.mark.parametrize("per_class,size,seed", [(25, 16, 0), (25, 16, 5), (10, 12, 3),
+                                                 (7, 9, 11)])
+def test_synthetic_equals_per_sample_draws(per_class, size, seed, monkeypatch):
+    draws = []
+    raw = Stream.raw
+    monkeypatch.setattr(Stream, "raw", lambda self, count: draws.append(count) or raw(self, count))
+    images = generate_synthetic(per_class=per_class, size=size, seed=seed).images
+    assert len(draws) == len(SYNTHETIC_CLASSES)  # one draw per class
+    monkeypatch.undo()
+    assert images.tobytes() == per_sample_synthetic(per_class, size, seed).tobytes()
+
+
+def test_synthetic_rejects_an_unknown_class():
+    with pytest.raises(ValueError, match="unknown texture 'dots'"):
+        generate_synthetic(per_class=2, size=8, classes=("blob", "dots"))
 
 
 def test_synthetic_linearly_separable():
@@ -118,6 +177,10 @@ def test_pnm_header_comments_and_errors(tmp_path):
     trunc.write_bytes(b"P5\n4 4\n255\n" + bytes([0] * 3))
     with pytest.raises(ValueError, match="truncated"):
         read_pnm(trunc)
+    above = tmp_path / "a.pgm"
+    above.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 100, 200, 255]))  # raster from byte 11
+    with pytest.raises(ValueError, match="a.pgm: sample 200 above maxval 100 at byte offset 13$"):
+        read_pnm(above)
     for width, height in ((4, 0), (0, 3)):
         empty = tmp_path / "e.pgm"
         empty.write_bytes(b"P5\n%d %d\n255\n" % (width, height))

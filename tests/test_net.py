@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from kpff import hooks
+from kpff import hooks, net
 from kpff.fusion import count_ops
 from kpff.net import (
+    ACTIVATIONS,
     FUSION_METHODS,
     ConvLayer,
     DenseLayer,
@@ -822,9 +823,9 @@ def test_forward_only_calls_build_no_pool_masks(monkeypatch):
     calls = []
     tie_masks = MaxPool2x2._tie_masks
 
-    def counted(win, out):
+    def counted(win, out, live=None):
         calls.append(out.shape)
-        return tie_masks(win, out)
+        return tie_masks(win, out, live)
 
     monkeypatch.setattr(MaxPool2x2, "_tie_masks", staticmethod(counted))
     model = Model(seed=2, image_size=12, channels=(3, 4), fusion="concat",
@@ -1021,6 +1022,18 @@ def test_a_constant_fusion_weight_keeps_no_gradient(fusion, madds):
         assert model.kpff.grad_ws is None
 
 
+@pytest.mark.parametrize("fusion", FUSION_METHODS)
+def test_only_the_taps_the_fusion_reads_are_averaged(fusion, monkeypatch):
+    # none reads the last block's tap alone; every other method fuses both
+    calls = []
+    monkeypatch.setattr(net, "gap_batch", lambda x: calls.append(x.shape) or gap_batch(x))
+    model = Model(seed=0, image_size=16, channels=(6, 12), fusion=fusion)
+    x = Stream(1).uniform(size=(50, 1, 16, 16))
+    labels = np.arange(50) % 4
+    model.forward_backward(x, labels, train=False)
+    assert calls == ([(50, 12, 2, 2)] if fusion == "none" else [(50, 6, 7, 7), (50, 12, 2, 2)])
+
+
 def ten_pass_tie_masks(win, out):
     """MaxPool2x2._tie_masks as it was written before: ten passes, each into
     a new temporary (reference)."""
@@ -1031,7 +1044,8 @@ def ten_pass_tie_masks(win, out):
     return first, second, third, ~(taken | third)
 
 
-@pytest.mark.parametrize("case", ["random", "tied", "constant"])
+@pytest.mark.parametrize("case", ["random", "tied", "constant", "negative", "signed-zero",
+                                  "nan"])
 def test_tie_masks_match_the_ten_pass_formula(case):
     s = Stream(67)
     shape = (4, 3, 5, 6, 7)
@@ -1039,7 +1053,14 @@ def test_tie_masks_match_the_ten_pass_formula(case):
         "random": s.uniform(size=shape, low=-1, high=1),
         "tied": np.round(s.uniform(size=shape, low=-1.5, high=1.5)),  # -1, 0 and 1
         "constant": np.full(shape, 0.5),
+        "negative": np.round(s.uniform(size=shape, low=-1.5, high=-0.05), 1),  # tied, all dead
+        # windows of -0.0, 0.0 and -0.5: maxima of either zero
+        "signed-zero": np.array([-0.0, 0.0, -0.5])[np.floor(s.uniform(size=shape) * 3).astype(int)],
+        "nan": s.uniform(size=shape, low=-1, high=1),
     }[case]
+    if case == "nan":
+        win[1, 0, 0, 0, :3] = np.nan
+        win[3, 1, 2, 3, 4] = np.nan
     out = np.maximum(np.maximum(win[0], win[1]), np.maximum(win[2], win[3]))
     masks = MaxPool2x2._tie_masks(win, out)
     assert masks.dtype == bool and masks.shape == shape
@@ -1048,6 +1069,26 @@ def test_tie_masks_match_the_ten_pass_formula(case):
     if case == "tied":  # every set of positions holding the max occurs
         holds = (win == out).reshape(4, -1)
         assert len({tuple(col) for col in holds.T}) == 15
+
+    # gated by relu's 0/1 gate, the cascade starts with the dead windows
+    # taken: their four masks are False, and dout times the gated masks is
+    # relu's multiply followed by the ungated masks, bit for bit, zeros
+    # carrying the sign of dout included
+    live = ACTIVATIONS["relu"].gate(out)
+    gated = MaxPool2x2._tie_masks(win, out, live)
+    assert np.array_equal(live, out > 0.0)  # only read; NaN is dead
+    assert np.array_equal(gated, masks & live)
+    dout = s.uniform(size=shape[1:], low=-1, high=1)
+    product = dout * gated
+    assert product.tobytes() == ((dout * live) * masks).tobytes()
+    if case != "constant":  # dead windows occur, and their zeros take both signs
+        assert np.signbit(product[:, ~live]).any() and not np.signbit(product[:, ~live]).all()
+    if case in ("negative", "signed-zero"):
+        assert not live.any()
+    if case == "signed-zero":
+        assert np.signbit(out).any() and not np.signbit(out).all()
+    if case == "nan":
+        assert np.isnan(out).sum() == 4 and not live[np.isnan(out)].any()
 
 
 def test_training_with_dropout_needs_a_mask_of_its_shape():
