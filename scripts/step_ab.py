@@ -16,8 +16,9 @@ optimizer and feeds dropout the way its own `harness.train_run` does: a
 tree with `net.dropout_masks` takes each step's mask rows from masks drawn
 ahead, untimed, and an older one passes its dropout stream to every call.
 
-Prints p1 and p50 per kind and side, the gmean of the p1s, and whether the
-two sides' losses agreed bit for bit.
+Prints p1 and p50 per kind and side, the gmean of the p1s, and how many
+calls' losses, and how many `forward_backward` calls' gradients (the
+model's whole gradient vector), differed between the two sides in any bit.
 """
 
 import os
@@ -33,6 +34,8 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = ("none", "add", "concat", "kpff", "kpff-frozen")
@@ -109,16 +112,27 @@ class Side:
         x, y = self.images[sel], self.labels[sel]
         t0 = perf_counter()
         if kind == "evaluate.b20":
-            loss, _ = model.evaluate(x, y)
+            result = model.evaluate(x, y)
         elif isinstance(drop, self.m["rng"].Stream):
-            loss, _, self.grads[token] = model.forward_backward(x, y, train=True,
-                                                                dropout_stream=drop)
+            result = model.forward_backward(x, y, train=True, dropout_stream=drop)
         else:  # this batch's rows of the epoch's masks, as train_run slices them
             rows = slice(0, 50) if kind == "forward_backward.b50" else slice(50, 80)
-            loss, _, self.grads[token] = model.forward_backward(
-                x, y, train=True, dropout_keep=drop[self.epoch, rows])
+            result = model.forward_backward(x, y, train=True, dropout_keep=drop[self.epoch, rows])
         self.times[kind].append(perf_counter() - t0)
-        return loss
+        # evaluate gives (loss, accuracy); forward_backward (loss, gradients),
+        # or (loss, accuracy, gradients) in older trees
+        if kind != "evaluate.b20":
+            self.grads[token] = result[-1]
+        return result[0]
+
+    def grad_bytes(self, token):
+        """The bytes of the gradients of token's last forward_backward: the
+        model's gradient vector, or in older trees its per-name arrays."""
+        model = self.jobs[token][0]
+        if hasattr(model, "grad"):
+            return model.grad.tobytes()
+        return b"".join(np.ascontiguousarray(g).tobytes()
+                        for _, g in sorted(self.grads[token].items()))
 
     def _step_args(self, token, model, freeze):
         """OptimizerState.apply's arguments as this tree's train_run passes
@@ -142,7 +156,7 @@ def run(other, reps, methods):
     sides = [Side("this", ROOT, methods), Side("other", other, methods)]
     sequence = ("forward_backward.b50", "optimizer", "forward_backward.b30", "optimizer",
                 "evaluate.b20")
-    mismatches = 0
+    mismatches = {"losses": 0, "gradients": 0}
     for rep in range(reps):
         if rep % EPOCHS == 0:
             for side in sides:
@@ -153,7 +167,10 @@ def run(other, reps, methods):
         for token in methods:
             for kind in sequence:
                 losses = {side.label: side.call(token, kind) for side in order}
-                mismatches += losses["this"] != losses["other"]
+                mismatches["losses"] += losses["this"] != losses["other"]
+                if kind.startswith("forward_backward"):
+                    this, other = (side.grad_bytes(token) for side in sides)
+                    mismatches["gradients"] += this != other
     return sides, mismatches
 
 
@@ -172,8 +189,11 @@ def report(sides, mismatches, reps):
              for label in p1}
     lines.append(f"{'gmean of p1 (us)':<22}" + "".join(f"{gmean[s.label]:>12.1f}{'':>12}" for s in sides)
                  + f"{gmean['this'] / gmean['other'] - 1:>+10.1%}")
-    lines.append(f"losses that differ between the sides: {mismatches} "
-                 f"of {reps * len(sides[0].methods) * 3} calls")
+    calls = reps * len(sides[0].methods)
+    lines.append(f"losses that differ between the sides: {mismatches['losses']} "
+                 f"of {calls * 3} calls")
+    lines.append(f"gradients that differ between the sides: {mismatches['gradients']} "
+                 f"of {calls * 2} forward_backward calls")
     return "\n".join(lines)
 
 

@@ -32,11 +32,15 @@ def _build_config(args) -> RunConfig:
 
 
 def _flag_type(ftype):
-    """argparse type of a RunConfig field's flag: the config-file parser."""
+    """argparse type of a RunConfig field's flag: the config-file parser,
+    whose reason argparse prints ("argument --channels: empty item in list
+    '4,,6'")."""
     def parse(text):
-        return _parse_value(text, ftype)
+        try:
+            return _parse_value(text, ftype)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    parse.__name__ = ftype.__name__  # argparse names it: "invalid int value: 'x'"
     return parse
 
 

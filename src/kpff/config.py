@@ -6,11 +6,33 @@ overridable by CLI flags. Defaults follow the reference training recipe
 from dataclasses import dataclass, fields
 import hashlib
 import math
+from pathlib import Path
 
 from .net import ACTIVATIONS, OPTIMIZERS, check_image_size
 
 # the values each field of this kind may take, for RunConfig and the CLI's choices
 CHOICES = {"optimizer": OPTIMIZERS, "activation": tuple(ACTIVATIONS)}
+
+
+# (fields, test, what each of their values must be), in the order RunConfig checks them
+_RULES = (
+    (("lr", "weight_decay", "kpff_noise"), math.isfinite, "finite"),
+    (("lr", "batch_size", "max_epochs", "val_interval", "folds", "image_size", "per_class"),
+     lambda v: v > 0, "positive"),
+    (("weight_decay", "kpff_noise"), lambda v: v >= 0, "non-negative"),
+    (("folds",), lambda v: v >= 2, "at least 2"),
+    (("channels",), lambda v: v and all(ch > 0 for ch in v), "a non-empty list of positive counts"),
+    (("dropout_p",), lambda v: 0.0 <= v < 1.0, "in [0,1)"),
+) + tuple(((f,), allowed.__contains__, f"one of {', '.join(allowed)}")
+          for f, allowed in CHOICES.items())
+
+
+class FieldError(ValueError):
+    """A rejected RunConfig value; fields names the fields it concerns."""
+
+    def __init__(self, fields, message):
+        super().__init__(message)
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -32,32 +54,16 @@ class RunConfig:
     folds: int = 5
 
     def __post_init__(self):
-        for f in ("lr", "weight_decay", "kpff_noise"):
-            if not math.isfinite(getattr(self, f)):
-                raise ValueError(f"{f} must be finite, got {getattr(self, f)}")
-        for f in ("lr", "batch_size", "max_epochs", "val_interval", "folds",
-                  "image_size", "per_class"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"{f} must be positive, got {getattr(self, f)}")
-        for f in ("weight_decay", "kpff_noise"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be non-negative, got {getattr(self, f)}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be at least 2, got {self.folds}")
-        if not self.channels or any(ch <= 0 for ch in self.channels):
-            raise ValueError(f"channels must be a non-empty list of positive counts, "
-                             f"got {self.channels}")
+        for names, ok, what in _RULES:
+            for f in names:
+                if not ok(getattr(self, f)):
+                    raise FieldError((f,), f"{f} must be {what}, got {getattr(self, f)!r}")
         if not self.data_dir:  # image_size sizes the synthetic images only
             try:
                 check_image_size(self.image_size, len(self.channels))
             except ValueError as exc:
-                raise ValueError(f"image_size: {exc} (channels {self.channels})") from None
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0,1), got {self.dropout_p}")
-        for f, allowed in CHOICES.items():
-            if getattr(self, f) not in allowed:
-                raise ValueError(f"{f} must be one of {', '.join(allowed)}, "
-                                 f"got {getattr(self, f)!r}")
+                raise FieldError(("image_size", "channels"),
+                                 f"image_size: {exc} (channels {self.channels})") from None
 
 
 def _format_value(v):
@@ -113,12 +119,24 @@ def parse_config_text(text) -> RunConfig:
             overrides[key] = _parse_value(value, ftypes[key])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
-    return RunConfig(**overrides)
+    try:
+        return RunConfig(**overrides)
+    except FieldError as exc:  # named by the line of the first of its fields set here
+        line = next((set_on[f] for f in exc.fields if f in set_on), None)
+        raise ValueError(exc if line is None else f"line {line}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as f:
-        return parse_config_text(f.read())
+    """The RunConfig of a UTF-8 config file. An error reading or decoding
+    it names the file; one in its text names the line."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: config file is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc.strerror}") from None
+    return parse_config_text(text)
 
 
 def config_hash(cfg: RunConfig) -> str:

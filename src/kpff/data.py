@@ -58,11 +58,7 @@ class FoldPlan:
         return len(self.folds)
 
     def train_indices(self, fold):
-        out = []
-        for f, idxs in enumerate(self.folds):
-            if f != fold:
-                out.extend(idxs)
-        return out
+        return [i for f, idxs in enumerate(self.folds) if f != fold for i in idxs]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +128,10 @@ def generate_synthetic(per_class=25, size=16, seed=0, classes=SYNTHETIC_CLASSES)
 
 
 def _read_pnm_header(buf, path):
-    # magic, then 3 decimal fields (4 for us: width height maxval), with
-    # '#' comments allowed between tokens
+    # magic, whitespace, then 3 decimal fields (width height maxval) with
+    # '#' comments allowed between tokens, then one whitespace byte
+    if not buf[2:3].isspace():
+        raise ValueError(f"{path}: expected whitespace after the magic at byte offset 2")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -148,7 +146,9 @@ def _read_pnm_header(buf, path):
             raise ValueError(f"{path}: malformed pixmap header")
         fields.append(int(m.group()))
         pos += m.end()
-    return fields[0], fields[1], fields[2], pos + 1  # single whitespace after maxval
+    if not buf[pos:pos + 1].isspace():
+        raise ValueError(f"{path}: expected whitespace after maxval at byte offset {pos}")
+    return fields[0], fields[1], fields[2], pos + 1
 
 
 def read_pnm(path) -> np.ndarray:
@@ -168,6 +168,9 @@ def read_pnm(path) -> np.ndarray:
     raster = buf[offset : offset + need]
     if len(raster) != need:
         raise ValueError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
+    if len(buf) > offset + need:
+        raise ValueError(f"{path}: {len(buf) - offset - need} bytes after the raster "
+                         f"at byte offset {offset + need}")
     samples = np.frombuffer(raster, dtype=np.uint8)
     above = np.flatnonzero(samples > maxval)
     if above.size:
@@ -184,11 +187,8 @@ def write_pnm(path, image: np.ndarray, maxval=255):
     P6 (3 channels)."""
     arr = np.asarray(image)
     c, h, w = arr.shape
-    if c == 1:
-        magic = b"P5"
-    elif c == 3:
-        magic = b"P6"
-    else:
+    magic = {1: b"P5", 3: b"P6"}.get(c)
+    if magic is None:
         raise ValueError(f"can only write 1- or 3-channel images, got {c}")
     raster = np.rint(np.clip(arr, 0, 1) * maxval).astype(np.uint8)
     raster = raster.transpose(1, 2, 0)
@@ -204,9 +204,7 @@ def load_image_dir(root) -> Dataset:
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise ValueError(f"{root}: no class subdirectories")
-    images = []
-    labels = []
-    class_names = []
+    images, labels, class_names = [], [], []
     for label, d in enumerate(class_dirs):
         class_names.append(d.name)
         files = sorted(p for p in d.iterdir() if p.suffix in (".pgm", ".ppm"))
@@ -236,7 +234,8 @@ def make_folds(dataset: Dataset, k=5, seed=0) -> FoldPlan:
         idxs = by_class[label]
         if len(idxs) < k:
             raise ValueError(
-                f"class {dataset.class_names[label]!r} has {len(idxs)} samples, needs >= {k}"
+                f"class {dataset.class_names[label]!r} has {len(idxs)} samples, needs >= {k}: "
+                f"one per fold at folds = {k} (raise per_class, add images, or lower folds)"
             )
         perm = stream(seed, f"folds/class{label}").permutation(len(idxs))
         for t, p in enumerate(perm):

@@ -177,7 +177,7 @@ def check_adam_first_step(tol=1e-9):
 
 def check_model(model, x, labels, tol=1e-5, cap=MAX_SAMPLED_COORDS, seed=0):
     """Finite-difference check of every model parameter (dropout off)."""
-    _, _, grads = model.forward_backward(x, labels, train=False)
+    _, grads = model.forward_backward(x, labels, train=False)
     sampler = stream(seed, "gradcheck/sample")
     reports = []
     for name, arr in model.params().items():

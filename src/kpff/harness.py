@@ -118,14 +118,15 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
                 perms = shuffle_stream.permutation(n, count)
                 keeps = (dropout_masks(dropout_stream, cfg.dropout_p, (count, n, width))
                          if width else None)
-            perm = perms[i]
+            # the epoch's samples in step order, once: each step slices its batch
+            x_epoch, y_epoch = x_train[perms[i]], y_train[perms[i]]
             epoch_losses = []
             for k, start in enumerate(starts, 1):
-                sel = perm[start : start + batch]
-                keep = None if keeps is None else keeps[i, start : start + batch]
+                stop = start + batch
+                keep = None if keeps is None else keeps[i, start:stop]
                 try:
-                    loss, _, _ = model.forward_backward(
-                        x_train[sel], y_train[sel], train=True, dropout_keep=keep
+                    loss, _ = model.forward_backward(
+                        x_epoch[start:stop], y_epoch[start:stop], train=True, dropout_keep=keep
                     )
                 except NonFiniteError as exc:
                     where = f"epoch {epoch}, batch {k} of {len(starts)}"

@@ -5,6 +5,7 @@ feature vectors feed a configurable fusion stage (FUSION_METHODS).
 Every layer runs batched, on [N, C, H, W] or [N, features] float64 arrays.
 """
 
+import functools
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
@@ -46,14 +47,6 @@ ACTIVATIONS = {
 }
 
 
-def _act_forward(name, pre):
-    return ACTIVATIONS[name].forward(pre)
-
-
-def _act_backward(name, pre, out, dout):
-    return ACTIVATIONS[name].backward(pre, out, dout)
-
-
 # ---------------------------------------------------------------------------
 # layers
 
@@ -89,30 +82,27 @@ class ConvLayer:
         self._cache = None
         self.grads = {"kernels": np.zeros_like(kernels), "bias": np.zeros_like(bias)}
 
-    @property
-    def in_channels(self):
-        return self.kernels.shape[1]
-
-    @property
-    def out_channels(self):
-        return self.kernels.shape[0]
-
-    def forward_batch(self, x):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"expected [N,{self.in_channels},H,W], got {x.shape}")
-        kh, kw = self.kernels.shape[2:]
+    def forward_batch(self, x, *, extent=None):
+        """The outputs, or with extent (H', W') their first H' rows and W'
+        columns: dL/dx is then zero where no computed output reads x."""
+        O, C, kh, kw = self.kernels.shape
+        if x.ndim != 4 or x.shape[1] != C:
+            raise ShapeError(f"expected [N,{C},H,W], got {x.shape}")
         if x.shape[2] < kh or x.shape[3] < kw:
             raise ShapeError(f"input {x.shape[2:]} smaller than kernel {(kh, kw)}")
-        N, C, H, W = x.shape
-        O = self.out_channels
+        N, _, H, W = x.shape
         Ho, Wo = H - kh + 1, W - kw + 1
+        if extent is not None and not (0 < extent[0] <= Ho and 0 < extent[1] <= Wo):
+            raise ShapeError(f"output extent {extent} outside the {Ho}x{Wo} output")
+        Ho, Wo = extent or (Ho, Wo)
         xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # [C,H,W,N]; free if already so
         # A b50 training step is about half fixed per-call cost, so the step
         # calls ufuncs, ufunc reductions and ndarray constructors directly:
         # numpy's Python-level helpers (sliding_window_view, broadcast_to,
         # ndarray.mean/.sum/.max, np.all, np.argmax, errstate) each spend
         # microseconds in Python per call. Here the im2col window
-        # [C,kh,kw,H',W',N] is an ndarray over xt with explicit strides.
+        # [C,kh,kw,H',W',N] is an ndarray over xt with explicit strides; its
+        # rows of W'*N values are contiguous, whether or not extent cuts them.
         sc, sh, sw, sn = xt.strides
         win = np.ndarray((C, kh, kw, Ho, Wo, N), xt.dtype, xt, 0, (sc, sh, sw, sh, sw, sn))
         cols = win.reshape(C * kh * kw, Ho * Wo * N)
@@ -163,11 +153,13 @@ class DenseLayer:
         self._cache = None
         self.grads = {"weights": np.zeros_like(weights), "bias": np.zeros_like(bias)}
 
-    def forward_batch(self, x):  # x: [N, in]
+    def forward_batch(self, x, *, out=None):  # x: [N, in]; the result into out, if given
         if x.shape[1] != self.weights.shape[1]:
             raise ShapeError(f"dense expects {self.weights.shape[1]} features, got {x.shape[1]}")
         self._cache = x
-        return x @ self.weights.T + self.bias
+        out = np.matmul(x, self.weights.T, out=out)
+        out += self.bias
+        return out
 
     def backward_batch(self, dout):
         x = self._cache
@@ -301,6 +293,13 @@ def dropout_batch(x, p, train, keep):
     return x * keep, keep
 
 
+@functools.cache
+def _class_index(classes):  # np.arange(classes), built once per class count
+    index = np.arange(classes)
+    index.setflags(write=False)
+    return index
+
+
 def softmax_ce_batch(logits, labels):
     """Per-sample losses and dloss/dlogits (softmax - onehot), stabilized:
     the logits are shifted by their row maximum, and a label probability
@@ -308,7 +307,7 @@ def softmax_ce_batch(logits, labels):
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise IndexError(f"labels must be integers, got dtype {labels.dtype}")
-    hot = labels[:, None] == np.arange(logits.shape[1])
+    hot = labels[:, None] == _class_index(logits.shape[1])
     top = np.maximum.reduce(logits, axis=1, keepdims=True)
     probs = logits - top
     np.exp(probs, out=probs)
@@ -318,7 +317,7 @@ def softmax_ce_batch(logits, labels):
     if picked.size != logits.shape[0]:
         raise IndexError("label out of range")
     if np.count_nonzero(picked) == picked.size:
-        losses = -np.log(picked)
+        losses = -np.log(picked)  # a new array: cheaper here than log and negate in place
     else:  # -log(0) is inf; there the loss is log(sum exp(z - max)) - (z_label - max)
         losses = np.log(total[:, 0]) - (logits[hot] - top[:, 0])
         kept = picked != 0.0
@@ -396,16 +395,12 @@ FUSION_METHODS = ("none", "add", "concat", "kpff", "kpff-frozen")
 TRAINS_AS = {"kpff-frozen": "concat"}
 
 
-def _loss_and_accuracy(logits, labels):
-    """Mean loss, top-1 accuracy and per-sample dloss/dlogits of a batch;
-    NonFiniteError if a logit is not finite."""
+def _loss(logits, labels):
+    """Mean loss and per-sample dloss/dlogits; NonFiniteError if a logit is not finite."""
     if not np.logical_and.reduce(np.isfinite(logits), axis=None):
         raise NonFiniteError("non-finite logits")
     losses, dlogits = softmax_ce_batch(logits, labels)
-    n = logits.shape[0]
-    loss = float(np.add.reduce(losses)) / n
-    acc = np.count_nonzero(logits.argmax(axis=1) == np.asarray(labels)) / n
-    return loss, acc, dlogits
+    return float(np.add.reduce(losses)) / logits.shape[0], dlogits
 
 
 def check_image_size(image_size, n_blocks):
@@ -420,28 +415,13 @@ def check_image_size(image_size, n_blocks):
         size = max(size // 2, 1)
 
 
-def _pool_crop(conv, x):
-    """x cut to the rows and columns whose conv outputs the 2x2 pool reads:
-    an odd last output row or column is never computed. An output too small
-    to pool passes through the pool whole, so it is left whole."""
+def _pool_extent(conv, x):
+    """The (H', W') of conv's outputs on x that the 2x2 pool reads: an odd
+    last row or column is cut, and an output too small to pool passes
+    through the pool whole."""
     kh, kw = conv.kernels.shape[2:]
     Ho, Wo = x.shape[2] - kh + 1, x.shape[3] - kw + 1
-    if Ho < 2 or Wo < 2:
-        return x
-    return x[:, :, :Ho // 2 * 2 + kh - 1, :Wo // 2 * 2 + kw - 1]
-
-
-def _block_output_grad(dx, shape, dgap):
-    """dL/d(block output): the next conv's input gradient dx, zero on the
-    rows and columns _pool_crop cut away, plus the GAP tap's gradient (or
-    None)."""
-    if dx.shape != shape:
-        full = np.zeros(shape[1:] + shape[:1]).transpose(3, 0, 1, 2)  # dx's layout
-        full[:, :, :dx.shape[2], :dx.shape[3]] = dx
-        dx = full
-    if dgap is not None:
-        dx += dgap  # in place: keeps the conv gradient's memory layout
-    return dx
+    return (Ho, Wo) if Ho < 2 or Wo < 2 else (Ho // 2 * 2, Wo // 2 * 2)
 
 
 class Model:
@@ -570,11 +550,13 @@ class Model:
     def _fuse(self, taps):
         if self.fusion == "none":
             return taps[-1]
-        projected = [p.forward_batch(t) for p, t in zip(self.projections, taps)]
         # block-major [n, N*r]: row i holds projection i's N vectors back to
         # back; the m fused rows come back in the same layout
-        n, (N, r) = len(projected), projected[0].shape
-        fused = self.kpff.forward_batch(np.concatenate(projected).reshape(n, N * r))
+        n, N, r = len(taps), taps[0].shape[0], self.r
+        projected = np.empty((n, N, r))
+        for p, t, out in zip(self.projections, taps, projected):
+            p.forward_batch(t, out=out)
+        fused = self.kpff.forward_batch(projected.reshape(n, N * r))
         m = fused.shape[0]
         return fused.reshape(m, N, r).transpose(1, 0, 2).reshape(N, m * r)
 
@@ -593,25 +575,27 @@ class Model:
         self._blocks = []  # (pooled, activated) per block
         h = x
         for conv, pool in zip(self.convs, self.pools):
-            pooled = pool.forward_batch(conv.forward_batch(_pool_crop(conv, h)))
-            h = _act_forward(self.activation, pooled)
+            pooled = pool.forward_batch(conv.forward_batch(h, extent=_pool_extent(conv, h)))
+            h = ACTIVATIONS[self.activation].forward(pooled)
             self._blocks.append((pooled, h))
         read = self._blocks[-1:] if self.fusion == "none" else self._blocks
         return [None] * (len(self._blocks) - len(read)) + [gap_batch(h) for _, h in read]
 
     def _blocks_backward(self, dtaps):
         """Conv gradients from the taps' gradients (None for a tap nothing read)."""
-        gate = ACTIVATIONS[self.activation].gate
+        act = ACTIVATIONS[self.activation]
         dx = None  # gradient with respect to the input of block b + 1
         for b in range(len(self.convs) - 1, -1, -1):
             pooled, h = self._blocks[b]
             dh = gap_backward_batch(dtaps[b], h.shape[2:]) if dtaps[b] is not None else None
-            if dx is not None:
-                dh = _block_output_grad(dx, h.shape, dh)
-            if gate is None:
-                dh = self.pools[b].backward_batch(_act_backward(self.activation, pooled, h, dh))
+            if dx is not None:  # the next conv's whole-input gradient, batch-innermost
+                if dh is not None:
+                    dx += dh  # in place: keeps that memory layout
+                dh = dx
+            if act.gate is None:
+                dh = self.pools[b].backward_batch(act.backward(pooled, h, dh))
             else:  # the pool's tie masks take the 0/1 gate: one multiply
-                dh = self.pools[b].backward_batch(dh, gate(pooled))
+                dh = self.pools[b].backward_batch(dh, act.gate(pooled))
             # nothing reads the gradient with respect to the image
             dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
 
@@ -625,7 +609,8 @@ class Model:
         return logits
 
     def forward_backward(self, x, labels, train=True, dropout_keep=None):
-        """Mean loss, top-1 accuracy, and mean parameter gradients for a batch.
+        """Mean loss and mean parameter gradients for a batch (evaluate
+        gives the accuracy).
 
         The gradients are written into self.grad; the returned read-only
         mapping holds its views, by params() name. They are valid until the
@@ -633,20 +618,21 @@ class Model:
         if x.shape[0] == 0:
             raise ShapeError("empty batch")
         logits = self.forward_batch(x, train=train, dropout_keep=dropout_keep)
-        loss, acc, dlogits = _loss_and_accuracy(logits, labels)
+        loss, dlogits = _loss(logits, labels)
         dlogits /= x.shape[0]
 
         if self.fusion == "kpff":
             self.kpff.zero_grads()  # _fuse_backward adds to it
         dfused = self.head.backward_batch(dlogits)
         if self._dropout_mask is not None:
-            dfused = dfused * self._dropout_mask
+            dfused *= self._dropout_mask
         self._blocks_backward(self._fuse_backward(dfused))
-        return loss, acc, self._grads
+        return loss, self._grads
 
     def evaluate(self, x, labels):
         """Mean loss and top-1 accuracy of a batch, in eval mode."""
         if x.shape[0] == 0:
             raise ShapeError("empty batch")
-        loss, acc, _ = _loss_and_accuracy(self.forward_batch(x, train=False), labels)
-        return loss, acc
+        logits = self.forward_batch(x, train=False)
+        loss, _ = _loss(logits, labels)
+        return loss, np.count_nonzero(logits.argmax(axis=1) == np.asarray(labels)) / x.shape[0]

@@ -20,16 +20,13 @@ _FNV_PRIME = 0x100000001B3
 
 
 def _mix(z):
-    """SplitMix64's finalizer on one value. Scalar uint64 arithmetic warns
-    on wrap-around, so the scope silences it; array arithmetic (Stream.raw)
-    wraps without a warning."""
-    z = np.uint64(z)
-    with np.errstate(over="ignore"):
-        z ^= z >> _S30
-        z *= _MIX1
-        z ^= z >> _S27
-        z *= _MIX2
-        z ^= z >> _S31
+    """SplitMix64's finalizer, in place on a uint64 array. Array arithmetic
+    wraps modulo 2**64 without the warning scalar arithmetic gives."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
     return z
 
 
@@ -78,7 +75,7 @@ def derive_seed(seed: int, label: str) -> int:
     h = _FNV_OFFSET
     for byte in label.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return int(_mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(h)))
+    return int(_mix(np.array([(seed & 0xFFFFFFFFFFFFFFFF) ^ h], dtype=np.uint64))[0])
 
 
 class Stream:
@@ -103,12 +100,7 @@ class Stream:
         self.counter += count
         z *= _GOLDEN
         z += self.seed
-        z ^= z >> _S30
-        z *= _MIX1
-        z ^= z >> _S27
-        z *= _MIX2
-        z ^= z >> _S31
-        return z
+        return _mix(z)
 
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high) with 53-bit resolution."""

@@ -385,9 +385,34 @@ def test_config_file_rejects_empty_items_and_repeated_keys(lines, message, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"seed = 1\nactivation = ReLU\n",
+     "line 2: activation must be one of identity, relu, sigmoid, leaky_relu, got 'ReLU'"),
+    (b"seed = 1\nactivation = r\xe9lu\n", "{path}: config file is not UTF-8: byte 0xe9 at offset 23"),
+], ids=["field", "not-utf8"])
+def test_config_file_errors_say_where(content, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(content)
+    assert run_cli("crossval", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_channels_flag_rejects_an_empty_item(tmp_path, capsys):
+    # the flag says why, as the config file does
     assert exit_code("train", "--channels", "4,,6", "--out", str(tmp_path)) == 2
-    assert "argument --channels: invalid tuple value: '4,,6'" in capsys.readouterr().err
+    assert "argument --channels: empty item in list '4,,6'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--channels", "6,x", "invalid literal for int() with base 10: 'x'"),
+    ("--lr", "fast", "could not convert string to float: 'fast'"),
+    ("--seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_config_field_flags_say_why_a_value_is_rejected(flag, value, reason, tmp_path, capsys):
+    assert exit_code("train", flag, value, "--out", str(tmp_path)) == 2
+    assert f"argument {flag}: {reason}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

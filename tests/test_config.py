@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from kpff.config import (
     CHOICES,
+    FieldError,
     RunConfig,
     config_hash,
     load_config,
@@ -80,7 +83,7 @@ def test_activation_is_one_the_model_runs(tmp_path):
         RunConfig(activation="tanh")
     path = tmp_path / "run.cfg"
     path.write_text("activation = tanh\n")
-    with pytest.raises(ValueError, match="^activation must be one of"):
+    with pytest.raises(ValueError, match="^line 1: activation must be one of"):
         load_config(path)
 
 
@@ -134,5 +137,50 @@ def test_validation_rejects_image_too_small_for_channels():
 
 
 def test_validation_through_config_text():
-    with pytest.raises(ValueError, match="^lr must be finite"):
+    with pytest.raises(ValueError, match="^line 1: lr must be finite"):
         parse_config_text("lr = nan")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("seed = 1\nactivation = ReLU\n",
+     "line 2: activation must be one of identity, relu, sigmoid, leaky_relu, got 'ReLU'"),
+    ("seed = 1\n# a comment\ndropout_p = 1.5\n", "line 3: dropout_p must be in [0,1), got 1.5"),
+    ("folds = 1\n", "line 1: folds must be at least 2, got 1"),
+    ("seed = 2\nlr = -0.5\n", "line 2: lr must be positive, got -0.5"),
+    # a size error concerns image_size and channels: the first of them in the file
+    ("channels = 2,2,2\nimage_size = 16\n", "line 2: image_size: image size 16 too small"),
+    ("seed = 1\nchannels = 2,2,2\n", "line 2: image_size: image size 16 too small"),
+], ids=["activation", "dropout", "folds", "lr", "image-size", "channels-only"])
+def test_config_errors_name_the_line_of_their_key(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_config_text(text)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("kwargs,fields", [
+    ({"activation": "tanh"}, ("activation",)),
+    ({"lr": float("nan")}, ("lr",)),
+    ({"per_class": 0}, ("per_class",)),
+    ({"channels": ()}, ("channels",)),
+    ({"image_size": 2, "channels": (6,)}, ("image_size", "channels")),
+])
+def test_config_errors_carry_their_fields(kwargs, fields):
+    with pytest.raises(FieldError) as info:
+        RunConfig(**kwargs)
+    assert info.value.fields == fields
+    assert isinstance(info.value, ValueError)
+
+
+def test_load_config_names_a_file_it_cannot_read_or_decode(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("seed = 1\nactivation = r\u00e9lu\n".encode("latin-1"))  # 0xe9 at byte 23
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config file is not UTF-8: byte 0xe9 "
+                                         f"at offset 23$"):
+        load_config(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: cannot read config file: Is a directory$"):
+        load_config(tmp_path)
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(missing))}: cannot read config file: No such file"):
+        load_config(missing)
+    path.write_text("# caf\u00e9\nseed = 4\n", encoding="utf-8")  # UTF-8 is read as such
+    assert load_config(path) == RunConfig(seed=4)

@@ -186,6 +186,18 @@ def test_pnm_header_comments_and_errors(tmp_path):
         empty.write_bytes(b"P5\n%d %d\n255\n" % (width, height))
         with pytest.raises(ValueError, match=f"e.pgm: image has no pixels \\({width}x{height}\\)"):
             read_pnm(empty)
+    for name, data, message in (
+        ("trailing", b"P5\n2 1\n255\n" + bytes([1, 2, 3]), "1 bytes after the raster at byte offset 13"),
+        ("trailing-newline", b"P5 2 1 255\n" + bytes([1, 2]) + b"\n", "1 bytes after the raster at byte offset 13"),
+        ("after-maxval", b"P5\n2 1\n255#\n" + bytes([1, 2]), "expected whitespace after maxval at byte offset 10"),
+        ("no-separator", b"P5\n2 1\n255" + bytes([1, 2]), "expected whitespace after maxval at byte offset 10"),
+        ("magic-glued", b"P52 1 255\n" + bytes([1, 2]), "expected whitespace after the magic at byte offset 2"),
+        ("magic-only", b"P5", "expected whitespace after the magic at byte offset 2"),
+    ):
+        bad = tmp_path / f"{name}.pgm"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=f"{name}.pgm: {message}$"):
+            read_pnm(bad)
 
 
 def test_load_image_dir(tmp_path):
@@ -260,6 +272,11 @@ def test_make_folds_class_too_small():
     ds = Dataset(np.zeros((3, 1, 1, 1)), np.zeros(3), ["only"])
     with pytest.raises(ValueError, match="needs >= 5"):
         make_folds(ds, k=5, seed=0)
+    # the message names the config fields that set the counts
+    with pytest.raises(ValueError, match=r"^class 'only' has 3 samples, needs >= 4: one per fold "
+                                         r"at folds = 4 \(raise per_class, add images, or "
+                                         r"lower folds\)$"):
+        make_folds(ds, k=4, seed=0)
 
 
 def test_make_folds_remainder_to_lowest():

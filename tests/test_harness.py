@@ -310,6 +310,63 @@ def test_a_job_draws_in_blocks_of_epochs(token, calls, monkeypatch):
     assert sum(c for seed, c in draws if seed == drop.seed) == 40 * 80 * width
 
 
+def _per_step_gather_run(cfg, images, labels, train_idx, test_idx, token, fold):
+    """train_run's loop as it was before it gathered each epoch's samples
+    once (reference): every step gathers its batch with two fancy indexings,
+    and the draws are taken per epoch and per step."""
+    from kpff.net import OptimizerState
+
+    model = Model(seed=cfg.seed, in_channels=images.shape[1], image_size=images.shape[2],
+                  channels=tuple(cfg.channels), activation=cfg.activation, fusion=token,
+                  num_classes=int(labels.max()) + 1, dropout_p=cfg.dropout_p,
+                  kpff_noise=cfg.kpff_noise)
+    opt = OptimizerState(cfg.optimizer, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    shuffle, drop = stream(cfg.seed, f"shuffle/fold{fold}"), stream(cfg.seed, f"dropout/fold{fold}")
+    x_train, y_train = images[train_idx], labels[train_idx]
+    n = len(train_idx)
+    batch = min(cfg.batch_size, n)
+    loss_curve, val_curve, steps = [], [], 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        perm = shuffle.permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            sel = perm[start:start + batch]
+            keep = dropout_masks(drop, cfg.dropout_p, (len(sel), model.fused_width))
+            loss, _ = model.forward_backward(x_train[sel], y_train[sel], train=True,
+                                             dropout_keep=keep)
+            opt.apply(model.theta, model.grad)
+            losses.append(loss)
+            steps += 1
+        loss_curve.append(float(np.add.reduce(losses)) / len(losses))
+        if epoch % cfg.val_interval == 0 or epoch == cfg.max_epochs:
+            final_loss, final_acc = model.evaluate(images[test_idx], labels[test_idx])
+            val_curve.append((epoch, final_acc))
+    return {"fold": fold, "final_acc": final_acc, "best_acc": max(a for _, a in val_curve),
+            "final_loss": final_loss, "loss_curve": loss_curve, "val_curve": val_curve}, steps
+
+
+# 80 training samples per fold
+@pytest.mark.parametrize("batch_size,steps", [(100, 1), (80, 1), (30, 3), (50, 2)],
+                         ids=["batch-over-n", "batch-n", "remainder-20", "remainder-30"])
+@pytest.mark.parametrize("token", ["kpff", "none"])
+def test_train_run_equals_per_step_gathers(batch_size, steps, token, monkeypatch):
+    cfg = replace(DRAWS_CFG, batch_size=batch_size, max_epochs=4, val_interval=2)
+    dataset = load_dataset(cfg)
+    plan = make_folds(dataset, k=cfg.folds, seed=cfg.seed)
+    images, labels = dataset.stacked()
+    args = (cfg, images, labels, plan.train_indices(2), plan.folds[2], token, 2)
+    calls, step = [], Model.forward_backward
+    with monkeypatch.context() as m:  # count the steps and their batch sizes
+        m.setattr(Model, "forward_backward",
+                  lambda self, x, *a, **k: calls.append(len(x)) or step(self, x, *a, **k))
+        got = train_run(*args)
+    assert len(calls) == cfg.max_epochs * steps
+    assert sum(calls) == cfg.max_epochs * len(plan.train_indices(2))
+    want, want_steps = _per_step_gather_run(*args)
+    assert want_steps == len(calls)
+    assert got == want
+
+
 # --- the jobs shared among processes -------------------------------------------------
 
 # two methods x five folds: ten jobs, split 5/5 over two processes and 4/3/3 over three

@@ -17,10 +17,7 @@ from kpff.net import (
     MaxPool2x2,
     Model,
     OptimizerState,
-    _act_backward,
-    _act_forward,
-    _block_output_grad,
-    _pool_crop,
+    _pool_extent,
     dropout_batch,
     dropout_masks,
     gap_backward_batch,
@@ -35,6 +32,14 @@ from kpff.gradcheck import (
 )
 from kpff.rng import Stream, stream
 from kpff.tensor import NonFiniteError, ShapeError
+
+
+def _act_forward(name, pre):
+    return ACTIVATIONS[name].forward(pre)
+
+
+def _act_backward(name, pre, out, dout):
+    return ACTIVATIONS[name].backward(pre, out, dout)
 
 
 def conv_oracle(x, kernels, bias):
@@ -441,7 +446,7 @@ def test_model_frozen_kpff_matches_concat_losses():
         drop = stream(3, "dropout")
         seq = []
         for step in range(10):
-            loss, _, _ = model.forward_backward(x, labels, train=True,
+            loss, _ = model.forward_backward(x, labels, train=True,
                                                 dropout_keep=_keep(model, drop, len(x)))
             opt.apply(model.theta, model.grad)
             seq.append(loss)
@@ -462,8 +467,8 @@ def test_model_duplicated_batch_same_loss():
     x, labels = _toy_batch()
     model = Model(seed=1, image_size=12, channels=(4, 6), fusion="add",
                   num_classes=3, dropout_p=0.0)
-    l1, _, _ = model.forward_backward(x, labels, train=False)
-    l2, _, _ = model.forward_backward(np.concatenate([x, x]),
+    l1, _ = model.forward_backward(x, labels, train=False)
+    l2, _ = model.forward_backward(np.concatenate([x, x]),
                                       np.concatenate([labels, labels]), train=False)
     assert abs(l1 - l2) < 1e-12
 
@@ -536,7 +541,7 @@ def test_model_gradients_with_dropout_match_finite_differences():
         logits = model.forward_batch(x, train=True, dropout_keep=keep)
         return float(softmax_ce_batch(logits, labels)[0].mean())
 
-    _, _, grads = model.forward_backward(x, labels, train=True, dropout_keep=keep)
+    _, grads = model.forward_backward(x, labels, train=True, dropout_keep=keep)
     mask = model._dropout_mask
     assert 0 < np.count_nonzero(mask) < mask.size  # some units dropped, some kept
     grads = {name: g.copy() for name, g in grads.items()}
@@ -558,7 +563,8 @@ def test_model_loss_helper_consistent():
     model = Model(seed=2, image_size=10, channels=(3, 4), fusion="concat",
                   num_classes=3, dropout_p=0.0)
     x, labels = _toy_batch(seed=2, size=10)
-    loss, acc, _ = model.forward_backward(x, labels, train=False)
+    loss, _ = model.forward_backward(x, labels, train=False)
+    acc = np.count_nonzero(model.forward_batch(x).argmax(axis=1) == labels) / len(x)
     assert model.evaluate(x, labels) == (loss, acc)
 
 
@@ -604,7 +610,7 @@ def _run_both(kwargs, x, labels, crop, tweak=None):
         model = cls(**kwargs, **extra)
         if tweak is not None:
             tweak(model)
-        loss, _, grads = model.forward_backward(x, labels, train=False)
+        loss, grads = model.forward_backward(x, labels, train=False)
         out.append((loss, grads))
     return out
 
@@ -741,6 +747,30 @@ def test_block_order_agrees_without_rounded_ties(activation):
 # --- the crop ---------------------------------------------------------------------
 
 
+def _pool_crop(conv, x):
+    """x cut to the rows and columns whose conv outputs the 2x2 pool reads
+    (reference: Model cropped each conv's input so before ConvLayer took an
+    output extent). An output too small to pool is left whole."""
+    kh, kw = conv.kernels.shape[2:]
+    Ho, Wo = x.shape[2] - kh + 1, x.shape[3] - kw + 1
+    if Ho < 2 or Wo < 2:
+        return x
+    return x[:, :, :Ho // 2 * 2 + kh - 1, :Wo // 2 * 2 + kw - 1]
+
+
+def _block_output_grad(dx, shape, dgap):
+    """dL/d(block output) from the gradient dx of a cropped conv input: dx
+    padded with zeros to shape, batch-innermost, plus the GAP tap's gradient
+    (or None) (reference, with _pool_crop)."""
+    if dx.shape != shape:
+        full = np.zeros(shape[1:] + shape[:1]).transpose(3, 0, 1, 2)  # dx's layout
+        full[:, :, :dx.shape[2], :dx.shape[3]] = dx
+        dx = full
+    if dgap is not None:
+        dx += dgap
+    return dx
+
+
 @pytest.mark.parametrize("size,cropped", [
     ((7, 7), (6, 6)),  # 5x5 output -> 4x4
     ((9, 9), (8, 8)),  # 7x7 output -> 6x6
@@ -750,8 +780,10 @@ def test_block_order_agrees_without_rounded_ties(activation):
     ((3, 9), (3, 9)),  # 1x7 output too
 ])
 def test_pool_crop_shapes(size, cropped):
+    # the output extent Model asks of a conv is that of the cropped input
     conv = ConvLayer(np.zeros((2, 3, 3, 3)), np.zeros(2))
     x = np.zeros((2, 3) + size)
+    assert _pool_extent(conv, x) == (cropped[0] - 2, cropped[1] - 2)
     got = _pool_crop(conv, x)
     assert got.shape == (2, 3) + cropped
     assert np.shares_memory(got, x)
@@ -764,9 +796,9 @@ def test_crop_matches_whole_conv_on_what_the_pool_reads(H, W):
     x = batch_innermost(s.uniform(size=(N, C, H, W), low=-1, high=1))
     kernels = s.uniform(size=(O, C, 3, 3), low=-1, high=1)
     bias = s.uniform(size=(O,), low=-1, high=1)
-    whole, cut = ConvLayer(kernels, bias), ConvLayer(kernels, bias)
+    whole, cut, ref = (ConvLayer(kernels, bias) for _ in range(3))
     full_out = whole.forward_batch(x)
-    out = cut.forward_batch(_pool_crop(cut, x))
+    out = cut.forward_batch(x, extent=_pool_extent(cut, x))
     Ho, Wo = out.shape[2:]
     assert (Ho, Wo) == ((H - 2) // 2 * 2, (W - 2) // 2 * 2)
     tol = 2 * gamma(C * 9 + 1) * conv_ref_forward(np.abs(x), np.abs(kernels), np.abs(bias))
@@ -774,15 +806,19 @@ def test_crop_matches_whole_conv_on_what_the_pool_reads(H, W):
     # the pool never reads what the crop cuts away
     assert np.array_equal(MaxPool2x2().forward_batch(full_out),
                           MaxPool2x2().forward_batch(full_out[:, :, :Ho, :Wo]))
+    # the conv of the cropped copy, bit for bit
+    assert out.tobytes() == ref.forward_batch(_pool_crop(ref, x)).tobytes()
 
     # backward: the whole conv sees zero on the outputs the pool drops
     dout = s.uniform(size=out.shape, low=-1, high=1)
     full_dout = np.zeros(full_out.shape)
     full_dout[:, :, :Ho, :Wo] = dout
     full_dx = whole.backward_batch(full_dout)
-    dx = _block_output_grad(cut.backward_batch(dout), x.shape, None)
+    dx = cut.backward_batch(dout)
     assert dx.shape == x.shape
+    assert dx.transpose(1, 2, 3, 0).flags.c_contiguous  # batch-innermost memory
     assert np.all(dx[:, :, Ho + 2:] == 0.0) and np.all(dx[:, :, :, Wo + 2:] == 0.0)
+    assert not np.signbit(dx[:, :, Ho + 2:]).any() and not np.signbit(dx[:, :, :, Wo + 2:]).any()
     adx = conv_ref_backward(np.abs(x), np.abs(kernels), np.abs(full_dout))[2]
     assert np.all(np.abs(dx - full_dx) <= 2 * gamma(O * 9) * adx)
     positions = N * Ho * Wo
@@ -790,9 +826,24 @@ def test_crop_matches_whole_conv_on_what_the_pool_reads(H, W):
     assert np.all(np.abs(cut.grads["kernels"] - whole.grads["kernels"]) <= 2 * gamma(positions) * adk)
     assert np.all(np.abs(cut.grads["bias"] - whole.grads["bias"])
                   <= 2 * gamma(positions) * np.abs(dout).sum(axis=(0, 2, 3)))
+    # the cropped copy's gradients, padded with zeros, bit for bit
+    ref_dx = _block_output_grad(ref.backward_batch(dout), x.shape, None)
+    assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+    for name in ("kernels", "bias"):
+        assert cut.grads[name].tobytes() == ref.grads[name].tobytes()
+
+
+def test_conv_rejects_an_extent_outside_its_output():
+    conv = ConvLayer(np.zeros((2, 3, 3, 3)), np.zeros(2))
+    x = np.zeros((1, 3, 7, 6))  # a 5x4 output
+    for extent in ((6, 4), (5, 5), (0, 4), (5, 0)):
+        with pytest.raises(ShapeError, match="extent"):
+            conv.forward_batch(x, extent=extent)
+    assert conv.forward_batch(x, extent=(5, 4)).shape == (1, 2, 5, 4)
 
 
 def test_block_output_grad_adds_the_gap_gradient():
+    # the reference's padding, which Model's whole-input conv gradient replaced
     s = Stream(47)
     shape = (3, 2, 5, 5)
     dgap = gap_backward_batch(s.uniform(size=(3, 2), low=-1, high=1), (5, 5))
@@ -804,6 +855,108 @@ def test_block_output_grad_adds_the_gap_gradient():
     assert got.transpose(1, 2, 3, 0).flags.c_contiguous  # batch-innermost memory
     same = batch_innermost(s.uniform(size=shape, low=-1, high=1))
     assert _block_output_grad(same, shape, None) is same
+
+
+class CropPadReferenceModel(Model):
+    """Model with the step it ran before ConvLayer took an output extent
+    (reference): each conv reads a cropped copy of its input (_pool_crop),
+    its input gradient is padded back with zeros (_block_output_grad), the
+    projections are joined by np.concatenate and the dropout gradient is a
+    new array. It records each conv's input gradient, padded, in
+    input_grads."""
+
+    def _fuse(self, taps):
+        if self.fusion == "none":
+            return taps[-1]
+        projected = [p.forward_batch(t) for p, t in zip(self.projections, taps)]
+        n, (N, r) = len(projected), projected[0].shape
+        fused = self.kpff.forward_batch(np.concatenate(projected).reshape(n, N * r))
+        m = fused.shape[0]
+        return fused.reshape(m, N, r).transpose(1, 0, 2).reshape(N, m * r)
+
+    def _blocks_forward(self, x):
+        self._blocks = []
+        h = x
+        for conv, pool in zip(self.convs, self.pools):
+            pooled = pool.forward_batch(conv.forward_batch(_pool_crop(conv, h)))
+            h = _act_forward(self.activation, pooled)
+            self._blocks.append((pooled, h))
+        read = self._blocks[-1:] if self.fusion == "none" else self._blocks
+        return [None] * (len(self._blocks) - len(read)) + [gap_batch(h) for _, h in read]
+
+    def _blocks_backward(self, dtaps):
+        gate = ACTIVATIONS[self.activation].gate
+        dx, self.input_grads = None, []
+        for b in range(len(self.convs) - 1, -1, -1):
+            pooled, h = self._blocks[b]
+            dh = gap_backward_batch(dtaps[b], h.shape[2:]) if dtaps[b] is not None else None
+            if dx is not None:
+                self.input_grads.append(np.array(_block_output_grad(dx, h.shape, None)))
+                dh = _block_output_grad(dx, h.shape, dh)
+            if gate is None:
+                dh = self.pools[b].backward_batch(_act_backward(self.activation, pooled, h, dh))
+            else:
+                dh = self.pools[b].backward_batch(dh, gate(pooled))
+            dx = self.convs[b].backward_batch(dh, input_grad=b > 0)
+
+    def forward_backward(self, x, labels, train=True, dropout_keep=None):
+        logits = self.forward_batch(x, train=train, dropout_keep=dropout_keep)
+        losses, dlogits = softmax_ce_reference(logits, labels)
+        dlogits /= x.shape[0]
+        if self.fusion == "kpff":
+            self.kpff.zero_grads()
+        dfused = self.head.backward_batch(dlogits)
+        if self._dropout_mask is not None:
+            dfused = dfused * self._dropout_mask
+        self._blocks_backward(self._fuse_backward(dfused))
+        return float(np.add.reduce(losses)) / x.shape[0], self._grads
+
+
+def _record_input_grads(model):
+    """Record a copy of each conv input gradient model's backward makes, in
+    model.input_grads, as CropPadReferenceModel does."""
+    model.input_grads = []
+    for conv in model.convs:
+        def recorded(dout, *, input_grad=True, backward=conv.backward_batch):
+            dx = backward(dout, input_grad=input_grad)
+            if dx is not None:
+                model.input_grads.append(np.array(dx))
+            return dx
+        conv.backward_batch = recorded
+
+
+# 16: the second conv's 5x5 output is cut to 4x4; 12: its 3x3 to 2x2; 9: the
+# first conv's 7x7 to 6x6, and the second's 1x1 passes through the pool, as
+# at 8, where nothing is cut
+@pytest.mark.parametrize("image_size", [16, 12, 9, 8])
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("fusion", FUSION_METHODS)
+def test_step_matches_the_crop_and_pad_reference_bit_for_bit(fusion, activation, image_size):
+    kwargs = dict(seed=6, image_size=image_size, channels=(3, 4), activation=activation,
+                  fusion=fusion, num_classes=3, dropout_p=0.25, kpff_noise=0.1)
+    x = Stream(image_size).uniform(size=(7, 1, image_size, image_size), low=-1, high=1)
+    labels = np.arange(7) % 3
+    runs = []
+    for cls in (Model, CropPadReferenceModel):
+        model = cls(**kwargs)
+        if cls is Model:
+            _record_input_grads(model)
+        keep = _keep(model, stream(6, "dropout"), len(x))
+        runs.append((model, *model.forward_backward(x, labels, train=True, dropout_keep=keep)))
+    (model, loss, grads), (ref, ref_loss, ref_grads) = runs
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    # the image gets no gradient; the second conv's input gradient is the
+    # padded one, its cut rows and columns +0.0
+    assert len(model.input_grads) == len(ref.input_grads) == 1
+    dx, ref_dx = model.input_grads[0], ref.input_grads[0]
+    assert dx.shape == ref_dx.shape == model._blocks[0][1].shape
+    assert dx.tobytes() == ref_dx.tobytes()
+    Ho, Wo = _pool_extent(model.convs[1], dx)
+    assert not np.any(dx[:, :, Ho + 2:]) and not np.signbit(dx[:, :, Ho + 2:]).any()
+    assert not np.any(dx[:, :, :, Wo + 2:]) and not np.signbit(dx[:, :, :, Wo + 2:]).any()
 
 
 def test_gap_backward_is_a_batch_innermost_broadcast():
@@ -947,7 +1100,7 @@ def test_one_array_step_matches_the_per_name_path(fusion, method, weight_decay):
         flat.forward_backward(x[:n], labels[:n], train=True,
                               dropout_keep=_keep(flat, flat_drop, n))
         flat_opt.apply(flat.theta, flat.grad)
-        _, _, ref_grads = ref.forward_backward(x[:n], labels[:n], train=True,
+        _, ref_grads = ref.forward_backward(x[:n], labels[:n], train=True,
                                                dropout_keep=_keep(ref, ref_drop, n))
         per_array_apply(ref_opt, ref.params(), ref_grads)
         assert flat.theta.tobytes() == ref.theta.tobytes(), step
@@ -986,9 +1139,9 @@ def test_parameters_and_gradients_are_views_of_the_model_vectors(fusion):
 
     x, labels = _toy_batch()
     drop = stream(3, "dropout")
-    _, _, first = model.forward_backward(x, labels, train=True,
+    _, first = model.forward_backward(x, labels, train=True,
                                          dropout_keep=_keep(model, drop, len(x)))
-    _, _, second = model.forward_backward(x, labels, train=True,
+    _, second = model.forward_backward(x, labels, train=True,
                                           dropout_keep=_keep(model, drop, len(x)))
     assert list(second) == list(params)
     for name, p in params.items():
@@ -1177,7 +1330,7 @@ def test_model_kpff_matches_block_loops(channels, image_size, bug, monkeypatch):
     runs = []
     for cls in (Model, BlockLoopKpffModel):
         model = cls(**kwargs)
-        loss, _, grads = model.forward_backward(
+        loss, grads = model.forward_backward(
             x, labels, train=True, dropout_keep=_keep(model, stream(8, "dropout"), 7))
         runs.append((model, loss, grads))
     (_, loss, grads), (ref, ref_loss, ref_grads) = runs
