@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """In-process A/B of the training step: per-call costs of two kpff trees.
 
-    python scripts/step_ab.py --other /tmp/parent [--reps 400] [--methods none,kpff]
+    python scripts/step_ab.py --other ../parent [--reps 400] [--methods none,kpff]
 
 Imports the kpff package of this checkout (the one holding this script)
-and of a second checkout, for example a `git worktree` of the
-parent commit under /tmp, as two packages in one process. On each side it
+and of a second checkout, for example a `git archive` copy of the parent
+commit, as two packages in one process. The second checkout must be at
+commit b9842f2 or later, whose `Model` takes the method token and whose
+`forward_backward` takes the dropout mask and returns (loss, gradients);
+compare older trees with their own `kpffbench/run.py`. On each side it
 builds the criterion-6 model (seed 0, 16x16 synthetic images, channels 6
-and 12, Adam at lr 3e-3, dropout 0.1) for every method and times the call kinds of
-the crossval_ref benchmark's `call_us_p1_gmean`: `Model.forward_backward`
-at batch 50 and 30, `OptimizerState.apply`, and `Model.evaluate` at batch
-20. The sides alternate call by call, and which side goes first alternates
-by repetition, so host load falls on both alike. Each side steps its
-optimizer and feeds dropout the way its own `harness.train_run` does: a
-tree with `net.dropout_masks` takes each step's mask rows from masks drawn
-ahead, untimed, and an older one passes its dropout stream to every call.
+and 12, Adam at lr 3e-3, dropout 0.1) for every method (by default this
+checkout's `net.FUSION_METHODS`) and times the call kinds of the
+crossval_ref benchmark's `call_us_p1_gmean`: `Model.forward_backward` at
+batch 50 and 30, `OptimizerState.apply`, and `Model.evaluate` at batch 20.
+The sides alternate call by call, and which side goes first alternates by
+repetition, so host load falls on both alike. Each side steps its
+optimizer and feeds dropout the way `harness.train_run` does: each step's
+mask rows come from masks drawn ahead, untimed.
 
 Prints p1 and p50 per kind and side, the gmean of the p1s, and how many
 calls' losses, and how many `forward_backward` calls' gradients (the
@@ -35,10 +38,7 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
-import numpy as np  # noqa: E402
-
 ROOT = Path(__file__).resolve().parents[1]
-METHODS = ("none", "add", "concat", "kpff", "kpff-frozen")
 KINDS = ("forward_backward.b50", "forward_backward.b30", "optimizer", "evaluate.b20")
 EPOCHS = 40  # steps per batch size before a side's models start over, as one crossval job
 
@@ -58,7 +58,7 @@ def load_tree(root, alias):
 class Side:
     """One tree's models, data and call timings."""
 
-    def __init__(self, label, root, methods):
+    def __init__(self, label, root):
         self.label = label
         self.m = load_tree(root, "kpff_ab_" + label)
         self.cfg = self.m["config"].RunConfig(
@@ -69,98 +69,62 @@ class Side:
         self.images, self.labels = dataset.stacked()
         train, test = plan.train_indices(0), plan.folds[0]
         self.batches = {"b50": train[:50], "b30": train[50:80], "b20": test}
-        self.methods = methods
         self.times = {kind: [] for kind in KINDS}
         self.jobs = {}
-        self.grads = {}  # method -> gradients of its last forward_backward
         self.epoch = 0  # of the current jobs: a b50 and a b30 step per epoch
 
-    def start_jobs(self):
-        """A fresh model, optimizer and dropout feed per method: the masks of
-        the job's EPOCHS epochs of 80 samples where the tree draws them
-        ahead, else its dropout stream."""
-        harness, net = self.m["harness"], self.m["net"]
-        shape = dict(in_channels=self.images.shape[1], image_size=self.images.shape[2],
-                     num_classes=int(self.labels.max()) + 1)
-        for token in self.methods:
-            if hasattr(harness, "resolve_method"):  # older trees: fusion and freeze apart
-                fusion, freeze, noise = harness.resolve_method(token, self.cfg)
-                model = harness.build_model(self.cfg, fusion, noise, **shape)
-            else:  # the model takes the method token, as train_run builds it
-                freeze, cfg = None, self.cfg
-                model = net.Model(seed=cfg.seed, channels=tuple(cfg.channels),
-                                  activation=cfg.activation, fusion=token,
-                                  dropout_p=cfg.dropout_p, kpff_noise=cfg.kpff_noise, **shape)
-            opt = net.OptimizerState(self.cfg.optimizer, lr=self.cfg.lr,
-                                     weight_decay=self.cfg.weight_decay)
-            drop = self.m["rng"].stream(self.cfg.seed, "dropout/fold0")
-            if hasattr(net, "dropout_masks"):
-                drop = net.dropout_masks(drop, self.cfg.dropout_p,
-                                         (EPOCHS, 80, model.fused_width))
-            self.jobs[token] = (model, opt, drop, freeze)
+    def start_jobs(self, methods):
+        """A fresh model, optimizer and dropout masks per method, built as
+        train_run builds them: the masks of the job's EPOCHS epochs of 80
+        samples."""
+        net, cfg = self.m["net"], self.cfg
+        for token in methods:
+            model = net.Model(seed=cfg.seed, in_channels=self.images.shape[1],
+                              image_size=self.images.shape[2], channels=tuple(cfg.channels),
+                              activation=cfg.activation, fusion=token,
+                              num_classes=int(self.labels.max()) + 1,
+                              dropout_p=cfg.dropout_p, kpff_noise=cfg.kpff_noise)
+            opt = net.OptimizerState(cfg.optimizer, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            keep = net.dropout_masks(self.m["rng"].stream(cfg.seed, "dropout/fold0"),
+                                     cfg.dropout_p, (EPOCHS, 80, model.fused_width))
+            self.jobs[token] = (model, opt, keep)
 
     def call(self, token, kind):
         """Make one timed call of the given kind; returns its loss, if any."""
-        model, opt, drop, freeze = self.jobs[token]
+        model, opt, keep = self.jobs[token]
         if kind == "optimizer":
-            args = self._step_args(token, model, freeze)
             t0 = perf_counter()
-            opt.apply(*args)
+            opt.apply(model.theta, model.grad)
             self.times[kind].append(perf_counter() - t0)
             return None
         sel = self.batches[kind.rsplit(".", 1)[1]]
         x, y = self.images[sel], self.labels[sel]
         t0 = perf_counter()
         if kind == "evaluate.b20":
-            result = model.evaluate(x, y)
-        elif isinstance(drop, self.m["rng"].Stream):
-            result = model.forward_backward(x, y, train=True, dropout_stream=drop)
+            loss, _ = model.evaluate(x, y)
         else:  # this batch's rows of the epoch's masks, as train_run slices them
             rows = slice(0, 50) if kind == "forward_backward.b50" else slice(50, 80)
-            result = model.forward_backward(x, y, train=True, dropout_keep=drop[self.epoch, rows])
+            loss, _ = model.forward_backward(x, y, train=True, dropout_keep=keep[self.epoch, rows])
         self.times[kind].append(perf_counter() - t0)
-        # evaluate gives (loss, accuracy); forward_backward (loss, gradients),
-        # or (loss, accuracy, gradients) in older trees
-        if kind != "evaluate.b20":
-            self.grads[token] = result[-1]
-        return result[0]
-
-    def grad_bytes(self, token):
-        """The bytes of the gradients of token's last forward_backward: the
-        model's gradient vector, or in older trees its per-name arrays."""
-        model = self.jobs[token][0]
-        if hasattr(model, "grad"):
-            return model.grad.tobytes()
-        return b"".join(np.ascontiguousarray(g).tobytes()
-                        for _, g in sorted(self.grads[token].items()))
-
-    def _step_args(self, token, model, freeze):
-        """OptimizerState.apply's arguments as this tree's train_run passes
-        them: the model's (theta, grad) where freeze is None, else
-        Model.trainable's pair where the model has one (two arrays, or two
-        one-entry dicts in older trees), else the per-name dicts and the
-        frozen names."""
-        if freeze is None:
-            return model.theta, model.grad
-        if hasattr(model, "trainable"):
-            return model.trainable(freeze)
-        frozen = set(model.fusion_param_names()) if freeze else set()
-        return model.params(), self.grads[token], frozen
+        return loss
 
 
 def percentile(values, pct):
     return statistics.quantiles(values, n=100, method="inclusive")[pct - 1]
 
 
-def run(other, reps, methods):
-    sides = [Side("this", ROOT, methods), Side("other", other, methods)]
+def run(other, reps, methods=None):
+    """Time reps steps of each method on both sides; methods defaults to
+    this checkout's net.FUSION_METHODS."""
+    sides = [Side("this", ROOT), Side("other", other)]
+    methods = methods or sides[0].m["net"].FUSION_METHODS
     sequence = ("forward_backward.b50", "optimizer", "forward_backward.b30", "optimizer",
                 "evaluate.b20")
     mismatches = {"losses": 0, "gradients": 0}
     for rep in range(reps):
         if rep % EPOCHS == 0:
             for side in sides:
-                side.start_jobs()
+                side.start_jobs(methods)
         for side in sides:
             side.epoch = rep % EPOCHS
         order = sides if rep % 2 == 0 else sides[::-1]
@@ -169,7 +133,7 @@ def run(other, reps, methods):
                 losses = {side.label: side.call(token, kind) for side in order}
                 mismatches["losses"] += losses["this"] != losses["other"]
                 if kind.startswith("forward_backward"):
-                    this, other = (side.grad_bytes(token) for side in sides)
+                    this, other = (side.jobs[token][0].grad.tobytes() for side in sides)
                     mismatches["gradients"] += this != other
     return sides, mismatches
 
@@ -189,7 +153,7 @@ def report(sides, mismatches, reps):
              for label in p1}
     lines.append(f"{'gmean of p1 (us)':<22}" + "".join(f"{gmean[s.label]:>12.1f}{'':>12}" for s in sides)
                  + f"{gmean['this'] / gmean['other'] - 1:>+10.1%}")
-    calls = reps * len(sides[0].methods)
+    calls = reps * len(sides[0].jobs)
     lines.append(f"losses that differ between the sides: {mismatches['losses']} "
                  f"of {calls * 3} calls")
     lines.append(f"gradients that differ between the sides: {mismatches['gradients']} "
@@ -201,11 +165,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--other", required=True, help="root of the second kpff checkout")
     ap.add_argument("--reps", type=int, default=400, help="steps per method and side (>= 2)")
-    ap.add_argument("--methods", default=",".join(METHODS), help="comma list")
+    ap.add_argument("--methods", help="comma list (default: every net.FUSION_METHODS token)")
     args = ap.parse_args()
     if args.reps < 2:
         ap.error("--reps must be at least 2")
-    methods = tuple(args.methods.split(","))
+    methods = tuple(args.methods.split(",")) if args.methods else None
     sides, mismatches = run(args.other, args.reps, methods)
     print(f"this: {ROOT}\nother: {Path(args.other).resolve()}")
     print(report(sides, mismatches, args.reps))

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fusion, gradcheck, hooks
-from .config import CHOICES, RunConfig, _parse_value, field_types, load_config
+from . import fusion, gradcheck
+from .config import CHOICES, RunConfig, _parse_value, field_types, load_config, read_utf8
 from .fusion import KpffLayer, fusion_inputs, fuse_add, fuse_concat, kpff_forward, kpff_backward
 from .harness import (JobError, comparison_table, crossval, crossval_jobs, process_count,
                       write_report)
@@ -82,23 +82,10 @@ def comma_list(item, choices=None):
     return parse
 
 
-def _maybe_inject_bug(args):
-    name = getattr(args, "inject_bug", None)
-    if name is None:
-        return True
-    if not hooks.hooks_enabled():
-        print("--inject-bug requires KPFF_TEST_HOOKS=1 (test builds only)", file=sys.stderr)
-        return False
-    hooks.set_injected_bug(name)
-    return True
-
-
 # ---------------------------------------------------------------------------
 
 
 def cmd_gradcheck(args):
-    if not _maybe_inject_bug(args):
-        return USAGE_ERROR
     if (args.n is None) != (args.r is None):
         given, missing = ("--n", "--r") if args.r is None else ("--r", "--n")
         print(f"{given} needs {missing}: give both fusion sizes or neither", file=sys.stderr)
@@ -196,9 +183,10 @@ def cmd_bench(args):
 
 
 def _read_csv_vectors(path):
-    """Rows of finite floats from a CSV file; ValueError names the file and line."""
+    """Rows of finite floats from a UTF-8 CSV file; ValueError names the
+    file, and the line or the byte offset."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path, "CSV").splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -259,8 +247,6 @@ def build_parser():
     p.add_argument("--r", type=positive_int, help="fusion vector length (with --n)")
     p.add_argument("--no-model", action="store_true", help="skip the full-model check")
     p.add_argument("--max-rows", type=int_at_least(0), default=40)
-    p.add_argument("--inject-bug", choices=hooks.BUG_NAMES,
-                   help="test hook: deliberately break one gradient path")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("crossval", help="k-fold cross-validation over fusion methods")

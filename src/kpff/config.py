@@ -23,6 +23,9 @@ _RULES = (
     (("folds",), lambda v: v >= 2, "at least 2"),
     (("channels",), lambda v: v and all(ch > 0 for ch in v), "a non-empty list of positive counts"),
     (("dropout_p",), lambda v: 0.0 <= v < 1.0, "in [0,1)"),
+    # a config line ends at '#' and at a line break, and its value is stripped
+    (("data_dir",), lambda v: "#" not in v and v == v.strip() and len(v.splitlines()) < 2,
+     "a path with no '#', line break or surrounding whitespace"),
 ) + tuple(((f,), allowed.__contains__, f"one of {', '.join(allowed)}")
           for f, allowed in CHOICES.items())
 
@@ -62,8 +65,9 @@ class RunConfig:
             try:
                 check_image_size(self.image_size, len(self.channels))
             except ValueError as exc:
-                raise FieldError(("image_size", "channels"),
-                                 f"image_size: {exc} (channels {self.channels})") from None
+                raise FieldError(("image_size", "channels", "data_dir"),
+                                 f"image_size: {exc} (channels {self.channels}, "
+                                 f"synthetic data as data_dir is empty)") from None
 
 
 def _format_value(v):
@@ -121,22 +125,29 @@ def parse_config_text(text) -> RunConfig:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     try:
         return RunConfig(**overrides)
-    except FieldError as exc:  # named by the line of the first of its fields set here
-        line = next((set_on[f] for f in exc.fields if f in set_on), None)
-        raise ValueError(exc if line is None else f"line {line}: {exc}") from None
+    except FieldError as exc:  # named by the lines of those of its fields set here
+        lines = sorted(set_on[f] for f in exc.fields if f in set_on)  # defaults pass
+        where = ", ".join(map(str, lines))
+        raise ValueError(f"{'lines' if len(lines) > 1 else 'line'} {where}: {exc}") from None
+
+
+def read_utf8(path, kind) -> str:
+    """The text of a UTF-8 file. An error reading or decoding it is a
+    ValueError that names the file, as a `kind` file, and the offset of
+    the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {kind} file is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read {kind} file: {exc.strerror}") from None
 
 
 def load_config(path) -> RunConfig:
     """The RunConfig of a UTF-8 config file. An error reading or decoding
     it names the file; one in its text names the line."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: config file is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
-                         f"at offset {exc.start}") from None
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read config file: {exc.strerror}") from None
-    return parse_config_text(text)
+    return parse_config_text(read_utf8(path, "config"))
 
 
 def config_hash(cfg: RunConfig) -> str:

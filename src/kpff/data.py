@@ -14,7 +14,6 @@ import numpy as np
 
 from .rng import normal_from_bits, stream, uniform_from_bits
 
-SYNTHETIC_CLASSES = ("blob", "checkerboard", "gradient", "stripes")
 NOISE_SIGMA = 0.05
 
 
@@ -65,13 +64,15 @@ class FoldPlan:
 # synthetic data
 
 
-# class -> the (low, high) of each of its per-sample jitter uniforms
+# class -> the (low, high) of each of its per-sample jitter uniforms, in
+# label order
 _JITTER = {
-    "stripes": ((-0.5, 0.5),),  # phase
-    "checkerboard": ((-0.5, 0.5), (-0.5, 0.5)),  # x and y phase
     "blob": ((-1.5, 1.5), (-1.5, 1.5), (0.0, 1.0)),  # centre offsets, width
+    "checkerboard": ((-0.5, 0.5), (-0.5, 0.5)),  # x and y phase
     "gradient": ((-0.15, 0.15),),  # offset
+    "stripes": ((-0.5, 0.5),),  # phase
 }
+SYNTHETIC_CLASSES = tuple(_JITTER)
 
 
 def _textures(name, size, jitter):
@@ -94,7 +95,7 @@ def _textures(name, size, jitter):
     return (xx + yy) / (2 * (size - 1)) + j[0]  # gradient
 
 
-def generate_synthetic(per_class=25, size=16, seed=0, classes=SYNTHETIC_CLASSES) -> Dataset:
+def generate_synthetic(per_class=25, size=16, seed=0) -> Dataset:
     """Four procedural texture classes with per-sample jitter and noise.
     Pure function of (arguments, seed).
 
@@ -105,14 +106,13 @@ def generate_synthetic(per_class=25, size=16, seed=0, classes=SYNTHETIC_CLASSES)
         raise ValueError(f"size must be >= 8, got {size}")
     pixels = size * size
     pairs = (pixels + 1) // 2
-    images = np.empty((len(classes) * per_class, 1, size, size))
-    for label, name in enumerate(classes):
-        if name not in _JITTER:
-            raise ValueError(f"unknown texture {name!r}")
-        k = len(_JITTER[name])
+    labels = np.repeat(np.arange(len(SYNTHETIC_CLASSES)), per_class)
+    images = np.empty((labels.size, 1, size, size))
+    for label, (name, jitter) in enumerate(_JITTER.items()):
+        k = len(jitter)
         bits = stream(seed, f"synthetic/{name}").raw(per_class * (k + 1 + 2 * pairs))
         bits = bits.reshape(per_class, k + 1 + 2 * pairs)
-        low, high = np.array(_JITTER[name] + ((0.0, 1.0),)).T  # the contrast's last
+        low, high = np.array(jitter + ((0.0, 1.0),)).T  # the contrast's last
         uniforms = uniform_from_bits(bits[:, :k + 1], low, high)
         img = _textures(name, size, uniforms[:, :k])
         contrast = 0.7 + 0.3 * uniforms[:, k, None, None]
@@ -120,7 +120,7 @@ def generate_synthetic(per_class=25, size=16, seed=0, classes=SYNTHETIC_CLASSES)
         noise = normal_from_bits(bits[:, k + 1:k + 1 + pairs], bits[:, k + 1 + pairs:], pixels)
         img += (NOISE_SIGMA * noise).reshape(img.shape)
         np.clip(img, 0.0, 1.0, out=images[label * per_class:(label + 1) * per_class, 0])
-    return Dataset(images, np.repeat(np.arange(len(classes)), per_class), list(classes))
+    return Dataset(images, labels, list(SYNTHETIC_CLASSES))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,8 @@ def _read_pnm_header(buf, path):
             continue
         m = re.match(rb"\d+", buf[pos:])
         if not m:
-            raise ValueError(f"{path}: malformed pixmap header")
+            name = ("width", "height", "maxval")[len(fields)]
+            raise ValueError(f"{path}: expected the {name}, a decimal number, at byte offset {pos}")
         fields.append(int(m.group()))
         pos += m.end()
     if not buf[pos:pos + 1].isspace():

@@ -13,10 +13,13 @@ import numpy as np
 from .fusion import FusionInputs, KpffLayer, fusion_inputs, kpff_forward, kpff_backward
 from .rng import stream
 
-REL_TOL = 1e-6
+REL_TOL = 1e-6  # fusion instances, entry by entry
+MODEL_TOL = 1e-5  # model parameters, through the whole network's forward
+JACOBIAN_TOL = 1e-15  # fusion backward against the dense Jacobians, relative to max(1, scale)
+ADAM_TOL = 1e-9  # the first Adam step against its closed form
 ABS_FLOOR = 1e-9
 DENOM_FLOOR = 1e-12
-MAX_SAMPLED_COORDS = 200
+FD_STEP = 1e-6  # central differences step at |theta_k| <= 1, relative above
 
 
 @dataclass
@@ -39,19 +42,18 @@ def check_value(name: str, analytic: float, numeric: float, tol: float = REL_TOL
     return GradCheckReport(name, analytic, numeric, rel, passed)
 
 
-def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6, coords=None) -> np.ndarray:
-    """Central differences of the scalar f at theta, at the flat coordinates
-    coords (all of them by default), as a 1-D array in that order.
+def finite_diff_grad(f, theta: np.ndarray) -> np.ndarray:
+    """Central differences of the scalar f at theta, at every flat
+    coordinate, as a 1-D array in that order.
 
     theta is perturbed in place, one coordinate at a time by the step
-    h * max(1, |theta_k|), and f is called with theta itself; each value is
-    restored exactly after its two calls.
+    FD_STEP * max(1, |theta_k|), and f is called with theta itself; each
+    value is restored exactly after its two calls.
     """
-    coords = range(theta.size) if coords is None else coords
-    grad = np.zeros(len(coords))
-    for t, k in enumerate(coords):
+    grad = np.zeros(theta.size)
+    for k in range(theta.size):
         old = theta.flat[k]
-        step = h * max(1.0, abs(old))
+        step = FD_STEP * max(1.0, abs(old))
         try:
             theta.flat[k] = old + step
             fp = f(theta)
@@ -61,18 +63,8 @@ def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6, coords=None) -> np.n
             theta.flat[k] = old
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise ValueError("loss returned non-finite value during finite differences")
-        grad[t] = (fp - fm) / (2.0 * step)
+        grad[k] = (fp - fm) / (2.0 * step)
     return grad
-
-
-def sample_coords(size: int, stream=None, cap: int = MAX_SAMPLED_COORDS):
-    """Coordinate subset for large tensors; boundaries always included."""
-    if size <= cap or stream is None:
-        return list(range(size))
-    picked = {0, size - 1}
-    while len(picked) < cap:
-        picked.add(int(stream.uniform() * size))
-    return sorted(picked)
 
 
 def kpff_dense_jacobians(layer: KpffLayer, inputs: FusionInputs):
@@ -112,7 +104,7 @@ def _quadratic_loss(coef_lin, coef_quad):
     return f, grad
 
 
-def check_kpff_instance(n, r, seed, tol=REL_TOL, jac_tol=1e-15):
+def check_kpff_instance(n, r, seed):
     """One random fusion instance: analytic backward vs finite differences
     and vs the dense-Jacobian oracle."""
     s = stream(seed, f"gradcheck/kpff/{n}x{r}")
@@ -138,13 +130,13 @@ def check_kpff_instance(n, r, seed, tol=REL_TOL, jac_tol=1e-15):
         num = finite_diff_grad(f, ws[i])
         for b in range(n):
             reports.append(
-                check_value(f"kpff({n}x{r}).w{i}[{b}]", layer.grad_ws[i][b], num[b], tol)
+                check_value(f"kpff({n}x{r}).w{i}[{b}]", layer.grad_ws[i][b], num[b])
             )
     for j in range(n):
         num = finite_diff_grad(f, xs[j])
         for c in range(r):
             reports.append(
-                check_value(f"kpff({n}x{r}).x{j}[{c}]", dX[j, c], num[c], tol)
+                check_value(f"kpff({n}x{r}).x{j}[{c}]", dX[j, c], num[c])
             )
 
     # dense-Jacobian oracle cross-check
@@ -157,12 +149,12 @@ def check_kpff_instance(n, r, seed, tol=REL_TOL, jac_tol=1e-15):
         scale = np.max(np.abs(oracle))
         reports.append(GradCheckReport(
             f"kpff({n}x{r}).{name}-oracle", float(np.max(np.abs(analytic))), float(scale),
-            float(err), bool(err <= jac_tol * max(1.0, scale)),
+            float(err), bool(err <= JACOBIAN_TOL * max(1.0, scale)),
         ))
     return reports
 
 
-def check_adam_first_step(tol=1e-9):
+def check_adam_first_step():
     """Closed form: bias correction makes the first Adam update lr * sign(g)."""
     from .net import OptimizerState
 
@@ -172,20 +164,19 @@ def check_adam_first_step(tol=1e-9):
     expected = theta - 0.01 * np.sign(grad)
     opt.apply(theta, grad)
     err = float(np.max(np.abs(theta - expected)))
-    return [GradCheckReport("adam.first-step", 0.0, err, err, err < tol)]
+    return [GradCheckReport("adam.first-step", 0.0, err, err, err < ADAM_TOL)]
 
 
-def check_model(model, x, labels, tol=1e-5, cap=MAX_SAMPLED_COORDS, seed=0):
-    """Finite-difference check of every model parameter (dropout off)."""
+def check_model(model, x, labels):
+    """Finite-difference check of every coordinate of every model parameter
+    (dropout off)."""
     _, grads = model.forward_backward(x, labels, train=False)
-    sampler = stream(seed, "gradcheck/sample")
     reports = []
     for name, arr in model.params().items():
-        coords = sample_coords(arr.size, sampler, cap)
-        num = finite_diff_grad(lambda _: model.evaluate(x, labels)[0], arr, coords=coords)
+        num = finite_diff_grad(lambda _: model.evaluate(x, labels)[0], arr)
         g = grads[name].ravel()
-        reports.extend(check_value(f"{name}[{k}]", float(g[k]), float(d), tol)
-                       for k, d in zip(coords, num))
+        reports.extend(check_value(f"{name}[{k}]", float(g[k]), float(d), MODEL_TOL)
+                       for k, d in enumerate(num))
     return reports
 
 
@@ -203,7 +194,7 @@ def run_suite(seed=0, sizes=((1, 1), (2, 3), (3, 4), (4, 8)), with_model=True):
         s = stream(seed, "gradcheck/model-data")
         x = s.uniform(size=(4, 1, 8, 8))
         labels = np.array([0, 1, 2, 0])
-        reports.extend(check_model(model, x, labels, tol=1e-5, seed=seed))
+        reports.extend(check_model(model, x, labels))
     return reports
 
 

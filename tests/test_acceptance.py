@@ -175,7 +175,7 @@ def test_criterion_5_full_model_gradcheck():
     for noise in (0.0, 0.1):
         model = Model(seed=0, image_size=8, channels=(3, 4), activation="sigmoid",
                       fusion="kpff", num_classes=3, dropout_p=0.0, kpff_noise=noise)
-        reports = check_model(model, x, labels, tol=1e-5, cap=10**9, seed=0)
+        reports = check_model(model, x, labels)
         counts.append(len(reports))
         bad += [r for r in reports if not r.passed]
     elapsed = time.time() - started
@@ -257,8 +257,7 @@ def test_criterion_8_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x", "adam-bias"])
-def test_criterion_9_mutation_sensitivity(bug, monkeypatch):
-    monkeypatch.setenv("KPFF_TEST_HOOKS", "1")
+def test_criterion_9_mutation_sensitivity(bug):
     hooks.set_injected_bug(bug)
     try:
         reports = run_suite(seed=0, sizes=((2, 3), (3, 4)), with_model=False)

@@ -105,6 +105,16 @@ def test_fuse_bad_value_names_file_and_line(bad, value, message, tmp_path, capsy
     assert not out.exists()
 
 
+def test_fuse_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    inp = tmp_path / "latin1.csv"
+    inp.write_bytes(b"1,2\n\xe9,3\n")
+    out = tmp_path / "out.csv"
+    assert run_cli("fuse", "--inputs", str(inp), "--method", "add", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"fuse failed: {inp}: CSV file is not UTF-8: byte 0xe9 at offset 4\n"
+    assert not out.exists()
+
+
 def test_fuse_kpff_at_a_ones_column_and_at_identity_is_add_and_concat(tmp_path):
     # equal in value; where add or concat gives -0.0 (the -0.0 column), kpff
     # gives +0.0, because its sums start from +0.0
@@ -165,16 +175,10 @@ def test_gradcheck_max_rows(capsys):
     assert more == f"... {total} more rows" and summary == f"{total}/{total} checks passed"
 
 
-def test_gradcheck_inject_bug_requires_env(monkeypatch, capsys):
-    monkeypatch.delenv("KPFF_TEST_HOOKS", raising=False)
-    assert run_cli("gradcheck", "--no-model", "--inject-bug", "kpff-w") == 2
-
-
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x", "adam-bias"])
-def test_gradcheck_inject_bug_detected(monkeypatch, bug, capsys):
-    monkeypatch.setenv("KPFF_TEST_HOOKS", "1")
-    assert run_cli("gradcheck", "--no-model", "--n", "3", "--r", "4",
-                   "--inject-bug", bug) == 1
+def test_gradcheck_inject_bug_detected(bug, capsys):
+    hooks.set_injected_bug(bug)  # cleared by clear_hooks
+    assert run_cli("gradcheck", "--no-model", "--n", "3", "--r", "4") == 1
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -1,6 +1,8 @@
 import re
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from kpff.config import (
     CHOICES,
@@ -147,10 +149,12 @@ def test_validation_through_config_text():
     ("seed = 1\n# a comment\ndropout_p = 1.5\n", "line 3: dropout_p must be in [0,1), got 1.5"),
     ("folds = 1\n", "line 1: folds must be at least 2, got 1"),
     ("seed = 2\nlr = -0.5\n", "line 2: lr must be positive, got -0.5"),
-    # a size error concerns image_size and channels: the first of them in the file
-    ("channels = 2,2,2\nimage_size = 16\n", "line 2: image_size: image size 16 too small"),
+    # a size error concerns image_size, channels and the empty data_dir that
+    # asks for synthetic images of that size: the lines of those set
+    ("channels = 2,2,2\nimage_size = 16\n", "lines 1, 2: image_size: image size 16 too small"),
+    ("data_dir =\nchannels = 2,2,2\n", "lines 1, 2: image_size: image size 16 too small"),
     ("seed = 1\nchannels = 2,2,2\n", "line 2: image_size: image size 16 too small"),
-], ids=["activation", "dropout", "folds", "lr", "image-size", "channels-only"])
+], ids=["activation", "dropout", "folds", "lr", "image-size", "data-dir", "channels-only"])
 def test_config_errors_name_the_line_of_their_key(text, message):
     with pytest.raises(ValueError) as info:
         parse_config_text(text)
@@ -162,7 +166,8 @@ def test_config_errors_name_the_line_of_their_key(text, message):
     ({"lr": float("nan")}, ("lr",)),
     ({"per_class": 0}, ("per_class",)),
     ({"channels": ()}, ("channels",)),
-    ({"image_size": 2, "channels": (6,)}, ("image_size", "channels")),
+    ({"image_size": 2, "channels": (6,)}, ("image_size", "channels", "data_dir")),
+    ({"data_dir": "a#b"}, ("data_dir",)),
 ])
 def test_config_errors_carry_their_fields(kwargs, fields):
     with pytest.raises(FieldError) as info:
@@ -184,3 +189,77 @@ def test_load_config_names_a_file_it_cannot_read_or_decode(tmp_path):
         load_config(missing)
     path.write_text("# caf\u00e9\nseed = 4\n", encoding="utf-8")  # UTF-8 is read as such
     assert load_config(path) == RunConfig(seed=4)
+
+
+# --- properties ----------------------------------------------------------------------
+
+
+@st.composite
+def run_configs(draw):
+    """RunConfigs with each field drawn from the values its own rule allows;
+    a draw that a rule across fields rejects (an image too small for the
+    channels) is discarded."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.integers(min_value=1)
+    kwargs = dict(
+        seed=draw(st.integers()), optimizer=draw(st.sampled_from(CHOICES["optimizer"])),
+        lr=draw(finite.filter(lambda v: v > 0)), weight_decay=draw(finite.map(abs)),
+        batch_size=draw(positive), max_epochs=draw(positive), val_interval=draw(positive),
+        dropout_p=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        activation=draw(st.sampled_from(CHOICES["activation"])),
+        channels=tuple(draw(st.lists(positive, min_size=1, max_size=4))),
+        per_class=draw(positive), image_size=draw(st.integers(1, 64)),
+        data_dir=draw(st.text(max_size=10)), kpff_noise=draw(finite.map(abs)),
+        folds=draw(st.integers(min_value=2)))
+    try:
+        return RunConfig(**kwargs)
+    except FieldError:
+        reject()
+
+
+@given(run_configs())
+@settings(max_examples=50, deadline=None)
+def test_config_text_round_trip(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+# one token of a config line: anything without whitespace, and the tokens
+# a config line is made of
+TOKENS = st.one_of(
+    st.text(max_size=8).map(lambda t: "".join(c for c in t if not c.isspace())),
+    st.sampled_from([f.name for f in fields(RunConfig)] + ["=", "#", ""]),
+    st.sampled_from([v for values in CHOICES.values() for v in values]),
+    st.integers().map(str), st.floats().map(repr),
+    st.lists(st.integers(-1, 40), max_size=5).map(lambda v: ",".join(map(str, v))),
+)
+
+
+def _lines_named(message):
+    """The line numbers a parse_config_text error names."""
+    prefix = re.match(r"lines? (\d+(?:, \d+)*): ", message)
+    assert prefix, message
+    return ({int(n) for n in prefix.group(1).split(", ")}
+            | {int(n) for n in re.findall(r"already set on line (\d+)$", message)})
+
+
+@given(run_configs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_corrupt_config_token_gives_a_config_or_an_error_naming_its_line(cfg, data):
+    lines = serialize_config(cfg).splitlines()
+    n = data.draw(st.integers(1, len(lines)), label="line")
+    tokens = lines[n - 1].split()
+    tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(TOKENS)
+    lines[n - 1] = " ".join(tokens)
+
+    def parse(text_lines):
+        try:
+            return parse_config_text("\n".join(text_lines) + "\n")
+        except ValueError as exc:
+            return str(exc)
+
+    outcome = parse(lines)
+    if not lines[n - 1].split("#", 1)[0].strip():
+        # the line became a comment or blank: the file without it
+        assert outcome == parse(lines[:n - 1] + lines[n:])
+    elif isinstance(outcome, str):
+        assert n in _lines_named(outcome), outcome

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kpff.data import (
     NOISE_SIGMA,
@@ -19,6 +20,7 @@ from kpff.rng import Stream, stream
 def test_synthetic_counts():
     ds = generate_synthetic(per_class=25, size=16, seed=0)
     assert len(ds) == 100
+    assert ds.class_names == ["blob", "checkerboard", "gradient", "stripes"]
     images, labels = ds.stacked()
     assert np.bincount(labels).tolist() == [25, 25, 25, 25]
     assert images.shape == (100, 1, 16, 16)
@@ -89,11 +91,6 @@ def test_synthetic_equals_per_sample_draws(per_class, size, seed, monkeypatch):
     assert len(draws) == len(SYNTHETIC_CLASSES)  # one draw per class
     monkeypatch.undo()
     assert images.tobytes() == per_sample_synthetic(per_class, size, seed).tobytes()
-
-
-def test_synthetic_rejects_an_unknown_class():
-    with pytest.raises(ValueError, match="unknown texture 'dots'"):
-        generate_synthetic(per_class=2, size=8, classes=("blob", "dots"))
 
 
 def test_synthetic_linearly_separable():
@@ -193,6 +190,10 @@ def test_pnm_header_comments_and_errors(tmp_path):
         ("no-separator", b"P5\n2 1\n255" + bytes([1, 2]), "expected whitespace after maxval at byte offset 10"),
         ("magic-glued", b"P52 1 255\n" + bytes([1, 2]), "expected whitespace after the magic at byte offset 2"),
         ("magic-only", b"P5", "expected whitespace after the magic at byte offset 2"),
+        ("m", b"P5\nx 2\n255\n", "expected the width, a decimal number, at byte offset 3"),
+        ("height-sign", b"P5 2 -1 255\n", "expected the height, a decimal number, at byte offset 5"),
+        ("width-only", b"P5\n2", "expected the height, a decimal number, at byte offset 4"),
+        ("no-maxval", b"P5\n2 2 # no maxval", "expected the maxval, a decimal number, at byte offset 18"),
     ):
         bad = tmp_path / f"{name}.pgm"
         bad.write_bytes(data)
@@ -245,6 +246,55 @@ def test_pnm_roundtrip_rgb(tmp_path):
     back = read_pnm(path)
     assert back.shape == s.shape
     assert np.max(np.abs(back - s)) <= 1 / (2 * 255) + 1e-12
+
+
+@st.composite
+def pixmaps(draw):
+    """(image, maxval) for write_pnm: a [C, H, W] image of any floats but NaN,
+    with 1 or 3 channels."""
+    shape = (draw(st.sampled_from([1, 3])), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    image = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
+    return image, draw(st.integers(1, 255))
+
+
+# each example overwrites the one file it writes in tmp_path
+PIXMAP_SETTINGS = settings(max_examples=80, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@given(pixmaps())
+@PIXMAP_SETTINGS
+def test_pnm_round_trip_is_the_quantized_image(tmp_path, pixmap):
+    img, maxval = pixmap
+    path = tmp_path / "p.pnm"
+    write_pnm(path, img, maxval)
+    # + 0.0: a pixmap sample has no sign, so -0.0 reads back as 0.0
+    expected = np.rint(np.clip(img, 0, 1) * maxval) / maxval + 0.0
+    back = read_pnm(path)
+    assert back.shape == img.shape and back.tobytes() == expected.tobytes()
+
+
+@given(pixmaps(), st.data())
+@PIXMAP_SETTINGS
+def test_pnm_header_corruption_reads_the_image_or_fails_naming_the_file(tmp_path, pixmap, data):
+    img, maxval = pixmap
+    path = tmp_path / "p.pnm"
+    write_pnm(path, img, maxval)
+    buf = bytearray(path.read_bytes())
+    c, h, w = img.shape
+    header = len(b"P5\n%d %d\n%d\n" % (w, h, maxval))
+    at = data.draw(st.integers(0, header - 1), label="offset")
+    buf[at] = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(buf)
+    try:
+        back = read_pnm(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    # a digit written over maxval's makes another valid maxval for the same samples
+    maxval_digits = buf[header - 1 - len(str(maxval)):header - 1]
+    expected = np.rint(np.clip(img, 0, 1) * maxval) / int(maxval_digits) + 0.0
+    assert back.shape == img.shape and back.tobytes() == expected.tobytes()
 
 
 # --- folds ---------------------------------------------------------------------

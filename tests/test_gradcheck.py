@@ -10,7 +10,6 @@ from kpff.gradcheck import (
     kpff_dense_jacobians,
     relative_error,
     run_suite,
-    sample_coords,
 )
 from kpff.rng import Stream
 
@@ -51,13 +50,14 @@ def test_finite_diff_perturbs_in_place_and_restores_exactly():
         seen.append(t.copy())
         return float(np.sum(t))
 
-    g = finite_diff_grad(f, theta, h=1e-6, coords=[3, 1, 0])
+    g = finite_diff_grad(f, theta)
     assert theta.tobytes() == before
-    assert g.shape == (3,)
-    # one coordinate at a time, +step then -step, with step h * max(1, |theta_k|)
+    assert g.shape == (4,)
+    # one coordinate at a time in flat order, +step then -step, with step
+    # 1e-6 * max(1, |theta_k|)
     steps = [s - theta for s in seen]
-    assert [np.flatnonzero(d).tolist() for d in steps] == [[3], [3], [1], [1], [0], [0]]
-    assert steps[0].flat[3] == 1e-6 and steps[1].flat[3] == -1e-6
+    assert [np.flatnonzero(d).tolist() for d in steps] == [[0], [0], [1], [1], [2], [2], [3], [3]]
+    assert steps[6].flat[3] == 1e-6 and steps[7].flat[3] == -1e-6
     assert steps[2].flat[1] == pytest.approx(0.3) and steps[3].flat[1] == pytest.approx(-0.3)
     assert np.allclose(g, 1.0, rtol=1e-4)  # roundoff of the sum with -3e5 in it
 
@@ -135,14 +135,6 @@ def test_jacobians_match_backward_at_n_by_m_weights(m):
         assert J_w.shape == (m * r, n * m) and J_x.shape == (m * r, n * r)
         assert np.allclose(layer.grad_ws.ravel(), J_w.T @ up, rtol=1e-15, atol=1e-15)
         assert np.allclose(dX.ravel(), J_x.T @ up, rtol=1e-15, atol=1e-15)
-
-
-def test_sample_coords_includes_boundaries():
-    s = Stream(4)
-    coords = sample_coords(10_000, s, cap=50)
-    assert len(coords) == 50
-    assert 0 in coords and 9_999 in coords
-    assert sample_coords(10, s, cap=50) == list(range(10))
 
 
 def test_kpff_instance_checks_pass():
