@@ -9,8 +9,11 @@ W = I (m = n) reproduces concatenation and W = 1_n (m = 1, every w_i = (1))
 the elementwise sum, each up to the sign of a zero (docs/gradients.md).
 """
 
+import contextvars
 from dataclasses import dataclass
 from contextlib import contextmanager
+import os
+import threading
 
 import numpy as np
 
@@ -44,9 +47,11 @@ def count_ops():
 class FusionInputs:
     """n feature vectors x_i of a common length r: the rows of xs, one
     read-only, C-contiguous float64 [n, r] array, as fusion_inputs checks
-    and builds it."""
+    and builds it. rows holds the n read-only row views of xs, built once:
+    fuse_add adds them, where xs[i] would build a view per row and call."""
 
     xs: np.ndarray
+    rows: tuple
 
     @property
     def n(self) -> int:
@@ -69,12 +74,12 @@ def fusion_inputs(vectors) -> FusionInputs:
                          f"{[row.shape[0] for row in rows]}")
     xs = np.array(rows)  # the one copy: a float64 row is still the caller's array
     xs.setflags(write=False)
-    return FusionInputs(xs)
+    return FusionInputs(xs, tuple(xs))
 
 
 def fuse_add(inputs: FusionInputs) -> np.ndarray:
     """sum_i x_i in i order: a read-only [r] array."""
-    xs = inputs.xs
+    xs, rows = inputs.xs, inputs.rows
     n, r = xs.shape
     if n > 2 and 1 < r <= MIN_TILE:
         # one call: a reduce over the first axis adds the rows one after
@@ -87,9 +92,9 @@ def fuse_add(inputs: FusionInputs) -> np.ndarray:
         # reduce's extra passes over the output cost more than the calls it
         # saves (n = 4, r = 32768: 51 us against 40), and at n = 2 one add
         # is one call already
-        out = xs[0] + xs[1] if n > 1 else xs[0].copy()
-        for i in range(2, n):
-            out += xs[i]
+        out = rows[0] + rows[1] if n > 1 else rows[0].copy()
+        for x in rows[2:]:
+            out += x
     if _COUNTING:
         _COUNTS["add"] += (n - 1) * r
     out.setflags(write=False)
@@ -145,6 +150,18 @@ _NARROW_BUFSIZE = 256
 # on unrelated stores (4K aliasing). At n = 16 the block sums of a tile ran
 # 4-12% slower that way than at half a page apart.
 _PRODUCT_OFFSET = 2048
+# A call of at least _SPLIT_TILES tiles, each of at least _SPLIT_TILE_VALUES
+# values (16 rows at MIN_TILE columns), is summed on two cores where the
+# process may run on two: the caller sums the first half of the tiles and one
+# helper thread the rest, each tile as on one thread, so every value keeps
+# its bits. numpy releases the GIL inside a ufunc's loop, so the halves
+# overlap while each numpy call is long; with short calls, waits for the
+# GIL and the thread's 40-60 us start and join cost more than the overlap
+# saves. Forward plus backward, public API, p5 of 60 calls on 2 vCPUs:
+# n = 16, r = 32768 12.0 -> 7.8-8.7 ms; split at lower bounds, n = 4,
+# r = 32768 (32768-value calls, 4 tiles) 0.9 -> 1.09 ms (docs/gradients.md).
+_SPLIT_TILE_VALUES = 2 * TILE_VALUES
+_SPLIT_TILES = 4
 
 
 def _small_sums(A, B):
@@ -163,6 +180,41 @@ def _small_sums(A, B):
     return np.add.reduce(products, axis=0, initial=0.0)
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: one where os.sched_getaffinity is
+    missing."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _tile_buffers(rows, width):
+    """An accumulator and a product tile, [rows, width] each, in one buffer,
+    so their distance is ours to choose."""
+    size = rows * width
+    gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
+    buf = np.empty(2 * size + gap)
+    return buf[:size].reshape(rows, width), buf[size + gap:].reshape(rows, width)
+
+
+def _sum_tiles(W, X, out, start, stop, acc, prod):
+    """Columns start:stop of kpff_kernel's Y into out, in tiles as wide as
+    acc. Each tile is summed in acc in i order, from +0.0, with one multiply
+    (into prod) and one add per term, then copied into out unless acc is
+    out itself."""
+    width = acc.shape[1]
+    for lo in range(start, stop, width):
+        hi = min(lo + width, stop)
+        a, p = acc[:, :hi - lo], prod[:, :hi - lo]
+        np.multiply(W[0][:, None], X[0][lo:hi], out=a)
+        a += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
+        for i in range(1, len(X)):
+            np.multiply(W[i][:, None], X[i][lo:hi], out=p)
+            a += p
+        if acc is not out:
+            out[:, lo:hi] = a
+
+
 def kpff_kernel(W, X):
     """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
 
@@ -176,7 +228,9 @@ def kpff_kernel(W, X):
     value equals that of a per-block loop bit for bit. Over several tiles
     the sums run in a contiguous accumulator tile that is copied into Y
     once, so Y is written once and never zeroed or re-read; a single tile
-    is summed in Y itself.
+    is summed in Y itself. A call of _SPLIT_TILES or more wide tiles sums
+    the second half of them on a helper thread, joined before it returns,
+    with the same bits; an exception of either half is raised here.
     """
     if _COUNTING:
         _COUNTS["madd"] += W.size * X.shape[1]
@@ -188,33 +242,42 @@ def kpff_kernel(W, X):
     width = m if m * side <= 2 * TILE_VALUES else min(m, max(MIN_TILE, TILE_VALUES // side))
     out = np.empty((rows, m))
     if width == m:
-        acc, prod = out, np.empty((rows, width))
-    else:
-        # both tiles in one buffer, so their distance is ours to choose
-        size = rows * width
-        gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
-        buf = np.empty(2 * size + gap)
-        acc = buf[:size].reshape(rows, width)
-        prod = buf[size + gap:].reshape(rows, width)
-    # a tile narrower than MIN_TILE is the only tile. Wide tiles are not
-    # buffered, and small ones lose less to it than the scope costs (about
-    # 4 us)
-    narrow = width < MIN_TILE <= rows * width
-    old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
+        # a tile narrower than MIN_TILE is the only tile. Wide tiles are not
+        # buffered, and small ones lose less to it than the scope costs
+        # (about 4 us)
+        narrow = width < MIN_TILE <= rows * width
+        old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
+        try:
+            _sum_tiles(W, X, out, 0, m, out, np.empty((rows, m)))
+        finally:
+            if narrow:
+                np.setbufsize(old)
+        return out
+    if rows * width < _SPLIT_TILE_VALUES or m < _SPLIT_TILES * width or usable_cores() < 2:
+        _sum_tiles(W, X, out, 0, m, *_tile_buffers(rows, width))
+        return out
+    # the caller sums the first half of the tiles and the helper the rest,
+    # the last one among them; an odd count leaves the caller one more
+    mid = (-(-m // width) + 1) // 2 * width
+    helper_tiles = _tile_buffers(rows, width)  # by the caller: no thread's own malloc arena
+    errors = []
+
+    def helper_half():
+        try:
+            _sum_tiles(W, X, out, mid, m, *helper_tiles)
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors.append(exc)
+
+    # in a copy of the caller's context, so its errstate and ufunc buffer
+    # size hold in the helper's half too
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_half,))
+    helper.start()
     try:
-        for start in range(0, m, width):
-            stop = min(start + width, m)
-            a, p = acc[:, :stop - start], prod[:, :stop - start]
-            np.multiply(W[0][:, None], X[0][start:stop], out=a)
-            a += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
-            for i in range(1, len(X)):
-                np.multiply(W[i][:, None], X[i][start:stop], out=p)
-                a += p
-            if acc is not out:
-                out[:, start:stop] = a
+        _sum_tiles(W, X, out, 0, mid, *_tile_buffers(rows, width))
     finally:
-        if narrow:
-            np.setbufsize(old)
+        helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
+from .fusion import usable_cores
 from .net import (FUSION_METHODS, TRAINS_AS, Model, OptimizerState, check_image_size,
                   dropout_masks)
 from .rng import stream
@@ -159,18 +160,13 @@ class JobError(RuntimeError):
     sending all of its jobs' results. The message names the jobs."""
 
 
-def _usable_cores():
-    """Cores this process may run on. One where os.fork or
-    os.sched_getaffinity is missing: there the jobs are not forked."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def process_count(jobs: int) -> int:
     """Processes `crossval` runs `jobs` (method, fold) jobs in: one per
-    usable core, at most one per job."""
-    return min(_usable_cores(), jobs)
+    usable core, at most one per job. One where os.fork is missing: there
+    the jobs are not forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    return min(usable_cores(), jobs)
 
 
 def _job_name(job):

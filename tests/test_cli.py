@@ -253,7 +253,7 @@ def test_crossval_outputs(tmp_path, capsys):
 
 def test_crossval_counts_the_processes_of_the_jobs_it_ran(monkeypatch, tmp_path, capsys):
     # concat and kpff-frozen share one model: five jobs, one per fold
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 8)
     assert run_cli("crossval", "--methods", "concat,kpff-frozen", "--out", str(tmp_path),
                    *FAST) == 0
     assert " on 5 processes\n" in capsys.readouterr().out
@@ -309,7 +309,7 @@ def test_a_diverging_run_says_where_and_writes_nothing(monkeypatch, tmp_path, ca
         assert run_cli("train", *DIVERGING, "--out", str(tmp_path / "train")) == 1
     assert re.fullmatch(f"error: {DIVERGED_TRAIN}\n", capsys.readouterr().err)
     # on two processes (add, fold 0) is a worker's job: its traceback is not printed
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     assert run_cli("crossval", *DIVERGING, "--methods", "add,kpff",
                    "--out", str(tmp_path / "crossval")) == 1
     assert re.fullmatch(f"error: {DIVERGED_CROSSVAL}\n", capsys.readouterr().err)
@@ -450,7 +450,7 @@ def test_train_forks_nothing(monkeypatch, tmp_path):
     def no_fork():
         raise AssertionError("a one-job run forks nothing")
 
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     assert run_cli("train", "--method", "concat", "--out", str(tmp_path), *FAST) == 0
 
@@ -474,7 +474,7 @@ def test_crossval_rejects_images_too_small(height, width, message, monkeypatch, 
         for k in range(5):
             (root / cls / f"{k}.pgm").write_bytes(b"P5\n%d %d\n255\n" % (width, height)
                                                   + bytes(width * height))
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     out = tmp_path / "run"
     assert run_cli("crossval", "--data-dir", str(root), "--channels", "6,12",

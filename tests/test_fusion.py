@@ -1,12 +1,16 @@
 import os
 import resource
+import threading
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpff import hooks
+from kpff import fusion, hooks
+from kpff.config import RunConfig
 from kpff.fusion import (
     MIN_TILE,
     TILE_VALUES,
@@ -21,6 +25,7 @@ from kpff.fusion import (
     kpff_kernel,
 )
 from kpff.gradcheck import finite_diff_grad
+from kpff.harness import crossval
 from kpff.rng import Stream
 from kpff.tensor import NonFiniteError, ShapeError
 
@@ -110,6 +115,8 @@ def test_fusion_inputs_are_read_only_copies():
     assert xs.xs.dtype == np.float64 and xs.xs.flags.c_contiguous and not xs.xs.flags.writeable
     assert not any(np.shares_memory(xs.xs, row) for row in rows)
     assert (xs.n, xs.r) == (2, 2)
+    assert [row.tolist() for row in xs.rows] == xs.xs.tolist()
+    assert all(np.shares_memory(row, xs.xs) and not row.flags.writeable for row in xs.rows)
     strided = np.arange(12.0).reshape(3, 4)[:, ::2]  # rows that are views
     assert fusion_inputs(list(strided)).xs.tolist() == strided.tolist()
 
@@ -637,6 +644,127 @@ def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
         kpff_kernel(np.ones((4, 3)).T, X)
     assert len(bufsize_calls) == 4  # both raised inside a scope
     assert np.getbufsize() == before
+
+
+# --- large calls summed on two cores ---------------------------------------------------
+
+# n rows of MIN_TILE-column tiles: 2 * TILE_VALUES values per numpy call from
+# 16 rows, so calls of 4 or more tiles split there
+SPLIT_ROWS = 2 * TILE_VALUES // MIN_TILE
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads fusion starts, counted through a threading.Thread that
+    fusion alone sees; each one still runs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(fusion, "threading", SimpleNamespace(Thread=Counted))
+    return started
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(fusion, "usable_cores", lambda: count)
+
+
+@pytest.mark.parametrize("n", [SPLIT_ROWS, SPLIT_ROWS + 1])
+@pytest.mark.parametrize("r", [
+    4 * MIN_TILE,  # an even tile count
+    5 * MIN_TILE,  # an odd one
+    4 * MIN_TILE + 5,  # a partial last tile
+])
+def test_split_calls_equal_the_block_loops_and_one_thread_bitwise(n, r, monkeypatch,
+                                                                   thread_starts):
+    W, X, U = _signed_zero_case(n, r, seed=n * 31 + r)
+    _cores(monkeypatch, 2)
+    y, dx = kpff_kernel(W, X), kpff_kernel(W.T, U)  # W^T: strided rows
+    assert len(thread_starts) == 2  # one per call, joined before it returned
+    assert not any(thread.is_alive() for thread in thread_starts)
+    assert y.tobytes() == block_loop_forward(W, X).reshape(n, r).tobytes()
+    assert dx.tobytes() == block_loop_backward(W, X, U)[1].tobytes()
+    _cores(monkeypatch, 1)
+    assert y.tobytes() == kpff_kernel(W, X).tobytes()
+    assert dx.tobytes() == kpff_kernel(W.T, U).tobytes()
+    assert len(thread_starts) == 2
+
+
+@pytest.mark.parametrize("n,r,threads", [
+    (SPLIT_ROWS, 4 * MIN_TILE, 1),
+    (SPLIT_ROWS, 8 * MIN_TILE, 1),
+    (SPLIT_ROWS, 4 * MIN_TILE - 1, 0),  # three whole tiles and a partial one
+    (SPLIT_ROWS - 1, 8 * MIN_TILE, 0),  # calls of fewer values
+    (8, 8 * MIN_TILE, 0),
+    (2, 8 * MIN_TILE, 0),
+    (SPLIT_ROWS, MIN_TILE, 0),  # one tile
+    (SPLIT_ROWS, 64, 0),  # summed whole
+])
+def test_only_large_calls_start_a_thread(n, r, threads, monkeypatch, thread_starts):
+    W, X = np.ones((n, n)), np.ones((n, r))
+    _cores(monkeypatch, 2)
+    kpff_kernel(W, X)
+    assert len(thread_starts) == threads
+    _cores(monkeypatch, 1)
+    kpff_kernel(W, X)
+    assert len(thread_starts) == threads  # one usable core: nothing splits
+
+
+def test_a_split_call_leaves_no_thread(monkeypatch):
+    _cores(monkeypatch, 2)
+    before = threading.active_count()
+    _kernel_case(SPLIT_ROWS, 8 * MIN_TILE, seed=9)  # forward and backward split
+    assert threading.active_count() == before
+
+
+def _overflow_in_the_helper_columns():
+    """W and X whose sums overflow in one column of the second half alone."""
+    W, X = np.full((SPLIT_ROWS, SPLIT_ROWS), 10.0), np.ones((SPLIT_ROWS, 8 * MIN_TILE))
+    X[3, 6 * MIN_TILE + 7] = 1e308
+    return W, X
+
+
+def test_an_error_in_the_helper_half_is_raised_in_the_caller(monkeypatch, thread_starts):
+    _cores(monkeypatch, 2)
+    W, X = _overflow_in_the_helper_columns()
+    with np.errstate(over="raise"):  # the caller's errstate holds in the helper's half
+        with pytest.raises(FloatingPointError, match="overflow"):
+            kpff_kernel(W, X)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            y = kpff_kernel(W, X)
+    assert len(thread_starts) == 2
+    assert np.isinf(y[:, 6 * MIN_TILE + 7]).all() and np.isfinite(np.delete(y, 6 * MIN_TILE + 7, 1)).all()
+
+
+def test_split_calls_count_three_n_squared_r(monkeypatch, thread_starts):
+    n, r = SPLIT_ROWS, 4 * MIN_TILE + 5
+    _cores(monkeypatch, 2)
+    layer, X, U = KpffLayer(np.eye(n)), np.ones((n, r)), np.ones((n, r))
+    with count_ops() as counts:
+        layer.forward_batch(X)
+        layer.backward_batch(U)
+        assert counts["madd"] == 3 * n * n * r
+    assert len(thread_starts) == 2
+
+
+def test_crossval_starts_no_thread(monkeypatch, thread_starts):
+    # a Model's n is its number of conv blocks: its calls never split, so
+    # crossval's one process per core is never oversubscribed. All jobs run
+    # here, in one process, with two cores for the kernel. add's n x 1 W and
+    # kpff's n x n one are the kernel shapes of every method (concat and
+    # kpff-frozen train kpff's shapes at a constant W; none fuses nothing)
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr("kpff.harness.usable_cores", lambda: 1)
+    cfg = RunConfig(seed=0, per_class=25, image_size=16, max_epochs=40, lr=3e-3,
+                    dropout_p=0.1, val_interval=10)  # criterion 6's
+    crossval(cfg, ["add", "kpff"])
+    assert thread_starts == []
 
 
 def _glibc():

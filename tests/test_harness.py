@@ -83,7 +83,7 @@ def test_crossval_rejects_an_unknown_method_before_any_job(monkeypatch):
     def no_fork():
         raise AssertionError("no job may start")
 
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(harness, "train_run", no_fork)
     with pytest.raises(ValueError, match=r"^unknown method 'hadamard'; known: \('none', "):
@@ -379,7 +379,7 @@ def _assert_no_children_left():
 
 
 def _run_on(monkeypatch, processes, out, cfg=FAST_CFG, methods=METHODS):
-    monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+    monkeypatch.setattr(harness, "usable_cores", lambda: processes)
     assert process_count(len(methods) * cfg.folds) == processes
     report, plan, _ = crossval(cfg, methods)
     write_report(out, report, plan)
@@ -421,7 +421,7 @@ def test_the_caller_trains_its_own_share(monkeypatch):
     for processes, share in ((1, [(m, f) for m in METHODS for f in range(5)]),
                              (2, [("add", 1), ("add", 3), ("kpff", 0), ("kpff", 2), ("kpff", 4)]),
                              (3, [("add", 2), ("kpff", 0), ("kpff", 3)])):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        monkeypatch.setattr(harness, "usable_cores", lambda: processes)
         ran_here.clear()
         crossval(FAST_CFG, METHODS)
         assert ran_here == share
@@ -439,7 +439,7 @@ def test_each_model_is_trained_once_per_fold(methods, trained, monkeypatch):
         return train_run(*args)
 
     monkeypatch.setattr(harness, "train_run", train)
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 1)
     report, _, _ = crossval(FAST_CFG, methods)
     assert len(calls) == trained and ("kpff-frozen", 0) not in calls
     concat, frozen = (report["methods"][token]["folds"] for token in ("concat", "kpff-frozen"))
@@ -464,7 +464,7 @@ def test_a_job_that_raises_in_a_worker_raises_in_the_caller(monkeypatch):
     def fail(in_worker):
         raise ValueError(f"boom, in a worker: {in_worker}")
 
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     _failing_job(monkeypatch, "kpff", 3, fail)
     with pytest.raises(JobError, match=r"job \(kpff, fold 3\) failed in worker process \d+: "
                                         r"ValueError: boom, in a worker: True") as info:
@@ -478,7 +478,7 @@ def test_a_job_that_raises_in_the_caller_names_it_and_stops_the_workers(monkeypa
         raise ValueError(f"boom, in a worker: {in_worker}")
 
     for processes in (1, 2, 3):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        monkeypatch.setattr(harness, "usable_cores", lambda: processes)
         _failing_job(monkeypatch, "kpff", 0, fail)  # in the caller's own share at 1, 2 and 3
         with pytest.raises(JobError, match=r"job \(kpff, fold 0\) failed: "
                                             r"ValueError: boom, in a worker: False") as info:
@@ -499,7 +499,7 @@ def test_of_two_failing_jobs_the_first_in_job_order_is_named(monkeypatch):
 
     monkeypatch.setattr(harness, "train_run", train)
     for processes, where in ((1, ""), (2, r" in worker process \d+"), (3, r" in worker process \d+")):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        monkeypatch.setattr(harness, "usable_cores", lambda: processes)
         with pytest.raises(JobError, match=rf"^crossval job \(add, fold 0\) failed{where}: "
                                             r"ValueError: boom at fold 0"):
             crossval(FAST_CFG, METHODS)
@@ -517,7 +517,7 @@ def test_a_shared_job_is_named_by_the_first_method_asked_for(monkeypatch):
     monkeypatch.setattr(harness, "train_run", train)
     named = r"^crossval job \(kpff-frozen, fold 2\) failed{}: ValueError: boom at fold 2"
     for processes, where in ((1, ""), (2, r" in worker process \d+")):
-        monkeypatch.setattr(harness, "_usable_cores", lambda: processes)
+        monkeypatch.setattr(harness, "usable_cores", lambda: processes)
         with pytest.raises(JobError, match=named.format(where)):
             crossval(FAST_CFG, ["kpff-frozen", "concat"])
         _assert_no_children_left()
@@ -529,7 +529,7 @@ def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch):
     def fail(in_worker):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     _failing_job(monkeypatch, "add", 1, fail)  # the caller's first job
     with pytest.raises(KeyboardInterrupt):
         crossval(FAST_CFG, METHODS)
@@ -541,7 +541,7 @@ def test_a_worker_that_dies_names_its_unfinished_jobs(monkeypatch):
         if in_worker:
             os._exit(3)
 
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     _failing_job(monkeypatch, "add", 4, fail)  # the worker's jobs are add 0, 2, 4, kpff 1, 3
     with pytest.raises(JobError, match=r"worker process \d+ ended \(exit code 3\) without "
                                         r"the results of \(add, fold 4\), \(kpff, fold 1\), "
@@ -551,10 +551,13 @@ def test_a_worker_that_dies_names_its_unfinished_jobs(monkeypatch):
 
 
 def test_process_count(monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 64)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 64)
     assert process_count(10) == 10  # one per job
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
     assert process_count(5) == 2 and process_count(1) == 1
     monkeypatch.undo()
     monkeypatch.delattr(os, "fork")
-    assert harness._usable_cores() == 1
+    assert process_count(5) == 1  # where os.fork is missing the jobs are not forked
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness.usable_cores() == 1 and process_count(5) == 1
