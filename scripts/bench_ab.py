@@ -2,16 +2,16 @@
 """A/B of two kpff trees through each tree's own benchmark runner.
 
     python scripts/bench_ab.py --other ../parent --label new --other-label af126bd \\
-        [--commit C] [--other-commit C] [--pairs 10] [--seconds 10] [--seed 100] \\
-        [--workloads crossval_ref,fusion_grid]
+        [--commit C] [--other-commit C] [--pairs 10] [--seed 100]
 
-For each workload (by default those in this checkout's BENCHMARK.json) it
-runs `kpffbench/run.py --workload W --seed S --seconds T --trace 0` of this
+For each workload of this checkout's BENCHMARK.json it runs
+`kpffbench/run.py --workload W --seed S --seconds T --trace 0` of this
 checkout (the one holding this script) and of the other tree, each as a
-subprocess in its own tree, for --pairs pairs. Pair j runs both sides at
-seed --seed + j, and which side runs first alternates pair by pair, so host
-load falls on both alike. A run fails when it exits non-zero or its last
-line of stdout is not the runner's result object.
+subprocess in its own tree, for --pairs pairs, T being BENCHMARK.json's
+run_seconds. Pair j runs both sides at seed --seed + j, and which side
+runs first alternates pair by pair, so host load falls on both alike. A
+run fails when it exits non-zero or its last line of stdout is not the
+runner's result object.
 
 Writes BENCH_<label>.json per side at the root of this checkout. Each holds
 the side's commit (--commit or --other-commit, else what its runner's
@@ -136,26 +136,23 @@ def main():
     ap.add_argument("--commit", help="this checkout's commit (default: its manifest's)")
     ap.add_argument("--other-commit", help="the other tree's commit (default: its manifest's)")
     ap.add_argument("--pairs", type=int, default=10, help="alternated pairs per workload")
-    ap.add_argument("--seconds", type=float, default=10.0, help="seconds per run")
     ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
-    ap.add_argument("--workloads", help="comma-separated (default: BENCHMARK.json's)")
     args = ap.parse_args()
     for label in (args.label, args.other_label):
         if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
             ap.error(f"label {label!r}: use letters, digits, '.', '_' and '-' only")
     if args.label == args.other_label:
         ap.error("the two labels must differ")
-    if args.pairs < 1 or args.seconds <= 0:
-        ap.error("--pairs must be at least 1 and --seconds positive")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     sides = [{"label": args.label, "tree": ROOT, "commit": args.commit},
              {"label": args.other_label, "tree": Path(args.other).resolve(),
               "commit": args.other_commit}]
-    records = compare(sides, workloads, args.pairs, args.seconds, args.seed, directions)
+    records = compare(sides, workloads, args.pairs, seconds, args.seed, directions)
     for side in sides:
         mine = records[side["label"]]
         manifest = next((r["manifest"] for r in mine.values() if r["manifest"]), None) or {}
@@ -163,7 +160,7 @@ def main():
             "label": side["label"],
             "commit": side["commit"] or manifest.get("git_commit", "unknown"),
             "other": next(o["label"] for o in sides if o is not side),
-            "pairs": args.pairs, "seconds": args.seconds,
+            "pairs": args.pairs, "seconds": seconds,
             "workloads": mine,
         }
         (ROOT / f"BENCH_{side['label']}.json").write_text(json.dumps(doc, indent=2) + "\n")

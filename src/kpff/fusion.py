@@ -47,11 +47,9 @@ def count_ops():
 class FusionInputs:
     """n feature vectors x_i of a common length r: the rows of xs, one
     read-only, C-contiguous float64 [n, r] array, as fusion_inputs checks
-    and builds it. rows holds the n read-only row views of xs, built once:
-    fuse_add adds them, where xs[i] would build a view per row and call."""
+    and builds it."""
 
     xs: np.ndarray
-    rows: tuple
 
     @property
     def n(self) -> int:
@@ -74,12 +72,12 @@ def fusion_inputs(vectors) -> FusionInputs:
                          f"{[row.shape[0] for row in rows]}")
     xs = np.array(rows)  # the one copy: a float64 row is still the caller's array
     xs.setflags(write=False)
-    return FusionInputs(xs, tuple(xs))
+    return FusionInputs(xs)
 
 
 def fuse_add(inputs: FusionInputs) -> np.ndarray:
     """sum_i x_i in i order: a read-only [r] array."""
-    xs, rows = inputs.xs, inputs.rows
+    xs = inputs.xs
     n, r = xs.shape
     if n > 2 and 1 < r <= MIN_TILE:
         # one call: a reduce over the first axis adds the rows one after
@@ -92,9 +90,9 @@ def fuse_add(inputs: FusionInputs) -> np.ndarray:
         # reduce's extra passes over the output cost more than the calls it
         # saves (n = 4, r = 32768: 51 us against 40), and at n = 2 one add
         # is one call already
-        out = rows[0] + rows[1] if n > 1 else rows[0].copy()
-        for x in rows[2:]:
-            out += x
+        out = xs[0] + xs[1] if n > 1 else xs[0].copy()
+        for i in range(2, n):
+            out += xs[i]
     if _COUNTING:
         _COUNTS["add"] += (n - 1) * r
     out.setflags(write=False)
@@ -215,6 +213,20 @@ def _sum_tiles(W, X, out, start, stop, acc, prod):
             out[:, lo:hi] = a
 
 
+def _join(thread):
+    """Wait until thread has ended. A KeyboardInterrupt can cut a join short
+    on the main thread; the wait then goes on, and the interrupt is raised
+    once the thread is gone, so that it never outlives the call."""
+    interrupt = None
+    while thread.is_alive():
+        try:
+            thread.join()
+        except KeyboardInterrupt as exc:
+            interrupt = exc
+    if interrupt is not None:
+        raise interrupt
+
+
 def kpff_kernel(W, X):
     """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
 
@@ -275,7 +287,7 @@ def kpff_kernel(W, X):
     try:
         _sum_tiles(W, X, out, 0, mid, *_tile_buffers(rows, width))
     finally:
-        helper.join()
+        _join(helper)
     if errors:
         raise errors[0]
     return out

@@ -49,11 +49,12 @@ def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path):
     other = _stub_tree(tmp_path / "other", "other", log)
     (this / "scripts").mkdir()
     shutil.copy(ROOT / "scripts" / "bench_ab.py", this / "scripts")
-    shutil.copy(ROOT / "BENCHMARK.json", this)
+    # the runs' length comes from BENCHMARK.json, here cut to half a second
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (this / "BENCHMARK.json").write_text(json.dumps({**bench, "run_seconds": 0.5}))
     done = subprocess.run(
         [sys.executable, str(this / "scripts" / "bench_ab.py"), "--other", str(other),
-         "--label", "new", "--other-label", "old", "--commit", "abc1234", "--pairs", "5",
-         "--seconds", "0.5"],
+         "--label", "new", "--other-label", "old", "--commit", "abc1234", "--pairs", "5"],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 1, done.stderr  # two of the other side's runs failed
 

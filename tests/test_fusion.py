@@ -26,6 +26,7 @@ from kpff.fusion import (
 )
 from kpff.gradcheck import finite_diff_grad
 from kpff.harness import crossval
+from kpff.net import FUSION_METHODS, Model
 from kpff.rng import Stream
 from kpff.tensor import NonFiniteError, ShapeError
 
@@ -115,8 +116,6 @@ def test_fusion_inputs_are_read_only_copies():
     assert xs.xs.dtype == np.float64 and xs.xs.flags.c_contiguous and not xs.xs.flags.writeable
     assert not any(np.shares_memory(xs.xs, row) for row in rows)
     assert (xs.n, xs.r) == (2, 2)
-    assert [row.tolist() for row in xs.rows] == xs.xs.tolist()
-    assert all(np.shares_memory(row, xs.xs) and not row.flags.writeable for row in xs.rows)
     strided = np.arange(12.0).reshape(3, 4)[:, ::2]  # rows that are views
     assert fusion_inputs(list(strided)).xs.tolist() == strided.tolist()
 
@@ -742,6 +741,33 @@ def test_an_error_in_the_helper_half_is_raised_in_the_caller(monkeypatch, thread
     assert np.isinf(y[:, 6 * MIN_TILE + 7]).all() and np.isfinite(np.delete(y, 6 * MIN_TILE + 7, 1)).all()
 
 
+def test_an_interrupted_join_still_waits_for_the_helper(monkeypatch):
+    # a KeyboardInterrupt can cut Thread.join short on the main thread; the
+    # helper, held until then, must still be gone when the call raises
+    helpers, release = [], threading.Event()
+
+    class InterruptedOnce(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+        def run(self):
+            release.wait()
+            super().run()
+
+        def join(self, timeout=None):
+            if not release.is_set():
+                release.set()
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(fusion, "threading", SimpleNamespace(Thread=InterruptedOnce))
+    _cores(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        kpff_kernel(np.ones((SPLIT_ROWS, SPLIT_ROWS)), np.ones((SPLIT_ROWS, 4 * MIN_TILE)))
+    assert len(helpers) == 1 and not helpers[0].is_alive()
+
+
 def test_split_calls_count_three_n_squared_r(monkeypatch, thread_starts):
     n, r = SPLIT_ROWS, 4 * MIN_TILE + 5
     _cores(monkeypatch, 2)
@@ -753,16 +779,22 @@ def test_split_calls_count_three_n_squared_r(monkeypatch, thread_starts):
     assert len(thread_starts) == 2
 
 
-def test_crossval_starts_no_thread(monkeypatch, thread_starts):
-    # a Model's n is its number of conv blocks: its calls never split, so
-    # crossval's one process per core is never oversubscribed. All jobs run
-    # here, in one process, with two cores for the kernel. add's n x 1 W and
-    # kpff's n x n one are the kernel shapes of every method (concat and
+def test_model_calls_never_split(monkeypatch, thread_starts):
+    # a tiled call's numpy calls cover at most max(MIN_TILE * side, TILE_VALUES)
+    # values, side the larger side of W, so only a W with a side of
+    # SPLIT_ROWS splits. A Model's W is n x n or n x 1, n its number of conv
+    # blocks: criterion 6's config (the default channels) has two
+    for method in FUSION_METHODS:
+        model = Model(seed=0, channels=RunConfig().channels, fusion=method)
+        assert model.kpff is None or max(model.kpff.W.shape) < SPLIT_ROWS, method
+    # so crossval's one process per core is never oversubscribed: all jobs
+    # run here, in one process, with two cores for the kernel. add's n x 1 W
+    # and kpff's n x n one are the kernel shapes of every method (concat and
     # kpff-frozen train kpff's shapes at a constant W; none fuses nothing)
     _cores(monkeypatch, 2)
     monkeypatch.setattr("kpff.harness.usable_cores", lambda: 1)
-    cfg = RunConfig(seed=0, per_class=25, image_size=16, max_epochs=40, lr=3e-3,
-                    dropout_p=0.1, val_interval=10)  # criterion 6's
+    cfg = RunConfig(seed=0, per_class=5, image_size=8, channels=(3, 4), max_epochs=3,
+                    batch_size=10, val_interval=2)
     crossval(cfg, ["add", "kpff"])
     assert thread_starts == []
 
