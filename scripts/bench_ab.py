@@ -1,40 +1,159 @@
 #!/usr/bin/env python3
-"""A/B of two kpff trees through each tree's own benchmark runner.
+"""A/B of two kpff trees: the bytes of their outputs, and their timings
+through each tree's own benchmark runner.
 
     python scripts/bench_ab.py --other ../parent --label new --other-label af126bd \\
-        [--commit C] [--other-commit C] [--pairs 10] [--seed 100]
+        [--commit C] [--other-commit C] [--pairs 10] [--seed 100] [--bytes all]
 
-For each workload of this checkout's BENCHMARK.json it runs
+Byte identity. Each case of IDENTITY_SET (--bytes: all, none, or a comma
+list of case names) runs the `kpff` CLI of each tree in a subprocess, with
+that tree's src/ first on PYTHONPATH, in an output directory of its own.
+Every file a case writes (report.csv, summary.json, folds.txt, bench.csv,
+the fused CSV) and its stdout, without the wall-clock line and with the
+output directory read as <out>, must be the same bytes on both sides;
+`bench` prints timings, so its stdout is not compared. Prints each file
+that differs.
+
+Timings. For each workload of this checkout's BENCHMARK.json it runs
 `kpffbench/run.py --workload W --seed S --seconds T --trace 0` of this
 checkout (the one holding this script) and of the other tree, each as a
-subprocess in its own tree, for --pairs pairs, T being BENCHMARK.json's
-run_seconds. Pair j runs both sides at seed --seed + j, and which side
-runs first alternates pair by pair, so host load falls on both alike. A
-run fails when it exits non-zero or its last line of stdout is not the
-runner's result object.
+subprocess in its own tree, for --pairs pairs (0 runs none), T being
+BENCHMARK.json's run_seconds. Pair j runs both sides at seed --seed + j, and
+which side runs first alternates pair by pair, so host load falls on both
+alike. A run fails when it exits non-zero or its last line of stdout is not
+the runner's result object.
 
-Writes BENCH_<label>.json per side at the root of this checkout. Each holds
-the side's commit (--commit or --other-commit, else what its runner's
-manifest reads: a `git archive` copy reads "unknown") and, per workload:
-the manifest of the side's first run, the seeds of the pairs whose two runs
-both succeeded, the operations attempted and failed over the side's runs,
-the runs that failed, and per metric the values of those pairs in seed
-order, their median and quartiles, and the pairs the side won by the
-metric's direction in BENCHMARK.json (a tie wins for neither side).
-Prints each metric's medians, change and pairs won; exits 1 if any run
-failed.
+With timed pairs it writes BENCH_<label>.json per side at the root of this
+checkout. Each holds the side's commit (--commit or --other-commit, else
+what its runner's manifest reads: a `git archive` copy reads "unknown"),
+the byte-identity result, if any, and, per workload: the manifest of the
+side's first run, the seeds of the pairs whose two runs both succeeded, the
+operations attempted and failed over the side's runs, the runs that failed,
+and per metric the values of those pairs in seed order, their median and
+quartiles, and the pairs the side won by the metric's direction in
+BENCHMARK.json (a tie wins for neither side). Prints each metric's medians,
+change and pairs won.
+
+Exits 1 if any run failed or any file differs.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from kpff.net import FUSION_METHODS  # noqa: E402  (this checkout's tokens)
+
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
+
+# `kpff crossval` and `train` config flags
+SMALL = ("--per-class", "5", "--image-size", "8", "--channels", "3,4", "--max-epochs", "3",
+         "--batch-size", "10", "--seed", "3")
+CRITERION_6 = ("--per-class", "25", "--image-size", "16", "--max-epochs", "40", "--lr", "0.003",
+               "--dropout-p", "0.1", "--val-interval", "10", "--seed", "0")
+CRITERION_4 = ("--per-class", "10", "--image-size", "12", "--channels", "4,6", "--max-epochs", "10",
+               "--lr", "0.003", "--batch-size", "16", "--val-interval", "5", "--dropout-p", "0.25",
+               "--seed", "6")
+THREE_TAPS = ("--channels", "4,6,8", "--image-size", "24", "--per-class", "10",
+              "--max-epochs", "10", "--batch-size", "20", "--seed", "1")
+
+
+def _crossval(*flags, methods=",".join(FUSION_METHODS)):
+    return ("crossval", "--methods", methods, "--out", "{out}", *flags)
+
+
+def _fuse(method, *flags):
+    return ("fuse", "--method", method, "--inputs", "{inputs}", *flags,
+            "--output", "{out}/fused.csv")
+
+
+# case name -> `kpff` arguments; {out} is the case's output directory, and
+# {inputs} and {weights} are the CSV files of FUSE_INPUTS and FUSE_WEIGHTS
+IDENTITY_SET = {
+    "crossval-small": _crossval(*SMALL),
+    "crossval-criterion6": _crossval(*CRITERION_6),
+    "crossval-three-taps": _crossval(*THREE_TAPS),
+    "crossval-criterion4": _crossval(*CRITERION_4),
+    "crossval-three-taps-sigmoid": _crossval(*THREE_TAPS, "--activation", "sigmoid",
+                                             "--kpff-noise", "0.1"),
+    "crossval-no-dropout": _crossval("--per-class", "10", "--image-size", "12", "--channels",
+                                     "4,6", "--max-epochs", "8", "--batch-size", "16",
+                                     "--dropout-p", "0", "--seed", "5"),
+    # dropout masks drawn in blocks of 11 and 9 epochs
+    "crossval-multi-block": _crossval("--per-class", "100", "--image-size", "12", "--channels",
+                                      "4,6", "--max-epochs", "20", "--batch-size", "50",
+                                      "--dropout-p", "0.3", "--seed", "2"),
+    # one epoch's masks exceed the draw budget
+    "crossval-over-budget": _crossval("--per-class", "1500", "--image-size", "8", "--channels",
+                                      "3,4", "--max-epochs", "3", "--batch-size", "200",
+                                      "--dropout-p", "0.2", "--seed", "7",
+                                      methods="kpff,add,none"),
+    # SMALL is image size 8; 9 gives an odd first conv output
+    "crossval-image9": _crossval(*SMALL, "--image-size", "9"),
+    "crossval-image13": _crossval(*SMALL, "--image-size", "13", "--channels", "3,5",
+                                  "--activation", "identity", "--batch-size", "30"),
+    **{f"train-{token}": ("train", "--method", token, "--out", "{out}", *SMALL)
+       for token in FUSION_METHODS},
+    "fuse-add": _fuse("add"),
+    "fuse-concat": _fuse("concat"),
+    "fuse-kpff": _fuse("kpff", "--weights", "{weights}"),
+    "bench": ("bench", "--iters", "2", "--out", "{out}"),
+}
+# -0 columns, and a column whose sums hold only zeros of either sign
+FUSE_INPUTS = "1.5,-0,0,-0.0,2.25\n-0,-0,3.5,-1e-300,0\n0.5,-0,-2,0.125,-0\n"
+FUSE_WEIGHTS = "1,-0\n-0,2\n0.5,-1.5\n"
+
+
+def run_kpff(tree, argv, cwd):
+    """The tree's `kpff` CLI in a subprocess, with its src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(Path(tree) / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kpff.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=1800)
+
+
+def _outputs(out, done, compare_stdout):
+    """{file name: bytes} of one case's run: its files, and its stdout."""
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    if compare_stdout:
+        lines = [line.replace(str(out), "<out>") for line in done.stdout.splitlines()
+                 if "wall clock" not in line]
+        files["stdout"] = "\n".join(lines).encode()
+    return files
+
+
+def same_bytes(sides, cases, workdir):
+    """Runs each case on both sides under workdir; returns the files
+    compared, those that differ ("case/file") and the runs that failed."""
+    workdir = Path(workdir)
+    fuse = {"inputs": workdir / "inputs.csv", "weights": workdir / "weights.csv"}
+    fuse["inputs"].write_text(FUSE_INPUTS)
+    fuse["weights"].write_text(FUSE_WEIGHTS)
+    compared, differing, failed = 0, [], []
+    for name in cases:
+        outputs = []
+        for side in sides:
+            out = workdir / side["label"] / name
+            out.mkdir(parents=True)
+            argv = [arg.format(out=out, **fuse) for arg in IDENTITY_SET[name]]
+            done = run_kpff(side["tree"], argv, out)
+            if done.returncode != 0:
+                tail = done.stderr.strip().splitlines()[-1:] or ["no stderr"]
+                failed.append(f"{name} {side['label']}: exit code {done.returncode}: {tail[0]}")
+            outputs.append(_outputs(out, done, compare_stdout=argv[0] != "bench"))
+        for file in sorted(set(outputs[0]) | set(outputs[1])):
+            compared += 1
+            if outputs[0].get(file) != outputs[1].get(file):
+                differing.append(f"{name}/{file}")
+    return compared, differing, failed
 
 
 def run_once(tree, workload, seed, seconds):
@@ -74,8 +193,9 @@ def stats(values, others, better):
     return {"values": values, "median": median, "q1": q1, "q3": q3, "pairs_won": won}
 
 
-def compare(sides, workloads, pairs, seconds, seed, directions):
-    """Run the pairs; returns {side label: {workload: record}}."""
+def compare(sides, workloads, pairs, seconds, seed, directions, run=run_once):
+    """Run the pairs through run (run_once's signature and results);
+    returns {side label: {workload: record}}."""
     seeds = range(seed, seed + pairs)
     records = {side["label"]: {} for side in sides}
     for workload in workloads:
@@ -85,7 +205,7 @@ def compare(sides, workloads, pairs, seconds, seed, directions):
             for side in sides if j % 2 == 0 else sides[::-1]:
                 label = side["label"]
                 try:
-                    done[label][s] = run_once(side["tree"], workload, s, seconds)
+                    done[label][s] = run(side["tree"], workload, s, seconds)
                 except RuntimeError as exc:
                     errors[label].append({"seed": s, "error": str(exc)})
                 print(f"{workload} pair {j + 1}/{pairs} seed {s} {label}: "
@@ -128,23 +248,54 @@ def report(sides, records):
     return "\n".join(lines)
 
 
-def main():
+def bench_doc(side, sides, records, pairs, seconds, identity):
+    """The BENCH_<label>.json document of one side."""
+    mine = records[side["label"]]
+    manifest = next((r["manifest"] for r in mine.values() if r["manifest"]), None) or {}
+    return {
+        "label": side["label"],
+        "commit": side["commit"] or manifest.get("git_commit", "unknown"),
+        "other": next(o["label"] for o in sides if o is not side),
+        "pairs": pairs, "seconds": seconds,
+        "bytes": identity,
+        "workloads": mine,
+    }
+
+
+def _cases(text):
+    """--bytes: all, none, or a comma list of IDENTITY_SET's case names."""
+    if text in ("all", "none"):
+        return list(IDENTITY_SET) if text == "all" else []
+    cases = text.split(",")
+    unknown = [case for case in cases if case not in IDENTITY_SET]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown case {unknown[0]!r}; the cases are "
+                                         f"{', '.join(IDENTITY_SET)}")
+    return cases
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--other", required=True, help="root of the second kpff tree")
     ap.add_argument("--label", required=True, help="this checkout's name in BENCH_<label>.json")
     ap.add_argument("--other-label", required=True, help="the other tree's name")
     ap.add_argument("--commit", help="this checkout's commit (default: its manifest's)")
     ap.add_argument("--other-commit", help="the other tree's commit (default: its manifest's)")
-    ap.add_argument("--pairs", type=int, default=10, help="alternated pairs per workload")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternated timed pairs per workload (0: none)")
     ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
-    args = ap.parse_args()
+    ap.add_argument("--bytes", type=_cases, default="all", metavar="CASES",
+                    help="byte-identity cases: all, none, or a comma list")
+    args = ap.parse_args(argv)
     for label in (args.label, args.other_label):
         if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
             ap.error(f"label {label!r}: use letters, digits, '.', '_' and '-' only")
     if args.label == args.other_label:
         ap.error("the two labels must differ")
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < 0:
+        ap.error("--pairs must be at least 0")
+    if not args.pairs and not args.bytes:
+        ap.error("nothing to run: --pairs 0 and --bytes none")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -152,20 +303,24 @@ def main():
     sides = [{"label": args.label, "tree": ROOT, "commit": args.commit},
              {"label": args.other_label, "tree": Path(args.other).resolve(),
               "commit": args.other_commit}]
-    records = compare(sides, workloads, args.pairs, seconds, args.seed, directions)
-    for side in sides:
-        mine = records[side["label"]]
-        manifest = next((r["manifest"] for r in mine.values() if r["manifest"]), None) or {}
-        doc = {
-            "label": side["label"],
-            "commit": side["commit"] or manifest.get("git_commit", "unknown"),
-            "other": next(o["label"] for o in sides if o is not side),
-            "pairs": args.pairs, "seconds": seconds,
-            "workloads": mine,
-        }
-        (ROOT / f"BENCH_{side['label']}.json").write_text(json.dumps(doc, indent=2) + "\n")
-    print(report(sides, records))
-    failed = any(r["runs_failed"] for mine in records.values() for r in mine.values())
+    failed, identity = False, None
+    if args.bytes:
+        with tempfile.TemporaryDirectory() as workdir:
+            compared, differing, failures = same_bytes(sides, args.bytes, workdir)
+        identity = {"cases": args.bytes, "files": compared, "differing": differing,
+                    "runs_failed": failures}
+        for line in ([f"differs: {f}" for f in differing] + [f"failed: {f}" for f in failures]):
+            print(line)
+        print(f"files that differ between the sides: {len(differing)} of {compared} "
+              f"over {len(args.bytes)} cases")
+        failed = bool(differing or failures)
+    if args.pairs:
+        records = compare(sides, workloads, args.pairs, seconds, args.seed, directions)
+        for side in sides:
+            doc = bench_doc(side, sides, records, args.pairs, seconds, identity)
+            (ROOT / f"BENCH_{side['label']}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        print(report(sides, records))
+        failed |= any(r["runs_failed"] for mine in records.values() for r in mine.values())
     return 1 if failed else 0
 
 

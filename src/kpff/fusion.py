@@ -148,18 +148,17 @@ _NARROW_BUFSIZE = 256
 # on unrelated stores (4K aliasing). At n = 16 the block sums of a tile ran
 # 4-12% slower that way than at half a page apart.
 _PRODUCT_OFFSET = 2048
-# A call of at least _SPLIT_TILES tiles, each of at least _SPLIT_TILE_VALUES
-# values (16 rows at MIN_TILE columns), is summed on two cores where the
-# process may run on two: the caller sums the first half of the tiles and one
-# helper thread the rest, each tile as on one thread, so every value keeps
-# its bits. numpy releases the GIL inside a ufunc's loop, so the halves
-# overlap while each numpy call is long; with short calls, waits for the
-# GIL and the thread's 40-60 us start and join cost more than the overlap
-# saves. Forward plus backward, public API, p5 of 60 calls on 2 vCPUs:
-# n = 16, r = 32768 12.0 -> 7.8-8.7 ms; split at lower bounds, n = 4,
-# r = 32768 (32768-value calls, 4 tiles) 0.9 -> 1.09 ms (docs/gradients.md).
-_SPLIT_TILE_VALUES = 2 * TILE_VALUES
-_SPLIT_TILES = 4
+# A call is summed on two cores (_on_two_cores) from _SPLIT_WORK products
+# n * m_out * m up: 8 x 8 x 32768, or 16 x 16 x 8192. numpy releases the GIL
+# inside a ufunc's loop and np.dot inside its GEMM, so the threads' work
+# overlaps while each numpy call is long; the thread's 40-60 us start and
+# join, and waits for the GIL, cost more than the overlap saves on less work.
+# Forward plus backward, public API, p5 of 80 calls on 2 vCPUs: n = 8,
+# r = 32768, exactly this bound, 3.0-3.1 -> 2.1-2.3 ms. At a bound of 1 << 18,
+# n = 4, r = 32768 ran 0.72-0.76 -> 0.83-0.91 ms and the backward of
+# n = 16, r = 4096 (one tile beside dW) 0.67 -> 0.84-0.87 ms
+# (docs/gradients.md, Cost).
+_SPLIT_WORK = 1 << 21
 
 
 def _small_sums(A, B):
@@ -186,6 +185,35 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _tile_width(side, m):
+    """Columns per tile of a call of m columns over a W whose larger side is
+    side (see TILE_VALUES): m itself for a call of one tile."""
+    if m * side <= 2 * TILE_VALUES:
+        return m
+    return min(m, max(MIN_TILE, TILE_VALUES // side))
+
+
+def _on_two_cores(n, rows, m, with_dw, cores):
+    """Whether kpff_kernel sums a call over an n x rows W and m columns on two
+    cores: a tiled call (n*m >= MIN_TILE) of at least _SPLIT_WORK products
+    that has two tiles or more, or one tile and a dW product to compute
+    beside it, where cores(), asked last since it is a system call, is at
+    least 2."""
+    if n * m < MIN_TILE or n * rows * m < _SPLIT_WORK:
+        return False
+    if not with_dw and _tile_width(max(n, rows), m) == m:
+        return False
+    return cores() >= 2
+
+
+def _dw(forward_rows, upstream):
+    """dW[i, b] = upstream[b] . forward_rows[i]: one GEMM. np.dot, not @,
+    which holds the GIL on this 2-D BLAS path (numpy 2.4), so that the
+    product overlaps the other thread's tiles. On C-contiguous operands the
+    two give the same bits (docs/gradients.md, Cost)."""
+    return np.dot(forward_rows, upstream.T)
+
+
 def _tile_buffers(rows, width):
     """An accumulator and a product tile, [rows, width] each, in one buffer,
     so their distance is ours to choose."""
@@ -195,14 +223,14 @@ def _tile_buffers(rows, width):
     return buf[:size].reshape(rows, width), buf[size + gap:].reshape(rows, width)
 
 
-def _sum_tiles(W, X, out, start, stop, acc, prod):
-    """Columns start:stop of kpff_kernel's Y into out, in tiles as wide as
-    acc. Each tile is summed in acc in i order, from +0.0, with one multiply
-    (into prod) and one add per term, then copied into out unless acc is
-    out itself."""
-    width = acc.shape[1]
-    for lo in range(start, stop, width):
-        hi = min(lo + width, stop)
+def _sum_tiles(W, X, out, starts, acc, prod):
+    """The columns of kpff_kernel's Y from each start in starts into out, a
+    tile as wide as acc each. Each tile is summed in acc in i order, from
+    +0.0, with one multiply (into prod) and one add per term, then copied
+    into out unless acc is out itself."""
+    width, m = acc.shape[1], X.shape[1]
+    for lo in starts:
+        hi = min(lo + width, m)
         a, p = acc[:, :hi - lo], prod[:, :hi - lo]
         np.multiply(W[0][:, None], X[0][lo:hi], out=a)
         a += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
@@ -227,70 +255,89 @@ def _join(thread):
         raise interrupt
 
 
-def kpff_kernel(W, X):
+def kpff_kernel(W, X, dw_of=None):
     """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
 
     W is n x m_out with row i = w_i; X is an [n, m] array whose row i is
     x_i; Y is [m_out, m]. A batch of N samples is m = N*r, each row holding
     one input's N vectors back to back. At W^T and the upstream gradient
-    (row b that of block b) it returns the input gradient.
+    (row b that of block b) it returns the input gradient; with dw_of, the
+    forward's input rows and the rows dW reads, it returns (Y, dW) with
+    dW = _dw(*dw_of), computed after Y on one core.
 
     Past MIN_TILE values it runs one column tile at a time. Each tile is
     summed in i order from zero, one multiply and one add per term, so every
     value equals that of a per-block loop bit for bit. Over several tiles
     the sums run in a contiguous accumulator tile that is copied into Y
     once, so Y is written once and never zeroed or re-read; a single tile
-    is summed in Y itself. A call of _SPLIT_TILES or more wide tiles sums
-    the second half of them on a helper thread, joined before it returns,
-    with the same bits; an exception of either half is raised here.
+    is summed in Y itself. A call that _on_two_cores takes starts a helper
+    thread, joined before it returns, which computes dW first and then
+    takes tiles from the queue the caller takes them from: the same bits,
+    whoever sums a tile. An exception of either thread is raised here, the
+    caller's first.
     """
     if _COUNTING:
         _COUNTS["madd"] += W.size * X.shape[1]
-    if X.size < MIN_TILE:
-        return _small_sums(W, X)
     n, rows = W.shape  # Y[k] for k < rows sums n terms
     m = X.shape[1]
-    side = max(n, rows)
-    width = m if m * side <= 2 * TILE_VALUES else min(m, max(MIN_TILE, TILE_VALUES // side))
-    out = np.empty((rows, m))
-    if width == m:
-        # a tile narrower than MIN_TILE is the only tile. Wide tiles are not
-        # buffered, and small ones lose less to it than the scope costs
-        # (about 4 us)
-        narrow = width < MIN_TILE <= rows * width
-        old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
-        try:
-            _sum_tiles(W, X, out, 0, m, out, np.empty((rows, m)))
-        finally:
-            if narrow:
-                np.setbufsize(old)
-        return out
-    if rows * width < _SPLIT_TILE_VALUES or m < _SPLIT_TILES * width or usable_cores() < 2:
-        _sum_tiles(W, X, out, 0, m, *_tile_buffers(rows, width))
-        return out
-    # the caller sums the first half of the tiles and the helper the rest,
-    # the last one among them; an odd count leaves the caller one more
-    mid = (-(-m // width) + 1) // 2 * width
-    helper_tiles = _tile_buffers(rows, width)  # by the caller: no thread's own malloc arena
-    errors = []
+    if _on_two_cores(n, rows, m, dw_of is not None, usable_cores):
+        return _two_core_sums(W, X, dw_of)
+    if X.size < MIN_TILE:
+        out = _small_sums(W, X)
+    else:
+        width = _tile_width(max(n, rows), m)
+        out = np.empty((rows, m))
+        if width < m:
+            _sum_tiles(W, X, out, range(0, m, width), *_tile_buffers(rows, width))
+        else:
+            # a tile narrower than MIN_TILE is the only tile. Wide tiles are
+            # not buffered, and small ones lose less to it than the scope
+            # costs (about 4 us)
+            narrow = width < MIN_TILE <= rows * width
+            old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
+            try:
+                _sum_tiles(W, X, out, [0], out, np.empty((rows, m)))
+            finally:
+                if narrow:
+                    np.setbufsize(old)
+    return out if dw_of is None else (out, _dw(*dw_of))
 
-    def helper_half():
+
+def _two_core_sums(W, X, dw_of):
+    """kpff_kernel's result on two threads. Both take column starts from
+    one iterator until it runs out, each summing its tiles in its own
+    accumulator and product tiles, so a helper that starts late or is
+    descheduled costs only the tiles it would have taken. The helper first
+    computes dW, if asked for."""
+    n, rows = W.shape
+    m = X.shape[1]
+    width = _tile_width(max(n, rows), m)
+    out = np.empty((rows, m))
+    # next() on a range iterator runs under the GIL without releasing it,
+    # so each start goes to exactly one thread
+    starts = iter(range(0, m, width))
+    helper_tiles = _tile_buffers(rows, width)  # by the caller: no thread's own malloc arena
+    dw, errors = [], []
+
+    def helper_share():
         try:
-            _sum_tiles(W, X, out, mid, m, *helper_tiles)
+            if dw_of is not None:
+                dw.append(_dw(*dw_of))
+            _sum_tiles(W, X, out, starts, *helper_tiles)
         except BaseException as exc:  # re-raised in the caller after the join
             errors.append(exc)
 
     # in a copy of the caller's context, so its errstate and ufunc buffer
-    # size hold in the helper's half too
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_half,))
+    # size hold in the helper's share too
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_share,))
     helper.start()
     try:
-        _sum_tiles(W, X, out, 0, mid, *_tile_buffers(rows, width))
+        _sum_tiles(W, X, out, starts, *_tile_buffers(rows, width))
     finally:
         _join(helper)
     if errors:
         raise errors[0]
-    return out
+    return out if dw_of is None else (out, dw[0])
 
 
 class KpffLayer:
@@ -340,15 +387,18 @@ class KpffLayer:
         unless grad_ws is None (see docs/gradients.md):
 
           dX[j]    = sum_k W[j, k] U[k]    the forward's sums at W^T, in k order
-          dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact
+          dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact,
+                                           beside dX's sums on two cores
         """
         bug = injected_bug()
-        dX = kpff_kernel(self.W if bug == "kpff-x" else self.W.T, U)
-        if self.grad_ws is not None:
-            if _COUNTING:
-                _COUNTS["madd"] += self.W.size * U.shape[1]
-            G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
-            self.grad_ws += self.cache @ G.T
+        A = self.W if bug == "kpff-x" else self.W.T
+        if self.grad_ws is None:
+            return kpff_kernel(A, U)
+        if _COUNTING:
+            _COUNTS["madd"] += self.W.size * U.shape[1]
+        G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
+        dX, dW = kpff_kernel(A, U, dw_of=(self.cache, G))
+        self.grad_ws += dW
         return dX
 
 

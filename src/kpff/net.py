@@ -553,7 +553,7 @@ class Model:
         # block-major [n, N*r]: row i holds projection i's N vectors back to
         # back; the m fused rows come back in the same layout
         n, N, r = len(taps), taps[0].shape[0], self.r
-        projected = np.empty((n, N, r))
+        projected = np.empty((n, N, r), dtype=taps[0].dtype)
         for p, t, out in zip(self.projections, taps, projected):
             p.forward_batch(t, out=out)
         fused = self.kpff.forward_batch(projected.reshape(n, N * r))

@@ -1,5 +1,6 @@
 import os
 import resource
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -647,9 +648,9 @@ def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
 
 # --- large calls summed on two cores ---------------------------------------------------
 
-# n rows of MIN_TILE-column tiles: 2 * TILE_VALUES values per numpy call from
-# 16 rows, so calls of 4 or more tiles split there
-SPLIT_ROWS = 2 * TILE_VALUES // MIN_TILE
+# rows of a square W whose calls run in tiles of MIN_TILE columns and split
+# from 2 * MIN_TILE columns up (16 x 16 x 8192 = 2 ** 21 products)
+SPLIT_ROWS = 16
 
 
 @pytest.fixture
@@ -669,6 +670,41 @@ def thread_starts(monkeypatch):
 
 def _cores(monkeypatch, count):
     monkeypatch.setattr(fusion, "usable_cores", lambda: count)
+
+
+def _no_system_call():
+    raise AssertionError("the core count is asked only for a call of enough work")
+
+
+@pytest.mark.parametrize("n,rows,m,with_dw,splits", [
+    (8, 8, 32768, False, True),  # exactly 2 ** 21, 8 tiles
+    (7, 7, 42799, False, False),  # 2 ** 21 - 1, 10 tiles
+    (7, 7, 42799, True, False),
+    (7, 7, 42800, False, True),  # 2 ** 21 + 49
+    (16, 16, 32768, False, True),
+    (16, 16, 16384, False, True),
+    (16, 16, 8192, False, True),  # two tiles
+    (4, 4, 32768, True, False),  # 2 ** 19
+    (8, 8, 16384, True, False),  # 2 ** 20
+    (16, 16, 4096, True, False),  # 2 ** 20 in one tile
+    (32, 32, 2048, False, False),  # 2 ** 21 in one tile: nothing to run beside it
+    (32, 32, 2048, True, True),  # ... but dW
+    (1024, 1, 2048, True, True),  # an n x 1 W (add's shape): one tile beside dW
+    (1, 1024, 2048, True, False),  # its backward, at W^T: n * m < MIN_TILE
+    (2, 1024, 1024, True, False),  # 2 ** 21 in _small_sums: n * m < MIN_TILE
+    (2, 1024, 2048, True, True),  # the same work tiled: n * m = MIN_TILE
+    (2, 2, 300, True, False),  # criterion 6's Model calls, kpff
+    (2, 1, 300, True, False),  # and add
+    (1, 2, 300, True, False),  # add's backward, at W^T
+])
+def test_the_two_core_rule_at_its_edges(n, rows, m, with_dw, splits):
+    assert fusion._SPLIT_WORK == 1 << 21  # the bound of the cases above
+    cores = (lambda: 2) if splits else _no_system_call
+    assert fusion._on_two_cores(n, rows, m, with_dw, cores) is splits
+    assert fusion._on_two_cores(n, rows, m, with_dw, lambda: 1) is False
+    if with_dw:
+        assert fusion._on_two_cores(n, rows, m, False, lambda: 2) is (
+            splits and fusion._tile_width(max(n, rows), m) < m)
 
 
 @pytest.mark.parametrize("n", [SPLIT_ROWS, SPLIT_ROWS + 1])
@@ -693,14 +729,17 @@ def test_split_calls_equal_the_block_loops_and_one_thread_bitwise(n, r, monkeypa
 
 
 @pytest.mark.parametrize("n,r,threads", [
-    (SPLIT_ROWS, 4 * MIN_TILE, 1),
-    (SPLIT_ROWS, 8 * MIN_TILE, 1),
-    (SPLIT_ROWS, 4 * MIN_TILE - 1, 0),  # three whole tiles and a partial one
-    (SPLIT_ROWS - 1, 8 * MIN_TILE, 0),  # calls of fewer values
-    (8, 8 * MIN_TILE, 0),
+    (16, 8 * MIN_TILE, 1),
+    (16, 4 * MIN_TILE, 1),
+    (16, 2 * MIN_TILE, 1),  # two tiles of 2 ** 20 products
+    (8, 8 * MIN_TILE, 1),  # exactly 2 ** 21
+    (8, 8 * MIN_TILE - 1, 0),  # seven whole tiles and a partial one, of fewer products
+    (8, 4 * MIN_TILE, 0),
+    (4, 8 * MIN_TILE, 0),
     (2, 8 * MIN_TILE, 0),
-    (SPLIT_ROWS, MIN_TILE, 0),  # one tile
-    (SPLIT_ROWS, 64, 0),  # summed whole
+    (16, MIN_TILE, 0),  # one tile
+    (32, MIN_TILE // 2, 0),  # one tile of 2 ** 21 products
+    (16, 64, 0),  # summed whole
 ])
 def test_only_large_calls_start_a_thread(n, r, threads, monkeypatch, thread_starts):
     W, X = np.ones((n, n)), np.ones((n, r))
@@ -715,30 +754,214 @@ def test_only_large_calls_start_a_thread(n, r, threads, monkeypatch, thread_star
 def test_a_split_call_leaves_no_thread(monkeypatch):
     _cores(monkeypatch, 2)
     before = threading.active_count()
-    _kernel_case(SPLIT_ROWS, 8 * MIN_TILE, seed=9)  # forward and backward split
+    _kernel_case(SPLIT_ROWS, 8 * MIN_TILE, seed=9)  # forward and backward (with dW) split
+    _kernel_case(32, MIN_TILE // 2, seed=9)  # the backward's one tile beside dW
     assert threading.active_count() == before
 
 
-def _overflow_in_the_helper_columns():
-    """W and X whose sums overflow in one column of the second half alone."""
+class Dealer:
+    """Who sums which tile of a kernel call: the column starts the caller and
+    the helper take from the queue, in order, and a log of both threads'
+    tiles and dW products. With helper_late the helper is held back until
+    the caller has taken every tile; with caller_stalls it takes tiles once
+    the caller has taken the first, and the caller waits after that tile
+    until the helper has run out of tiles. reset() between calls."""
+
+    def __init__(self):
+        self.helper_late = self.caller_stalls = False
+        self.reset()
+
+    def reset(self):
+        self.caller, self.helper, self.log = [], [], []
+        self.caller_done, self.helper_done = threading.Event(), threading.Event()
+        self.caller_took_one = threading.Event()
+
+
+@pytest.fixture
+def dealt(monkeypatch):
+    dealer, real_sums, real_dw = Dealer(), fusion._sum_tiles, fusion._dw
+    main = threading.main_thread()
+
+    def who():
+        return "caller" if threading.current_thread() is main else "helper"
+
+    def sum_tiles(W, X, out, starts, acc, prod):
+        mine = getattr(dealer, who())
+        if who() == "helper" and dealer.helper_late:
+            assert dealer.caller_done.wait(30)
+        if who() == "helper" and dealer.caller_stalls:
+            assert dealer.caller_took_one.wait(30)
+
+        def deal():
+            for lo in starts:
+                mine.append(lo)
+                dealer.log.append((who(), lo))
+                if who() == "caller":
+                    dealer.caller_took_one.set()
+                yield lo
+                if who() == "caller" and dealer.caller_stalls:
+                    assert dealer.helper_done.wait(30)
+        try:
+            real_sums(W, X, out, deal(), acc, prod)
+        finally:
+            getattr(dealer, who() + "_done").set()
+
+    def dw(A, B):
+        dealer.log.append((who(), "dW"))
+        return real_dw(A, B)
+
+    monkeypatch.setattr(fusion, "_sum_tiles", sum_tiles)
+    monkeypatch.setattr(fusion, "_dw", dw)
+    _cores(monkeypatch, 2)
+    return dealer
+
+
+def _assert_dealt(dealer, starts, late):
+    if late:  # the caller took every tile
+        assert (dealer.caller, dealer.helper) == (starts, [])
+    else:  # the caller took the first, the helper the rest
+        assert (dealer.caller, dealer.helper) == (starts[:1], starts[1:])
+
+
+@pytest.mark.parametrize("late", [True, False], ids=["helper_late", "caller_stalls"])
+@pytest.mark.parametrize("n,r", [
+    (SPLIT_ROWS, 5 * MIN_TILE),  # an odd tile count
+    (SPLIT_ROWS + 1, 3 * MIN_TILE + 5),  # a partial last tile
+    (32, MIN_TILE // 2),  # the backward's one tile beside dW; the forward stays on one thread
+])
+def test_split_bits_do_not_depend_on_who_takes_a_tile(n, r, late, dealt, thread_starts):
+    mode = "helper_late" if late else "caller_stalls"
+    W, X, U = _signed_zero_case(n, r, seed=n + r)
+    starts = list(range(0, r, fusion._tile_width(n, r)))
+    layer = KpffLayer(list(W))
+    setattr(dealt, mode, len(starts) > 1)  # a forward of one tile is not split
+    y = layer.forward_batch(X)
+    _assert_dealt(dealt, starts, late)
+    dealt.reset()
+    setattr(dealt, mode, True)
+    dX = layer.backward_batch(U)  # at W^T: strided rows
+    _assert_dealt(dealt, starts, late)
+    assert len(thread_starts) == 1 + (len(starts) > 1)
+    assert not any(t.is_alive() for t in thread_starts)
+    assert y.tobytes() == block_loop_forward(W, X).reshape(n, r).tobytes()
+    assert dX.tobytes() == block_loop_backward(W, X, U)[1].tobytes()
+    # dW, on the helper, is one thread's np.dot bit for bit
+    assert layer.grad_ws.tobytes() == (np.zeros((n, n)) + np.dot(X, U.T)).tobytes()
+
+
+def test_the_helper_computes_dw_before_it_takes_tiles(monkeypatch, dealt):
+    dealt.caller_stalls = True  # the helper takes tiles as soon as dW is done
+    W, X, U = _signed_zero_case(SPLIT_ROWS, 4 * MIN_TILE, seed=4)
+    layer = KpffLayer(list(W))
+    layer.forward_batch(X)
+    dealt.reset()
+    layer.backward_batch(U)
+    assert [e for e in dealt.log if e[0] == "helper"] == [
+        ("helper", "dW"), *(("helper", k * MIN_TILE) for k in (1, 2, 3))]
+    # on one core dW runs on the caller, after dX's sums
+    _cores(monkeypatch, 1)
+    dealt.caller_stalls = False
+    dealt.reset()
+    layer.backward_batch(U)
+    assert dealt.log == [*(("caller", k * MIN_TILE) for k in range(4)), ("caller", "dW")]
+
+
+def test_the_queue_deals_each_tile_once_under_stress(monkeypatch):
+    # three callers at once, each with its helper: six threads on two cores,
+    # switching every microsecond. A tile dealt twice or lost would show in
+    # the count or, since Y starts as np.empty, in the bytes
+    _cores(monkeypatch, 2)
+    taken, real = [], fusion._sum_tiles
+
+    def sum_tiles(W, X, out, starts, acc, prod):
+        def deal():
+            for lo in starts:
+                taken.append((id(out), lo))
+                yield lo
+        real(W, X, out, deal(), acc, prod)
+
+    monkeypatch.setattr(fusion, "_sum_tiles", sum_tiles)
+    W, X, _ = _signed_zero_case(SPLIT_ROWS, 9 * MIN_TILE + 3, seed=12)
+    want = block_loop_forward(W, X).tobytes()
+    results = []
+
+    def caller():
+        for _ in range(5):
+            results.append(kpff_kernel(W, X))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(results) == 15 and all(y.tobytes() == want for y in results)
+    assert sorted(taken) == sorted((id(y), k * MIN_TILE) for y in results for k in range(10))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_dw_is_one_np_dot(cores, monkeypatch):
+    # np.dot releases the GIL in its GEMM, where X @ G.T holds it (numpy 2.4),
+    # so that the helper's dW overlaps the caller's tiles
+    calls, real = [], np.dot
+
+    def dot(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "dot", dot)
+    _cores(monkeypatch, cores)
+    W, X, U = _signed_zero_case(SPLIT_ROWS, 4 * MIN_TILE, seed=6)
+    layer = KpffLayer(list(W))
+    layer.forward_batch(X)
+    layer.backward_batch(U)
+    assert len(calls) == 1 and calls[0][0] is X  # dW[i, b] = U[b] . X[i]
+    assert np.shares_memory(calls[0][1], U) and calls[0][1].shape == U.T.shape
+
+
+def _overflow_in_the_helper_tiles():
+    """W and X whose sums overflow in one column of the third of 8 tiles."""
     W, X = np.full((SPLIT_ROWS, SPLIT_ROWS), 10.0), np.ones((SPLIT_ROWS, 8 * MIN_TILE))
-    X[3, 6 * MIN_TILE + 7] = 1e308
+    X[3, 2 * MIN_TILE + 7] = 1e308
     return W, X
 
 
-def test_an_error_in_the_helper_half_is_raised_in_the_caller(monkeypatch, thread_starts):
-    _cores(monkeypatch, 2)
-    W, X = _overflow_in_the_helper_columns()
-    with np.errstate(over="raise"):  # the caller's errstate holds in the helper's half
+def test_an_error_in_the_helper_tiles_is_raised_in_the_caller(dealt, thread_starts):
+    dealt.caller_stalls = True  # the caller takes the first tile, the helper the next
+    W, X = _overflow_in_the_helper_tiles()
+    with np.errstate(over="raise"):  # the caller's errstate holds in the helper's tiles
         with pytest.raises(FloatingPointError, match="overflow"):
             kpff_kernel(W, X)
+    # the helper stopped at its second tile; the caller took the rest
+    assert dealt.helper == [MIN_TILE, 2 * MIN_TILE]
+    assert dealt.caller == [0, *range(3 * MIN_TILE, 8 * MIN_TILE, MIN_TILE)]
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
             y = kpff_kernel(W, X)
     assert len(thread_starts) == 2
-    assert np.isinf(y[:, 6 * MIN_TILE + 7]).all() and np.isfinite(np.delete(y, 6 * MIN_TILE + 7, 1)).all()
+    column = 2 * MIN_TILE + 7
+    assert np.isinf(y[:, column]).all() and np.isfinite(np.delete(y, column, 1)).all()
+
+
+def test_an_error_in_the_helper_dw_is_raised_in_the_caller(monkeypatch, thread_starts):
+    _cores(monkeypatch, 2)
+    W, X = np.ones((SPLIT_ROWS, SPLIT_ROWS)), np.ones((SPLIT_ROWS, 4 * MIN_TILE))
+    with pytest.raises(ValueError, match="not aligned"):  # 5 columns against 4 * MIN_TILE
+        kpff_kernel(W.T, X, dw_of=(np.ones((SPLIT_ROWS, 5)), X))
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    # the caller's own error wins over the helper's
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            kpff_kernel(np.full(W.shape, 1e200), np.full(X.shape, 1e200),
+                        dw_of=(np.ones((SPLIT_ROWS, 5)), X))
+    assert len(thread_starts) == 2 and not thread_starts[1].is_alive()
 
 
 def test_an_interrupted_join_still_waits_for_the_helper(monkeypatch):
@@ -780,14 +1003,19 @@ def test_split_calls_count_three_n_squared_r(monkeypatch, thread_starts):
 
 
 def test_model_calls_never_split(monkeypatch, thread_starts):
-    # a tiled call's numpy calls cover at most max(MIN_TILE * side, TILE_VALUES)
-    # values, side the larger side of W, so only a W with a side of
-    # SPLIT_ROWS splits. A Model's W is n x n or n x 1, n its number of conv
-    # blocks: criterion 6's config (the default channels) has two
+    # a Model's W is n x n or n x 1, n its number of conv blocks, and its
+    # calls have m = N * r columns, r = min(channels): at criterion 6's
+    # config (the default channels, batch 50) n * rows * m is 2 * 2 * 300
+    cfg = RunConfig()
     for method in FUSION_METHODS:
-        model = Model(seed=0, channels=RunConfig().channels, fusion=method)
-        assert model.kpff is None or max(model.kpff.W.shape) < SPLIT_ROWS, method
-    # so crossval's one process per core is never oversubscribed: all jobs
+        model = Model(seed=0, channels=cfg.channels, fusion=method)
+        if model.kpff is not None:
+            n, rows = model.kpff.W.shape
+            m = cfg.batch_size * model.r
+            assert n * rows * m <= 1200, method
+            for shape in ((n, rows), (rows, n)):  # forward and backward
+                assert not fusion._on_two_cores(*shape, m, True, _no_system_call), method
+    # so crossval's one process per core is not oversubscribed: all jobs
     # run here, in one process, with two cores for the kernel. add's n x 1 W
     # and kpff's n x n one are the kernel shapes of every method (concat and
     # kpff-frozen train kpff's shapes at a constant W; none fuses nothing)

@@ -1491,3 +1491,19 @@ def test_training_step_calls_no_numpy_python_helpers():
         helpers = sorted(f"{path.rsplit('numpy/', 1)[1]}:{name}" for path, name in called
                          if path.endswith(NUMPY_PYTHON_HELPERS))
         assert helpers == [], fusion
+
+
+@pytest.mark.parametrize("fusion", FUSION_METHODS)
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_forward_runs_in_complex(fusion, activation):
+    # a complex-step derivative needs the forward in complex128: every buffer
+    # it writes takes its input's dtype. With a 1e-30j step the real part is
+    # the float64 forward's; zgemm may order a GEMM's sums otherwise than
+    # dgemm, so it agrees to 1e-12 relative (the worst seen is 1.4e-15)
+    model = Model(seed=3, image_size=12, channels=(4, 6), activation=activation,
+                  fusion=fusion, kpff_noise=0.1)
+    x = Stream(5).uniform(size=(6, 1, 12, 12), low=-1, high=1)
+    real = model.forward_batch(x)
+    step = model.forward_batch(x + 1e-30j * x)
+    assert step.dtype == np.complex128 and np.isfinite(step).all()
+    np.testing.assert_allclose(step.real, real, rtol=1e-12, atol=1e-14)
