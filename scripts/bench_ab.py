@@ -3,16 +3,16 @@
 through each tree's own benchmark runner.
 
     python scripts/bench_ab.py --other ../parent --label new --other-label af126bd \\
-        [--commit C] [--other-commit C] [--pairs 10] [--seed 100] [--bytes all]
+        [--commit C] [--other-commit C] [--pairs 10] [--seed 100]
 
-Byte identity. Each case of IDENTITY_SET (--bytes: all, none, or a comma
-list of case names) runs the `kpff` CLI of each tree in a subprocess, with
-that tree's src/ first on PYTHONPATH, in an output directory of its own.
+Byte identity. Each case of IDENTITY_SET runs the `kpff` CLI of each tree
+in a subprocess, with that tree's src/ first on PYTHONPATH, in an output
+directory of its own.
 Every file a case writes (report.csv, summary.json, folds.txt, bench.csv,
 the fused CSV) and its stdout, without the wall-clock line and with the
 output directory read as <out>, must be the same bytes on both sides;
 `bench` prints timings, so its stdout is not compared. Prints each file
-that differs.
+that differs. `--pairs 0` runs this half alone.
 
 Timings. For each workload of this checkout's BENCHMARK.json it runs
 `kpffbench/run.py --workload W --seed S --seconds T --trace 0` of this
@@ -26,7 +26,7 @@ the runner's result object.
 With timed pairs it writes BENCH_<label>.json per side at the root of this
 checkout. Each holds the side's commit (--commit or --other-commit, else
 what its runner's manifest reads: a `git archive` copy reads "unknown"),
-the byte-identity result, if any, and, per workload: the manifest of the
+the byte-identity result and, per workload: the manifest of the
 side's first run, the seeds of the pairs whose two runs both succeeded, the
 operations attempted and failed over the side's runs, the runs that failed,
 and per metric the values of those pairs in seed order, their median and
@@ -262,18 +262,6 @@ def bench_doc(side, sides, records, pairs, seconds, identity):
     }
 
 
-def _cases(text):
-    """--bytes: all, none, or a comma list of IDENTITY_SET's case names."""
-    if text in ("all", "none"):
-        return list(IDENTITY_SET) if text == "all" else []
-    cases = text.split(",")
-    unknown = [case for case in cases if case not in IDENTITY_SET]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown case {unknown[0]!r}; the cases are "
-                                         f"{', '.join(IDENTITY_SET)}")
-    return cases
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--other", required=True, help="root of the second kpff tree")
@@ -284,8 +272,6 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10,
                     help="alternated timed pairs per workload (0: none)")
     ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
-    ap.add_argument("--bytes", type=_cases, default="all", metavar="CASES",
-                    help="byte-identity cases: all, none, or a comma list")
     args = ap.parse_args(argv)
     for label in (args.label, args.other_label):
         if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
@@ -294,8 +280,6 @@ def main(argv=None):
         ap.error("the two labels must differ")
     if args.pairs < 0:
         ap.error("--pairs must be at least 0")
-    if not args.pairs and not args.bytes:
-        ap.error("nothing to run: --pairs 0 and --bytes none")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -303,17 +287,15 @@ def main(argv=None):
     sides = [{"label": args.label, "tree": ROOT, "commit": args.commit},
              {"label": args.other_label, "tree": Path(args.other).resolve(),
               "commit": args.other_commit}]
-    failed, identity = False, None
-    if args.bytes:
-        with tempfile.TemporaryDirectory() as workdir:
-            compared, differing, failures = same_bytes(sides, args.bytes, workdir)
-        identity = {"cases": args.bytes, "files": compared, "differing": differing,
-                    "runs_failed": failures}
-        for line in ([f"differs: {f}" for f in differing] + [f"failed: {f}" for f in failures]):
-            print(line)
-        print(f"files that differ between the sides: {len(differing)} of {compared} "
-              f"over {len(args.bytes)} cases")
-        failed = bool(differing or failures)
+    with tempfile.TemporaryDirectory() as workdir:
+        compared, differing, failures = same_bytes(sides, list(IDENTITY_SET), workdir)
+    identity = {"cases": list(IDENTITY_SET), "files": compared, "differing": differing,
+                "runs_failed": failures}
+    for line in ([f"differs: {f}" for f in differing] + [f"failed: {f}" for f in failures]):
+        print(line)
+    print(f"files that differ between the sides: {len(differing)} of {compared} "
+          f"over {len(IDENTITY_SET)} cases")
+    failed = bool(differing or failures)
     if args.pairs:
         records = compare(sides, workloads, args.pairs, seconds, args.seed, directions)
         for side in sides:

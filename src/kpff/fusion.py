@@ -156,8 +156,8 @@ _PRODUCT_OFFSET = 2048
 # Forward plus backward, public API, p5 of 80 calls on 2 vCPUs: n = 8,
 # r = 32768, exactly this bound, 3.0-3.1 -> 2.1-2.3 ms. At a bound of 1 << 18,
 # n = 4, r = 32768 ran 0.72-0.76 -> 0.83-0.91 ms and the backward of
-# n = 16, r = 4096 (one tile beside dW) 0.67 -> 0.84-0.87 ms
-# (docs/gradients.md, Cost).
+# n = 16, r = 4096, one tile with dW beside it, 0.67 -> 0.84-0.87 ms, so a
+# call of one tile is never split (docs/gradients.md, Cost).
 _SPLIT_WORK = 1 << 21
 
 
@@ -193,15 +193,12 @@ def _tile_width(side, m):
     return min(m, max(MIN_TILE, TILE_VALUES // side))
 
 
-def _on_two_cores(n, rows, m, with_dw, cores):
+def _on_two_cores(n, rows, m, cores):
     """Whether kpff_kernel sums a call over an n x rows W and m columns on two
-    cores: a tiled call (n*m >= MIN_TILE) of at least _SPLIT_WORK products
-    that has two tiles or more, or one tile and a dW product to compute
-    beside it, where cores(), asked last since it is a system call, is at
-    least 2."""
-    if n * m < MIN_TILE or n * rows * m < _SPLIT_WORK:
-        return False
-    if not with_dw and _tile_width(max(n, rows), m) == m:
+    cores: a call of at least _SPLIT_WORK products in two tiles or more
+    (so never one that _small_sums takes), where cores(), asked last since
+    it is a system call, is at least 2."""
+    if n * rows * m < _SPLIT_WORK or _tile_width(max(n, rows), m) == m:
         return False
     return cores() >= 2
 
@@ -214,12 +211,12 @@ def _dw(forward_rows, upstream):
     return np.dot(forward_rows, upstream.T)
 
 
-def _tile_buffers(rows, width):
+def _tile_buffers(rows, width, dtype):
     """An accumulator and a product tile, [rows, width] each, in one buffer,
     so their distance is ours to choose."""
-    size = rows * width
-    gap = (_PRODUCT_OFFSET - size * 8) % 4096 // 8
-    buf = np.empty(2 * size + gap)
+    size, itemsize = rows * width, dtype.itemsize
+    gap = (_PRODUCT_OFFSET - size * itemsize) % 4096 // itemsize
+    buf = np.empty(2 * size + gap, dtype)
     return buf[:size].reshape(rows, width), buf[size + gap:].reshape(rows, width)
 
 
@@ -263,7 +260,8 @@ def kpff_kernel(W, X, dw_of=None):
     one input's N vectors back to back. At W^T and the upstream gradient
     (row b that of block b) it returns the input gradient; with dw_of, the
     forward's input rows and the rows dW reads, it returns (Y, dW) with
-    dW = _dw(*dw_of), computed after Y on one core.
+    dW = _dw(*dw_of), computed after Y on one core. Y takes the dtype that
+    W and X promote to, so a complex X gives a complex Y.
 
     Past MIN_TILE values it runs one column tile at a time. Each tile is
     summed in i order from zero, one multiply and one add per term, so every
@@ -280,15 +278,15 @@ def kpff_kernel(W, X, dw_of=None):
         _COUNTS["madd"] += W.size * X.shape[1]
     n, rows = W.shape  # Y[k] for k < rows sums n terms
     m = X.shape[1]
-    if _on_two_cores(n, rows, m, dw_of is not None, usable_cores):
+    if _on_two_cores(n, rows, m, usable_cores):
         return _two_core_sums(W, X, dw_of)
     if X.size < MIN_TILE:
         out = _small_sums(W, X)
     else:
         width = _tile_width(max(n, rows), m)
-        out = np.empty((rows, m))
+        out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
         if width < m:
-            _sum_tiles(W, X, out, range(0, m, width), *_tile_buffers(rows, width))
+            _sum_tiles(W, X, out, range(0, m, width), *_tile_buffers(rows, width, out.dtype))
         else:
             # a tile narrower than MIN_TILE is the only tile. Wide tiles are
             # not buffered, and small ones lose less to it than the scope
@@ -296,7 +294,7 @@ def kpff_kernel(W, X, dw_of=None):
             narrow = width < MIN_TILE <= rows * width
             old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
             try:
-                _sum_tiles(W, X, out, [0], out, np.empty((rows, m)))
+                _sum_tiles(W, X, out, [0], out, np.empty_like(out))
             finally:
                 if narrow:
                     np.setbufsize(old)
@@ -312,11 +310,11 @@ def _two_core_sums(W, X, dw_of):
     n, rows = W.shape
     m = X.shape[1]
     width = _tile_width(max(n, rows), m)
-    out = np.empty((rows, m))
+    out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
     # next() on a range iterator runs under the GIL without releasing it,
     # so each start goes to exactly one thread
     starts = iter(range(0, m, width))
-    helper_tiles = _tile_buffers(rows, width)  # by the caller: no thread's own malloc arena
+    helper_tiles = _tile_buffers(rows, width, out.dtype)  # by the caller: no thread's own malloc arena
     dw, errors = [], []
 
     def helper_share():
@@ -332,7 +330,7 @@ def _two_core_sums(W, X, dw_of):
     helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_share,))
     helper.start()
     try:
-        _sum_tiles(W, X, out, starts, *_tile_buffers(rows, width))
+        _sum_tiles(W, X, out, starts, *_tile_buffers(rows, width, out.dtype))
     finally:
         _join(helper)
     if errors:

@@ -1,8 +1,6 @@
 import importlib.util
 import json
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -118,22 +116,28 @@ def _stub_tree(path, side, log):
     return path
 
 
-def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path):
+def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path, monkeypatch, capsys):
+    # main, with this checkout's root moved to a stub tree and the
+    # byte-identity half stubbed; each run is still a subprocess of a stub
+    # kpffbench/run.py
     log = tmp_path / "calls.log"
     this = _stub_tree(tmp_path / "this", "this", log)
     other = _stub_tree(tmp_path / "other", "other", log)
-    (this / "scripts").mkdir()
-    shutil.copy(ROOT / "scripts" / "bench_ab.py", this / "scripts")
-    shutil.copytree(ROOT / "src", this / "src")  # the script reads the method tokens there
     # the runs' length comes from BENCHMARK.json, here cut to half a second
     (this / "BENCHMARK.json").write_text(json.dumps(
         {**BENCH, "run_seconds": 0.5, "workloads": [{"name": "fusion_grid"}]}))
-    done = subprocess.run(
-        [sys.executable, str(this / "scripts" / "bench_ab.py"), "--other", str(other),
-         "--label", "new", "--other-label", "old", "--pairs", "3", "--seed", "101",
-         "--bytes", "none"],
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1, done.stderr  # two of the other side's runs failed
+    identity = []
+
+    def same_bytes(sides, cases, workdir):
+        identity.append(([side["tree"] for side in sides], cases))
+        return 4, [], []
+
+    monkeypatch.setattr(bench_ab, "ROOT", this)
+    monkeypatch.setattr(bench_ab, "same_bytes", same_bytes)
+    assert bench_ab.main(["--other", str(other), "--label", "new", "--other-label", "old",
+                          "--pairs", "3", "--seed", "101"]) == 1  # two other runs failed
+    assert identity == [([this, other.resolve()], list(bench_ab.IDENTITY_SET))]
+    stdout = capsys.readouterr().out
     calls = [line.split() for line in log.read_text().splitlines()]
     assert calls == [[side, "fusion_grid", str(seed), "0.5", "0"] for seed, sides in
                      ((101, ("this", "other")), (102, ("other", "this")),
@@ -142,12 +146,14 @@ def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path):
     new, old = (json.loads((this / f"BENCH_{label}.json").read_text()) for label in ("new", "old"))
     assert not (other / "BENCH_old.json").exists()
     assert (new["commit"], old["commit"]) == ("stub-this", "stub-other")  # from the manifests
+    assert new["bytes"] == {"cases": list(bench_ab.IDENTITY_SET), "files": 4, "differing": [],
+                            "runs_failed": []}
     fg = old["workloads"]["fusion_grid"]
     assert fg["seeds"] == [101] and fg["metrics"]["pass_s_est"]["values"] == [202.0]
     assert [(f["seed"], f["error"]) for f in fg["runs_failed"]] == [
         (102, "exit code 1: stub: crashed"),
         (103, "the last line of stdout is not a result object")]
-    assert "fusion_grid old seed 103 failed: the last line of stdout" in done.stdout
+    assert "fusion_grid old seed 103 failed: the last line of stdout" in stdout
 
 
 def _rejected(argv, tmp_path, capsys):
@@ -164,21 +170,11 @@ def test_bench_ab_rejects_bad_labels(tmp_path, capsys):
                                              tmp_path, capsys)
 
 
-def test_bench_ab_rejects_bad_case_lists(tmp_path, capsys):
-    labels = ["--label", "x", "--other-label", "y"]
-    assert "nothing to run" in _rejected([*labels, "--pairs", "0", "--bytes", "none"],
-                                         tmp_path, capsys)
-    assert "unknown case 'nosuch'" in _rejected([*labels, "--bytes", "crossval-small,nosuch"],
-                                                tmp_path, capsys)
-
-
-def test_byte_identity_of_the_working_tree_with_itself(capsys):
+def test_byte_identity_of_the_working_tree_with_itself(tmp_path):
     # the same tree on both sides, at the small crossval config: every file
     # it writes and its stdout are compared, and none differs
-    assert bench_ab.main(["--other", str(ROOT), "--label", "a", "--other-label", "b",
-                          "--pairs", "0", "--bytes", "crossval-small"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "files that differ between the sides: 0 of 4 over 1 cases")
+    sides = [{"label": "a", "tree": ROOT}, {"label": "b", "tree": ROOT}]
+    assert bench_ab.same_bytes(sides, ["crossval-small"], tmp_path) == (4, [], [])
 
 
 def test_byte_identity_names_the_files_that_differ(tmp_path):

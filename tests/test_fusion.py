@@ -501,6 +501,34 @@ def test_kernel_keeps_the_sign_of_zero_sums(r):
     assert not np.signbit(y).any() and not np.signbit(dx).any()
 
 
+@pytest.mark.parametrize("n,r", [
+    (2, 300),  # summed whole
+    (2, 2080),  # one narrow tile, summed in Y
+    (3, tile_width(3) + 5),  # several tiles
+    (16, 4 * MIN_TILE + 5),  # on two cores
+])
+def test_kernel_takes_the_dtype_of_its_inputs(n, r, monkeypatch):
+    # a complex X, as a complex-step derivative gives it: each part is
+    # summed as the kernel sums a real X, whatever path the call takes
+    _cores(monkeypatch, 2)
+    W, X, U = _signed_zero_case(n, r, seed=n + r)
+    y = kpff_kernel(W, X + 1j * U)
+    assert y.dtype == np.complex128
+    assert np.array_equal(y.real, kpff_kernel(W, X))
+    assert np.array_equal(y.imag, kpff_kernel(W, U))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("rows,width", [(16, MIN_TILE), (3, tile_width(3)), (17, MIN_TILE)])
+def test_tile_buffers_start_half_a_page_apart(rows, width, dtype):
+    # whatever the dtype's size, so that the tile adds never 4K-alias
+    acc, prod = fusion._tile_buffers(rows, width, np.dtype(dtype))
+    assert acc.shape == prod.shape == (rows, width) and prod.dtype == dtype
+    assert not np.shares_memory(acc, prod)
+    distance = prod.__array_interface__["data"][0] - acc.__array_interface__["data"][0]
+    assert distance % 4096 == fusion._PRODUCT_OFFSET
+
+
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x"])
 def test_kernel_hooks_match_the_block_loop_hooks(bug):
     for n, r in [(3, 7), (16, 64), (3, tile_width(3) + 5), *NARROW_SCOPED]:  # small ones too
@@ -676,35 +704,30 @@ def _no_system_call():
     raise AssertionError("the core count is asked only for a call of enough work")
 
 
-@pytest.mark.parametrize("n,rows,m,with_dw,splits", [
-    (8, 8, 32768, False, True),  # exactly 2 ** 21, 8 tiles
-    (7, 7, 42799, False, False),  # 2 ** 21 - 1, 10 tiles
-    (7, 7, 42799, True, False),
-    (7, 7, 42800, False, True),  # 2 ** 21 + 49
-    (16, 16, 32768, False, True),
-    (16, 16, 16384, False, True),
-    (16, 16, 8192, False, True),  # two tiles
-    (4, 4, 32768, True, False),  # 2 ** 19
-    (8, 8, 16384, True, False),  # 2 ** 20
-    (16, 16, 4096, True, False),  # 2 ** 20 in one tile
-    (32, 32, 2048, False, False),  # 2 ** 21 in one tile: nothing to run beside it
-    (32, 32, 2048, True, True),  # ... but dW
-    (1024, 1, 2048, True, True),  # an n x 1 W (add's shape): one tile beside dW
-    (1, 1024, 2048, True, False),  # its backward, at W^T: n * m < MIN_TILE
-    (2, 1024, 1024, True, False),  # 2 ** 21 in _small_sums: n * m < MIN_TILE
-    (2, 1024, 2048, True, True),  # the same work tiled: n * m = MIN_TILE
-    (2, 2, 300, True, False),  # criterion 6's Model calls, kpff
-    (2, 1, 300, True, False),  # and add
-    (1, 2, 300, True, False),  # add's backward, at W^T
+@pytest.mark.parametrize("n,rows,m,splits", [
+    (8, 8, 32768, True),  # exactly 2 ** 21, 8 tiles
+    (7, 7, 42799, False),  # 2 ** 21 - 1, 10 tiles
+    (7, 7, 42800, True),  # 2 ** 21 + 49
+    (16, 16, 32768, True),
+    (16, 16, 16384, True),
+    (16, 16, 8192, True),  # two tiles
+    (4, 4, 32768, False),  # 2 ** 19
+    (8, 8, 16384, False),  # 2 ** 20
+    (16, 16, 4096, False),  # 2 ** 20 in one tile
+    (32, 32, 2048, False),  # 2 ** 21 in one tile
+    (1024, 1, 2048, False),  # an n x 1 W (add's shape), one tile
+    (1, 1024, 2048, False),  # its backward, at W^T: n * m < MIN_TILE
+    (2, 1024, 1024, False),  # 2 ** 21 in _small_sums: n * m < MIN_TILE
+    (2, 1024, 8192, True),  # tiles of MIN_TILE columns at W^T of a 1024 x 2 W
+    (2, 2, 300, False),  # criterion 6's Model calls, kpff
+    (2, 1, 300, False),  # and add
+    (1, 2, 300, False),  # add's backward, at W^T
 ])
-def test_the_two_core_rule_at_its_edges(n, rows, m, with_dw, splits):
+def test_the_two_core_rule_at_its_edges(n, rows, m, splits):
     assert fusion._SPLIT_WORK == 1 << 21  # the bound of the cases above
     cores = (lambda: 2) if splits else _no_system_call
-    assert fusion._on_two_cores(n, rows, m, with_dw, cores) is splits
-    assert fusion._on_two_cores(n, rows, m, with_dw, lambda: 1) is False
-    if with_dw:
-        assert fusion._on_two_cores(n, rows, m, False, lambda: 2) is (
-            splits and fusion._tile_width(max(n, rows), m) < m)
+    assert fusion._on_two_cores(n, rows, m, cores) is splits
+    assert fusion._on_two_cores(n, rows, m, lambda: 1) is False
 
 
 @pytest.mark.parametrize("n", [SPLIT_ROWS, SPLIT_ROWS + 1])
@@ -738,7 +761,7 @@ def test_split_calls_equal_the_block_loops_and_one_thread_bitwise(n, r, monkeypa
     (4, 8 * MIN_TILE, 0),
     (2, 8 * MIN_TILE, 0),
     (16, MIN_TILE, 0),  # one tile
-    (32, MIN_TILE // 2, 0),  # one tile of 2 ** 21 products
+    (32, MIN_TILE // 2, 0),  # one tile of 2 ** 21 products, with dW in its backward
     (16, 64, 0),  # summed whole
 ])
 def test_only_large_calls_start_a_thread(n, r, threads, monkeypatch, thread_starts):
@@ -746,16 +769,17 @@ def test_only_large_calls_start_a_thread(n, r, threads, monkeypatch, thread_star
     _cores(monkeypatch, 2)
     kpff_kernel(W, X)
     assert len(thread_starts) == threads
+    kpff_kernel(W.T, X, dw_of=(X, X))  # a backward: dW does not change the rule
+    assert len(thread_starts) == 2 * threads
     _cores(monkeypatch, 1)
     kpff_kernel(W, X)
-    assert len(thread_starts) == threads  # one usable core: nothing splits
+    assert len(thread_starts) == 2 * threads  # one usable core: nothing splits
 
 
 def test_a_split_call_leaves_no_thread(monkeypatch):
     _cores(monkeypatch, 2)
     before = threading.active_count()
     _kernel_case(SPLIT_ROWS, 8 * MIN_TILE, seed=9)  # forward and backward (with dW) split
-    _kernel_case(32, MIN_TILE // 2, seed=9)  # the backward's one tile beside dW
     assert threading.active_count() == before
 
 
@@ -827,21 +851,18 @@ def _assert_dealt(dealer, starts, late):
 @pytest.mark.parametrize("n,r", [
     (SPLIT_ROWS, 5 * MIN_TILE),  # an odd tile count
     (SPLIT_ROWS + 1, 3 * MIN_TILE + 5),  # a partial last tile
-    (32, MIN_TILE // 2),  # the backward's one tile beside dW; the forward stays on one thread
 ])
 def test_split_bits_do_not_depend_on_who_takes_a_tile(n, r, late, dealt, thread_starts):
-    mode = "helper_late" if late else "caller_stalls"
+    setattr(dealt, "helper_late" if late else "caller_stalls", True)
     W, X, U = _signed_zero_case(n, r, seed=n + r)
     starts = list(range(0, r, fusion._tile_width(n, r)))
     layer = KpffLayer(list(W))
-    setattr(dealt, mode, len(starts) > 1)  # a forward of one tile is not split
     y = layer.forward_batch(X)
     _assert_dealt(dealt, starts, late)
     dealt.reset()
-    setattr(dealt, mode, True)
     dX = layer.backward_batch(U)  # at W^T: strided rows
     _assert_dealt(dealt, starts, late)
-    assert len(thread_starts) == 1 + (len(starts) > 1)
+    assert len(thread_starts) == 2
     assert not any(t.is_alive() for t in thread_starts)
     assert y.tobytes() == block_loop_forward(W, X).reshape(n, r).tobytes()
     assert dX.tobytes() == block_loop_backward(W, X, U)[1].tobytes()
@@ -1014,7 +1035,7 @@ def test_model_calls_never_split(monkeypatch, thread_starts):
             m = cfg.batch_size * model.r
             assert n * rows * m <= 1200, method
             for shape in ((n, rows), (rows, n)):  # forward and backward
-                assert not fusion._on_two_cores(*shape, m, True, _no_system_call), method
+                assert not fusion._on_two_cores(*shape, m, _no_system_call), method
     # so crossval's one process per core is not oversubscribed: all jobs
     # run here, in one process, with two cores for the kernel. add's n x 1 W
     # and kpff's n x n one are the kernel shapes of every method (concat and

@@ -1495,14 +1495,17 @@ def test_training_step_calls_no_numpy_python_helpers():
 
 @pytest.mark.parametrize("fusion", FUSION_METHODS)
 @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-def test_forward_runs_in_complex(fusion, activation):
+@pytest.mark.parametrize("batch", [6, 520])
+def test_forward_runs_in_complex(fusion, activation, batch):
     # a complex-step derivative needs the forward in complex128: every buffer
     # it writes takes its input's dtype. With a 1e-30j step the real part is
     # the float64 forward's; zgemm may order a GEMM's sums otherwise than
-    # dgemm, so it agrees to 1e-12 relative (the worst seen is 1.4e-15)
+    # dgemm, so it agrees to 1e-12 relative (the worst seen is 1.4e-15).
+    # r = 4: at batch 6 the fusion is summed whole, at 520 (n * N * r = 4160)
+    # in the kernel's tile loop
     model = Model(seed=3, image_size=12, channels=(4, 6), activation=activation,
                   fusion=fusion, kpff_noise=0.1)
-    x = Stream(5).uniform(size=(6, 1, 12, 12), low=-1, high=1)
+    x = Stream(5).uniform(size=(batch, 1, 12, 12), low=-1, high=1)
     real = model.forward_batch(x)
     step = model.forward_batch(x + 1e-30j * x)
     assert step.dtype == np.complex128 and np.isfinite(step).all()
