@@ -5,6 +5,13 @@ through each tree's own benchmark runner.
     python scripts/bench_ab.py --other ../parent --label new --other-label af126bd \\
         [--commit C] [--other-commit C] [--pairs 10] [--seed 100]
 
+Both halves run each side from a copy of its TREE_ENTRIES (src/,
+kpffbench/ and BENCHMARK.json, without bytecode caches) in a temporary
+directory, never from the checkout itself: the rest of a checkout (.git,
+.hypothesis, earlier .kpffbench_out runs) moved crossval_ref's readings by
+tree alone. So no run reads a git commit; --commit and --other-commit
+name them.
+
 Byte identity. Each case of IDENTITY_SET runs the `kpff` CLI of each tree
 in a subprocess, with that tree's src/ first on PYTHONPATH, in an output
 directory of its own.
@@ -17,7 +24,7 @@ that differs. `--pairs 0` runs this half alone.
 Timings. For each workload of this checkout's BENCHMARK.json it runs
 `kpffbench/run.py --workload W --seed S --seconds T --trace 0` of this
 checkout (the one holding this script) and of the other tree, each as a
-subprocess in its own tree, for --pairs pairs (0 runs none), T being
+subprocess in its tree's copy, for --pairs pairs (0 runs none), T being
 BENCHMARK.json's run_seconds. Pair j runs both sides at seed --seed + j, and
 which side runs first alternates pair by pair, so host load falls on both
 alike. A run fails when it exits non-zero or its last line of stdout is not
@@ -25,7 +32,7 @@ the runner's result object.
 
 With timed pairs it writes BENCH_<label>.json per side at the root of this
 checkout. Each holds the side's commit (--commit or --other-commit, else
-what its runner's manifest reads: a `git archive` copy reads "unknown"),
+what its runner's manifest reads: a copy reads "unknown"),
 the byte-identity result and, per workload: the manifest of the
 side's first run, the seeds of the pairs whose two runs both succeeded, the
 operations attempted and failed over the side's runs, the runs that failed,
@@ -41,6 +48,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +60,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from kpff.net import FUSION_METHODS  # noqa: E402  (this checkout's tokens)
 
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
+TREE_ENTRIES = ("src", "kpffbench", "BENCHMARK.json")  # all that a side's runs read
 
 # `kpff crossval` and `train` config flags
 SMALL = ("--per-class", "5", "--image-size", "8", "--channels", "3,4", "--max-epochs", "3",
@@ -109,6 +118,18 @@ IDENTITY_SET = {
 # -0 columns, and a column whose sums hold only zeros of either sign
 FUSE_INPUTS = "1.5,-0,0,-0.0,2.25\n-0,-0,3.5,-1e-300,0\n0.5,-0,-2,0.125,-0\n"
 FUSE_WEIGHTS = "1,-0\n-0,2\n0.5,-1.5\n"
+
+
+def copy_tree(tree, dest):
+    """Copy the tree's TREE_ENTRIES that exist to the new directory dest."""
+    dest.mkdir(parents=True)
+    for name in TREE_ENTRIES:
+        path = Path(tree) / name
+        if path.is_dir():
+            shutil.copytree(path, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        elif path.is_file():
+            shutil.copy2(path, dest / name)
+    return dest
 
 
 def run_kpff(tree, argv, cwd):
@@ -288,21 +309,25 @@ def main(argv=None):
              {"label": args.other_label, "tree": Path(args.other).resolve(),
               "commit": args.other_commit}]
     with tempfile.TemporaryDirectory() as workdir:
-        compared, differing, failures = same_bytes(sides, list(IDENTITY_SET), workdir)
-    identity = {"cases": list(IDENTITY_SET), "files": compared, "differing": differing,
-                "runs_failed": failures}
-    for line in ([f"differs: {f}" for f in differing] + [f"failed: {f}" for f in failures]):
-        print(line)
-    print(f"files that differ between the sides: {len(differing)} of {compared} "
-          f"over {len(IDENTITY_SET)} cases")
-    failed = bool(differing or failures)
-    if args.pairs:
-        records = compare(sides, workloads, args.pairs, seconds, args.seed, directions)
-        for side in sides:
-            doc = bench_doc(side, sides, records, args.pairs, seconds, identity)
-            (ROOT / f"BENCH_{side['label']}.json").write_text(json.dumps(doc, indent=2) + "\n")
-        print(report(sides, records))
-        failed |= any(r["runs_failed"] for mine in records.values() for r in mine.values())
+        workdir = Path(workdir)
+        for side, name in zip(sides, ("this", "other")):
+            side["tree"] = copy_tree(side["tree"], workdir / name)
+        (workdir / "bytes").mkdir()
+        compared, differing, failures = same_bytes(sides, list(IDENTITY_SET), workdir / "bytes")
+        identity = {"cases": list(IDENTITY_SET), "files": compared, "differing": differing,
+                    "runs_failed": failures}
+        for line in ([f"differs: {f}" for f in differing] + [f"failed: {f}" for f in failures]):
+            print(line)
+        print(f"files that differ between the sides: {len(differing)} of {compared} "
+              f"over {len(IDENTITY_SET)} cases")
+        failed = bool(differing or failures)
+        if args.pairs:
+            records = compare(sides, workloads, args.pairs, seconds, args.seed, directions)
+            for side in sides:
+                doc = bench_doc(side, sides, records, args.pairs, seconds, identity)
+                (ROOT / f"BENCH_{side['label']}.json").write_text(json.dumps(doc, indent=2) + "\n")
+            print(report(sides, records))
+            failed |= any(r["runs_failed"] for mine in records.values() for r in mine.values())
     return 1 if failed else 0
 
 

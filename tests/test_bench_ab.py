@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import shutil
@@ -136,7 +137,11 @@ def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path, monkeypatch,
     monkeypatch.setattr(bench_ab, "same_bytes", same_bytes)
     assert bench_ab.main(["--other", str(other), "--label", "new", "--other-label", "old",
                           "--pairs", "3", "--seed", "101"]) == 1  # two other runs failed
-    assert identity == [([this, other.resolve()], list(bench_ab.IDENTITY_SET))]
+    # both halves ran from copies of the two trees, which are gone with the run
+    [(trees, cases)] = identity
+    assert cases == list(bench_ab.IDENTITY_SET)
+    assert [tree.name for tree in trees] == ["this", "other"] and trees[0] != this
+    assert not any(tree.exists() for tree in trees)
     stdout = capsys.readouterr().out
     calls = [line.split() for line in log.read_text().splitlines()]
     assert calls == [[side, "fusion_grid", str(seed), "0.5", "0"] for seed, sides in
@@ -154,6 +159,54 @@ def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path, monkeypatch,
         (102, "exit code 1: stub: crashed"),
         (103, "the last line of stdout is not a result object")]
     assert "fusion_grid old seed 103 failed: the last line of stdout" in stdout
+
+
+def _checkout(path, side):
+    """A stub checkout: the three entries a run reads, and what else a
+    checkout holds."""
+    for name, text in (("src/kpff/__init__.py", side), ("src/kpff/__pycache__/x.pyc", ""),
+                       ("kpffbench/run.py", ""), ("BENCHMARK.json", json.dumps(
+                           {**BENCH, "workloads": [{"name": "fusion_grid"}]})),
+                       (".git/HEAD", ""), (".hypothesis/x", ""),
+                       (".kpffbench_out/fusion_grid-seed1-trace0/manifest.json", "{}"),
+                       ("README.md", ""), ("tests/test_x.py", "")):
+        (path / name).parent.mkdir(parents=True, exist_ok=True)
+        (path / name).write_text(text)
+    return path
+
+
+def test_bench_ab_runs_both_sides_from_copies_of_their_trees(tmp_path, monkeypatch):
+    # each half gets, per side, a tree that is neither checkout and holds
+    # only src/ (without bytecode), kpffbench/ and BENCHMARK.json
+    this = _checkout(tmp_path / "this", "this")
+    other = _checkout(tmp_path / "other", "other")
+    seen = []
+
+    def entries(tree):
+        seen.append(tree)
+        assert tree not in (this, other) and not tree.is_relative_to(tmp_path)
+        files = sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file())
+        top = sorted(p.name for p in tree.iterdir())
+        return top, files, (tree / "src" / "kpff" / "__init__.py").read_text()
+
+    def same_bytes(sides, cases, workdir):
+        assert [entries(side["tree"]) for side in sides] == [
+            (["BENCHMARK.json", "kpffbench", "src"],
+             ["BENCHMARK.json", "kpffbench/run.py", "src/kpff/__init__.py"], label)
+            for label in ("this", "other")]
+        return 0, [], []
+
+    def run(tree, workload, seed, seconds):
+        entries(tree)
+        return {"attempted": 1, "failed": 0, "metrics": {}, "units": {}}, None
+
+    monkeypatch.setattr(bench_ab, "ROOT", this)
+    monkeypatch.setattr(bench_ab, "same_bytes", same_bytes)
+    monkeypatch.setattr(bench_ab, "compare", functools.partial(bench_ab.compare, run=run))
+    assert bench_ab.main(["--other", str(other), "--label", "new", "--other-label", "old",
+                          "--pairs", "1"]) == 0
+    # the byte-identity half and the timed pair ran from the same two copies
+    assert seen == [seen[0], seen[1], seen[0], seen[1]] and seen[0] != seen[1]
 
 
 def _rejected(argv, tmp_path, capsys):
