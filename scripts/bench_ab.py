@@ -55,6 +55,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 from kpff.net import FUSION_METHODS  # noqa: E402  (this checkout's tokens)
@@ -78,13 +80,13 @@ def _crossval(*flags, methods=",".join(FUSION_METHODS)):
     return ("crossval", "--methods", methods, "--out", "{out}", *flags)
 
 
-def _fuse(method, *flags):
-    return ("fuse", "--method", method, "--inputs", "{inputs}", *flags,
+def _fuse(method, *flags, inputs="inputs"):
+    return ("fuse", "--method", method, "--inputs", "{" + inputs + "}", *flags,
             "--output", "{out}/fused.csv")
 
 
 # case name -> `kpff` arguments; {out} is the case's output directory, and
-# {inputs} and {weights} are the CSV files of FUSE_INPUTS and FUSE_WEIGHTS
+# each other {name} the CSV file of FUSE_FILES[name]
 IDENTITY_SET = {
     "crossval-small": _crossval(*SMALL),
     "crossval-criterion6": _crossval(*CRITERION_6),
@@ -113,11 +115,31 @@ IDENTITY_SET = {
     "fuse-add": _fuse("add"),
     "fuse-concat": _fuse("concat"),
     "fuse-kpff": _fuse("kpff", "--weights", "{weights}"),
+    # a 16 x 16 W over one narrow tile, and over 8 tiles summed on two cores
+    "fuse-kpff-narrow": _fuse("kpff", "--weights", "{weights16}", inputs="inputs16x256"),
+    "fuse-kpff-wide": _fuse("kpff", "--weights", "{weights16}", inputs="inputs16x32768"),
     "bench": ("bench", "--iters", "2", "--out", "{out}"),
 }
+
+
+def _signed_zero_csv(rows, cols, seed):
+    """CSV text of a rows x cols array of uniforms in [-1, 1) drawn at seed,
+    with every third value and the whole second column -0."""
+    values = np.random.default_rng(seed).uniform(-1, 1, (rows, cols))
+    values.flat[::3] = -0.0
+    values[:, 1] = -0.0
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+
+
+# the text of each `fuse` case's CSV file, written only for the cases run:
 # -0 columns, and a column whose sums hold only zeros of either sign
-FUSE_INPUTS = "1.5,-0,0,-0.0,2.25\n-0,-0,3.5,-1e-300,0\n0.5,-0,-2,0.125,-0\n"
-FUSE_WEIGHTS = "1,-0\n-0,2\n0.5,-1.5\n"
+FUSE_FILES = {
+    "inputs": lambda: "1.5,-0,0,-0.0,2.25\n-0,-0,3.5,-1e-300,0\n0.5,-0,-2,0.125,-0\n",
+    "weights": lambda: "1,-0\n-0,2\n0.5,-1.5\n",
+    "inputs16x256": lambda: _signed_zero_csv(16, 256, seed=1),
+    "inputs16x32768": lambda: _signed_zero_csv(16, 32768, seed=2),
+    "weights16": lambda: _signed_zero_csv(16, 16, seed=3),
+}
 
 
 def copy_tree(tree, dest):
@@ -155,9 +177,10 @@ def same_bytes(sides, cases, workdir):
     """Runs each case on both sides under workdir; returns the files
     compared, those that differ ("case/file") and the runs that failed."""
     workdir = Path(workdir)
-    fuse = {"inputs": workdir / "inputs.csv", "weights": workdir / "weights.csv"}
-    fuse["inputs"].write_text(FUSE_INPUTS)
-    fuse["weights"].write_text(FUSE_WEIGHTS)
+    fuse = {name: workdir / f"{name}.csv" for name in FUSE_FILES}
+    for name, text in FUSE_FILES.items():
+        if any("{" + name + "}" in arg for case in cases for arg in IDENTITY_SET[case]):
+            fuse[name].write_text(text())
     compared, differing, failed = 0, [], []
     for name in cases:
         outputs = []

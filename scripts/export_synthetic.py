@@ -5,16 +5,17 @@ class), so the `--data-dir` ingestion path can be exercised end to end."""
 import argparse
 from pathlib import Path
 
+from kpff.cli import int_at_least, positive_int
 from kpff.data import generate_synthetic, write_pnm
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", type=Path)
-    ap.add_argument("--per-class", type=int, default=25)
-    ap.add_argument("--size", type=int, default=16)
+    ap.add_argument("--per-class", type=positive_int, default=25)
+    ap.add_argument("--size", type=int_at_least(8), default=16)  # generate_synthetic's least
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ds = generate_synthetic(per_class=args.per_class, size=args.size, seed=args.seed)
     counters = {}

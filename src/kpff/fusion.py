@@ -112,52 +112,29 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 # the kernel: every kpff pass, single-sample or batched, runs through
 # kpff_kernel: the forward at W, the input gradient at W^T
 
-# Columns per tile of the kernel's loop. A call of at most 2 * TILE_VALUES
-# values over the larger side of W (n at a square W) is one tile, summed in
-# its output: up to 32768 columns at n = 2, 16384 at n = 4, 8192 at n = 8.
-# Against two tiles summed in a scratch accumulator and copied out, forward
-# plus backward ran 9-14% faster there (n = 2, r = 32768: 176 -> 157 us;
-# n = 4, r = 16384: 278 -> 253 us; n = 8, r = 8192: 514 -> 444 us). A wider
-# call takes tiles of about TILE_VALUES values over that side, but never
-# fewer than MIN_TILE columns: 16384 at n = 2, 8192 at n = 4, 4096 from
-# n = 8 up. A tile's buffers then take at most 256 KiB each, and a tile
-# streams three of them (accumulator, product and the X tile), 768 KiB,
-# inside a 2 MiB L2. At twice the values, forward plus backward at n = 4,
-# r = 32768 ran 5% slower.
-# A call whose X holds fewer than MIN_TILE values is not tiled:
-# _small_sums sums it whole. Against the tile loop, with a square W, forward
-# plus backward at n*m = 2048 ran 12-50% faster for n = 2..16 (n = 4,
-# m = 512: 47 -> 30 us; n = 16, m = 128: 162 -> 99 us), and at n*m = 4096,
-# where a narrow tile's small ufunc buffer makes the loop cheap, 9-21%
-# slower (n = 8, m = 512: 80 -> 97 us). A bound on the n*n*m products alone
-# misses that line: at n*n*m = 16384, n = 16 ran 50% faster and n = 4 19%
-# slower. The products of a call summed whole take under W.shape[1] *
-# MIN_TILE values, 512 KiB at a 16 x 16 W.
+# The kernel's tiles, each measurement behind these values in
+# docs/gradients.md, Cost. A call of at most 2 * TILE_VALUES values over the
+# larger side of W (n at a square W) is one tile, summed in its output. A
+# wider call takes tiles of about TILE_VALUES values over that side, 256 KiB,
+# but never fewer than MIN_TILE columns, so that a tile's three streams
+# (accumulator, product and the X tile) fit in a 2 MiB L2. A call whose X
+# holds fewer than MIN_TILE values is not tiled: _small_sums sums it whole.
 MIN_TILE = 4096
 TILE_VALUES = 1 << 15
-# Elements in numpy's ufunc buffer while a narrow tile is summed. numpy
-# copies the broadcast operand of `W[i][:, None] * X[i][tile]` through that
-# buffer whenever a few rows fit in it (8192 elements by default), which
-# makes tiles under about 2700 columns multiply three times slower per
-# value. Set only around the sums of such a tile, and restored after them.
+# Elements in numpy's ufunc buffer while a tile narrower than MIN_TILE, of
+# at least MIN_TILE values, is summed. At the default size numpy copies the
+# broadcast operand of `W[i][:, None] * X[i][tile]` through the buffer,
+# which slows such a tile's multiplies. Set only around that tile's sums,
+# and restored after them.
 _NARROW_BUFSIZE = 256
 # Bytes between the starts of the accumulator tile and the product tile,
-# modulo a 4 KiB page. `acc += tmp` stores to acc while it loads from tmp;
-# when the two start within a few cache lines of the same offset in a page
-# (two blocks from malloc, a 16-byte header apart, often do) the loads wait
-# on unrelated stores (4K aliasing). At n = 16 the block sums of a tile ran
-# 4-12% slower that way than at half a page apart.
+# modulo a 4 KiB page: half a page, so that `acc += tmp` never waits on 4K
+# aliasing between its loads and its stores.
 _PRODUCT_OFFSET = 2048
 # A call is summed on two cores (_on_two_cores) from _SPLIT_WORK products
-# n * m_out * m up: 8 x 8 x 32768, or 16 x 16 x 8192. numpy releases the GIL
-# inside a ufunc's loop and np.dot inside its GEMM, so the threads' work
-# overlaps while each numpy call is long; the thread's 40-60 us start and
-# join, and waits for the GIL, cost more than the overlap saves on less work.
-# Forward plus backward, public API, p5 of 80 calls on 2 vCPUs: n = 8,
-# r = 32768, exactly this bound, 3.0-3.1 -> 2.1-2.3 ms. At a bound of 1 << 18,
-# n = 4, r = 32768 ran 0.72-0.76 -> 0.83-0.91 ms and the backward of
-# n = 16, r = 4096, one tile with dW beside it, 0.67 -> 0.84-0.87 ms, so a
-# call of one tile is never split (docs/gradients.md, Cost).
+# n * m_out * m up: 8 x 8 x 32768, or 16 x 16 x 8192. Below it, the thread's
+# start and join and its waits for the GIL cost more than the overlap of
+# the two threads' numpy calls saves.
 _SPLIT_WORK = 1 << 21
 
 
@@ -260,82 +237,81 @@ def kpff_kernel(W, X, dw_of=None):
     one input's N vectors back to back. At W^T and the upstream gradient
     (row b that of block b) it returns the input gradient; with dw_of, the
     forward's input rows and the rows dW reads, it returns (Y, dW) with
-    dW = _dw(*dw_of), computed after Y on one core. Y takes the dtype that
-    W and X promote to, so a complex X gives a complex Y.
+    dW = _dw(*dw_of), and counts dW's products with its own. Y takes the
+    dtype that W and X promote to, so a complex X gives a complex Y.
 
-    Past MIN_TILE values it runs one column tile at a time. Each tile is
-    summed in i order from zero, one multiply and one add per term, so every
-    value equals that of a per-block loop bit for bit. Over several tiles
-    the sums run in a contiguous accumulator tile that is copied into Y
-    once, so Y is written once and never zeroed or re-read; a single tile
-    is summed in Y itself. A call that _on_two_cores takes starts a helper
-    thread, joined before it returns, which computes dW first and then
-    takes tiles from the queue the caller takes them from: the same bits,
-    whoever sums a tile. An exception of either thread is raised here, the
-    caller's first.
+    A call of fewer than MIN_TILE values is summed whole (_small_sums), any
+    other by _tiled_sums, one column tile at a time. Either way each value
+    is summed in i order from zero, one multiply and one add per term, so
+    it equals that of a per-block loop bit for bit (docs/gradients.md,
+    Cost). dW is computed once: on _tiled_sums' helper thread where it
+    starts one, else here, after Y.
     """
-    if _COUNTING:
-        _COUNTS["madd"] += W.size * X.shape[1]
-    n, rows = W.shape  # Y[k] for k < rows sums n terms
     m = X.shape[1]
-    if _on_two_cores(n, rows, m, usable_cores):
-        return _two_core_sums(W, X, dw_of)
+    if _COUNTING:
+        _COUNTS["madd"] += W.size * m * (1 if dw_of is None else 2)
     if X.size < MIN_TILE:
-        out = _small_sums(W, X)
+        out, dw = _small_sums(W, X), None
     else:
-        width = _tile_width(max(n, rows), m)
-        out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
-        if width < m:
-            _sum_tiles(W, X, out, range(0, m, width), *_tile_buffers(rows, width, out.dtype))
-        else:
-            # a tile narrower than MIN_TILE is the only tile. Wide tiles are
-            # not buffered, and small ones lose less to it than the scope
-            # costs (about 4 us)
-            narrow = width < MIN_TILE <= rows * width
-            old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
-            try:
-                _sum_tiles(W, X, out, [0], out, np.empty_like(out))
-            finally:
-                if narrow:
-                    np.setbufsize(old)
-    return out if dw_of is None else (out, _dw(*dw_of))
+        out, dw = _tiled_sums(W, X, dw_of)
+    if dw_of is None:
+        return out
+    return out, (_dw(*dw_of) if dw is None else dw)
 
 
-def _two_core_sums(W, X, dw_of):
-    """kpff_kernel's result on two threads. Both take column starts from
-    one iterator until it runs out, each summing its tiles in its own
+def _tiled_sums(W, X, dw_of):
+    """kpff_kernel's Y tile by tile, and the dW its helper computed (None
+    where there was no helper).
+
+    The caller takes column starts from one queue until it runs out. A
+    call that _on_two_cores takes starts a helper thread, joined before
+    this returns, which computes dW first, if asked for, and then takes
+    starts from the same queue: each thread sums its tiles in its own
     accumulator and product tiles, so a helper that starts late or is
-    descheduled costs only the tiles it would have taken. The helper first
-    computes dW, if asked for."""
-    n, rows = W.shape
+    descheduled costs only the tiles it would have taken, and the bits do
+    not depend on who sums a tile. An exception of either thread is raised
+    here, the caller's first.
+    """
+    n, rows = W.shape  # Y[k] for k < rows sums n terms
     m = X.shape[1]
     width = _tile_width(max(n, rows), m)
     out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
     # next() on a range iterator runs under the GIL without releasing it,
     # so each start goes to exactly one thread
     starts = iter(range(0, m, width))
-    helper_tiles = _tile_buffers(rows, width, out.dtype)  # by the caller: no thread's own malloc arena
-    dw, errors = [], []
+    dw, errors, helper = [], [], None
+    if _on_two_cores(n, rows, m, usable_cores):
+        helper_tiles = _tile_buffers(rows, width, out.dtype)  # by the caller: no thread's own malloc arena
 
-    def helper_share():
-        try:
-            if dw_of is not None:
-                dw.append(_dw(*dw_of))
-            _sum_tiles(W, X, out, starts, *helper_tiles)
-        except BaseException as exc:  # re-raised in the caller after the join
-            errors.append(exc)
+        def helper_share():
+            try:
+                if dw_of is not None:
+                    dw.append(_dw(*dw_of))
+                _sum_tiles(W, X, out, starts, *helper_tiles)
+            except BaseException as exc:  # re-raised in the caller after the join
+                errors.append(exc)
 
-    # in a copy of the caller's context, so its errstate and ufunc buffer
-    # size hold in the helper's share too
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_share,))
-    helper.start()
+        # in a copy of the caller's context, so its errstate and ufunc buffer
+        # size hold in the helper's share too
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_share,))
+        helper.start()
+    # a single tile is summed in out itself. A tile narrower than MIN_TILE
+    # is always the only one, so it never has a helper beside it. Wide
+    # tiles are not buffered, and small ones lose less to it than the
+    # scope costs
+    tiles = (out, np.empty_like(out)) if width == m else _tile_buffers(rows, width, out.dtype)
+    narrow = width < MIN_TILE <= rows * width
+    old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
     try:
-        _sum_tiles(W, X, out, starts, *_tile_buffers(rows, width, out.dtype))
+        _sum_tiles(W, X, out, starts, *tiles)
     finally:
-        _join(helper)
+        if narrow:
+            np.setbufsize(old)
+        if helper is not None:
+            _join(helper)
     if errors:
         raise errors[0]
-    return out if dw_of is None else (out, dw[0])
+    return out, (dw[0] if dw else None)
 
 
 class KpffLayer:
@@ -376,6 +352,8 @@ class KpffLayer:
     def forward_batch(self, X):
         """The rows sum_i W[i, k] X[i], one per column k of W, for n input
         rows X[i] (kpff_kernel); caches X for backward_batch."""
+        if X.shape[0] != self.n:
+            raise ShapeError(f"layer has {self.n} weight vectors, inputs have {X.shape[0]}")
         self.cache = X
         return kpff_kernel(self.W, X)
 
@@ -388,12 +366,13 @@ class KpffLayer:
           dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact,
                                            beside dX's sums on two cores
         """
+        if U.shape[0] != self.W.shape[1]:
+            raise ShapeError(f"layer has {self.W.shape[1]} weight columns, "
+                             f"upstream has {U.shape[0]} rows")
         bug = injected_bug()
         A = self.W if bug == "kpff-x" else self.W.T
         if self.grad_ws is None:
             return kpff_kernel(A, U)
-        if _COUNTING:
-            _COUNTS["madd"] += self.W.size * U.shape[1]
         G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
         dX, dW = kpff_kernel(A, U, dw_of=(self.cache, G))
         self.grad_ws += dW
@@ -403,8 +382,6 @@ class KpffLayer:
 def kpff_forward(layer: KpffLayer, inputs: FusionInputs) -> np.ndarray:
     """y = sum_i w_i (x) x_i: a read-only [m*r] array for an n x m layer.
     Caches the inputs for kpff_backward."""
-    if layer.n != inputs.n:
-        raise ShapeError(f"layer has {layer.n} weight vectors, inputs have {inputs.n}")
     y = layer.forward_batch(inputs.xs)
     y.setflags(write=False)
     return y.reshape(-1)

@@ -224,10 +224,21 @@ def test_bench_ab_rejects_bad_labels(tmp_path, capsys):
 
 
 def test_byte_identity_of_the_working_tree_with_itself(tmp_path):
-    # the same tree on both sides, at the small crossval config: every file
-    # it writes and its stdout are compared, and none differs
+    # the same tree on both sides, at the small crossval config and on one
+    # narrow kernel tile: every file it writes and its stdout are compared,
+    # and none differs
     sides = [{"label": "a", "tree": ROOT}, {"label": "b", "tree": ROOT}]
-    assert bench_ab.same_bytes(sides, ["crossval-small"], tmp_path) == (4, [], [])
+    assert bench_ab.same_bytes(sides, ["crossval-small", "fuse-kpff-narrow"],
+                               tmp_path) == (6, [], [])
+    # only the CSV files of the cases run are written; the narrow case's
+    # inputs hold -0 and make a 16 x 16 W's one tile narrower than MIN_TILE
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["inputs16x256.csv",
+                                                              "weights16.csv"]
+    rows = (tmp_path / "inputs16x256.csv").read_text().splitlines()
+    assert len(rows) == 16 and {len(row.split(",")) for row in rows} == {256}
+    assert all(row.split(",")[1] == "-0.0" for row in rows)
+    fused = (tmp_path / "a" / "fuse-kpff-narrow" / "fused.csv").read_text().split(",")
+    assert len(fused) == 16 * 256 and fused[1::256] == 16 * ["0"]
 
 
 def test_byte_identity_names_the_files_that_differ(tmp_path):

@@ -187,6 +187,30 @@ def test_kpff_forward_n_mismatch():
         kpff_forward(layer, fusion_inputs([[1], [2], [3]]))
 
 
+@pytest.mark.parametrize("W,rows,r", [
+    (np.eye(5), 4, 2048),  # one narrow tile
+    (np.ones((5, 1)), 3, 8192),  # Add's shape: one tile
+    (np.eye(5), 4, 64),  # summed whole
+])
+def test_a_layer_rejects_inputs_of_another_row_count(W, rows, r):
+    # the kernel sums over the rows of X: more weight rows than input rows
+    # must not sum fewer terms on any path
+    layer = KpffLayer(list(W))
+    with pytest.raises(ShapeError, match=f"layer has 5 weight vectors, inputs have {rows}$"):
+        layer.forward_batch(np.ones((rows, r)))
+    assert layer.cache is None
+
+
+@pytest.mark.parametrize("r", [2048, 64])
+def test_a_layer_rejects_an_upstream_of_another_row_count(r):
+    layer = KpffLayer(list(np.eye(5)))
+    layer.forward_batch(np.ones((5, r)))
+    for grad_ws in (layer.grad_ws, None):  # a trained W, then a constant one
+        layer.grad_ws = grad_ws
+        with pytest.raises(ShapeError, match="layer has 5 weight columns, upstream has 4 rows"):
+            layer.backward_batch(np.ones((4, r)))
+
+
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32))
 @settings(max_examples=80)
 def test_kpff_forward_equals_kron_sum_bitwise(n, r, seed):
@@ -655,8 +679,10 @@ def test_narrow_tiles_restore_the_ufunc_buffer(n, r, bufsize_calls):
     assert bufsize_calls[0] < before
 
 
-@pytest.mark.parametrize("n,r", [(2, 64), (2, 1024), (16, 255), (16, tile_width(16))])
-def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls):
+@pytest.mark.parametrize("n,r", [(2, 64), (2, 1024), (16, 255), (16, tile_width(16)),
+                                 (16, 4 * MIN_TILE)])  # the last on two cores
+def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls, monkeypatch):
+    _cores(monkeypatch, 2)
     _kernel_case(n, r, seed=5)
     assert bufsize_calls == []
 
