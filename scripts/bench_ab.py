@@ -3,14 +3,15 @@
 through each tree's own benchmark runner.
 
     python scripts/bench_ab.py --other ../parent --label new --other-label af126bd \\
-        [--commit C] [--other-commit C] [--pairs 10] [--seed 100]
+        [--other-commit C] [--pairs 10] [--seed 100]
 
 Both halves run each side from a copy of its TREE_ENTRIES (src/,
 kpffbench/ and BENCHMARK.json, without bytecode caches) in a temporary
 directory, never from the checkout itself: the rest of a checkout (.git,
 .hypothesis, earlier .kpffbench_out runs) moved crossval_ref's readings by
-tree alone. So no run reads a git commit; --commit and --other-commit
-name them.
+tree alone. So no run reads a git commit: each side's is read from its
+tree before the copy (tree_commit), and --other-commit names the other
+tree's where that is a copy itself, as a `git archive` one is.
 
 Byte identity. Each case of IDENTITY_SET runs the `kpff` CLI of each tree
 in a subprocess, with that tree's src/ first on PYTHONPATH, in an output
@@ -31,8 +32,8 @@ alike. A run fails when it exits non-zero or its last line of stdout is not
 the runner's result object.
 
 With timed pairs it writes BENCH_<label>.json per side at the root of this
-checkout. Each holds the side's commit (--commit or --other-commit, else
-what its runner's manifest reads: a copy reads "unknown"),
+checkout. Each holds the side's commit (tree_commit, or --other-commit;
+"unknown" for a tree that is no git checkout),
 the byte-identity result and, per workload: the manifest of the
 side's first run, the seeds of the pairs whose two runs both succeeded, the
 operations attempted and failed over the side's runs, the runs that failed,
@@ -152,6 +153,22 @@ def copy_tree(tree, dest):
         elif path.is_file():
             shutil.copy2(path, dest / name)
     return dest
+
+
+def tree_commit(tree):
+    """`git rev-parse HEAD` of the checkout whose top is tree, with
+    "-dirty" appended when `git status` lists a change to its TREE_ENTRIES;
+    None where tree is not the top of a git checkout."""
+    def git(*argv):
+        return subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
+
+    head = git("rev-parse", "--show-toplevel", "HEAD")
+    if head.returncode != 0:
+        return None
+    top, commit = head.stdout.splitlines()
+    if Path(top).resolve() != Path(tree).resolve():
+        return None
+    return commit + ("-dirty" if git("status", "--porcelain", "--", *TREE_ENTRIES).stdout else "")
 
 
 def run_kpff(tree, argv, cwd):
@@ -295,10 +312,9 @@ def report(sides, records):
 def bench_doc(side, sides, records, pairs, seconds, identity):
     """The BENCH_<label>.json document of one side."""
     mine = records[side["label"]]
-    manifest = next((r["manifest"] for r in mine.values() if r["manifest"]), None) or {}
     return {
         "label": side["label"],
-        "commit": side["commit"] or manifest.get("git_commit", "unknown"),
+        "commit": side["commit"] or "unknown",
         "other": next(o["label"] for o in sides if o is not side),
         "pairs": pairs, "seconds": seconds,
         "bytes": identity,
@@ -311,8 +327,7 @@ def main(argv=None):
     ap.add_argument("--other", required=True, help="root of the second kpff tree")
     ap.add_argument("--label", required=True, help="this checkout's name in BENCH_<label>.json")
     ap.add_argument("--other-label", required=True, help="the other tree's name")
-    ap.add_argument("--commit", help="this checkout's commit (default: its manifest's)")
-    ap.add_argument("--other-commit", help="the other tree's commit (default: its manifest's)")
+    ap.add_argument("--other-commit", help="the other tree's commit (default: its git HEAD)")
     ap.add_argument("--pairs", type=int, default=10,
                     help="alternated timed pairs per workload (0: none)")
     ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
@@ -328,9 +343,10 @@ def main(argv=None):
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    sides = [{"label": args.label, "tree": ROOT, "commit": args.commit},
-             {"label": args.other_label, "tree": Path(args.other).resolve(),
-              "commit": args.other_commit}]
+    other = Path(args.other).resolve()
+    sides = [{"label": args.label, "tree": ROOT, "commit": tree_commit(ROOT)},
+             {"label": args.other_label, "tree": other,
+              "commit": args.other_commit or tree_commit(other)}]
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
         for side, name in zip(sides, ("this", "other")):

@@ -124,15 +124,11 @@ def cmd_bench(args):
             layer = KpffLayer(ws)
             up = s.uniform(size=(n * r,), low=-1, high=1)
 
-            with fusion.count_ops() as counts:
+            with fusion.count_ops() as counts:  # each op counts its own key
                 kpff_forward(layer, xs)
-                fwd_madds = counts["madd"]
-            with fusion.count_ops() as counts:
                 fuse_concat(xs)
-                concat_copies = counts["copy"]
-            with fusion.count_ops() as counts:
                 fuse_add(xs)
-                add_adds = counts["add"]
+            fwd_madds, concat_copies, add_adds = counts["madd"], counts["copy"], counts["add"]
 
             def median_ns(f):
                 for _ in range(5):
@@ -220,12 +216,8 @@ def cmd_fuse(args):
             out = fuse_concat(inputs)
         else:  # kpff
             wrows = _read_csv_vectors(args.weights)
-            if len(wrows) != inputs.n:
-                raise ValueError(
-                    f"got {len(wrows)} weight rows for {inputs.n} input vectors"
-                )
             out = kpff_forward(KpffLayer(wrows), inputs)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"fuse failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE
     text = ",".join("%.17g" % v for v in out) + "\n"

@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .tensor import ShapeError, check_array, from_array
+from .tensor import ShapeError, check_array
 from .hooks import injected_bug
 
 # ---------------------------------------------------------------------------
@@ -60,19 +60,29 @@ class FusionInputs:
         return self.xs.shape[1]
 
 
+def _stack_rows(vectors, what) -> np.ndarray:
+    """n vectors (arrays or lists) of one length as the rows of one
+    read-only, C-contiguous float64 [n, length] array. Each vector is
+    checked (check_array, rank 1) and copied once. Errors name
+    f"{what} {i}"."""
+    rows = []
+    for i, v in enumerate(vectors):
+        row = check_array(np.asarray(v, dtype=np.float64), f"{what} {i}", rank=1)
+        if rows and row.shape != rows[0].shape:
+            raise ShapeError(f"{what} {i} has length {row.shape[0]}, "
+                             f"{what} 0 has {rows[0].shape[0]}")
+        rows.append(row)
+    if not rows:
+        raise ShapeError(f"need at least one {what}")
+    stacked = np.array(rows)  # the one copy: a float64 row is still the caller's array
+    stacked.setflags(write=False)
+    return stacked
+
+
 def fusion_inputs(vectors) -> FusionInputs:
     """The inputs of the fusion ops from n vectors (arrays or lists) of one
-    length, each checked finite, copied once into one frozen [n, r] array."""
-    rows = [check_array(np.asarray(v, dtype=np.float64), f"fusion input {i}", rank=1)
-            for i, v in enumerate(vectors)]
-    if not rows:
-        raise ShapeError("need at least one input vector")
-    if len({row.shape[0] for row in rows}) > 1:
-        raise ShapeError(f"fusion inputs must share one length, got lengths "
-                         f"{[row.shape[0] for row in rows]}")
-    xs = np.array(rows)  # the one copy: a float64 row is still the caller's array
-    xs.setflags(write=False)
-    return FusionInputs(xs)
+    length (_stack_rows)."""
+    return FusionInputs(_stack_rows(vectors, "fusion input"))
 
 
 def fuse_add(inputs: FusionInputs) -> np.ndarray:
@@ -328,12 +338,7 @@ class KpffLayer:
     """
 
     def __init__(self, ws):
-        rows = [from_array(w, f"weight vector {i}", rank=1) for i, w in enumerate(ws)]
-        for i, w in enumerate(rows):
-            if w.shape != rows[0].shape:
-                raise ShapeError(f"weight vector {i} has length {w.shape[0]}, "
-                                 f"weight vector 0 has {rows[0].shape[0]}")
-        self.W = from_array(rows, "weight vectors")
+        self.W = _stack_rows(ws, "weight vector")
         self.grad_ws = np.zeros(self.W.shape)
         self.cache = None
 
@@ -373,6 +378,8 @@ class KpffLayer:
         A = self.W if bug == "kpff-x" else self.W.T
         if self.grad_ws is None:
             return kpff_kernel(A, U)
+        if self.cache is None:  # dW reads the forward's inputs
+            raise RuntimeError("backward_batch called before forward_batch (no cached inputs)")
         G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
         dX, dW = kpff_kernel(A, U, dw_of=(self.cache, G))
         self.grad_ws += dW

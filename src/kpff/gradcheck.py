@@ -198,15 +198,14 @@ def run_suite(seed=0, sizes=((1, 1), (2, 3), (3, 4), (4, 8)), with_model=True):
     return reports
 
 
-def format_report_table(reports, max_rows=None):
+def format_report_table(reports, max_rows):
     lines = [f"{'check':<40} {'analytic':>14} {'numeric':>14} {'rel err':>10}  status"]
-    shown = reports if max_rows is None else reports[:max_rows]
-    for rep in shown:
+    for rep in reports[:max_rows]:
         lines.append(
             f"{rep.name:<40} {rep.analytic:>14.6g} {rep.numeric:>14.6g} "
             f"{rep.rel_error:>10.2e}  {'ok' if rep.passed else 'FAIL'}"
         )
-    if max_rows is not None and len(reports) > max_rows:
+    if len(reports) > max_rows:
         lines.append(f"... {len(reports) - max_rows} more rows")
     failures = [rep for rep in reports if not rep.passed]
     lines.append(f"{len(reports) - len(failures)}/{len(reports)} checks passed")

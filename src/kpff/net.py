@@ -602,6 +602,8 @@ class Model:
     def forward_batch(self, x, train=False, dropout_keep=None):
         """Logits of a batch. Training with dropout_p > 0 takes the batch's
         [N, fused_width] keep mask (dropout_masks)."""
+        if x.shape[0] == 0:
+            raise ShapeError("empty batch")
         fused = self._fuse(self._blocks_forward(x))
         dropped, mask = dropout_batch(fused, self.dropout_p, train, dropout_keep)
         logits = self.head.forward_batch(dropped)
@@ -615,8 +617,6 @@ class Model:
         The gradients are written into self.grad; the returned read-only
         mapping holds its views, by params() name. They are valid until the
         next call, which overwrites them: copy what must outlive it."""
-        if x.shape[0] == 0:
-            raise ShapeError("empty batch")
         logits = self.forward_batch(x, train=train, dropout_keep=dropout_keep)
         loss, dlogits = _loss(logits, labels)
         dlogits /= x.shape[0]
@@ -631,8 +631,6 @@ class Model:
 
     def evaluate(self, x, labels):
         """Mean loss and top-1 accuracy of a batch, in eval mode."""
-        if x.shape[0] == 0:
-            raise ShapeError("empty batch")
         logits = self.forward_batch(x, train=False)
         loss, _ = _loss(logits, labels)
         return loss, np.count_nonzero(logits.argmax(axis=1) == np.asarray(labels)) / x.shape[0]

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,7 @@ def test_bench_ab_alternates_pairs_and_summarises_them():
 
     new, old = (bench_ab.bench_doc(side, sides, records, 5, 0.5, None) for side in sides)
     assert (new["label"], new["commit"], new["other"]) == ("new", "abc1234", "old")
-    assert (old["label"], old["commit"], old["other"]) == ("old", "stub-other", "new")
+    assert (old["label"], old["commit"], old["other"]) == ("old", "unknown", "new")
     assert new["pairs"] == 5 and new["seconds"] == 0.5 and new["bytes"] is None
 
     cv, fg = new["workloads"]["crossval_ref"], new["workloads"]["fusion_grid"]
@@ -150,7 +151,7 @@ def test_bench_ab_alternates_pairs_and_writes_bench_files(tmp_path, monkeypatch,
 
     new, old = (json.loads((this / f"BENCH_{label}.json").read_text()) for label in ("new", "old"))
     assert not (other / "BENCH_old.json").exists()
-    assert (new["commit"], old["commit"]) == ("stub-this", "stub-other")  # from the manifests
+    assert (new["commit"], old["commit"]) == ("unknown", "unknown")  # no stub tree is a checkout
     assert new["bytes"] == {"cases": list(bench_ab.IDENTITY_SET), "files": 4, "differing": [],
                             "runs_failed": []}
     fg = old["workloads"]["fusion_grid"]
@@ -207,6 +208,46 @@ def test_bench_ab_runs_both_sides_from_copies_of_their_trees(tmp_path, monkeypat
                           "--pairs", "1"]) == 0
     # the byte-identity half and the timed pair ran from the same two copies
     assert seen == [seen[0], seen[1], seen[0], seen[1]] and seen[0] != seen[1]
+
+
+def test_bench_files_name_each_side_s_commit(tmp_path, monkeypatch):
+    # this checkout's commit comes from git, "-dirty" once a file a run
+    # reads has changed; a tree that is no checkout reads --other-commit
+    repo, other = tmp_path / "repo", tmp_path / "other"
+    for name in ("src/kpff/__init__.py", "kpffbench/run.py", "README.md"):
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text("")
+    (repo / "BENCHMARK.json").write_text(json.dumps({**BENCH, "workloads": [{"name": "x"}]}))
+    other.mkdir()
+
+    def git(*argv):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *argv], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "tree")
+    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+    def run(tree, workload, seed, seconds):
+        return {"attempted": 1, "failed": 0, "metrics": {}, "units": {}}, None
+
+    monkeypatch.setattr(bench_ab, "ROOT", repo)
+    monkeypatch.setattr(bench_ab, "same_bytes", lambda sides, cases, workdir: (0, [], []))
+    monkeypatch.setattr(bench_ab, "compare", functools.partial(bench_ab.compare, run=run))
+
+    def commits(*flags):
+        assert bench_ab.main(["--other", str(other), "--label", "new", "--other-label", "old",
+                              "--pairs", "1", *flags]) == 0
+        return tuple(json.loads((repo / f"BENCH_{label}.json").read_text())["commit"]
+                     for label in ("new", "old"))
+
+    (repo / "README.md").write_text("not read by a run")
+    assert commits() == (head, "unknown")
+    (repo / "src" / "kpff" / "__init__.py").write_text("changed")
+    assert commits("--other-commit", "abc1234") == (head + "-dirty", "abc1234")
+    assert bench_ab.tree_commit(repo / "src") is None  # inside a checkout, not its top
 
 
 def _rejected(argv, tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_fuse_concat_examples():
 
 
 def test_fusion_inputs_validation():
-    with pytest.raises(ShapeError, match="share one length"):
+    with pytest.raises(ShapeError, match="^fusion input 1 has length 3, fusion input 0 has 2$"):
         fusion_inputs([[1, 2], [1, 2, 3]])
     with pytest.raises(ShapeError, match="at least one"):
         fusion_inputs([])
@@ -133,6 +133,19 @@ def test_fusion_inputs_copy_float64_rows_once():
     assert xs.xs.nbytes <= peak < 1.25 * xs.xs.nbytes
 
 
+def test_kpff_layer_copies_float64_weight_vectors_once():
+    ws = [np.ones(4096) for _ in range(8)]
+    tracemalloc.start()
+    try:
+        layer = KpffLayer(ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # W and grad_ws, and no vector copies on the way to W
+    held = layer.W.nbytes + layer.grad_ws.nbytes
+    assert held <= peak < held + 0.25 * layer.W.nbytes
+
+
 def test_kpff_layer_validation_and_read_only_weights():
     ws = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
     layer = KpffLayer(ws)
@@ -147,7 +160,7 @@ def test_kpff_layer_validation_and_read_only_weights():
         KpffLayer([[1, 2], [3]])
     with pytest.raises(ShapeError, match=r"^weight vector 2 extents must be >= 1, got shape \(0,\)$"):
         KpffLayer([[1], [2], []])
-    with pytest.raises(ShapeError, match=r"^weight vectors extents must be >= 1, got shape \(0,\)$"):
+    with pytest.raises(ShapeError, match="^need at least one weight vector$"):
         KpffLayer([])
     with pytest.raises(NonFiniteError, match="weight vector 0 contains NaN or Inf"):
         KpffLayer([[np.nan, 0], [0, 1]])
@@ -335,6 +348,17 @@ def test_backward_requires_forward():
     for upstream in (np.zeros(5), np.zeros((2, 2))):  # wrong length, rank 2
         with pytest.raises(ShapeError):
             kpff_backward(layer2, upstream)
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (16, 32768)])  # summed whole; 8 tiles on two cores
+def test_backward_batch_requires_forward_batch(n, r, monkeypatch):
+    # dW reads the forward's inputs: without them the call fails before
+    # any tile is summed, on the caller's thread
+    _cores(monkeypatch, 2)
+    layer = KpffLayer(list(np.eye(n)))
+    with pytest.raises(RuntimeError, match="^backward_batch called before forward_batch"):
+        layer.backward_batch(np.ones((n, r)))
+    assert not layer.grad_ws.any()
 
 
 @pytest.mark.parametrize("m", [1, 5])

@@ -1455,6 +1455,8 @@ def test_evaluate_rejects_non_finite_logits_and_empty_batches():
     for step in (model.evaluate, model.forward_backward):
         with pytest.raises(ShapeError, match="empty batch"):
             step(x[:0], labels[:0])
+    with pytest.raises(ShapeError, match="^empty batch$"):  # checked where the batch enters
+        model.forward_batch(x[:0])
 
 
 # --- the training step stays out of numpy's Python-level helpers ----------------------

@@ -57,3 +57,24 @@ def test_export_synthetic_writes_a_directory_load_image_dir_reads(tmp_path, caps
     assert "wrote 8 images" in capsys.readouterr().out
     ds = load_image_dir(tmp_path)
     assert len(ds) == 8 and ds.images.shape[2:] == (8, 8)
+
+
+@pytest.mark.parametrize("under,reason", [
+    ("", "the output must not exist yet"),
+    ("sub", "cannot make the output directory: Not a directory"),
+], ids=["the-file", "under-the-file"])
+def test_export_synthetic_rejects_an_output_that_is_a_file(under, reason, tmp_path, capsys):
+    file = tmp_path / "data"
+    file.write_text("kept")
+    out = file / under if under else file
+    assert f"{out}: {reason}" in _usage_error(export_synthetic.main, [str(out)], capsys)
+    assert file.read_text() == "kept"
+
+
+def test_export_synthetic_rejects_a_used_directory(tmp_path, capsys):
+    export_synthetic.main([str(tmp_path), "--per-class", "3", "--size", "8"])
+    capsys.readouterr()
+    assert f"{tmp_path}: the output must not exist yet" in _usage_error(
+        export_synthetic.main, [str(tmp_path), "--per-class", "1", "--size", "8", "--seed", "5"],
+        capsys)
+    assert len(load_image_dir(tmp_path)) == 12  # the first export alone
