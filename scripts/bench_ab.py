@@ -116,30 +116,35 @@ IDENTITY_SET = {
     "fuse-add": _fuse("add"),
     "fuse-concat": _fuse("concat"),
     "fuse-kpff": _fuse("kpff", "--weights", "{weights}"),
-    # a 16 x 16 W over one narrow tile, and over 8 tiles summed on two cores
+    # a 16 x 16 W over one kernel tile, and over 16 tiles
     "fuse-kpff-narrow": _fuse("kpff", "--weights", "{weights16}", inputs="inputs16x256"),
     "fuse-kpff-wide": _fuse("kpff", "--weights", "{weights16}", inputs="inputs16x32768"),
     "bench": ("bench", "--iters", "2", "--out", "{out}"),
 }
 
 
-def _signed_zero_csv(rows, cols, seed):
-    """CSV text of a rows x cols array of uniforms in [-1, 1) drawn at seed,
-    with every third value and the whole second column -0."""
+def _write_signed_zero_csv(path, rows, cols, seed):
+    """Write a rows x cols CSV of uniforms in [-1, 1) drawn at seed, with
+    every third value and the whole second column -0, one row at a time:
+    the text of a 16 x 32768 file built whole took this process's peak RSS,
+    which each runner it spawns inherits, from 34 to 70 MB."""
     values = np.random.default_rng(seed).uniform(-1, 1, (rows, cols))
     values.flat[::3] = -0.0
     values[:, 1] = -0.0
-    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+    with open(path, "w") as f:
+        for row in values:
+            f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-# the text of each `fuse` case's CSV file, written only for the cases run:
-# -0 columns, and a column whose sums hold only zeros of either sign
+# each `fuse` case's CSV file, written to the path given only for the cases
+# run: -0 columns, and a column whose sums hold only zeros of either sign
 FUSE_FILES = {
-    "inputs": lambda: "1.5,-0,0,-0.0,2.25\n-0,-0,3.5,-1e-300,0\n0.5,-0,-2,0.125,-0\n",
-    "weights": lambda: "1,-0\n-0,2\n0.5,-1.5\n",
-    "inputs16x256": lambda: _signed_zero_csv(16, 256, seed=1),
-    "inputs16x32768": lambda: _signed_zero_csv(16, 32768, seed=2),
-    "weights16": lambda: _signed_zero_csv(16, 16, seed=3),
+    "inputs": lambda path: path.write_text("1.5,-0,0,-0.0,2.25\n-0,-0,3.5,-1e-300,0\n"
+                                           "0.5,-0,-2,0.125,-0\n"),
+    "weights": lambda path: path.write_text("1,-0\n-0,2\n0.5,-1.5\n"),
+    "inputs16x256": lambda path: _write_signed_zero_csv(path, 16, 256, seed=1),
+    "inputs16x32768": lambda path: _write_signed_zero_csv(path, 16, 32768, seed=2),
+    "weights16": lambda path: _write_signed_zero_csv(path, 16, 16, seed=3),
 }
 
 
@@ -195,9 +200,9 @@ def same_bytes(sides, cases, workdir):
     compared, those that differ ("case/file") and the runs that failed."""
     workdir = Path(workdir)
     fuse = {name: workdir / f"{name}.csv" for name in FUSE_FILES}
-    for name, text in FUSE_FILES.items():
+    for name in FUSE_FILES:
         if any("{" + name + "}" in arg for case in cases for arg in IDENTITY_SET[case]):
-            fuse[name].write_text(text())
+            FUSE_FILES[name](fuse[name])
     compared, differing, failed = 0, [], []
     for name in cases:
         outputs = []

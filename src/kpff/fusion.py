@@ -9,11 +9,8 @@ W = I (m = n) reproduces concatenation and W = 1_n (m = 1, every w_i = (1))
 the elementwise sum, each up to the sign of a zero (docs/gradients.md).
 """
 
-import contextvars
 from dataclasses import dataclass
 from contextlib import contextmanager
-import os
-import threading
 
 import numpy as np
 
@@ -85,20 +82,24 @@ def fusion_inputs(vectors) -> FusionInputs:
     return FusionInputs(_stack_rows(vectors, "fusion input"))
 
 
+# fuse_add sums rows of up to ADD_REDUCE_COLUMNS values in one reduce
+ADD_REDUCE_COLUMNS = 4096
+
+
 def fuse_add(inputs: FusionInputs) -> np.ndarray:
     """sum_i x_i in i order: a read-only [r] array."""
     xs = inputs.xs
     n, r = xs.shape
-    if n > 2 and 1 < r <= MIN_TILE:
+    if n > 2 and 1 < r <= ADD_REDUCE_COLUMNS:
         # one call: a reduce over the first axis adds the rows one after
         # another, from -0.0, which leaves the first row as it is. At
         # n = 16, r = 64 it takes 3.6 us where n calls take 10
         out = np.add.reduce(xs, axis=0, initial=-0.0)
     else:
         # n - 1 calls. numpy reduces an [n, 1] array over one collapsed axis,
-        # which it sums pairwise from n = 8. Past MIN_TILE columns the
-        # reduce's extra passes over the output cost more than the calls it
-        # saves (n = 4, r = 32768: 51 us against 40), and at n = 2 one add
+        # which it sums pairwise from n = 8. Past ADD_REDUCE_COLUMNS columns
+        # the reduce's extra passes over the output cost more than the calls
+        # it saves (n = 4, r = 32768: 51 us against 40), and at n = 2 one add
         # is one call already
         out = xs[0] + xs[1] if n > 1 else xs[0].copy()
         for i in range(2, n):
@@ -122,121 +123,38 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 # the kernel: every kpff pass, single-sample or batched, runs through
 # kpff_kernel: the forward at W, the input gradient at W^T
 
-# The kernel's tiles, each measurement behind these values in
-# docs/gradients.md, Cost. A call of at most 2 * TILE_VALUES values over the
-# larger side of W (n at a square W) is one tile, summed in its output. A
-# wider call takes tiles of about TILE_VALUES values over that side, 256 KiB,
-# but never fewer than MIN_TILE columns, so that a tile's three streams
-# (accumulator, product and the X tile) fit in a 2 MiB L2. A call whose X
-# holds fewer than MIN_TILE values is not tiled: _small_sums sums it whole.
-MIN_TILE = 4096
+# The kernel's column tiles (docs/gradients.md, Cost). A call of at most
+# 2 * TILE_VALUES values over the larger side of W (n at a square W) is one
+# tile. A wider call takes tiles of TILE_VALUES values over that side,
+# 256 KiB, so that a tile of Y stays in a 2 MiB L2 while the rows of X pass.
 TILE_VALUES = 1 << 15
-# Elements in numpy's ufunc buffer while a tile narrower than MIN_TILE, of
-# at least MIN_TILE values, is summed. At the default size numpy copies the
-# broadcast operand of `W[i][:, None] * X[i][tile]` through the buffer,
-# which slows such a tile's multiplies. Set only around that tile's sums,
-# and restored after them.
-_NARROW_BUFSIZE = 256
-# Bytes between the starts of the accumulator tile and the product tile,
-# modulo a 4 KiB page: half a page, so that `acc += tmp` never waits on 4K
-# aliasing between its loads and its stores.
-_PRODUCT_OFFSET = 2048
-# A call is summed on two cores (_on_two_cores) from _SPLIT_WORK products
-# n * m_out * m up: 8 x 8 x 32768, or 16 x 16 x 8192. Below it, the thread's
-# start and join and its waits for the GIL cost more than the overlap of
-# the two threads' numpy calls saves.
-_SPLIT_WORK = 1 << 21
-
-
-def _small_sums(A, B):
-    """out[k] = sum_i A[i, k] * B[i] for a call of fewer than MIN_TILE input
-    values, in two numpy calls where kpff_kernel's tile loop makes about
-    2n: one multiply into the [n, rows, m] products and one reduce over
-    their first axis. The Model calls of the reference config (n = 2,
-    m = N*r = 300 at batch 50) are among them.
-
-    The products are laid out in C order, i outermost, even when A is W.T,
-    so the reduce adds whole [n, m] rows in i order, from +0.0 (0.0 + -0.0 is
-    +0.0): the sums of the tile loop bit for bit. Over an axis that numpy
-    lays out innermost it would sum pairwise.
-    """
-    products = np.multiply(A[:, :, None], B[:, None, :], order="C")
-    return np.add.reduce(products, axis=0, initial=0.0)
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: one where os.sched_getaffinity is
-    missing."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _tile_width(side, m):
-    """Columns per tile of a call of m columns over a W whose larger side is
-    side (see TILE_VALUES): m itself for a call of one tile."""
-    if m * side <= 2 * TILE_VALUES:
-        return m
-    return min(m, max(MIN_TILE, TILE_VALUES // side))
-
-
-def _on_two_cores(n, rows, m, cores):
-    """Whether kpff_kernel sums a call over an n x rows W and m columns on two
-    cores: a call of at least _SPLIT_WORK products in two tiles or more
-    (so never one that _small_sums takes), where cores(), asked last since
-    it is a system call, is at least 2."""
-    if n * rows * m < _SPLIT_WORK or _tile_width(max(n, rows), m) == m:
-        return False
-    return cores() >= 2
 
 
 def _dw(forward_rows, upstream):
-    """dW[i, b] = upstream[b] . forward_rows[i]: one GEMM. np.dot, not @,
-    which holds the GIL on this 2-D BLAS path (numpy 2.4), so that the
-    product overlaps the other thread's tiles. On C-contiguous operands the
-    two give the same bits (docs/gradients.md, Cost)."""
+    """dW[i, b] = upstream[b] . forward_rows[i]: one GEMM. On C-contiguous
+    operands np.dot and @ give the same bits (docs/gradients.md, Cost)."""
     return np.dot(forward_rows, upstream.T)
 
 
-def _tile_buffers(rows, width, dtype):
-    """An accumulator and a product tile, [rows, width] each, in one buffer,
-    so their distance is ours to choose."""
-    size, itemsize = rows * width, dtype.itemsize
-    gap = (_PRODUCT_OFFSET - size * itemsize) % 4096 // itemsize
-    buf = np.empty(2 * size + gap, dtype)
-    return buf[:size].reshape(rows, width), buf[size + gap:].reshape(rows, width)
+def _sums(A, B, out=None):
+    """The rows sum_i A[i, k] * B[i], one per column k of A, into out where
+    given, each value summed in i order from +0.0 (0.0 + -0.0 is +0.0) with
+    one multiply and one add per term: the operations of the per-block
+    loop, so its bits and the sign of its zero sums.
 
-
-def _sum_tiles(W, X, out, starts, acc, prod):
-    """The columns of kpff_kernel's Y from each start in starts into out, a
-    tile as wide as acc each. Each tile is summed in acc in i order, from
-    +0.0, with one multiply (into prod) and one add per term, then copied
-    into out unless acc is out itself."""
-    width, m = acc.shape[1], X.shape[1]
-    for lo in starts:
-        hi = min(lo + width, m)
-        a, p = acc[:, :hi - lo], prod[:, :hi - lo]
-        np.multiply(W[0][:, None], X[0][lo:hi], out=a)
-        a += 0.0  # the sum starts from +0.0: 0.0 + -0.0 is +0.0
-        for i in range(1, len(X)):
-            np.multiply(W[i][:, None], X[i][lo:hi], out=p)
-            a += p
-        if acc is not out:
-            out[:, lo:hi] = a
-
-
-def _join(thread):
-    """Wait until thread has ended. A KeyboardInterrupt can cut a join short
-    on the main thread; the wait then goes on, and the interrupt is raised
-    once the thread is gone, so that it never outlives the call."""
-    interrupt = None
-    while thread.is_alive():
-        try:
-            thread.join()
-        except KeyboardInterrupt as exc:
-            interrupt = exc
-    if interrupt is not None:
-        raise interrupt
+    np.einsum keeps that order on two columns or more, where its reduction
+    axis is outermost; optimize must stay off, since its BLAS path sums in
+    another order. On one column einsum sums each value as a dot product,
+    in SIMD lanes, so a column is summed here, term by term.
+    """
+    if B.shape[1] != 1:
+        return np.einsum("ik,ic->kc", A, B, out=out)
+    if out is None:
+        out = np.empty((A.shape[1], 1), np.promote_types(A.dtype, B.dtype))
+    out[...] = 0.0
+    for a, b in zip(A, B, strict=True):
+        out += a[:, None] * b
+    return out
 
 
 def kpff_kernel(W, X, dw_of=None):
@@ -250,78 +168,30 @@ def kpff_kernel(W, X, dw_of=None):
     dW = _dw(*dw_of), and counts dW's products with its own. Y takes the
     dtype that W and X promote to, so a complex X gives a complex Y.
 
-    A call of fewer than MIN_TILE values is summed whole (_small_sums), any
-    other by _tiled_sums, one column tile at a time. Either way each value
-    is summed in i order from zero, one multiply and one add per term, so
-    it equals that of a per-block loop bit for bit (docs/gradients.md,
-    Cost). dW is computed once: on _tiled_sums' helper thread where it
-    starts one, else here, after Y.
+    Y is summed one column tile at a time (see TILE_VALUES; _sums), each
+    value in i order from +0.0 with one multiply and one add per term, so it
+    equals that of a per-block loop bit for bit (docs/gradients.md, Cost).
     """
+    n, rows = W.shape
     m = X.shape[1]
     if _COUNTING:
         _COUNTS["madd"] += W.size * m * (1 if dw_of is None else 2)
-    if X.size < MIN_TILE:
-        out, dw = _small_sums(W, X), None
+    side = max(n, rows)
+    if m * side <= 2 * TILE_VALUES:
+        out = _sums(W, X)
     else:
-        out, dw = _tiled_sums(W, X, dw_of)
+        width = max(1, TILE_VALUES // side)  # one column where side > TILE_VALUES
+        out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
+        for lo in range(0, m, width):
+            _sums(W, X[:, lo:lo + width], out[:, lo:lo + width])
     if dw_of is None:
         return out
-    return out, (_dw(*dw_of) if dw is None else dw)
+    return out, _dw(*dw_of)
 
 
-def _tiled_sums(W, X, dw_of):
-    """kpff_kernel's Y tile by tile, and the dW its helper computed (None
-    where there was no helper).
-
-    The caller takes column starts from one queue until it runs out. A
-    call that _on_two_cores takes starts a helper thread, joined before
-    this returns, which computes dW first, if asked for, and then takes
-    starts from the same queue: each thread sums its tiles in its own
-    accumulator and product tiles, so a helper that starts late or is
-    descheduled costs only the tiles it would have taken, and the bits do
-    not depend on who sums a tile. An exception of either thread is raised
-    here, the caller's first.
-    """
-    n, rows = W.shape  # Y[k] for k < rows sums n terms
-    m = X.shape[1]
-    width = _tile_width(max(n, rows), m)
-    out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
-    # next() on a range iterator runs under the GIL without releasing it,
-    # so each start goes to exactly one thread
-    starts = iter(range(0, m, width))
-    dw, errors, helper = [], [], None
-    if _on_two_cores(n, rows, m, usable_cores):
-        helper_tiles = _tile_buffers(rows, width, out.dtype)  # by the caller: no thread's own malloc arena
-
-        def helper_share():
-            try:
-                if dw_of is not None:
-                    dw.append(_dw(*dw_of))
-                _sum_tiles(W, X, out, starts, *helper_tiles)
-            except BaseException as exc:  # re-raised in the caller after the join
-                errors.append(exc)
-
-        # in a copy of the caller's context, so its errstate and ufunc buffer
-        # size hold in the helper's share too
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_share,))
-        helper.start()
-    # a single tile is summed in out itself. A tile narrower than MIN_TILE
-    # is always the only one, so it never has a helper beside it. Wide
-    # tiles are not buffered, and small ones lose less to it than the
-    # scope costs
-    tiles = (out, np.empty_like(out)) if width == m else _tile_buffers(rows, width, out.dtype)
-    narrow = width < MIN_TILE <= rows * width
-    old = np.setbufsize(_NARROW_BUFSIZE) if narrow else None
-    try:
-        _sum_tiles(W, X, out, starts, *tiles)
-    finally:
-        if narrow:
-            np.setbufsize(old)
-        if helper is not None:
-            _join(helper)
-    if errors:
-        raise errors[0]
-    return out, (dw[0] if dw else None)
+def _counted(count, noun):
+    """'1 weight vector', '5 weight vectors'."""
+    return f"{count} {noun}" + ("" if count == 1 else "s")
 
 
 class KpffLayer:
@@ -358,7 +228,8 @@ class KpffLayer:
         """The rows sum_i W[i, k] X[i], one per column k of W, for n input
         rows X[i] (kpff_kernel); caches X for backward_batch."""
         if X.shape[0] != self.n:
-            raise ShapeError(f"layer has {self.n} weight vectors, inputs have {X.shape[0]}")
+            raise ShapeError(f"layer has {_counted(self.n, 'weight vector')}, "
+                             f"inputs have {X.shape[0]}")
         self.cache = X
         return kpff_kernel(self.W, X)
 
@@ -368,11 +239,10 @@ class KpffLayer:
         unless grad_ws is None (see docs/gradients.md):
 
           dX[j]    = sum_k W[j, k] U[k]    the forward's sums at W^T, in k order
-          dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact,
-                                           beside dX's sums on two cores
+          dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact
         """
         if U.shape[0] != self.W.shape[1]:
-            raise ShapeError(f"layer has {self.W.shape[1]} weight columns, "
+            raise ShapeError(f"layer has {_counted(self.W.shape[1], 'weight column')}, "
                              f"upstream has {U.shape[0]} rows")
         bug = injected_bug()
         A = self.W if bug == "kpff-x" else self.W.T

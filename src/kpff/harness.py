@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import RunConfig, serialize_config, config_hash
 from .data import Dataset, generate_synthetic, load_image_dir, make_folds, write_fold_plan
-from .fusion import usable_cores
 from .net import (FUSION_METHODS, TRAINS_AS, Model, OptimizerState, check_image_size,
                   dropout_masks)
 from .rng import stream
@@ -158,6 +157,14 @@ def train_run(cfg: RunConfig, images, labels, train_idx, test_idx, method_token,
 class JobError(RuntimeError):
     """A cross-validation job failed, or a worker process ended before
     sending all of its jobs' results. The message names the jobs."""
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: one where os.sched_getaffinity is
+    missing."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def process_count(jobs: int) -> int:

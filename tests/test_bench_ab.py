@@ -3,6 +3,7 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -272,7 +273,7 @@ def test_byte_identity_of_the_working_tree_with_itself(tmp_path):
     assert bench_ab.same_bytes(sides, ["crossval-small", "fuse-kpff-narrow"],
                                tmp_path) == (6, [], [])
     # only the CSV files of the cases run are written; the narrow case's
-    # inputs hold -0 and make a 16 x 16 W's one tile narrower than MIN_TILE
+    # inputs hold -0, and a 16 x 16 W sums them in one kernel tile
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["inputs16x256.csv",
                                                               "weights16.csv"]
     rows = (tmp_path / "inputs16x256.csv").read_text().splitlines()
@@ -280,6 +281,23 @@ def test_byte_identity_of_the_working_tree_with_itself(tmp_path):
     assert all(row.split(",")[1] == "-0.0" for row in rows)
     fused = (tmp_path / "a" / "fuse-kpff-narrow" / "fused.csv").read_text().split(",")
     assert len(fused) == 16 * 256 and fused[1::256] == 16 * ["0"]
+
+
+def test_the_fuse_inputs_are_written_a_row_at_a_time(tmp_path):
+    # bench_ab.py's own peak RSS is carried into every runner it spawns, so
+    # the CSV text is never held whole: the writer's peak is the values plus
+    # one row's floats and text. Built whole, the text of the 16 x 32768
+    # inputs peaked at 7.4x their values
+    path, rows, cols = tmp_path / "inputs.csv", 16, 8192
+    tracemalloc.start()
+    try:
+        bench_ab._write_signed_zero_csv(path, rows, cols, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows * cols * 8
+    lines = path.read_text().splitlines()
+    assert len(lines) == rows and {len(line.split(",")) for line in lines} == {cols}
 
 
 def test_byte_identity_names_the_files_that_differ(tmp_path):

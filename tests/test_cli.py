@@ -131,12 +131,28 @@ def test_fuse_kpff_at_a_ones_column_and_at_identity_is_add_and_concat(tmp_path):
         assert (out_own.read_text(), out_kpff.read_text()) == (own, kpff)
 
 
-def test_fuse_weight_count_mismatch(tmp_path):
+def test_fuse_weight_count_mismatch(tmp_path, capsys):
     inp = write(tmp_path / "in.csv", "1,2\n3,4\n")
     w = write(tmp_path / "w.csv", "1,1\n")
     out = tmp_path / "out.csv"
     assert run_cli("fuse", "--inputs", inp, "--method", "kpff",
                    "--weights", w, "--output", str(out)) == 1
+    assert capsys.readouterr().err == "fuse failed: layer has 1 weight vector, inputs have 2\n"
+
+
+def test_fuse_kpff_at_a_ones_column_is_add_on_rows_of_one_value(tmp_path):
+    # eight one-value rows (numpy's default_rng(11).uniform(-1, 1, 8)): the
+    # kernel's one-column sums take the terms in row order, as add does,
+    # where a pairwise sum ends in ...263
+    inp = write(tmp_path / "in.csv", "-0.7428595944616008\n-0.0014442751197700776\n"
+                "0.20299671524671492\n-0.9426219832561109\n-0.7041478308450881\n"
+                "0.856422045920739\n-0.8591588476916063\n-0.740452101201404\n")
+    w = write(tmp_path / "w.csv", "1\n" * 8)
+    out_add, out_kpff = tmp_path / "add.csv", tmp_path / "kpff.csv"
+    assert run_cli("fuse", "--inputs", inp, "--method", "add", "--output", str(out_add)) == 0
+    assert run_cli("fuse", "--inputs", inp, "--method", "kpff", "--weights", w,
+                   "--output", str(out_kpff)) == 0
+    assert out_add.read_text() == out_kpff.read_text() == "-2.9312658714081259\n"
 
 
 def test_fuse_deterministic_bytes(tmp_path):

@@ -1,19 +1,15 @@
 import os
 import resource
-import sys
 import threading
 import tracemalloc
-import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpff import fusion, hooks
-from kpff.config import RunConfig
 from kpff.fusion import (
-    MIN_TILE,
+    ADD_REDUCE_COLUMNS,
     TILE_VALUES,
     FusionInputs,
     KpffLayer,
@@ -26,8 +22,6 @@ from kpff.fusion import (
     kpff_kernel,
 )
 from kpff.gradcheck import finite_diff_grad
-from kpff.harness import crossval
-from kpff.net import FUSION_METHODS, Model
 from kpff.rng import Stream
 from kpff.tensor import NonFiniteError, ShapeError
 
@@ -201,9 +195,9 @@ def test_kpff_forward_n_mismatch():
 
 
 @pytest.mark.parametrize("W,rows,r", [
-    (np.eye(5), 4, 2048),  # one narrow tile
+    (np.eye(5), 4, 2048),  # one tile
     (np.ones((5, 1)), 3, 8192),  # Add's shape: one tile
-    (np.eye(5), 4, 64),  # summed whole
+    (np.eye(5), 4, 64),
 ])
 def test_a_layer_rejects_inputs_of_another_row_count(W, rows, r):
     # the kernel sums over the rows of X: more weight rows than input rows
@@ -222,6 +216,14 @@ def test_a_layer_rejects_an_upstream_of_another_row_count(r):
         layer.grad_ws = grad_ws
         with pytest.raises(ShapeError, match="layer has 5 weight columns, upstream has 4 rows"):
             layer.backward_batch(np.ones((4, r)))
+
+
+def test_a_layer_of_one_weight_vector_counts_it_in_the_singular():
+    layer = KpffLayer([[1.0]])  # one weight vector of one column
+    with pytest.raises(ShapeError, match="^layer has 1 weight vector, inputs have 2$"):
+        layer.forward_batch(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="^layer has 1 weight column, upstream has 2 rows$"):
+        layer.backward_batch(np.ones((2, 3)))
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32))
@@ -350,11 +352,10 @@ def test_backward_requires_forward():
             kpff_backward(layer2, upstream)
 
 
-@pytest.mark.parametrize("n,r", [(2, 3), (16, 32768)])  # summed whole; 8 tiles on two cores
-def test_backward_batch_requires_forward_batch(n, r, monkeypatch):
+@pytest.mark.parametrize("n,r", [(2, 3), (16, 32768)])  # one tile; 16 tiles
+def test_backward_batch_requires_forward_batch(n, r):
     # dW reads the forward's inputs: without them the call fails before
-    # any tile is summed, on the caller's thread
-    _cores(monkeypatch, 2)
+    # any tile is summed
     layer = KpffLayer(list(np.eye(n)))
     with pytest.raises(RuntimeError, match="^backward_batch called before forward_batch"):
         layer.backward_batch(np.ones((n, r)))
@@ -438,7 +439,7 @@ def block_loop_forward(W, X):
     """The per-block loop the kernel replaced: y block k, one per column of
     the n x m W, accumulates w_i[k] * x_i in i order."""
     (n, m), r = W.shape, X.shape[1]
-    y = np.zeros(m * r)
+    y = np.zeros(m * r, np.promote_types(W.dtype, X.dtype))
     for k in range(m):
         blk = y[k * r:(k + 1) * r]
         for i in range(n):
@@ -465,14 +466,15 @@ def block_loop_backward(W, X, U, bug=None):
 
 
 def tile_width(n):
-    """Columns per kernel tile at n rows: TILE_VALUES values, at least MIN_TILE
-    columns."""
-    return max(MIN_TILE, TILE_VALUES // n)
+    """Columns per kernel tile over a W whose larger side is n, in a call
+    wider than one tile (TILE_VALUES values)."""
+    return TILE_VALUES // n
 
 
-# narrow tiles (under MIN_TILE columns) of at least MIN_TILE values: summed
-# with a small ufunc buffer
-NARROW_SCOPED = [(16, 256), (4, 1024), (8, 1000)]
+def one_tile(n):
+    """The widest call the kernel sums as one tile over a W whose larger
+    side is n: 2 * TILE_VALUES values."""
+    return 2 * TILE_VALUES // n
 
 
 def _kernel_case(n, r, seed, m=None):
@@ -498,9 +500,12 @@ def _assert_dw_within_gamma(dw, want, X, U):
 @pytest.mark.parametrize("n,r", [
     (1, 1), (1, 7), (1, 4097), (1, tile_width(1) + 1), (2, 64), (5, 33),
     (3, 4095), (3, 4096), (3, 4097), (3, 8195),
-    *[(n, tile_width(n) + d) for n in (2, 3, 16) for d in (-1, 0, 1)],
+    (16, 256), (4, 1024), (8, 1000),
+    # either side of a tile's width and of the widest call of one tile
+    *[(n, width + d) for n in (2, 3, 16) for width in (tile_width(n), one_tile(n))
+      for d in (-1, 0, 1)],
     *[(n, 2 * tile_width(n) + 3) for n in (2, 3, 16)],
-    *NARROW_SCOPED,
+    (16, 4 * tile_width(16) + 3),
 ])
 def test_kernel_matches_block_loops(n, r):
     W, X, U, y, dw, dx = _kernel_case(n, r, seed=n * 100_003 + r)
@@ -512,9 +517,8 @@ def test_kernel_matches_block_loops(n, r):
 
 @pytest.mark.parametrize("m", [1, 5])
 @pytest.mark.parametrize("n,r", [
-    (1, 7), (3, 7), (16, 64), (3, 1365),  # n*r < MIN_TILE: summed whole
-    (4, 1024), (3, 4097), (16, 256),  # tiles, at a small ufunc buffer where narrow
-    (3, tile_width(3) + 5), (16, 2 * tile_width(16) + 3),  # several tiles
+    (1, 7), (3, 7), (16, 64), (3, 1365), (4, 1024), (3, 4097), (16, 256),  # one tile
+    (3, tile_width(3) + 5), (16, 4 * tile_width(16) + 3),  # several tiles
 ])
 def test_kernel_matches_block_loops_at_n_by_m_weights(n, r, m):
     # m output blocks from n inputs: m = 1 is Add's ones column, and 5 is
@@ -533,11 +537,52 @@ def test_kernel_matches_block_loops_at_n_by_m_weights(n, r, m):
         assert counts["madd"] == 3 * n * m * r
 
 
+def _sweep_case(n, rows, cols, seed, dtype=float):
+    """W [n, rows], X [n, cols] and U [rows, cols], uniform in [-2, 2),
+    each with every third value -0.0 and every fifth +0.0; X complex when
+    dtype is."""
+    s = Stream(seed)
+    W, X, U = (s.uniform(size=shape, low=-2, high=2)
+               for shape in ((n, rows), (n, cols), (rows, cols)))
+    if dtype is complex:
+        X = X + 1j * s.uniform(size=X.shape, low=-2, high=2)
+    for A in (W, X, U):
+        A.flat[1::3] = -0.0
+        A.flat[2::5] = 0.0
+    return W, X, U
+
+
+# n in 1..40 inputs and rows in {1, 2, 3, 16} weight columns at 1-3
+# columns of X, then calls whose last tile has one column
+SWEEP = [*[(n, rows, cols, float) for n in range(1, 41) for rows in (1, 2, 3, 16)
+           for cols in (1, 2, 3)],
+         (16, 16, 3 * tile_width(16) + 1, float),
+         (16, 16, 3 * tile_width(16) + 1, complex)]
+
+
+def test_kernel_sums_in_block_loop_order_bitwise():
+    # every value, sign of zero included, at W and at the strided W^T. One
+    # column is summed term by term: einsum would take it as a dot product
+    for n, rows, cols, dtype in SWEEP:
+        W, X, U = _sweep_case(n, rows, cols, seed=n * 1009 + rows * 31 + cols, dtype=dtype)
+        for A, B in ((W, X), (W.T, U)):
+            want = block_loop_forward(A, B).reshape(A.shape[1], cols)
+            assert kpff_kernel(A, B).tobytes() == want.tobytes(), (A.shape, B.shape, dtype)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5 * tile_width(5) + 3])
+def test_the_kernel_rejects_operands_of_another_row_count(r):
+    # it sums over the rows of both: a W with more rows than X must not sum
+    # fewer terms, on one column, on one tile or on several
+    for W, X in ((np.ones((5, 5)), np.ones((4, r))), (np.ones((4, 5)), np.ones((5, r)))):
+        with pytest.raises(ValueError):
+            kpff_kernel(W, X)
+
+
 @pytest.mark.parametrize("r", [5, 2000, 4101, tile_width(3) + 5])
 def test_kernel_keeps_the_sign_of_zero_sums(r):
     # 0 * -x is -0.0; the block loops add it to +0.0 and get +0.0, so the
-    # kernel must start every sum from +0.0 too, on one small tile, one
-    # narrow tile summed with a small buffer, and several tiles
+    # kernel must start every sum from +0.0 too, on one tile and on several
     n = 3
     W = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     X = -np.ones((n, r))
@@ -550,15 +595,14 @@ def test_kernel_keeps_the_sign_of_zero_sums(r):
 
 
 @pytest.mark.parametrize("n,r", [
-    (2, 300),  # summed whole
-    (2, 2080),  # one narrow tile, summed in Y
+    (2, 300),  # Model's calls at the reference config
+    (2, 2080),  # one tile
     (3, tile_width(3) + 5),  # several tiles
-    (16, 4 * MIN_TILE + 5),  # on two cores
+    (16, 8 * tile_width(16) + 5),  # a partial last tile
 ])
-def test_kernel_takes_the_dtype_of_its_inputs(n, r, monkeypatch):
+def test_kernel_takes_the_dtype_of_its_inputs(n, r):
     # a complex X, as a complex-step derivative gives it: each part is
-    # summed as the kernel sums a real X, whatever path the call takes
-    _cores(monkeypatch, 2)
+    # summed as the kernel sums a real X
     W, X, U = _signed_zero_case(n, r, seed=n + r)
     y = kpff_kernel(W, X + 1j * U)
     assert y.dtype == np.complex128
@@ -566,20 +610,9 @@ def test_kernel_takes_the_dtype_of_its_inputs(n, r, monkeypatch):
     assert np.array_equal(y.imag, kpff_kernel(W, U))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("rows,width", [(16, MIN_TILE), (3, tile_width(3)), (17, MIN_TILE)])
-def test_tile_buffers_start_half_a_page_apart(rows, width, dtype):
-    # whatever the dtype's size, so that the tile adds never 4K-alias
-    acc, prod = fusion._tile_buffers(rows, width, np.dtype(dtype))
-    assert acc.shape == prod.shape == (rows, width) and prod.dtype == dtype
-    assert not np.shares_memory(acc, prod)
-    distance = prod.__array_interface__["data"][0] - acc.__array_interface__["data"][0]
-    assert distance % 4096 == fusion._PRODUCT_OFFSET
-
-
 @pytest.mark.parametrize("bug", ["kpff-w", "kpff-x"])
 def test_kernel_hooks_match_the_block_loop_hooks(bug):
-    for n, r in [(3, 7), (16, 64), (3, tile_width(3) + 5), *NARROW_SCOPED]:  # small ones too
+    for n, r in [(3, 7), (16, 64), (3, tile_width(3) + 5), (16, 4 * tile_width(16) + 3)]:
         hooks.set_injected_bug(bug)
         try:
             W, X, U, _, dw, dx = _kernel_case(n, r, seed=41)
@@ -597,8 +630,43 @@ def test_kernel_hooks_match_the_block_loop_hooks(bug):
             assert np.any(np.abs(dw - clean_dw) > 1e-6)
 
 
+@pytest.mark.parametrize("n,r", [
+    (16, one_tile(16)),  # one tile, which einsum allocates
+    (16, 3 * tile_width(16) + 1),  # three tiles and one column
+    (3, 2 * tile_width(3) + 3),
+])
+def test_the_kernel_sums_each_column_once_in_its_tiles(n, r, monkeypatch):
+    # a wide call's tiles hold TILE_VALUES values over W's larger side, so
+    # that each output tile stays in L2, and each is summed into its own
+    # columns of Y: no column twice, none skipped
+    W, X, _ = _signed_zero_case(n, r, seed=n + r)
+    tiles, real = [], fusion._sums
+
+    def sums(A, B, out=None):
+        start = (B.ctypes.data - X.ctypes.data) // X.itemsize
+        tiles.append((start, B.shape[1], None if out is None else out.ctypes.data))
+        return real(A, B, out)
+
+    monkeypatch.setattr(fusion, "_sums", sums)
+    y = kpff_kernel(W, X)
+    width = r if r <= one_tile(n) else tile_width(n)
+    assert [t[:2] for t in tiles] == [(lo, min(width, r - lo)) for lo in range(0, r, width)]
+    if len(tiles) == 1:
+        assert tiles[0][2] is None
+    else:
+        assert [t[2] - y.ctypes.data for t in tiles] == [lo * y.itemsize for lo, _, _ in tiles]
+    assert y.tobytes() == block_loop_forward(W, X).tobytes()
+
+
+def test_a_weight_side_wider_than_a_tile_is_summed_a_column_at_a_time():
+    # TILE_VALUES // side is 0 there: the tiles are one column each
+    W, X, _ = _sweep_case(1, TILE_VALUES + 1, 3, seed=5)
+    want = block_loop_forward(W, X).reshape(TILE_VALUES + 1, 3)
+    assert kpff_kernel(W, X).tobytes() == want.tobytes()
+
+
 def test_kernel_counts_n_squared_r_per_pass():
-    n, r = 4, tile_width(4) + 3
+    n, r = 4, 2 * tile_width(4) + 3
     layer, X, U = KpffLayer(np.eye(n)), np.ones((n, r)), np.ones((n, r))
     with count_ops() as counts:
         layer.forward_batch(X)
@@ -650,10 +718,11 @@ def _signed_zero_case(n, r, seed):
 
 
 def _property_widths(n):
-    """Row lengths for n rows: short ones, the two either side of the last
-    call summed whole (n*r < MIN_TILE), and tile boundaries."""
-    whole = -(-MIN_TILE // n)  # the first r summed in tiles
-    widths = {1, 2, 7, 8, 64, 300, whole - 1, whole}
+    """Row lengths for n rows: short ones, either side of fuse_add's
+    bound (ADD_REDUCE_COLUMNS) and of the widest call of one kernel tile,
+    and tile widths."""
+    widths = {1, 2, 7, 8, 64, 300, ADD_REDUCE_COLUMNS, ADD_REDUCE_COLUMNS + 1,
+              one_tile(n), one_tile(n) + 1}
     if n in (2, 3, 16):
         widths |= {tile_width(n) + d for d in (-1, 0, 1)}
     return sorted(widths)
@@ -680,305 +749,49 @@ def test_fusion_ops_equal_per_row_loops_bitwise(n):
         assert add.tobytes() == row_loop_add(X).tobytes(), r
 
 
-@pytest.fixture
-def bufsize_calls(monkeypatch):
-    """Record every np.setbufsize call, passing each one through."""
-    calls, real = [], np.setbufsize
-
-    def spy(size):
-        calls.append(size)
-        return real(size)
-
-    monkeypatch.setattr(np, "setbufsize", spy)
-    return calls
-
-
-@pytest.mark.parametrize("n,r", NARROW_SCOPED)
-def test_narrow_tiles_restore_the_ufunc_buffer(n, r, bufsize_calls):
-    before = np.getbufsize()
-    _kernel_case(n, r, seed=5)
-    assert np.getbufsize() == before
-    # one scope per pass, each set and then restored
-    assert bufsize_calls == 2 * [bufsize_calls[0], before]
-    assert bufsize_calls[0] < before
-
-
-@pytest.mark.parametrize("n,r", [(2, 64), (2, 1024), (16, 255), (16, tile_width(16)),
-                                 (16, 4 * MIN_TILE)])  # the last on two cores
-def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls, monkeypatch):
-    _cores(monkeypatch, 2)
-    _kernel_case(n, r, seed=5)
-    assert bufsize_calls == []
-
-
-def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
-    before = np.getbufsize()
-    X = np.ones((4, 1024))
-    with pytest.raises(IndexError):  # 3 weight rows for 4 inputs: row 3 is missing
-        kpff_kernel(np.ones((3, 4)), X)
-    # the input gradient's sums at the W^T of a 4 x 3 W: 3 rows for 4
-    # upstream rows
-    with pytest.raises(IndexError):
-        kpff_kernel(np.ones((4, 3)).T, X)
-    assert len(bufsize_calls) == 4  # both raised inside a scope
-    assert np.getbufsize() == before
-
-
-# --- large calls summed on two cores ---------------------------------------------------
-
-# rows of a square W whose calls run in tiles of MIN_TILE columns and split
-# from 2 * MIN_TILE columns up (16 x 16 x 8192 = 2 ** 21 products)
-SPLIT_ROWS = 16
+# --- the kernel sums on the calling thread ----------------------------------------
 
 
 @pytest.fixture
 def thread_starts(monkeypatch):
-    """The threads fusion starts, counted through a threading.Thread that
-    fusion alone sees; each one still runs."""
-    started = []
+    """Every threading.Thread started while the test runs; each one still
+    runs."""
+    started, real = [], threading.Thread.start
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def start(self):
+        started.append(self)
+        real(self)
 
-    monkeypatch.setattr(fusion, "threading", SimpleNamespace(Thread=Counted))
+    monkeypatch.setattr(threading.Thread, "start", start)
     return started
 
 
-def _cores(monkeypatch, count):
-    monkeypatch.setattr(fusion, "usable_cores", lambda: count)
-
-
-def _no_system_call():
-    raise AssertionError("the core count is asked only for a call of enough work")
-
-
-@pytest.mark.parametrize("n,rows,m,splits", [
-    (8, 8, 32768, True),  # exactly 2 ** 21, 8 tiles
-    (7, 7, 42799, False),  # 2 ** 21 - 1, 10 tiles
-    (7, 7, 42800, True),  # 2 ** 21 + 49
-    (16, 16, 32768, True),
-    (16, 16, 16384, True),
-    (16, 16, 8192, True),  # two tiles
-    (4, 4, 32768, False),  # 2 ** 19
-    (8, 8, 16384, False),  # 2 ** 20
-    (16, 16, 4096, False),  # 2 ** 20 in one tile
-    (32, 32, 2048, False),  # 2 ** 21 in one tile
-    (1024, 1, 2048, False),  # an n x 1 W (add's shape), one tile
-    (1, 1024, 2048, False),  # its backward, at W^T: n * m < MIN_TILE
-    (2, 1024, 1024, False),  # 2 ** 21 in _small_sums: n * m < MIN_TILE
-    (2, 1024, 8192, True),  # tiles of MIN_TILE columns at W^T of a 1024 x 2 W
-    (2, 2, 300, False),  # criterion 6's Model calls, kpff
-    (2, 1, 300, False),  # and add
-    (1, 2, 300, False),  # add's backward, at W^T
-])
-def test_the_two_core_rule_at_its_edges(n, rows, m, splits):
-    assert fusion._SPLIT_WORK == 1 << 21  # the bound of the cases above
-    cores = (lambda: 2) if splits else _no_system_call
-    assert fusion._on_two_cores(n, rows, m, cores) is splits
-    assert fusion._on_two_cores(n, rows, m, lambda: 1) is False
-
-
-@pytest.mark.parametrize("n", [SPLIT_ROWS, SPLIT_ROWS + 1])
+@pytest.mark.parametrize("n", [16, 17])
 @pytest.mark.parametrize("r", [
-    4 * MIN_TILE,  # an even tile count
-    5 * MIN_TILE,  # an odd one
-    4 * MIN_TILE + 5,  # a partial last tile
+    8 * tile_width(16),  # an even tile count at n = 16
+    10 * tile_width(16),
+    8 * tile_width(16) + 5,  # a partial last tile
 ])
-def test_split_calls_equal_the_block_loops_and_one_thread_bitwise(n, r, monkeypatch,
-                                                                   thread_starts):
+def test_split_calls_equal_the_block_loops_and_one_thread_bitwise(n, r, thread_starts):
+    # calls split into column tiles, at W and at the strided W^T
     W, X, U = _signed_zero_case(n, r, seed=n * 31 + r)
-    _cores(monkeypatch, 2)
-    y, dx = kpff_kernel(W, X), kpff_kernel(W.T, U)  # W^T: strided rows
-    assert len(thread_starts) == 2  # one per call, joined before it returned
-    assert not any(thread.is_alive() for thread in thread_starts)
+    y, dx = kpff_kernel(W, X), kpff_kernel(W.T, U)
+    assert thread_starts == []
     assert y.tobytes() == block_loop_forward(W, X).reshape(n, r).tobytes()
     assert dx.tobytes() == block_loop_backward(W, X, U)[1].tobytes()
-    _cores(monkeypatch, 1)
-    assert y.tobytes() == kpff_kernel(W, X).tobytes()
-    assert dx.tobytes() == kpff_kernel(W.T, U).tobytes()
-    assert len(thread_starts) == 2
 
 
-@pytest.mark.parametrize("n,r,threads", [
-    (16, 8 * MIN_TILE, 1),
-    (16, 4 * MIN_TILE, 1),
-    (16, 2 * MIN_TILE, 1),  # two tiles of 2 ** 20 products
-    (8, 8 * MIN_TILE, 1),  # exactly 2 ** 21
-    (8, 8 * MIN_TILE - 1, 0),  # seven whole tiles and a partial one, of fewer products
-    (8, 4 * MIN_TILE, 0),
-    (4, 8 * MIN_TILE, 0),
-    (2, 8 * MIN_TILE, 0),
-    (16, MIN_TILE, 0),  # one tile
-    (32, MIN_TILE // 2, 0),  # one tile of 2 ** 21 products, with dW in its backward
-    (16, 64, 0),  # summed whole
-])
-def test_only_large_calls_start_a_thread(n, r, threads, monkeypatch, thread_starts):
-    W, X = np.ones((n, n)), np.ones((n, r))
-    _cores(monkeypatch, 2)
-    kpff_kernel(W, X)
-    assert len(thread_starts) == threads
-    kpff_kernel(W.T, X, dw_of=(X, X))  # a backward: dW does not change the rule
-    assert len(thread_starts) == 2 * threads
-    _cores(monkeypatch, 1)
-    kpff_kernel(W, X)
-    assert len(thread_starts) == 2 * threads  # one usable core: nothing splits
+def test_a_split_call_leaves_no_thread(thread_starts):
+    # n = 16, r = 32768, the benchmark's widest cell, in 16 tiles: a forward
+    # and a backward with dW start no thread, so crossval's one process per
+    # core is never oversubscribed
+    _kernel_case(16, 32768, seed=9)
+    assert thread_starts == []
 
 
-def test_a_split_call_leaves_no_thread(monkeypatch):
-    _cores(monkeypatch, 2)
-    before = threading.active_count()
-    _kernel_case(SPLIT_ROWS, 8 * MIN_TILE, seed=9)  # forward and backward (with dW) split
-    assert threading.active_count() == before
-
-
-class Dealer:
-    """Who sums which tile of a kernel call: the column starts the caller and
-    the helper take from the queue, in order, and a log of both threads'
-    tiles and dW products. With helper_late the helper is held back until
-    the caller has taken every tile; with caller_stalls it takes tiles once
-    the caller has taken the first, and the caller waits after that tile
-    until the helper has run out of tiles. reset() between calls."""
-
-    def __init__(self):
-        self.helper_late = self.caller_stalls = False
-        self.reset()
-
-    def reset(self):
-        self.caller, self.helper, self.log = [], [], []
-        self.caller_done, self.helper_done = threading.Event(), threading.Event()
-        self.caller_took_one = threading.Event()
-
-
-@pytest.fixture
-def dealt(monkeypatch):
-    dealer, real_sums, real_dw = Dealer(), fusion._sum_tiles, fusion._dw
-    main = threading.main_thread()
-
-    def who():
-        return "caller" if threading.current_thread() is main else "helper"
-
-    def sum_tiles(W, X, out, starts, acc, prod):
-        mine = getattr(dealer, who())
-        if who() == "helper" and dealer.helper_late:
-            assert dealer.caller_done.wait(30)
-        if who() == "helper" and dealer.caller_stalls:
-            assert dealer.caller_took_one.wait(30)
-
-        def deal():
-            for lo in starts:
-                mine.append(lo)
-                dealer.log.append((who(), lo))
-                if who() == "caller":
-                    dealer.caller_took_one.set()
-                yield lo
-                if who() == "caller" and dealer.caller_stalls:
-                    assert dealer.helper_done.wait(30)
-        try:
-            real_sums(W, X, out, deal(), acc, prod)
-        finally:
-            getattr(dealer, who() + "_done").set()
-
-    def dw(A, B):
-        dealer.log.append((who(), "dW"))
-        return real_dw(A, B)
-
-    monkeypatch.setattr(fusion, "_sum_tiles", sum_tiles)
-    monkeypatch.setattr(fusion, "_dw", dw)
-    _cores(monkeypatch, 2)
-    return dealer
-
-
-def _assert_dealt(dealer, starts, late):
-    if late:  # the caller took every tile
-        assert (dealer.caller, dealer.helper) == (starts, [])
-    else:  # the caller took the first, the helper the rest
-        assert (dealer.caller, dealer.helper) == (starts[:1], starts[1:])
-
-
-@pytest.mark.parametrize("late", [True, False], ids=["helper_late", "caller_stalls"])
-@pytest.mark.parametrize("n,r", [
-    (SPLIT_ROWS, 5 * MIN_TILE),  # an odd tile count
-    (SPLIT_ROWS + 1, 3 * MIN_TILE + 5),  # a partial last tile
-])
-def test_split_bits_do_not_depend_on_who_takes_a_tile(n, r, late, dealt, thread_starts):
-    setattr(dealt, "helper_late" if late else "caller_stalls", True)
-    W, X, U = _signed_zero_case(n, r, seed=n + r)
-    starts = list(range(0, r, fusion._tile_width(n, r)))
-    layer = KpffLayer(list(W))
-    y = layer.forward_batch(X)
-    _assert_dealt(dealt, starts, late)
-    dealt.reset()
-    dX = layer.backward_batch(U)  # at W^T: strided rows
-    _assert_dealt(dealt, starts, late)
-    assert len(thread_starts) == 2
-    assert not any(t.is_alive() for t in thread_starts)
-    assert y.tobytes() == block_loop_forward(W, X).reshape(n, r).tobytes()
-    assert dX.tobytes() == block_loop_backward(W, X, U)[1].tobytes()
-    # dW, on the helper, is one thread's np.dot bit for bit
-    assert layer.grad_ws.tobytes() == (np.zeros((n, n)) + np.dot(X, U.T)).tobytes()
-
-
-def test_the_helper_computes_dw_before_it_takes_tiles(monkeypatch, dealt):
-    dealt.caller_stalls = True  # the helper takes tiles as soon as dW is done
-    W, X, U = _signed_zero_case(SPLIT_ROWS, 4 * MIN_TILE, seed=4)
-    layer = KpffLayer(list(W))
-    layer.forward_batch(X)
-    dealt.reset()
-    layer.backward_batch(U)
-    assert [e for e in dealt.log if e[0] == "helper"] == [
-        ("helper", "dW"), *(("helper", k * MIN_TILE) for k in (1, 2, 3))]
-    # on one core dW runs on the caller, after dX's sums
-    _cores(monkeypatch, 1)
-    dealt.caller_stalls = False
-    dealt.reset()
-    layer.backward_batch(U)
-    assert dealt.log == [*(("caller", k * MIN_TILE) for k in range(4)), ("caller", "dW")]
-
-
-def test_the_queue_deals_each_tile_once_under_stress(monkeypatch):
-    # three callers at once, each with its helper: six threads on two cores,
-    # switching every microsecond. A tile dealt twice or lost would show in
-    # the count or, since Y starts as np.empty, in the bytes
-    _cores(monkeypatch, 2)
-    taken, real = [], fusion._sum_tiles
-
-    def sum_tiles(W, X, out, starts, acc, prod):
-        def deal():
-            for lo in starts:
-                taken.append((id(out), lo))
-                yield lo
-        real(W, X, out, deal(), acc, prod)
-
-    monkeypatch.setattr(fusion, "_sum_tiles", sum_tiles)
-    W, X, _ = _signed_zero_case(SPLIT_ROWS, 9 * MIN_TILE + 3, seed=12)
-    want = block_loop_forward(W, X).tobytes()
-    results = []
-
-    def caller():
-        for _ in range(5):
-            results.append(kpff_kernel(W, X))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=caller) for _ in range(3)]
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join(60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(thread.is_alive() for thread in callers)
-    assert len(results) == 15 and all(y.tobytes() == want for y in results)
-    assert sorted(taken) == sorted((id(y), k * MIN_TILE) for y in results for k in range(10))
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_dw_is_one_np_dot(cores, monkeypatch):
-    # np.dot releases the GIL in its GEMM, where X @ G.T holds it (numpy 2.4),
-    # so that the helper's dW overlaps the caller's tiles
+@pytest.mark.parametrize("n", [1, 2])
+def test_dw_is_one_np_dot(n, monkeypatch):
+    # over every column at once, whatever the tiles of dX's sums
     calls, real = [], np.dot
 
     def dot(a, b):
@@ -986,8 +799,7 @@ def test_dw_is_one_np_dot(cores, monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(np, "dot", dot)
-    _cores(monkeypatch, cores)
-    W, X, U = _signed_zero_case(SPLIT_ROWS, 4 * MIN_TILE, seed=6)
+    W, X, U = _signed_zero_case(n, 3 * one_tile(n) + 5, seed=6)
     layer = KpffLayer(list(W))
     layer.forward_batch(X)
     layer.backward_batch(U)
@@ -995,107 +807,14 @@ def test_dw_is_one_np_dot(cores, monkeypatch):
     assert np.shares_memory(calls[0][1], U) and calls[0][1].shape == U.T.shape
 
 
-def _overflow_in_the_helper_tiles():
-    """W and X whose sums overflow in one column of the third of 8 tiles."""
-    W, X = np.full((SPLIT_ROWS, SPLIT_ROWS), 10.0), np.ones((SPLIT_ROWS, 8 * MIN_TILE))
-    X[3, 2 * MIN_TILE + 7] = 1e308
-    return W, X
-
-
-def test_an_error_in_the_helper_tiles_is_raised_in_the_caller(dealt, thread_starts):
-    dealt.caller_stalls = True  # the caller takes the first tile, the helper the next
-    W, X = _overflow_in_the_helper_tiles()
-    with np.errstate(over="raise"):  # the caller's errstate holds in the helper's tiles
-        with pytest.raises(FloatingPointError, match="overflow"):
-            kpff_kernel(W, X)
-    # the helper stopped at its second tile; the caller took the rest
-    assert dealt.helper == [MIN_TILE, 2 * MIN_TILE]
-    assert dealt.caller == [0, *range(3 * MIN_TILE, 8 * MIN_TILE, MIN_TILE)]
-    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            y = kpff_kernel(W, X)
-    assert len(thread_starts) == 2
-    column = 2 * MIN_TILE + 7
-    assert np.isinf(y[:, column]).all() and np.isfinite(np.delete(y, column, 1)).all()
-
-
-def test_an_error_in_the_helper_dw_is_raised_in_the_caller(monkeypatch, thread_starts):
-    _cores(monkeypatch, 2)
-    W, X = np.ones((SPLIT_ROWS, SPLIT_ROWS)), np.ones((SPLIT_ROWS, 4 * MIN_TILE))
-    with pytest.raises(ValueError, match="not aligned"):  # 5 columns against 4 * MIN_TILE
-        kpff_kernel(W.T, X, dw_of=(np.ones((SPLIT_ROWS, 5)), X))
-    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-    # the caller's own error wins over the helper's
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            kpff_kernel(np.full(W.shape, 1e200), np.full(X.shape, 1e200),
-                        dw_of=(np.ones((SPLIT_ROWS, 5)), X))
-    assert len(thread_starts) == 2 and not thread_starts[1].is_alive()
-
-
-def test_an_interrupted_join_still_waits_for_the_helper(monkeypatch):
-    # a KeyboardInterrupt can cut Thread.join short on the main thread; the
-    # helper, held until then, must still be gone when the call raises
-    helpers, release = [], threading.Event()
-
-    class InterruptedOnce(threading.Thread):
-        def start(self):
-            helpers.append(self)
-            super().start()
-
-        def run(self):
-            release.wait()
-            super().run()
-
-        def join(self, timeout=None):
-            if not release.is_set():
-                release.set()
-                raise KeyboardInterrupt
-            super().join(timeout)
-
-    monkeypatch.setattr(fusion, "threading", SimpleNamespace(Thread=InterruptedOnce))
-    _cores(monkeypatch, 2)
-    with pytest.raises(KeyboardInterrupt):
-        kpff_kernel(np.ones((SPLIT_ROWS, SPLIT_ROWS)), np.ones((SPLIT_ROWS, 4 * MIN_TILE)))
-    assert len(helpers) == 1 and not helpers[0].is_alive()
-
-
-def test_split_calls_count_three_n_squared_r(monkeypatch, thread_starts):
-    n, r = SPLIT_ROWS, 4 * MIN_TILE + 5
-    _cores(monkeypatch, 2)
+def test_split_calls_count_three_n_squared_r():
+    n = 16
+    r = 8 * tile_width(n) + 5
     layer, X, U = KpffLayer(np.eye(n)), np.ones((n, r)), np.ones((n, r))
     with count_ops() as counts:
         layer.forward_batch(X)
         layer.backward_batch(U)
         assert counts["madd"] == 3 * n * n * r
-    assert len(thread_starts) == 2
-
-
-def test_model_calls_never_split(monkeypatch, thread_starts):
-    # a Model's W is n x n or n x 1, n its number of conv blocks, and its
-    # calls have m = N * r columns, r = min(channels): at criterion 6's
-    # config (the default channels, batch 50) n * rows * m is 2 * 2 * 300
-    cfg = RunConfig()
-    for method in FUSION_METHODS:
-        model = Model(seed=0, channels=cfg.channels, fusion=method)
-        if model.kpff is not None:
-            n, rows = model.kpff.W.shape
-            m = cfg.batch_size * model.r
-            assert n * rows * m <= 1200, method
-            for shape in ((n, rows), (rows, n)):  # forward and backward
-                assert not fusion._on_two_cores(*shape, m, _no_system_call), method
-    # so crossval's one process per core is not oversubscribed: all jobs
-    # run here, in one process, with two cores for the kernel. add's n x 1 W
-    # and kpff's n x n one are the kernel shapes of every method (concat and
-    # kpff-frozen train kpff's shapes at a constant W; none fuses nothing)
-    _cores(monkeypatch, 2)
-    monkeypatch.setattr("kpff.harness.usable_cores", lambda: 1)
-    cfg = RunConfig(seed=0, per_class=5, image_size=8, channels=(3, 4), max_epochs=3,
-                    batch_size=10, val_interval=2)
-    crossval(cfg, ["add", "kpff"])
-    assert thread_starts == []
 
 
 def _glibc():

@@ -1503,8 +1503,8 @@ def test_forward_runs_in_complex(fusion, activation, batch):
     # it writes takes its input's dtype. With a 1e-30j step the real part is
     # the float64 forward's; zgemm may order a GEMM's sums otherwise than
     # dgemm, so it agrees to 1e-12 relative (the worst seen is 1.4e-15).
-    # r = 4: at batch 6 the fusion is summed whole, at 520 (n * N * r = 4160)
-    # in the kernel's tile loop
+    # r = 4: the fusion is one kernel tile at either batch (n * N * r = 48
+    # and 4160); test_fusion.py covers a complex X over several tiles
     model = Model(seed=3, image_size=12, channels=(4, 6), activation=activation,
                   fusion=fusion, kpff_noise=0.1)
     x = Stream(5).uniform(size=(batch, 1, 12, 12), low=-1, high=1)
