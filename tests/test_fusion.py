@@ -1,5 +1,6 @@
 import os
 import resource
+import sys
 import threading
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpff import fusion, hooks
+from kpff.config import RunConfig
 from kpff.fusion import (
     ADD_REDUCE_COLUMNS,
     TILE_VALUES,
@@ -22,6 +24,8 @@ from kpff.fusion import (
     kpff_kernel,
 )
 from kpff.gradcheck import finite_diff_grad
+from kpff.harness import crossval
+from kpff.net import FUSION_METHODS, Model
 from kpff.rng import Stream
 from kpff.tensor import NonFiniteError, ShapeError
 
@@ -749,6 +753,55 @@ def test_fusion_ops_equal_per_row_loops_bitwise(n):
         assert add.tobytes() == row_loop_add(X).tobytes(), r
 
 
+@pytest.fixture
+def bufsize_calls(monkeypatch):
+    """Record every np.setbufsize call, passing each one through."""
+    calls, real = [], np.setbufsize
+
+    def spy(size):
+        calls.append(size)
+        return real(size)
+
+    monkeypatch.setattr(np, "setbufsize", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n,r", [(16, 256), (4, 1024), (8, 1000)])
+def test_narrow_tiles_restore_the_ufunc_buffer(n, r, bufsize_calls, monkeypatch):
+    # calls a former tile loop summed in narrow tiles under a smaller ufunc
+    # buffer: each pass is one tile now, summed at the caller's buffer
+    seen, real = [], fusion._sums
+
+    def sums(A, B, out=None):
+        seen.append(np.getbufsize())
+        return real(A, B, out)
+
+    monkeypatch.setattr(fusion, "_sums", sums)
+    before = np.getbufsize()
+    _kernel_case(n, r, seed=5)
+    assert seen == [before, before]  # the forward and the input gradient
+    assert np.getbufsize() == before and bufsize_calls == []
+
+
+@pytest.mark.parametrize("n,r", [(2, 64), (2, 1024), (16, 255), (16, one_tile(16)),
+                                 (16, 8 * tile_width(16))])  # the last in 8 tiles
+def test_small_and_wide_tiles_leave_the_ufunc_buffer_alone(n, r, bufsize_calls):
+    _kernel_case(n, r, seed=5)
+    assert bufsize_calls == []
+
+
+def test_ufunc_buffer_restored_when_a_tile_raises(bufsize_calls):
+    before = np.getbufsize()
+    X = np.ones((4, 1024))
+    with pytest.raises(ValueError):  # 3 weight rows for 4 inputs
+        kpff_kernel(np.ones((3, 4)), X)
+    # the input gradient's sums at the W^T of a 4 x 3 W: 3 rows for 4
+    # upstream rows
+    with pytest.raises(ValueError):
+        kpff_kernel(np.ones((4, 3)).T, X)
+    assert bufsize_calls == [] and np.getbufsize() == before
+
+
 # --- the kernel sums on the calling thread ----------------------------------------
 
 
@@ -786,6 +839,128 @@ def test_a_split_call_leaves_no_thread(thread_starts):
     # and a backward with dW start no thread, so crossval's one process per
     # core is never oversubscribed
     _kernel_case(16, 32768, seed=9)
+    assert thread_starts == []
+
+
+def _no_core_count(*args):
+    raise AssertionError("the kernel asks for no core count")
+
+
+@pytest.mark.parametrize("n,rows,m,splits", [
+    (8, 8, 32768, True),  # exactly 2 ** 21 products
+    (7, 7, 42799, False),  # 2 ** 21 - 1
+    (7, 7, 42800, True),  # 2 ** 21 + 49
+    (16, 16, 32768, True),
+    (16, 16, 16384, True),
+    (16, 16, 8192, True),
+    (4, 4, 32768, False),  # 2 ** 19
+    (8, 8, 16384, False),  # 2 ** 20
+    (16, 16, 4096, False),  # one tile
+    (32, 32, 2048, False),  # 2 ** 21
+    (1024, 1, 2048, False),  # an n x 1 W (add's shape)
+    (1, 1024, 2048, False),  # its backward, at W^T
+    (2, 1024, 1024, False),  # 2 ** 21
+    (2, 1024, 8192, True),  # the W^T of a 1024 x 2 W
+    (2, 2, 300, False),  # criterion 6's Model calls, kpff
+    (2, 1, 300, False),  # and add
+    (1, 2, 300, False),  # add's backward, at W^T
+])
+def test_the_two_core_rule_at_its_edges(n, rows, m, splits, monkeypatch, thread_starts):
+    # the edges of a former rule that summed a call of at least 2 ** 21
+    # products in two or more tiles on two cores (splits: where it did).
+    # Each call now asks for no core count and starts no thread, and takes
+    # the one-thread tiles: whole up to 2 * TILE_VALUES values over W's
+    # larger side, else TILE_VALUES // side columns a tile
+    monkeypatch.setattr(os, "sched_getaffinity", _no_core_count, raising=False)
+    monkeypatch.setattr(os, "cpu_count", _no_core_count)
+    widths = []
+    monkeypatch.setattr(fusion, "_sums", lambda A, B, out=None: widths.append(B.shape[1]))
+    kpff_kernel(np.ones((n, rows)), np.ones((n, m)))
+    side = max(n, rows)
+    width = m if m * side <= 2 * TILE_VALUES else tile_width(side)
+    assert widths == [min(width, m - lo) for lo in range(0, m, width)]
+    if splits:  # a call that took two cores still takes several tiles
+        assert len(widths) > 1
+    assert thread_starts == []
+
+
+def test_the_queue_deals_each_tile_once_under_stress(monkeypatch):
+    # the tiles of a former kernel were dealt from a queue shared with a
+    # helper thread; each call now takes its own tiles in order. Three
+    # callers at once, switching every microsecond: a tile summed twice or
+    # lost would show in the count or, since Y starts as np.empty, in the
+    # bytes
+    taken, real = [], fusion._sums
+
+    def sums(A, B, out=None):
+        lo = (B.ctypes.data - X.ctypes.data) // X.itemsize
+        taken.append((out.ctypes.data - lo * out.itemsize, lo))
+        return real(A, B, out)
+
+    monkeypatch.setattr(fusion, "_sums", sums)
+    n = 16
+    W, X, _ = _signed_zero_case(n, 9 * tile_width(n) + 3, seed=12)
+    want = block_loop_forward(W, X).tobytes()
+    results = []
+
+    def caller():
+        for _ in range(5):
+            results.append(kpff_kernel(W, X))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(results) == 15 and all(y.tobytes() == want for y in results)
+    assert sorted(taken) == sorted((y.ctypes.data, k * tile_width(n))
+                                   for y in results for k in range(10))
+
+
+def test_an_error_in_the_helper_dw_is_raised_in_the_caller(thread_starts):
+    # dW, once computed on a helper thread, is the caller's np.dot after
+    # dX's sums: its error is raised in the caller, and an error of the
+    # sums comes first
+    n = 16
+    W, X = np.ones((n, n)), np.ones((n, 4 * tile_width(n)))
+    with pytest.raises(ValueError, match="not aligned"):  # 5 columns against X's
+        kpff_kernel(W.T, X, dw_of=(np.ones((n, 5)), X))
+    with pytest.raises(ValueError, match="could not be broadcast"):  # n - 1 upstream rows
+        kpff_kernel(W.T, X[1:], dw_of=(np.ones((n, 5)), X))
+    assert thread_starts == []
+
+
+def test_model_calls_never_split(monkeypatch, thread_starts):
+    # a Model's W is n x n or n x 1, n its number of conv blocks, and its
+    # calls have m = N * r columns, r = min(channels): at criterion 6's
+    # config (the default channels, batch 50) each call is one tile
+    cfg = RunConfig()
+    for method in FUSION_METHODS:
+        model = Model(seed=0, channels=cfg.channels, fusion=method)
+        if model.kpff is not None:
+            m = cfg.batch_size * model.r
+            assert m * max(model.kpff.W.shape) <= 2 * TILE_VALUES, method
+    # all jobs run here, in one process: every kernel call of add's n x 1 W
+    # and kpff's n x n one, the kernel shapes of every method, is summed
+    # whole on this thread
+    whole, real = [], fusion._sums
+
+    def sums(A, B, out=None):
+        whole.append(out is None)
+        return real(A, B, out)
+
+    monkeypatch.setattr(fusion, "_sums", sums)
+    monkeypatch.setattr("kpff.harness.usable_cores", lambda: 1)
+    cfg = RunConfig(seed=0, per_class=5, image_size=8, channels=(3, 4), max_epochs=3,
+                    batch_size=10, val_interval=2)
+    crossval(cfg, ["add", "kpff"])
+    assert whole and all(whole)
     assert thread_starts == []
 
 
