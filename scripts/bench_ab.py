@@ -5,13 +5,14 @@ through each tree's own benchmark runner.
     python scripts/bench_ab.py --other ../parent --label new --other-label af126bd \\
         [--other-commit C] [--pairs 10] [--seed 100]
 
-Both halves run each side from a copy of its TREE_ENTRIES (src/,
-kpffbench/ and BENCHMARK.json, without bytecode caches) in a temporary
-directory, never from the checkout itself: the rest of a checkout (.git,
-.hypothesis, earlier .kpffbench_out runs) moved crossval_ref's readings by
-tree alone. So no run reads a git commit: each side's is read from its
-tree before the copy (tree_commit), and --other-commit names the other
-tree's where that is a copy itself, as a `git archive` one is.
+Both halves run each side from a copy of its tree_entries() (src/,
+BENCHMARK.json and the `paths` this checkout's BENCHMARK.json lists, such
+as kpffbench/, without bytecode caches) in a temporary directory, never
+from the checkout itself: the rest of a checkout (.git, .hypothesis,
+earlier .kpffbench_out runs) moved crossval_ref's readings by tree alone.
+So no run reads a git commit: each side's is read from its tree before
+the copy (tree_commit), and --other-commit names the other tree's where
+that is a copy itself, as a `git archive` one is.
 
 Byte identity. Each case of IDENTITY_SET runs the `kpff` CLI of each tree
 in a subprocess, with that tree's src/ first on PYTHONPATH, in an output
@@ -63,7 +64,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from kpff.net import FUSION_METHODS  # noqa: E402  (this checkout's tokens)
 
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
-TREE_ENTRIES = ("src", "kpffbench", "BENCHMARK.json")  # all that a side's runs read
 
 # `kpff crossval` and `train` config flags
 SMALL = ("--per-class", "5", "--image-size", "8", "--channels", "3,4", "--max-epochs", "3",
@@ -148,10 +148,16 @@ FUSE_FILES = {
 }
 
 
+def tree_entries():
+    """All that a side's runs read: src/, BENCHMARK.json and the `paths`
+    that this checkout's BENCHMARK.json lists."""
+    return ("src", *json.loads((ROOT / "BENCHMARK.json").read_text())["paths"], "BENCHMARK.json")
+
+
 def copy_tree(tree, dest):
-    """Copy the tree's TREE_ENTRIES that exist to the new directory dest."""
+    """Copy the tree's tree_entries() that exist to the new directory dest."""
     dest.mkdir(parents=True)
-    for name in TREE_ENTRIES:
+    for name in tree_entries():
         path = Path(tree) / name
         if path.is_dir():
             shutil.copytree(path, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
@@ -162,7 +168,7 @@ def copy_tree(tree, dest):
 
 def tree_commit(tree):
     """`git rev-parse HEAD` of the checkout whose top is tree, with
-    "-dirty" appended when `git status` lists a change to its TREE_ENTRIES;
+    "-dirty" appended when `git status` lists a change to its tree_entries();
     None where tree is not the top of a git checkout."""
     def git(*argv):
         return subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
@@ -173,7 +179,8 @@ def tree_commit(tree):
     top, commit = head.stdout.splitlines()
     if Path(top).resolve() != Path(tree).resolve():
         return None
-    return commit + ("-dirty" if git("status", "--porcelain", "--", *TREE_ENTRIES).stdout else "")
+    dirty = git("status", "--porcelain", "--", *tree_entries()).stdout
+    return commit + ("-dirty" if dirty else "")
 
 
 def run_kpff(tree, argv, cwd):

@@ -132,11 +132,11 @@ def parse_config_text(text) -> RunConfig:
 
 
 def read_utf8(path, kind) -> str:
-    """The text of a UTF-8 file. An error reading or decoding it is a
-    ValueError that names the file, as a `kind` file, and the offset of
-    the first byte that is not UTF-8."""
+    """The text of a UTF-8 file, without one leading byte-order mark. An
+    error reading or decoding it is a ValueError that names the file, as a
+    `kind` file, and the offset of the first byte that is not UTF-8."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {kind} file is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
                          f"at offset {exc.start}") from None

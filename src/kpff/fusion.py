@@ -130,12 +130,6 @@ def fuse_concat(inputs: FusionInputs) -> np.ndarray:
 TILE_VALUES = 1 << 15
 
 
-def _dw(forward_rows, upstream):
-    """dW[i, b] = upstream[b] . forward_rows[i]: one GEMM. On C-contiguous
-    operands np.dot and @ give the same bits (docs/gradients.md, Cost)."""
-    return np.dot(forward_rows, upstream.T)
-
-
 def _sums(A, B, out=None):
     """The rows sum_i A[i, k] * B[i], one per column k of A, into out where
     given, each value summed in i order from +0.0 (0.0 + -0.0 is +0.0) with
@@ -157,36 +151,33 @@ def _sums(A, B, out=None):
     return out
 
 
-def kpff_kernel(W, X, dw_of=None):
-    """Y with row k = sum_i W[i, k] X[i]: block k of y = sum_i w_i (x) x_i.
+def kpff_kernel(A, B):
+    """out with row k = sum_i A[i, k] B[i]: one row per column of A.
 
-    W is n x m_out with row i = w_i; X is an [n, m] array whose row i is
-    x_i; Y is [m_out, m]. A batch of N samples is m = N*r, each row holding
-    one input's N vectors back to back. At W^T and the upstream gradient
-    (row b that of block b) it returns the input gradient; with dw_of, the
-    forward's input rows and the rows dW reads, it returns (Y, dW) with
-    dW = _dw(*dw_of), and counts dW's products with its own. Y takes the
-    dtype that W and X promote to, so a complex X gives a complex Y.
+    A is n x m_out and B an [n, m] array; out is [m_out, m] and counts its
+    n*m_out*m products. At A = W (row i = w_i) and B = X (row i = x_i), row
+    k is block k of y = sum_i w_i (x) x_i; at W^T and the upstream gradient
+    (row b that of block b) it is the input gradient. A batch of N samples
+    is m = N*r, each row holding one input's N vectors back to back. out
+    takes the dtype that A and B promote to, so a complex B gives a complex
+    out.
 
-    Y is summed one column tile at a time (see TILE_VALUES; _sums), each
+    out is summed one column tile at a time (see TILE_VALUES; _sums), each
     value in i order from +0.0 with one multiply and one add per term, so it
     equals that of a per-block loop bit for bit (docs/gradients.md, Cost).
     """
-    n, rows = W.shape
-    m = X.shape[1]
+    n, rows = A.shape
+    m = B.shape[1]
     if _COUNTING:
-        _COUNTS["madd"] += W.size * m * (1 if dw_of is None else 2)
+        _COUNTS["madd"] += A.size * m
     side = max(n, rows)
     if m * side <= 2 * TILE_VALUES:
-        out = _sums(W, X)
-    else:
-        width = max(1, TILE_VALUES // side)  # one column where side > TILE_VALUES
-        out = np.empty((rows, m), np.promote_types(W.dtype, X.dtype))
-        for lo in range(0, m, width):
-            _sums(W, X[:, lo:lo + width], out[:, lo:lo + width])
-    if dw_of is None:
-        return out
-    return out, _dw(*dw_of)
+        return _sums(A, B)
+    width = max(1, TILE_VALUES // side)  # one column where side > TILE_VALUES
+    out = np.empty((rows, m), np.promote_types(A.dtype, B.dtype))
+    for lo in range(0, m, width):
+        _sums(A, B[:, lo:lo + width], out[:, lo:lo + width])
+    return out
 
 
 def _counted(count, noun):
@@ -201,10 +192,11 @@ class KpffLayer:
 
     forward_batch caches its inputs; backward_batch accumulates into
     grad_ws (row i is dL/dw_i) and returns the gradients w.r.t. the inputs.
-    Model binds W and grad_ws of a trained layer to views of its vectors,
-    and sets grad_ws of a constant W to None: that layer keeps no gradient.
-    Not thread-safe across concurrent forward/backward (pure ops in this
-    module are).
+    Each sums through one kpff_kernel call, and backward_batch makes and
+    counts dW itself. Model binds W and grad_ws of a trained layer to views
+    of its vectors, and sets grad_ws of a constant W to None: that layer
+    keeps no gradient. Not thread-safe across concurrent forward/backward
+    (pure ops in this module are).
     """
 
     def __init__(self, ws):
@@ -236,23 +228,24 @@ class KpffLayer:
     def backward_batch(self, U):
         """dX, shaped like X, for the upstream gradient U of the last
         forward_batch (a row per column of W), and dW added into grad_ws
-        unless grad_ws is None (see docs/gradients.md):
+        unless grad_ws is None (see docs/gradients.md, Cost):
 
-          dX[j]    = sum_k W[j, k] U[k]    the forward's sums at W^T, in k order
-          dW[i, b] = U[b] . X[i]           one GEMM, within gamma_m of exact
+          dX[j]    = sum_k W[j, k] U[k]    one kpff_kernel call at W^T, in k order
+          dW[i, b] = U[b] . X[i]           then one np.dot, within gamma_m of exact
         """
         if U.shape[0] != self.W.shape[1]:
             raise ShapeError(f"layer has {_counted(self.W.shape[1], 'weight column')}, "
                              f"upstream has {U.shape[0]} rows")
-        bug = injected_bug()
-        A = self.W if bug == "kpff-x" else self.W.T
-        if self.grad_ws is None:
-            return kpff_kernel(A, U)
-        if self.cache is None:  # dW reads the forward's inputs
+        trained = self.grad_ws is not None
+        if trained and self.cache is None:  # dW reads the forward's inputs
             raise RuntimeError("backward_batch called before forward_batch (no cached inputs)")
-        G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
-        dX, dW = kpff_kernel(A, U, dw_of=(self.cache, G))
-        self.grad_ws += dW
+        bug = injected_bug()
+        dX = kpff_kernel(self.W if bug == "kpff-x" else self.W.T, U)
+        if trained:
+            G = np.roll(U, -1, axis=0) if bug == "kpff-w" else U  # the rows dW reads
+            self.grad_ws += np.dot(self.cache, G.T)
+            if _COUNTING:
+                _COUNTS["madd"] += self.W.size * U.shape[1]
         return dX
 
 

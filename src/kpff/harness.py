@@ -44,6 +44,14 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_MAX = 32 << 20  # glibc's ceiling for its own dynamic threshold
 
 
+def on_glibc() -> bool:
+    """Whether this process runs under glibc (os.confstr is POSIX-only)."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
 @functools.cache
 def _fix_malloc_thresholds():
     """Pin glibc's malloc thresholds at the ceiling its dynamic rule works
@@ -59,11 +67,7 @@ def _fix_malloc_thresholds():
     almost no faults. The setting is process-wide and a no-op outside
     glibc. Addresses change, values do not.
     """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")  # os.confstr is POSIX-only
-    except (AttributeError, OSError, ValueError):
-        return
-    if glibc:
+    if on_glibc():
         libc = ctypes.CDLL(None)
         libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
         libc.mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)

@@ -30,20 +30,26 @@ def _mix(z):
     return z
 
 
+def _extent(value, size, kinds="an integer or a tuple of integers") -> int:
+    """value, an extent of a draw of the given size, as an int: TypeError
+    if it is not integral, ValueError if it is negative. Errors name size
+    and the kinds of size the draw takes."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"size must be {kinds}, got {size!r}") from None
+    if value < 0:
+        raise ValueError(f"size must not be negative, got {size!r}")
+    return value
+
+
 def _count(size) -> int:
     """Values in a draw of the given size: None is one, an integer is
-    itself, a tuple or list the product of its extents. TypeError for a
-    non-integral size or extent, ValueError for a negative one."""
+    itself, a tuple or list the product of its extents (_extent)."""
     if size is None:
         return 1
     extents = size if isinstance(size, (tuple, list)) else (size,)
-    try:
-        shape = [operator.index(e) for e in extents]
-    except TypeError:
-        raise TypeError(f"size must be an integer or a tuple of integers, got {size!r}") from None
-    if min(shape, default=0) < 0:
-        raise ValueError(f"size must not be negative, got {size!r}")
-    return math.prod(shape)
+    return math.prod(_extent(e, size) for e in extents)
 
 
 def uniform_from_bits(bits, low=0.0, high=1.0):
@@ -90,12 +96,7 @@ class Stream:
         counters k, computed in place, wrapping modulo 2**64. A count that
         is not an integer raises TypeError, a negative one ValueError, and
         either leaves the counter where it was."""
-        try:
-            count = operator.index(count)
-        except TypeError:
-            raise TypeError(f"size must be an integer, got {count!r}") from None
-        if count < 0:
-            raise ValueError(f"size must not be negative, got {count!r}")
+        count = _extent(count, count, "an integer")
         z = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
         z *= _GOLDEN

@@ -256,7 +256,7 @@ def test_criterion_8_determinism(tmp_path):
 # --- 9: mutation sensitivity -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bug", ["kpff-w", "kpff-x", "adam-bias"])
+@pytest.mark.parametrize("bug", hooks.BUG_NAMES)
 def test_criterion_9_mutation_sensitivity(bug):
     hooks.set_injected_bug(bug)
     try:

@@ -65,6 +65,15 @@ def test_fuse_kpff(tmp_path):
     assert [float(x) for x in out.read_text().split(",")] == [7, 10, 1, 2]
 
 
+def test_fuse_reads_past_one_byte_order_mark(tmp_path):
+    inp, w, out = tmp_path / "in.csv", tmp_path / "w.csv", tmp_path / "out.csv"
+    inp.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n")
+    w.write_bytes(b"\xef\xbb\xbf1,1\n2,0\n")
+    assert run_cli("fuse", "--inputs", str(inp), "--method", "kpff",
+                   "--weights", str(w), "--output", str(out)) == 0
+    assert [float(x) for x in out.read_text().split(",")] == [7.5, 10, 1.5, 2]
+
+
 def test_fuse_ragged_rows_fail(tmp_path, capsys):
     out = tmp_path / "out.csv"
     # a blank line does not shift the line number
@@ -191,7 +200,7 @@ def test_gradcheck_max_rows(capsys):
     assert more == f"... {total} more rows" and summary == f"{total}/{total} checks passed"
 
 
-@pytest.mark.parametrize("bug", ["kpff-w", "kpff-x", "adam-bias"])
+@pytest.mark.parametrize("bug", hooks.BUG_NAMES)
 def test_gradcheck_inject_bug_detected(bug, capsys):
     hooks.set_injected_bug(bug)  # cleared by clear_hooks
     assert run_cli("gradcheck", "--no-model", "--n", "3", "--r", "4") == 1

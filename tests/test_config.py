@@ -96,6 +96,20 @@ def test_load_config_file(tmp_path):
     assert cfg == RunConfig(seed=3, lr=0.01)
 
 
+def test_load_config_reads_past_one_byte_order_mark(tmp_path):
+    # a UTF-8 file may start with U+FEFF; a second one is text, and the
+    # offset of a byte that is not UTF-8 counts the mark's three bytes
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfseed = 3\nlr = 0.01\n")
+    assert load_config(path) == RunConfig(seed=3, lr=0.01)
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfseed = 3\n")
+    with pytest.raises(ValueError, match=r"^line 1: unknown config key '\\ufeffseed'$"):
+        load_config(path)
+    path.write_bytes(b"\xef\xbb\xbfseed = \xe9\n")
+    with pytest.raises(ValueError, match="config file is not UTF-8: byte 0xe9 at offset 10$"):
+        load_config(path)
+
+
 def test_hash_changes_with_config():
     assert config_hash(RunConfig(seed=1)) != config_hash(RunConfig(seed=2))
 

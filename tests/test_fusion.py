@@ -24,10 +24,11 @@ from kpff.fusion import (
     kpff_kernel,
 )
 from kpff.gradcheck import finite_diff_grad
-from kpff.harness import crossval
+from kpff.harness import crossval, on_glibc
 from kpff.net import FUSION_METHODS, Model
 from kpff.rng import Stream
 from kpff.tensor import NonFiniteError, ShapeError
+from test_net import gamma
 
 
 def kron_oracle(a, b):
@@ -357,13 +358,15 @@ def test_backward_requires_forward():
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (16, 32768)])  # one tile; 16 tiles
-def test_backward_batch_requires_forward_batch(n, r):
+def test_backward_batch_requires_forward_batch(n, r, monkeypatch):
     # dW reads the forward's inputs: without them the call fails before
-    # any tile is summed
+    # the kernel runs
+    calls = []
+    monkeypatch.setattr(fusion, "kpff_kernel", lambda A, B: calls.append(B.shape))
     layer = KpffLayer(list(np.eye(n)))
     with pytest.raises(RuntimeError, match="^backward_batch called before forward_batch"):
         layer.backward_batch(np.ones((n, r)))
-    assert not layer.grad_ws.any()
+    assert not layer.grad_ws.any() and calls == []
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -429,15 +432,6 @@ def test_forward_madd_count_is_n_squared_r():
 
 
 # --- the kernel against the per-block loops --------------------------------------
-
-UNIT_ROUNDOFF = 2.0**-53
-
-
-def gamma(m):
-    """Higham's gamma_m = m u / (1 - m u): the relative forward-error bound
-    of an m-term dot product."""
-    return m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
-
 
 def block_loop_forward(W, X):
     """The per-block loop the kernel replaced: y block k, one per column of
@@ -513,10 +507,10 @@ def _assert_dw_within_gamma(dw, want, X, U):
 ])
 def test_kernel_matches_block_loops(n, r):
     W, X, U, y, dw, dx = _kernel_case(n, r, seed=n * 100_003 + r)
-    want_dw, want_dx = block_loop_backward(W, X, U)
+    dw_want, dx_want = block_loop_backward(W, X, U)
     assert y.tobytes() == block_loop_forward(W, X).tobytes()
-    assert dx.tobytes() == want_dx.tobytes()
-    _assert_dw_within_gamma(dw, want_dw, X, U)
+    assert dx.tobytes() == dx_want.tobytes()
+    _assert_dw_within_gamma(dw, dw_want, X, U)
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -528,11 +522,11 @@ def test_kernel_matches_block_loops_at_n_by_m_weights(n, r, m):
     # m output blocks from n inputs: m = 1 is Add's ones column, and 5 is
     # neither 1 nor any n here
     W, X, U, y, dw, dx = _kernel_case(n, r, seed=n * 100_003 + r * 7 + m, m=m)
-    want_dw, want_dx = block_loop_backward(W, X, U)
+    dw_want, dx_want = block_loop_backward(W, X, U)
     assert y.shape == (m * r,) and dw.shape == (n, m) and dx.shape == (n, r)
     assert y.tobytes() == block_loop_forward(W, X).tobytes()
-    assert dx.tobytes() == want_dx.tobytes()
-    _assert_dw_within_gamma(dw, want_dw, X, U)
+    assert dx.tobytes() == dx_want.tobytes()
+    _assert_dw_within_gamma(dw, dw_want, X, U)
     layer = KpffLayer(W)
     with count_ops() as counts:
         layer.forward_batch(X)
@@ -622,16 +616,16 @@ def test_kernel_hooks_match_the_block_loop_hooks(bug):
             W, X, U, _, dw, dx = _kernel_case(n, r, seed=41)
         finally:
             hooks.set_injected_bug(None)
-        want_dw, want_dx = block_loop_backward(W, X, U, bug=bug)
-        clean_dw, clean_dx = block_loop_backward(W, X, U)
-        assert dx.tobytes() == want_dx.tobytes()
-        _assert_dw_within_gamma(dw, want_dw, X, U)
+        dw_want, dx_want = block_loop_backward(W, X, U, bug=bug)
+        dw_clean, dx_clean = block_loop_backward(W, X, U)
+        assert dx.tobytes() == dx_want.tobytes()
+        _assert_dw_within_gamma(dw, dw_want, X, U)
         # the hook changes what it targets and nothing else
-        assert (dx.tobytes() == clean_dx.tobytes()) == (bug != "kpff-x")
+        assert (dx.tobytes() == dx_clean.tobytes()) == (bug != "kpff-x")
         if bug == "kpff-x":
-            _assert_dw_within_gamma(dw, clean_dw, X, U)
+            _assert_dw_within_gamma(dw, dw_clean, X, U)
         else:
-            assert np.any(np.abs(dw - clean_dw) > 1e-6)
+            assert np.any(np.abs(dw - dw_clean) > 1e-6)
 
 
 @pytest.mark.parametrize("n,r", [
@@ -923,17 +917,26 @@ def test_the_queue_deals_each_tile_once_under_stress(monkeypatch):
                                    for y in results for k in range(10))
 
 
-def test_an_error_in_the_helper_dw_is_raised_in_the_caller(thread_starts):
-    # dW, once computed on a helper thread, is the caller's np.dot after
-    # dX's sums: its error is raised in the caller, and an error of the
-    # sums comes first
+def test_an_error_in_the_helper_dw_is_raised_in_the_caller(monkeypatch):
+    # dW, once computed on a helper thread, is backward_batch's own np.dot
+    # after dX's one kernel call: its error is raised in the caller once the
+    # sums have run, and an error of the sums comes first
+    calls, real = [], fusion.kpff_kernel
+
+    def kernel(A, B):
+        calls.append(B.shape)
+        return real(A, B)
+
+    monkeypatch.setattr(fusion, "kpff_kernel", kernel)
     n = 16
-    W, X = np.ones((n, n)), np.ones((n, 4 * tile_width(n)))
-    with pytest.raises(ValueError, match="not aligned"):  # 5 columns against X's
-        kpff_kernel(W.T, X, dw_of=(np.ones((n, 5)), X))
-    with pytest.raises(ValueError, match="could not be broadcast"):  # n - 1 upstream rows
-        kpff_kernel(W.T, X[1:], dw_of=(np.ones((n, 5)), X))
-    assert thread_starts == []
+    layer, U = KpffLayer(np.eye(n)), np.ones((n, 4 * tile_width(n)))
+    layer.cache = np.ones((n, 5))  # 5 columns against U's
+    with pytest.raises(ValueError, match="not aligned"):
+        layer.backward_batch(U)
+    assert calls == [U.shape]
+    with pytest.raises(ValueError, match="more dimensions than subscripts"):  # a 3-d upstream
+        layer.backward_batch(U[:, :, None])
+    assert calls == [U.shape, U[:, :, None].shape] and not layer.grad_ws.any()
 
 
 def test_model_calls_never_split(monkeypatch, thread_starts):
@@ -992,14 +995,7 @@ def test_split_calls_count_three_n_squared_r():
         assert counts["madd"] == 3 * n * n * r
 
 
-def _glibc():
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, OSError, ValueError):
-        return False
-
-
-@pytest.mark.skipif(not _glibc(), reason="heap-page reuse is measured under glibc malloc")
+@pytest.mark.skipif(not on_glibc(), reason="heap-page reuse is measured under glibc malloc")
 def test_kernel_calls_reuse_heap_pages():
     # n=16, r=32768: 4 MiB each for y and the dx blocks. Results are held
     # until the next call's results replace them, as a caller looping over

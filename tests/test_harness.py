@@ -132,13 +132,6 @@ def test_every_config_field_moves_the_results(field, tmp_path):
     assert report["methods"] != _fast_kpff_results()
 
 
-def _glibc():
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, OSError, ValueError):
-        return False
-
-
 # One warm train_run after another in a fresh interpreter; prints the minor
 # page faults of each of the three measured runs.
 _HEAP_PAGES_RUNS = """
@@ -162,7 +155,8 @@ for _ in range(3):
 """
 
 
-@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds train_run pins are glibc's")
+@pytest.mark.skipif(not harness.on_glibc(),
+                    reason="the malloc thresholds train_run pins are glibc's")
 def test_training_steps_reuse_heap_pages():
     # criterion-6 shapes: 16x16 images, channels 6,12, batches of 50 and 30.
     # Under glibc's default thresholds each step gave its few MiB of
